@@ -33,7 +33,7 @@ from .geometry import (Sector, associate_family, geometry_scenario_from_dict,
                        validate_good_covering)
 from .model import (ModelScenario, default_scenario, difference_cascade, fit_rate,
                     verify_rate_dichotomy, verify_two_level_theorem)
-from .qlaplace import GrowthCertificate, QLaplaceSpec, monomial_image_constant, qlaplace
+from .qlaplace import GrowthCertificate, QLaplaceSpec, qlaplace
 from .theta import (calibrate_theta_constant, spec_for_annulus, theta_eval_scaled,
                     theta_lower_bound, theta_qdiff_residual)
 
@@ -144,9 +144,8 @@ def _cmd_qlaplace(args) -> tuple[dict, bool]:
     spec = QLaplaceSpec(q=args.q, k=args.k, direction=args.direction, tol=args.tol)
     cert = GrowthCertificate(K=1.0, alpha=float(args.n), k=0.0, rho=1.0)
     res = qlaplace(spec, lambda u: u ** args.n, T, cert, enforce_domain=False)
-    predicted = monomial_image_constant(args.q, args.k, args.n,
-                                        direction=args.direction) * T ** args.n
-    # machine-precision internal consistency: same integrand, new point
+    # closed form c_{n,k} = q^{n(n-1)/(2k)} of the monomial image
+    predicted = args.q ** (args.n * (args.n - 1) / (2.0 * args.k)) * T ** args.n
     rel = abs(res.value - predicted) / max(abs(predicted), 1e-300)
     ok = rel <= args.check_tol
     payload = {

@@ -34,7 +34,6 @@ on the contour); probe angles must avoid the cut directions.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -339,14 +338,6 @@ class MultilevelSplit:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-    def write_cascade_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["j", "radius", "max abs a", "max spread"])
-            for r in self.cascade:
-                w.writerow([r.j, repr(r.radius), repr(r.max_abs),
-                            repr(r.max_spread)])
 
 
 def _probe_angles(cov: GoodCovering) -> np.ndarray:

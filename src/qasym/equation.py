@@ -429,7 +429,7 @@ def _poly_profile(base: DecayProfile, coeffs) -> DecayProfile:
 
 
 def dilate(t: complex, q: float, expo: Fraction) -> complex:
-    """q^expo * t with the exponent carried exactly until the final power."""
+    """q^expo * t; the exact exponent is rounded to a float before the power."""
     return q ** float(expo) * t
 
 

@@ -46,28 +46,13 @@ import numpy as np
 from .asymptotics import (GevreyFit, RemainderRow, RemainderTable,
                           fit_zero_gevrey_relative, restrict_and_refit)
 from .cocycle import classify_levels
-from functools import lru_cache
-
-from .fourier import DecayProfile, complex_quad, inverse_fourier
+from .fourier import DecayProfile, inverse_fourier
 from .frames import GevreyScale, QFrame, make_qframe
 from .geometry import GoodCovering, Sector, make_cyclic_covering, wrap_angle
-from .theta import inv_theta as _inv_theta_spec, spec_for_annulus
+from .qlaplace import log_contour_transform
+from .theta import inv_theta_at
 
 LOG_TINY = -690.0  # below exp() underflow; integrand values are cut here
-
-
-@lru_cache(maxsize=64)
-def _theta_spec_bucket(q: float, k: float, bucket: int):
-    reach = math.exp(8.0 * bucket)
-    return spec_for_annulus(q, k, 1.0 / reach, reach, tail_tol=1e-16)
-
-
-def _inv_theta(q: float, k: float, z: complex) -> complex:
-    """1/Theta at one point, with a truncation order cached per log-radius
-    bucket so deep-cascade arguments stay certified."""
-    la = abs(math.log(max(abs(z), 1e-300)))
-    bucket = max(1, math.ceil(la / 8.0))
-    return complex(_inv_theta_spec(_theta_spec_bucket(q, k, bucket), z))
 
 
 @dataclass(frozen=True)
@@ -283,21 +268,15 @@ def _budget(tol: float) -> float:
     return math.log(1.0 / tol) + 12.0
 
 
-def _laplace_ray(scn: ModelScenario, branch: int, direction: float, T: complex,
-                 s_lo: float, s_hi: float, tol: float):
-    """(k2/lq) int shape_branch(e^{s+id}) invTheta(e^{s+id}/T) ds over the
+def _laplace_ray(scn: ModelScenario, shape, direction: float, T: complex,
+                 s_lo: float, s_hi: float, tol: float) -> complex:
+    """(k2/lq) int shape(e^{s+id}) invTheta(e^{s+id}/T) ds over the
     log-radius window [s_lo, s_hi]."""
     fr = scn.frame
-    eid = complex(math.cos(direction), math.sin(direction))
-
-    def f(s):
-        u = math.exp(s) * eid
-        return (complex(np.asarray(kernel_shape(scn, branch, u)).reshape(()))
-                * _inv_theta(fr.q, fr.k2, u / T))
-
-    val, err, neval = complex_quad(f, s_lo, s_hi, epsabs=tol * 1e-250,
-                                   epsrel=tol, limit=400)
-    return _prefactor(scn) * val, err, neval
+    val, _, _ = log_contour_transform(shape, fr.q, fr.k2, T, 1j * direction,
+                                      1.0, s_lo, s_hi, epsabs=tol * 1e-250,
+                                      epsrel=tol, limit=400)
+    return val
 
 
 def outer_ray_piece(scn: ModelScenario, branch: int, direction: float,
@@ -310,8 +289,8 @@ def outer_ray_piece(scn: ModelScenario, branch: int, direction: float,
     L = math.log(abs(T))
     gap = max(s0 - L, 1.0)
     ds = _budget(tol) * lq / (fr.k2 * gap) + 2.0
-    val, _, _ = _laplace_ray(scn, branch, direction, T, s0, s0 + ds, tol)
-    return val
+    return _laplace_ray(scn, lambda u: kernel_shape(scn, branch, u),
+                        direction, T, s0, s0 + ds, tol)
 
 
 def arc_piece(scn: ModelScenario, branch: int, theta_lo: float,
@@ -321,15 +300,12 @@ def arc_piece(scn: ModelScenario, branch: int, theta_lo: float,
     invTheta(r e^{i th}/T) d th at fixed radius (default rho)."""
     fr = scn.frame
     r = scn.rho if radius is None else radius
-
-    def f(th):
-        u = r * complex(math.cos(th), math.sin(th))
-        return (complex(np.asarray(kernel_shape(scn, branch, u)).reshape(()))
-                * _inv_theta(fr.q, fr.k2, u / T))
-
-    val, _, _ = complex_quad(f, theta_lo, theta_hi, epsabs=tol * 1e-250,
-                             epsrel=tol, limit=200)
-    return _prefactor(scn) * 1j * val
+    val, _, _ = log_contour_transform(lambda u: kernel_shape(scn, branch, u),
+                                      fr.q, fr.k2, T, math.log(r), 1j,
+                                      theta_lo, theta_hi,
+                                      epsabs=tol * 1e-250, epsrel=tol,
+                                      limit=200)
+    return val
 
 
 def mid_segment_piece(scn: ModelScenario, p: int, T: complex,
@@ -345,22 +321,13 @@ def mid_segment_piece(scn: ModelScenario, p: int, T: complex,
     lq = math.log(fr.q)
     kap, k2 = fr.kappa, fr.k2
     L = math.log(abs(T))
-    d = scn.mid_direction(p)
-    eid = complex(math.cos(d), math.sin(d))
 
     s_star = (k2 * L + lq * (scn.drift - 0.5)) / (kap + k2)
     half = math.sqrt(2.0 * lq * _budget(tol) / (kap + k2)) + 2.0
     s_lo = s_star - half
     s_hi = min(math.log(scn.rho), s_star + half)
-
-    def f(s):
-        u = math.exp(s) * eid
-        return (complex(np.asarray(kernel_jump_shape(scn, p, u)).reshape(()))
-                * _inv_theta(fr.q, fr.k2, u / T))
-
-    val, _, _ = complex_quad(f, s_lo, s_hi, epsabs=tol * 1e-250,
-                             epsrel=tol, limit=400)
-    return _prefactor(scn) * val
+    return _laplace_ray(scn, lambda u: kernel_jump_shape(scn, p, u),
+                        scn.mid_direction(p), T, s_lo, s_hi, tol)
 
 
 def residue_closed_form(scn: ModelScenario, p: int, T: complex) -> complex:
@@ -373,7 +340,7 @@ def residue_closed_form(scn: ModelScenario, p: int, T: complex) -> complex:
     fr = scn.frame
     acc = 0.0 + 0.0j
     for pole in scn.wedge_poles(p):
-        acc += pole.strength * _inv_theta(fr.q, fr.k2, pole.location / T)
+        acc += pole.strength * inv_theta_at(fr.q, fr.k2, pole.location / T)
     return -_prefactor(scn) * 2j * math.pi * acc
 
 
@@ -440,18 +407,24 @@ def consecutive_difference(scn: ModelScenario, p: int, T: complex,
     return out
 
 
-def laplace_transform_shape(scn: ModelScenario, p: int, T: complex,
-                            tol: float = 1e-12) -> complex:
-    """U_p(T): full-ray fast-level transform of the sector kernel."""
+def _full_ray(scn: ModelScenario, p: int, T: complex, tol: float,
+              shape) -> complex:
+    """(k2/lq) int shape(u) invTheta(u/T) du/u along the ray d_p, on the
+    window of the full-ray transform."""
     fr = scn.frame
     lq = math.log(fr.q)
     L = math.log(abs(T))
     half = math.sqrt(2.0 * lq * _budget(tol) / fr.k2) + 2.0
     s_lo = L - half
     s_hi = max(L + half, math.log(scn.rho) + half)
-    val, _, _ = _laplace_ray(scn, p % scn.n, scn.directions[p % scn.n], T,
-                             s_lo, s_hi, tol)
-    return val
+    return _laplace_ray(scn, shape, scn.directions[p % scn.n], T, s_lo, s_hi,
+                        tol)
+
+
+def laplace_transform_shape(scn: ModelScenario, p: int, T: complex,
+                            tol: float = 1e-12) -> complex:
+    """U_p(T): full-ray fast-level transform of the sector kernel."""
+    return _full_ray(scn, p, T, tol, lambda u: kernel_shape(scn, p, u))
 
 
 def assemble_solution(scn: ModelScenario, p: int, t: complex, z: complex,
@@ -462,8 +435,9 @@ def assemble_solution(scn: ModelScenario, p: int, t: complex, z: complex,
 
     method="factored" exploits that the kernel separates into
     shape(u) * profile(m); method="nested" re-evaluates the u-integral
-    inside the m-quadrature without using separability (slow; serves as
-    a cross-check of the nested path).
+    of kernel(u, m), on the same ray and window, inside the
+    m-quadrature without using separability (slow; serves as a
+    cross-check of the nested path).
     """
     T = eps * t
     prof = DecayProfile(C=1.0, mu=scn.mu, beta=scn.beta)
@@ -479,25 +453,9 @@ def assemble_solution(scn: ModelScenario, p: int, t: complex, z: complex,
 
     def symbol(m):
         m_arr = np.atleast_1d(np.asarray(m, dtype=float))
-        vals = np.empty(m_arr.shape, dtype=complex)
-        for i, mi in enumerate(m_arr):
-            fr = scn.frame
-            lq = math.log(fr.q)
-            L = math.log(abs(T))
-            half = math.sqrt(2.0 * lq * _budget(tol) / fr.k2) + 2.0
-            eid = complex(math.cos(scn.directions[p % scn.n]),
-                          math.sin(scn.directions[p % scn.n]))
-
-            def f(s, mi=mi):
-                u = math.exp(s) * eid
-                return (complex(np.asarray(kernel(scn, p, u, mi)).reshape(()))
-                        * _inv_theta(fr.q, fr.k2, u / T))
-
-            val, _, _ = complex_quad(f, L - half,
-                                     max(L + half, math.log(scn.rho) + half),
-                                     epsabs=tol * 1e-100, epsrel=tol,
-                                     limit=200)
-            vals[i] = _prefactor(scn) * val
+        vals = np.array([_full_ray(scn, p, T, tol,
+                                   lambda u, mi=mi: kernel(scn, p, u, mi))
+                         for mi in m_arr], dtype=complex)
         return vals if np.ndim(m) else complex(vals[0])
 
     return inverse_fourier(symbol, z, prof_sym, tol=tol).value

@@ -16,10 +16,15 @@ u = e^{s + id} turns the integrand into a function with log-Gaussian
 decay on both ends of the s-line (the theta kernel dominates), so an
 adaptive quadrature on a certificate-derived window suffices.
 
-Monomials u^n map to c_{n,k} T^n; the constants c_{n,k} are measured by
-quadrature and cached, never hard-coded, and satisfy the ratio law
-c_{n,k}/c_{n-1,k} = q^{(n-1)/k} forced by the theta q-difference
-equation.
+Every f/Theta integral in the package -- rays here and in the model,
+the model's arcs and mid segments -- runs through one routine,
+log_contour_transform, on a log-contour u = exp(w0 + x dw).
+
+Monomials u^n map to c_{n,k} T^n with the closed form
+c_{n,k} = q^{n(n-1)/(2k)}, whose ratio law c_{n,k}/c_{n-1,k} = q^{(n-1)/k}
+is forced by the theta q-difference equation.  monomial_image_constant
+measures the constant by quadrature, so it can be checked against the
+closed form.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 
 from .fourier import complex_quad
 from .geometry import qspiral_infimum, qspiral_membership
-from .theta import ThetaSpec, inv_theta, spec_for_annulus
+from .theta import inv_theta_at
 
 
 @dataclass(frozen=True)
@@ -154,6 +159,32 @@ def _integration_window(spec: QLaplaceSpec, cert: GrowthCertificate,
     return s_lo - 0.5, s_hi + 0.5
 
 
+def log_contour_transform(f: Callable[[complex], complex], q: float, k: float,
+                          T: complex, w0: complex, dw: complex, a: float,
+                          b: float, *, epsabs: float, epsrel: float,
+                          limit: int) -> tuple[complex, float, int]:
+    """(k / log q) * integral f(u) / Theta_k(u/T) du/u along the
+    log-contour u = exp(w0 + x dw), a <= x <= b.
+
+    dw = 1 gives the ray at angle Im w0 (x = log|u|), dw = 1j the arc of
+    radius e^{Re w0} (x = arg u); du/u = dw dx.  1/Theta comes from the
+    bucketed lookup theta.inv_theta_at.  Returns (value, error estimate,
+    integrand evaluations).
+    """
+    w0, dw = complex(w0), complex(dw)
+
+    def integrand(x: float) -> complex:
+        ang = w0.imag + x * dw.imag
+        u = math.exp(w0.real + x * dw.real) * complex(math.cos(ang),
+                                                      math.sin(ang))
+        return complex(f(u)) * inv_theta_at(q, k, u / T)
+
+    val, err, n = complex_quad(integrand, a, b, epsabs=epsabs, epsrel=epsrel,
+                               limit=limit)
+    scale = k / math.log(q) * dw
+    return scale * val, abs(scale) * err, n
+
+
 def qlaplace(spec: QLaplaceSpec, f: Callable[[complex], complex], T: complex,
              cert: GrowthCertificate, enforce_domain: bool = True) -> QLaplaceResult:
     """Evaluate the transform at T by adaptive quadrature on the log-ray.
@@ -183,19 +214,11 @@ def qlaplace(spec: QLaplaceSpec, f: Callable[[complex], complex], T: complex,
                 f"{spec.dlt_floor}) and rerouting by {spec.reroute} rad does not fix it")
 
     s_lo, s_hi = _integration_window(spec, cert, abs(T))
-    r_hi = math.exp(s_hi - math.log(abs(T))) + 10.0
-    tspec = spec_for_annulus(spec.q, spec.k, 1.0 / r_hi, r_hi, tail_tol=1e-16)
-    eid = cmath.exp(1j * d)
-
-    def integrand(s: float) -> complex:
-        u = cmath.exp(s) * eid
-        return complex(f(u)) * complex(inv_theta(tspec, u / T))
-
-    val, err, n = complex_quad(integrand, s_lo, s_hi,
-                               epsabs=spec.tol, epsrel=spec.tol * 10)
-    scale = spec.k / math.log(spec.q)
-    return QLaplaceResult(value=scale * val, error_estimate=scale * err,
-                          nodes_used=n, direction_used=d, window=(s_lo, s_hi))
+    val, err, n = log_contour_transform(f, spec.q, spec.k, T, 1j * d, 1.0,
+                                        s_lo, s_hi, epsabs=spec.tol,
+                                        epsrel=spec.tol * 10, limit=300)
+    return QLaplaceResult(value=val, error_estimate=err, nodes_used=n,
+                          direction_used=d, window=(s_lo, s_hi))
 
 
 # --- monomial images --------------------------------------------------------

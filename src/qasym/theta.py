@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -132,6 +133,22 @@ def inv_theta(spec: ThetaSpec, z) -> np.ndarray:
     with np.errstate(under="ignore"):
         out = np.exp(-shift) / mant
     return out
+
+
+@lru_cache(maxsize=64)
+def _bucket_spec(q: float, k: float, bucket: int) -> ThetaSpec:
+    reach = math.exp(8.0 * bucket)
+    return spec_for_annulus(q, k, 1.0 / reach, reach, tail_tol=1e-16)
+
+
+def inv_theta_at(q: float, k: float, z: complex) -> complex:
+    """1/Theta_k(z) at one point, with the truncation chosen per
+    log-radius bucket: |log|z|| <= 8 b uses the spec certified on
+    e^{-8b} <= |z| <= e^{8b}, cached per (q, k, b), so arguments deep in
+    a cascade stay certified without a spec per caller."""
+    la = abs(math.log(max(abs(z), 1e-300)))
+    bucket = max(1, math.ceil(la / 8.0))
+    return complex(inv_theta(_bucket_spec(q, k, bucket), z))
 
 
 def theta_qdiff_residual(spec: ThetaSpec, z: complex, m: int) -> float:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import spiral_clear_brute, theta_brute
 from qasym.theta import (ThetaSpec, calibrate_theta_constant, inv_theta,
-                         spec_for_annulus, spiral_admissible, spiral_clearance,
+                         inv_theta_at, spec_for_annulus, spiral_admissible, spiral_clearance,
                          theta_eval, theta_eval_scaled, theta_lower_bound,
                          theta_qdiff_residual, truncation_order)
 
@@ -62,6 +62,27 @@ class TestEvaluation:
             m1, l1 = theta_eval_scaled(spec, complex(z))
             assert complex(mant[i]) == pytest.approx(complex(m1), rel=1e-14)
             assert float(logs[i]) == pytest.approx(float(l1), abs=1e-12)
+
+
+class TestInverseLookup:
+    @pytest.mark.parametrize("q,k", [(2.0, 1.0), (2.0, 2.0), (3.0, 0.5)])
+    def test_inverse_across_buckets(self, q, k):
+        """The bucketed 1/Theta times Theta from a spec built around |z| is
+        1, for |log|z|| in several 8-wide buckets, out to the depth of the
+        difference cascades where 1/Theta is still a normal double."""
+        lq = math.log(q)
+        buckets = set()
+        for L in (-39.0, -27.0, -19.0, -11.0, -3.0, 3.0, 11.0, 19.0, 27.0, 39.0):
+            if 0.5 * k * L * L / lq + 0.5 * abs(L) > 690.0:
+                continue
+            buckets.add(math.ceil(abs(L) / 8.0))
+            for phi in (0.0, 0.9, -1.8):
+                z = cmath.exp(complex(L, phi))
+                spec = spec_for_annulus(q, k, abs(z) / 2.0, 2.0 * abs(z))
+                mant, shift = theta_eval_scaled(spec, z)
+                prod = inv_theta_at(q, k, z) * math.exp(float(shift)) * complex(mant)
+                assert abs(prod - 1.0) < 1e-13, (L, phi, prod)
+        assert len(buckets) >= 3
 
 
 class TestFunctionalEquation:
