@@ -27,13 +27,13 @@ certification.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .frames import GevreyScale, seq_bound_from_log_bound
+from .schemas import Record
 
 NORM_FLOOR = 1e-300
 
@@ -120,7 +120,7 @@ def remainders(fn, coeffs, probes, with_t: bool = False) -> RemainderTable:
 
 
 @dataclass
-class GevreyFit:
+class GevreyFit(Record):
     """Result of a certified bound fit.
 
     C_fit/A_fit come from least squares on logs; C_cert is C_fit
@@ -149,14 +149,7 @@ class GevreyFit:
         return self.C_cert * self.A_fit ** (N + 1) * extra * abs_eps ** (N + 1)
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "q": self.q, "k": self.k,
-                "C_fit": self.C_fit, "A_fit": self.A_fit, "C_cert": self.C_cert,
-                "max_violation": self.max_violation,
-                "residual_rms": self.residual_rms, "n_rows": self.n_rows,
-                "floored": self.floored, "certified": self.certified}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return {**super().to_dict(), "certified": self.certified}
 
 
 def _regress_offsets(Ns: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
@@ -293,11 +286,6 @@ class SequentialBound:
 
     def table(self, N_max: int) -> list[tuple[int, float, float, float]]:
         return [(N, *self.row(N)) for N in range(N_max + 1)]
-
-    def functional_bound(self, x: float) -> float:
-        lq = math.log(self.q)
-        L = math.log(x)
-        return self.K * math.exp(-0.5 * self.k * L * L / lq + self.gamma * L)
 
 
 def functional_to_sequential(K: float, gamma: float, q: float,

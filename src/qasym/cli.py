@@ -16,18 +16,14 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import asdict, is_dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .asymptotics import (GevreyScale, RemainderTable, fit_q_gevrey,
-                          fit_zero_gevrey_relative, remainders)
+from .asymptotics import GevreyScale, RemainderTable, fit_q_gevrey, fit_zero_gevrey_relative
 from .cocycle import CHOptions, Cocycle, cauchy_heine_many, ladder_jump, multilevel_split
-from .equation import EquationSpec, default_series, default_spec, manufactured_problem, \
-    residual_sweep, validate_hypotheses
+from .equation import EquationSpec, default_spec, manufactured_problem, residual_sweep, \
+    validate_hypotheses
 from .fourier import default_profile_for, inverse_fourier, make_symbol
-from .frames import QFrame, make_qframe
 from .geometry import (Sector, associate_family, geometry_scenario_from_dict,
                        geometry_scenario_to_dict, make_cyclic_covering,
                        validate_good_covering)
@@ -43,21 +39,15 @@ class InputError(Exception):
 
 
 def _jsonable(obj):
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, Fraction):
-        return [obj.numerator, obj.denominator]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.complexfloating):
+    """Top-level complex values print as {"re", "im"}; numpy scalars and
+    arrays as their Python equivalents."""
+    if isinstance(obj, (complex, np.complexfloating)):
         c = complex(obj)
         return {"re": c.real, "im": c.imag}
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if hasattr(obj, "to_dict"):
-        return obj.to_dict()
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return asdict(obj)
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
@@ -72,12 +62,18 @@ def _parse_complex(s: str) -> complex:
         raise InputError(f"cannot parse complex number from {s!r}") from exc
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, decode):
+    """decode(parsed JSON of the file at path); a file that cannot be read,
+    parsed or decoded is bad input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
+    try:
+        return decode(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"cannot decode {path}: {type(exc).__name__}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- theta
@@ -165,7 +161,7 @@ def _cmd_qlaplace(args) -> tuple[dict, bool]:
 
 def _cmd_geometry(args) -> tuple[dict, bool]:
     if args.scenario is not None:
-        cov, directions, dlt, rho = geometry_scenario_from_dict(_load_json(args.scenario))
+        cov, directions, dlt, rho = _load_json(args.scenario, geometry_scenario_from_dict)
     else:
         cov = make_cyclic_covering(args.n, args.radius,
                                    math.radians(args.half_opening_deg),
@@ -202,13 +198,8 @@ def _cmd_geometry(args) -> tuple[dict, bool]:
 # ------------------------------------------------------------ hypotheses
 
 def _cmd_hypotheses(args) -> tuple[dict, bool]:
-    if args.spec is not None:
-        try:
-            spec = EquationSpec.from_dict(_load_json(args.spec))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad equation spec: {exc}") from exc
-    else:
-        spec = default_spec()
+    spec = (_load_json(args.spec, EquationSpec.from_dict)
+            if args.spec is not None else default_spec())
     report = validate_hypotheses(spec)
     ok = report.structure_ok and report.spectral_ok
     payload = {"spec": spec.to_dict(), "report": report.to_dict(), "ok": ok}
@@ -218,7 +209,7 @@ def _cmd_hypotheses(args) -> tuple[dict, bool]:
 # ------------------------------------------------------------------ diff
 
 def _cmd_diff(args) -> tuple[dict, bool]:
-    scn = (ModelScenario.from_dict(_load_json(args.scenario))
+    scn = (_load_json(args.scenario, ModelScenario.from_dict)
            if args.scenario is not None else default_scenario())
     js = range(args.j_min, args.j_max + 1)
     if args.overlap is not None:
@@ -331,24 +322,13 @@ def _cmd_demo(args) -> tuple[dict, bool]:
     js = range(3, 9) if args.fast else range(3, 11)
     N_range = range(0, 5) if args.fast else range(0, 7)
     rep = verify_two_level_theorem(scn, js=js, N_range=N_range)
-    ok = (rep.covering_ok and rep.dichotomy.ok and rep.fast_fit.certified
-          and rep.slow_fit.certified and rep.corollary_fit.certified)
-    payload = {
-        "covering_ok": rep.covering_ok,
-        "dichotomy": rep.dichotomy.to_dict(),
-        "fast_fit": rep.fast_fit.to_dict(),
-        "slow_fit": rep.slow_fit.to_dict(),
-        "corollary_fit": rep.corollary_fit.to_dict(),
-        "corollary_rows_kept": rep.corollary_rows_kept,
-        "ok": ok,
-    }
-    return payload, ok
+    return rep.to_dict(), rep.ok
 
 
 # ------------------------------------------------------------- residuals
 
 def _cmd_residual(args) -> tuple[dict, bool]:
-    spec = (EquationSpec.from_dict(_load_json(args.spec))
+    spec = (_load_json(args.spec, EquationSpec.from_dict)
             if args.spec is not None else default_spec())
     U, profile_U, series = manufactured_problem(spec, a=args.power)
     ts = [0.1 * cmath.exp(1j * 0.3), 0.2]

@@ -34,9 +34,8 @@ on the contour); probe angles must avoid the cut directions.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -244,11 +243,6 @@ class JumpCheck:
     rhs: complex        # Delta_p (sum over levels)
     abs_err: float
 
-    def to_dict(self) -> dict:
-        return {"p": self.p, "eps": [self.eps.real, self.eps.imag],
-                "lhs": [self.lhs.real, self.lhs.imag],
-                "rhs": [self.rhs.real, self.rhs.imag],
-                "abs_err": self.abs_err}
 
 
 def _overlap_probe_points(cov: GoodCovering, p: int, rays, radius_frac: float,
@@ -296,10 +290,6 @@ class CascadeRow:
     max_abs: float
     max_spread: float
 
-    def to_dict(self) -> dict:
-        return {"j": self.j, "radius": self.radius, "max_abs": self.max_abs,
-                "max_spread": self.max_spread}
-
 
 @dataclass
 class MultilevelSplit:
@@ -324,20 +314,6 @@ class MultilevelSplit:
             vals = list(per_sector.values())
             out.append((eps, sum(vals) / len(vals)))
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "t": [self.t.real, self.t.imag],
-            "max_spread": self.max_spread,
-            "max_abs": self.max_abs,
-            "max_realization_err": self.max_realization_err,
-            "cascade": [r.to_dict() for r in self.cascade],
-            "n_probes": len(self.probes),
-            "realization": [c.to_dict() for c in self.realization],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _probe_angles(cov: GoodCovering) -> np.ndarray:

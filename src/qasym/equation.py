@@ -36,9 +36,7 @@ dropped tail is below a declared tolerance.
 from __future__ import annotations
 
 import csv
-import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -47,6 +45,7 @@ import numpy as np
 from .fourier import SQRT2PI, DecayProfile, HorizontalStrip, inverse_fourier
 from .frames import QFrame
 from .geometry import polyval_im
+from .schemas import Record
 
 
 def poly_degree(coeffs) -> int:
@@ -72,7 +71,7 @@ def _as_fraction(x) -> Fraction:
 
 
 @dataclass(frozen=True)
-class EquationTerm:
+class EquationTerm(Record):
     """One lower-order term: eps^Delta t^d sigma^{delta}(c R(d_z) u)."""
 
     Delta: int
@@ -80,21 +79,9 @@ class EquationTerm:
     delta: Fraction | int | float
     R: tuple[float, ...] = (1.0,)
 
-    def to_dict(self) -> dict:
-        return {"Delta": self.Delta, "d": self.d,
-                "delta": [_as_fraction(self.delta).numerator,
-                          _as_fraction(self.delta).denominator],
-                "R": list(self.R)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EquationTerm":
-        num, den = d["delta"]
-        return cls(Delta=d["Delta"], d=d["d"], delta=Fraction(num, den),
-                   R=tuple(d["R"]))
-
 
 @dataclass(frozen=True)
-class EquationSpec:
+class EquationSpec(Record):
     """Full operator data; polynomials as ascending coefficient tuples."""
 
     frame: QFrame
@@ -122,31 +109,9 @@ class EquationSpec:
         d = self.d_D1 if j == 1 else self.d_D2
         return _as_fraction(d) / _as_fraction(self.frame.level(j)) + 1
 
-    def to_dict(self) -> dict:
-        return {"frame": self.frame.to_dict(), "d_D1": self.d_D1,
-                "d_D2": self.d_D2, "Q": list(self.Q), "RD1": list(self.RD1),
-                "RD2": list(self.RD2),
-                "terms": [t.to_dict() for t in self.terms],
-                "mu": self.mu, "beta": self.beta}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EquationSpec":
-        return cls(frame=QFrame.from_dict(d["frame"]), d_D1=d["d_D1"],
-                   d_D2=d["d_D2"], Q=tuple(d["Q"]), RD1=tuple(d["RD1"]),
-                   RD2=tuple(d["RD2"]),
-                   terms=tuple(EquationTerm.from_dict(t) for t in d["terms"]),
-                   mu=d["mu"], beta=d["beta"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "EquationSpec":
-        return cls.from_dict(json.loads(s))
-
 
 @dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(Record):
     name: str
     ok: bool
     margin: float
@@ -154,9 +119,9 @@ class ConditionCheck:
 
 
 @dataclass
-class HypothesesReport:
-    structure: list      # ConditionCheck for the rational inequalities
-    spectral: list       # ConditionCheck for the grid / degree conditions
+class HypothesesReport(Record):
+    structure: list[ConditionCheck]   # the rational inequalities
+    spectral: list[ConditionCheck]    # the grid / degree conditions
     structure_ok: bool
     spectral_ok: bool
 
@@ -168,12 +133,7 @@ class HypothesesReport:
         return [c for c in self.structure + self.spectral if not c.ok]
 
     def to_dict(self) -> dict:
-        def enc(cs):
-            return [{"name": c.name, "ok": c.ok, "margin": c.margin,
-                     "where": c.where} for c in cs]
-        return {"structure": enc(self.structure), "spectral": enc(self.spectral),
-                "structure_ok": self.structure_ok, "spectral_ok": self.spectral_ok,
-                "ok": self.ok}
+        return {**super().to_dict(), "ok": self.ok}
 
 
 def validate_hypotheses(spec: EquationSpec,
@@ -335,36 +295,40 @@ class CoefficientSeries:
         return DecayProfile(C=max(amp, 1e-300), mu=self.mu, beta=self.beta)
 
 
+def _series_value(series: CoefficientSeries, l: int | None, t: complex,
+                  z: complex, eps: complex, strip: HorizontalStrip | None = None,
+                  tail_tol: float = 1e-12, quad_tol: float = 1e-12) -> complex:
+    """c_l at one point (the forcing f when l is None): p-summation up to
+    the certified truncation point, then one inverse Fourier transform."""
+    et = eps * t
+    coeff = l is not None
+    P = series.truncation_point(abs(et), coeff, tail_tol)
+
+    def term(p, m):
+        return series.C_fn(l, p, m, eps) if coeff else series.F_fn(p, m, eps)
+
+    def envelope(p):
+        return series.coeff_envelope(l, p) if coeff else series.forcing_envelope(p)
+
+    def symbol(m):
+        acc = np.zeros_like(np.asarray(m, dtype=complex))
+        for p in range(P + 1):
+            acc = acc + np.asarray(term(p, m)) * et ** p
+        return acc
+    amp = sum(envelope(p) * abs(et) ** p for p in range(P + 1))
+    return inverse_fourier(symbol, z, series.profile(amp + tail_tol), strip,
+                           tol=quad_tol).value
+
+
 def assemble_coefficients(series: CoefficientSeries, t: complex, z: complex,
                           eps: complex, strip: HorizontalStrip | None = None,
                           tail_tol: float = 1e-12,
                           quad_tol: float = 1e-12) -> tuple[list[complex], complex]:
     """Evaluate (c_1..c_{D-1}, f) at one point by p-summation and inverse
     Fourier transform; truncation points carry a certified tail bound."""
-    et = eps * t
-    cs: list[complex] = []
-    Pq = series.truncation_point(abs(et), True, tail_tol)
-    for l in range(series.n_terms):
-        def symbol(m, l=l):
-            acc = np.zeros_like(np.asarray(m, dtype=complex))
-            for p in range(Pq + 1):
-                acc = acc + np.asarray(series.C_fn(l, p, m, eps)) * et ** p
-            return acc
-        amp = sum(series.coeff_envelope(l, p) * abs(et) ** p for p in range(Pq + 1))
-        res = inverse_fourier(symbol, z, series.profile(amp + tail_tol), strip,
-                              tol=quad_tol)
-        cs.append(res.value)
-    Pf = series.truncation_point(abs(et), False, tail_tol)
-
-    def fsymbol(m):
-        acc = np.zeros_like(np.asarray(m, dtype=complex))
-        for p in range(Pf + 1):
-            acc = acc + np.asarray(series.F_fn(p, m, eps)) * et ** p
-        return acc
-    ampf = sum(series.forcing_envelope(p) * abs(et) ** p for p in range(Pf + 1))
-    fres = inverse_fourier(fsymbol, z, series.profile(ampf + tail_tol), strip,
-                           tol=quad_tol)
-    return cs, fres.value
+    cs = [_series_value(series, l, t, z, eps, strip, tail_tol, quad_tol)
+          for l in range(series.n_terms)]
+    return cs, _series_value(series, None, t, z, eps, strip, tail_tol, quad_tol)
 
 
 def default_spec(frame: QFrame | None = None) -> EquationSpec:
@@ -459,15 +423,12 @@ def apply_equation_operator(spec: EquationSpec, series: CoefficientSeries,
     for i, term in enumerate(spec.terms):
         delta = _as_fraction(term.delta)
         td = dilate(t, q, delta)
-        cs, _ = assemble_coefficients(series, td, z, eps, strip,
-                                      quad_tol=quad_tol)
+        c_i = _series_value(series, i, td, z, eps, strip, quad_tol=quad_tol)
         conv = finv(lambda m: polyval_im(term.R, m) * U(td, m, eps),
                     _poly_profile(profile_U, term.R))
-        rhs += eps ** term.Delta * t ** term.d * cs[i] * conv
+        rhs += eps ** term.Delta * t ** term.d * c_i * conv
 
-    _, f_val = assemble_coefficients(series, q * t, z, eps, strip,
-                                     quad_tol=quad_tol)
-    rhs += f_val
+    rhs += _series_value(series, None, q * t, z, eps, strip, quad_tol=quad_tol)
     return lhs - rhs
 
 

@@ -22,9 +22,10 @@ holds exactly.  Two scalar facts used throughout:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+
+from .schemas import Record
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -33,7 +34,7 @@ def _require(cond: bool, msg: str) -> None:
 
 
 @dataclass(frozen=True)
-class QFrame:
+class QFrame(Record):
     """Base q and the two Gevrey levels, with derived kappa.
 
     kappa is always recomputed from (k1, k2); it is never stored in
@@ -55,10 +56,6 @@ class QFrame:
         _require(0.0 < self.rT < 1.0, f"rT must be in (0,1), got {self.rT}")
         object.__setattr__(self, "kappa", self.k1 * self.k2 / (self.k2 - self.k1))
 
-    @property
-    def log_q(self) -> float:
-        return math.log(self.q)
-
     def level(self, j: int) -> float:
         """k_j for j in {1, 2}."""
         if j == 1:
@@ -67,30 +64,6 @@ class QFrame:
             return self.k2
         raise ValueError(f"level index must be 1 or 2, got {j}")
 
-    def splitting_identity_residual(self) -> float:
-        """|(-k2 + k2^2/(kappa+k2)) - (-k1)|, should be ~ a few ulps."""
-        return abs((-self.k2 + self.k2 ** 2 / (self.kappa + self.k2)) - (-self.k1))
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "k1": self.k1,
-            "k2": self.k2,
-            "epsilon0": self.epsilon0,
-            "rT": self.rT,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QFrame":
-        return cls(q=d["q"], k1=d["k1"], k2=d["k2"],
-                   epsilon0=d.get("epsilon0", 0.4), rT=d.get("rT", 0.4))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "QFrame":
-        return cls.from_dict(json.loads(s))
 
 
 def make_qframe(q: float, k1: float, k2: float,
@@ -100,7 +73,7 @@ def make_qframe(q: float, k1: float, k2: float,
 
 
 @dataclass(frozen=True)
-class GevreyScale:
+class GevreyScale(Record):
     """A geometric ladder of radii r_p = q^{-p/(2k)} with bound constants.
 
     `level` is a free label (1 or 2) naming which Gevrey level the
@@ -127,13 +100,6 @@ class GevreyScale:
 
     def radii(self, p_max: int) -> list[float]:
         return [self.radius(p) for p in range(p_max + 1)]
-
-    def to_dict(self) -> dict:
-        return {"q": self.q, "k": self.k, "C": self.C, "A": self.A, "level": self.level}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GevreyScale":
-        return cls(**d)
 
 
 def log_gaussian_power(q: float, k: float, gamma: float, N: int, absT: float) -> float:

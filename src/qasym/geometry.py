@@ -67,9 +67,6 @@ class Sector:
             return False
         return abs(wrap_angle(cmath.phase(z) - self.bisector)) < self.half_opening
 
-    def contains_angle(self, a: float) -> bool:
-        return abs(wrap_angle(a - self.bisector)) < self.half_opening
-
     def angular_gap(self, other: "Sector") -> float:
         """|wrap(bisector difference)| - (sum of half openings); negative
         means the angular arcs overlap."""

@@ -36,44 +36,35 @@ Fitting log ||diff|| = a log^2|T| + b log|T| + c and reading the rate as
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .asymptotics import (GevreyFit, RemainderRow, RemainderTable,
-                          fit_zero_gevrey_relative, restrict_and_refit)
+from .asymptotics import (GevreyFit, RemainderTable, fit_zero_gevrey_relative,
+                          restrict_and_refit)
 from .cocycle import classify_levels
 from .fourier import DecayProfile, inverse_fourier
 from .frames import GevreyScale, QFrame, make_qframe
 from .geometry import GoodCovering, Sector, make_cyclic_covering, wrap_angle
 from .qlaplace import log_contour_transform
+from .schemas import Record
 from .theta import inv_theta_at
 
 LOG_TINY = -690.0  # below exp() underflow; integrand values are cut here
 
 
 @dataclass(frozen=True)
-class PoleSpec:
+class PoleSpec(Record):
     """Simple pole of the kernel: term strength * u / (u - location)."""
 
     location: complex
     strength: complex
 
-    def to_dict(self) -> dict:
-        return {"location": [self.location.real, self.location.imag],
-                "strength": [self.strength.real, self.strength.imag]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PoleSpec":
-        return cls(location=complex(*d["location"]),
-                   strength=complex(*d["strength"]))
-
 
 @dataclass(frozen=True)
-class ModelScenario:
+class ModelScenario(Record):
     """Geometry and kernel data for the worked solution family.
 
     directions[p] is the Laplace ray of sector p (radians, strictly
@@ -93,7 +84,7 @@ class ModelScenario:
     rho: float
     kernel_amp: complex
     drift: float
-    poles: tuple
+    poles: tuple[PoleSpec, ...]
     mu: float
     beta: float
     t_bisector: float = -math.pi / 4
@@ -151,39 +142,6 @@ class ModelScenario:
         theta-zero spiral then points opposite the wedge)."""
         return 2.0 ** (-j) * complex(math.cos(self.mid_direction(p)),
                                      math.sin(self.mid_direction(p)))
-
-    def to_dict(self) -> dict:
-        return {"frame": self.frame.to_dict(),
-                "covering": self.covering.to_dict(),
-                "directions": list(self.directions),
-                "branch_centers": list(self.branch_centers),
-                "u_half_widths": list(self.u_half_widths),
-                "rho": self.rho,
-                "kernel_amp": [self.kernel_amp.real, self.kernel_amp.imag],
-                "drift": self.drift,
-                "poles": [pl.to_dict() for pl in self.poles],
-                "mu": self.mu, "beta": self.beta,
-                "t_bisector": self.t_bisector}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelScenario":
-        return cls(frame=QFrame.from_dict(d["frame"]),
-                   covering=GoodCovering.from_dict(d["covering"]),
-                   directions=tuple(d["directions"]),
-                   branch_centers=tuple(d["branch_centers"]),
-                   u_half_widths=tuple(d["u_half_widths"]),
-                   rho=d["rho"], kernel_amp=complex(*d["kernel_amp"]),
-                   drift=d["drift"],
-                   poles=tuple(PoleSpec.from_dict(x) for x in d["poles"]),
-                   mu=d["mu"], beta=d["beta"],
-                   t_bisector=d.get("t_bisector", -math.pi / 4))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "ModelScenario":
-        return cls.from_dict(json.loads(s))
 
 
 def default_scenario() -> ModelScenario:
@@ -358,14 +316,6 @@ class DiffPieces:
     def total(self) -> complex:
         return sum(self.pieces.values())
 
-    def to_dict(self) -> dict:
-        return {"p": self.p, "T": [self.T.real, self.T.imag],
-                "level": self.level,
-                "pieces": {k: [v.real, v.imag] for k, v in self.pieces.items()},
-                "total": [self.total.real, self.total.imag],
-                "oracle": None if self.oracle is None
-                else [self.oracle.real, self.oracle.imag]}
-
 
 def consecutive_difference(scn: ModelScenario, p: int, T: complex,
                            route: str = "decomposed", tol: float = 1e-11):
@@ -470,10 +420,6 @@ class DiffRow:
     norm: float
     route: str
 
-    def to_dict(self) -> dict:
-        return {"j": self.j, "absT": self.absT, "norm": self.norm,
-                "route": self.route}
-
 
 @dataclass
 class DiffTable:
@@ -536,10 +482,6 @@ class RateFit:
     rate: float
     residual_rms: float
     n_rows: int
-
-    def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "c": self.c, "rate": self.rate,
-                "residual_rms": self.residual_rms, "n_rows": self.n_rows}
 
 
 def fit_rate(table: DiffTable, q: float, route: str | None = None) -> RateFit:
@@ -617,7 +559,7 @@ def difference_remainder_table(scn: ModelScenario, p: int, level_k: float,
 
 
 @dataclass
-class TheoremReport:
+class TheoremReport(Record):
     """End-to-end two-level verification on one scenario."""
 
     covering_ok: bool
@@ -634,15 +576,7 @@ class TheoremReport:
                 and self.corollary_fit.certified)
 
     def to_dict(self) -> dict:
-        return {"ok": self.ok, "covering_ok": self.covering_ok,
-                "dichotomy": self.dichotomy.to_dict(),
-                "fast_fit": self.fast_fit.to_dict(),
-                "slow_fit": self.slow_fit.to_dict(),
-                "corollary_fit": self.corollary_fit.to_dict(),
-                "corollary_rows_kept": self.corollary_rows_kept}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return {**super().to_dict(), "ok": self.ok}
 
 
 def verify_two_level_theorem(scn: ModelScenario, js: Sequence[int] = range(3, 11),

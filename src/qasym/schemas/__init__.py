@@ -1,12 +1,32 @@
-"""Draft-07 JSON schemas for the serialized objects, shipped as package
-data under ``qasym/schemas/``; ``validate_payload`` resolves the internal
-``qasym:*`` cross-references."""
+"""Serialized objects: one dataclass <-> JSON codec and the Draft-07
+schemas it is held to.
+
+``Record`` gives a dataclass ``to_dict``/``from_dict``/``to_json``/
+``from_json`` derived from its init fields and their annotations:
+
+* ``complex`` <-> ``[re, im]``;
+* ``Fraction`` (alone or in a union) <-> ``[num, den]``;
+* ``tuple[X, ...]``, ``list[X]`` and bare ``tuple``/``list`` <-> arrays;
+* a nested object with its own ``to_dict``/``from_dict`` <-> an object;
+* anything else is stored as is.
+
+A key missing from the input takes the field's default; a missing
+required key, or input that is not a JSON object, raises ValueError
+naming the class and the key.  Keys the class does not know are
+ignored by the codec and refused by the schemas.
+
+The schemas are shipped as package data under ``qasym/schemas/``;
+``validate_payload`` resolves the internal ``qasym:*`` cross-references.
+"""
 
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields
+from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from typing import get_args, get_origin, get_type_hints
 
 SCHEMA_NAMES = (
     "qframe",
@@ -16,6 +36,72 @@ SCHEMA_NAMES = (
     "gevrey_fit",
     "qlaplace_result",
 )
+
+
+@lru_cache(maxsize=None)
+def _init_fields(cls) -> tuple:
+    """(name, annotation, required) per init field of a dataclass."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name],
+                  f.default is MISSING and f.default_factory is MISSING)
+                 for f in fields(cls) if f.init)
+
+
+def _encode(value, hint):
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if hint is complex:
+        c = complex(value)
+        return [c.real, c.imag]
+    if hint is Fraction or Fraction in get_args(hint):
+        f = Fraction(value)
+        return [f.numerator, f.denominator]
+    if hint in (tuple, list) or get_origin(hint) in (tuple, list):
+        item = (get_args(hint) or (None,))[0]
+        return [_encode(v, item) for v in value]
+    return value
+
+
+def _decode(data, hint):
+    if isinstance(hint, type) and hasattr(hint, "from_dict"):
+        return hint.from_dict(data)
+    if hint is complex:
+        return complex(*data)
+    if hint is Fraction or Fraction in get_args(hint):
+        num, den = data
+        return Fraction(num, den)
+    if hint in (tuple, list) or get_origin(hint) in (tuple, list):
+        item = (get_args(hint) or (None,))[0]
+        return (get_origin(hint) or hint)(_decode(v, item) for v in data)
+    return data
+
+
+class Record:
+    """Base class of dataclasses whose JSON form is their init fields."""
+
+    def to_dict(self) -> dict:
+        return {name: _encode(getattr(self, name), hint)
+                for name, hint, _ in _init_fields(type(self))}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        if not isinstance(d, dict):
+            raise ValueError(f"{cls.__name__}: expected a JSON object, "
+                             f"got {type(d).__name__}")
+        kwargs = {}
+        for name, hint, required in _init_fields(cls):
+            if name in d:
+                kwargs[name] = _decode(d[name], hint)
+            elif required:
+                raise ValueError(f"{cls.__name__}: missing required key '{name}'")
+        return cls(**kwargs)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+    @classmethod
+    def from_json(cls, s: str):
+        return cls.from_dict(json.loads(s))
 
 
 @lru_cache(maxsize=None)

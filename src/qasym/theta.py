@@ -25,16 +25,17 @@ never overflows intermediate arithmetic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
+from .schemas import Record
+
 
 @dataclass(frozen=True)
-class ThetaSpec:
+class ThetaSpec(Record):
     """Truncation contract for the theta series.
 
     P is the symmetric truncation order (terms p = -P..P), tail_tol the
@@ -58,22 +59,6 @@ class ThetaSpec:
             raise ValueError(f"P must be >= 1, got {self.P}")
         if not 0 < self.tail_tol < 1:
             raise ValueError(f"tail_tol must be in (0,1), got {self.tail_tol}")
-
-    def to_dict(self) -> dict:
-        return {"q": self.q, "k": self.k, "P": self.P,
-                "tail_tol": self.tail_tol, "Cqk": self.Cqk}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ThetaSpec":
-        return cls(q=d["q"], k=d["k"], P=d["P"],
-                   tail_tol=d.get("tail_tol", 1e-14), Cqk=d.get("Cqk"))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "ThetaSpec":
-        return cls.from_dict(json.loads(s))
 
 
 def truncation_order(q: float, k: float, r_min: float, r_max: float,

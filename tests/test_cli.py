@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -220,3 +221,47 @@ class TestResidual:
         assert code == 0
         assert payload["max_abs_residual"] <= payload["threshold"]
         assert payload["n_points"] == 8
+
+
+GOLDEN = Path(__file__).parent / "golden"
+_FRAME = {"q": 2.0, "k1": 1.0, "k2": 2.0, "epsilon0": 0.4, "rT": 0.4}
+_SECTORS = [{"bisector": b, "opening": 2.0, "radius": 0.4}
+            for b in (0.8, 2.4, -2.4, -0.8)]
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize("argv, content, missing", [
+        pytest.param(("diff", "--scenario"), {"frame": _FRAME}, "covering",
+                     id="diff-missing-key"),
+        pytest.param(("residual", "--spec"), {"frame": _FRAME}, "d_D1",
+                     id="residual-missing-key"),
+        pytest.param(("geometry", "--scenario"),
+                     {"covering": _SECTORS, "delta_t": 0.3, "rho": 0.8},
+                     "directions", id="geometry-missing-key"),
+        pytest.param(("diff", "--scenario"), [_FRAME], None, id="diff-array"),
+        pytest.param(("residual", "--spec"), [_FRAME], None,
+                     id="residual-array"),
+        pytest.param(("geometry", "--scenario"), [_FRAME], None,
+                     id="geometry-array"),
+    ])
+    def test_undecodable_file_is_two(self, capsys, tmp_path, argv, content,
+                                     missing):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        code, payload = run_cli(capsys, *argv, str(path))
+        assert code == 2
+        assert payload["error"]["type"] == "input"
+        if missing is not None:
+            assert missing in payload["error"]["message"]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("argv, golden", [
+        pytest.param(("hypotheses",), "hypotheses.json", id="hypotheses"),
+        pytest.param(("geometry", "--family"), "geometry_family.json",
+                     id="geometry-family"),
+    ])
+    def test_stdout_matches_golden_file(self, capsys, argv, golden):
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+        assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()

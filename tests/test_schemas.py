@@ -1,13 +1,16 @@
+import json
 import math
+from fractions import Fraction
 
 import jsonschema
 import pytest
 
 from qasym.asymptotics import RemainderTable, fit_q_gevrey
-from qasym.equation import default_spec
-from qasym.frames import make_qframe
-from qasym.geometry import geometry_scenario_to_dict, make_cyclic_covering
-from qasym.model import default_scenario
+from qasym.equation import EquationSpec, EquationTerm, default_spec
+from qasym.frames import QFrame, make_qframe
+from qasym.geometry import (geometry_scenario_from_dict, geometry_scenario_to_dict,
+                            make_cyclic_covering)
+from qasym.model import ModelScenario, PoleSpec, default_scenario
 from qasym.schemas import (SCHEMA_NAMES, load_schema, validate_payload,
                            validator_for)
 
@@ -112,3 +115,82 @@ class TestRejections:
         self._refuse("qlaplace_result", {**good, "error_estimate": -1e-3})
         self._refuse("qlaplace_result", {**good, "value": {"re": 1.0}})
         self._refuse("qlaplace_result", {**good, "nodes_used": 3.5})
+
+
+def _schema_object(name, path):
+    obj = load_schema(name)
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+# (schema, path to the object inside it, producer of the matching payload)
+SCHEMA_OBJECTS = {
+    "qframe": ("qframe", (), CANONICAL["qframe"]),
+    "equation_spec": ("equation_spec", (), CANONICAL["equation_spec"]),
+    "equation_term": ("equation_spec", ("definitions", "term"),
+                      lambda: default_spec().terms[1].to_dict()),
+    "model_scenario": ("model_scenario", (), CANONICAL["model_scenario"]),
+    "pole": ("model_scenario", ("definitions", "pole"),
+             lambda: default_scenario().poles[0].to_dict()),
+    "covering": ("model_scenario", ("properties", "covering"),
+                 lambda: default_scenario().covering.to_dict()),
+    "sector": ("geometry_scenario", ("definitions", "sector"),
+               lambda: default_scenario().covering.sectors[0].to_dict()),
+    "gevrey_fit": ("gevrey_fit", (), planted_fit_payload),
+}
+
+
+class TestSchemasMatchCodec:
+    @pytest.mark.parametrize("which", sorted(SCHEMA_OBJECTS))
+    def test_properties_required_and_codec_keys_agree(self, which):
+        name, path, make = SCHEMA_OBJECTS[which]
+        obj = _schema_object(name, path)
+        assert obj["additionalProperties"] is False
+        assert set(obj["properties"]) == set(obj["required"])
+        assert set(obj["properties"]) == set(make())
+
+    def test_model_scenario_sectors_follow_geometry_schema(self):
+        good = default_scenario().to_dict()
+        for change in ({"opening": 7.0}, {"extra": 1}):
+            bad = json.loads(json.dumps(good))
+            bad["covering"]["covering"][0].update(change)
+            with pytest.raises(jsonschema.ValidationError):
+                validate_payload("model_scenario", bad)
+
+    def test_unbounded_radius_is_null_and_valid(self):
+        cov = make_cyclic_covering(4, math.inf, math.radians(60))
+        d = geometry_scenario_to_dict(cov, [0.0, 1.0, 2.0, 3.0], 0.3, 0.8)
+        assert all(s["radius"] is None for s in d["covering"])
+        validate_payload("geometry_scenario", d)
+        assert geometry_scenario_from_dict(d)[0] == cov
+
+
+class TestRecordCodec:
+    def test_complex_and_rational_wire_forms(self):
+        pole = PoleSpec(location=1.5 + 2.0j, strength=0.5j)
+        assert pole.to_dict() == {"location": [1.5, 2.0], "strength": [0.0, 0.5]}
+        assert PoleSpec.from_dict(pole.to_dict()) == pole
+        for delta, wire in ((Fraction(5, 2), [5, 2]), (2, [2, 1]), (0.75, [3, 4])):
+            term = EquationTerm(Delta=1, d=0, delta=delta)
+            assert term.to_dict() == {"Delta": 1, "d": 0, "delta": wire, "R": [1.0]}
+            assert EquationTerm.from_dict(term.to_dict()).delta == Fraction(delta)
+
+    def test_missing_key_with_default_takes_the_default(self):
+        fr = QFrame.from_dict({"q": 2.0, "k1": 1.0, "k2": 2.0})
+        assert fr == QFrame(q=2.0, k1=1.0, k2=2.0)
+        assert EquationTerm.from_dict({"Delta": 1, "d": 0, "delta": [1, 1]}).R == (1.0,)
+
+    def test_missing_required_key_names_class_and_key(self):
+        with pytest.raises(ValueError, match=r"QFrame.*'k2'"):
+            QFrame.from_dict({"q": 2.0, "k1": 1.0})
+        d = default_spec().to_dict()
+        del d["terms"][0]["Delta"]
+        with pytest.raises(ValueError, match=r"EquationTerm.*'Delta'"):
+            EquationSpec.from_dict(d)
+
+    def test_non_object_is_refused(self):
+        with pytest.raises(ValueError, match="ModelScenario"):
+            ModelScenario.from_dict([1, 2])
+        with pytest.raises(ValueError, match="QFrame"):
+            EquationSpec.from_dict({**default_spec().to_dict(), "frame": [2.0]})
