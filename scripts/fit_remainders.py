@@ -12,7 +12,6 @@ import sys
 
 from qasym import (default_scenario, difference_remainder_table,
                    fit_zero_gevrey_relative, restrict_and_refit)
-from qasym.asymptotics import GevreyScale
 
 
 def main() -> int:
@@ -28,11 +27,11 @@ def main() -> int:
     scn = default_scenario()
     fr = scn.frame
     k = fr.k2 if args.level == 2 else fr.k1
-    table = difference_remainder_table(scn, args.overlap, args.level,
+    table = difference_remainder_table(scn, args.overlap, k,
                                        range(0, args.n_max + 1),
                                        t_frac=args.t_frac)
     print(f"overlap {args.overlap}, level k={k}: {len(table.rows)} rows")
-    fit = fit_zero_gevrey_relative(table, GevreyScale(q=fr.q, k=k, level=2))
+    fit = fit_zero_gevrey_relative(table, fr.q, k)
     print(f"fit: C_cert={fit.C_cert:.6g} A={fit.A_fit:.6g} "
           f"certified={fit.certified} max_violation={fit.max_violation:.3e}")
 

@@ -13,7 +13,7 @@ The package is organized bottom-up:
 - ``model``        an integrable kernel family exercising the whole chain
 """
 
-from .asymptotics import (GevreyFit, GevreyScale, RemainderRow, RemainderTable,
+from .asymptotics import (GevreyFit, RemainderRow, RemainderTable,
                           SequentialBound, fit_q_gevrey, fit_zero_gevrey_relative,
                           functional_to_sequential, remainders, restrict_and_refit)
 from .cocycle import (CHOptions, CascadeRow, Cocycle, MultilevelSplit, RaySpec,
@@ -44,7 +44,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CHOptions", "CascadeRow", "Cocycle", "CoefficientSeries", "DecayProfile",
-    "EquationSpec", "EquationTerm", "GevreyFit", "GevreyScale", "GoodCovering",
+    "EquationSpec", "EquationTerm", "GevreyFit", "GoodCovering",
     "GrowthCertificate", "HorizontalStrip", "HypothesesReport",
     "InverseFourierResult", "ModelScenario", "MultilevelSplit", "QFrame",
     "QLaplaceResult", "QLaplaceSpec", "RaySpec", "RemainderRow", "RemainderTable",

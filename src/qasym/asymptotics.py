@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import GevreyScale, seq_bound_from_log_bound
+from .frames import ladder_radius, seq_bound_from_log_bound
 from .schemas import Record
 
 NORM_FLOOR = 1e-300
@@ -202,7 +202,7 @@ def fit_q_gevrey(table: RemainderTable, q: float, k: float) -> GevreyFit:
     return _finish_fit("q-gevrey", q, k, rows, offsets)
 
 
-def fit_zero_gevrey_relative(table: RemainderTable, scale: GevreyScale) -> GevreyFit:
+def fit_zero_gevrey_relative(table: RemainderTable, q: float, k: float) -> GevreyFit:
     """Fit/certify norm <= C A^{N+1} |eps|^{N+1} on rows with |t| <= r_N.
 
     Rows violating the radius ladder are rejected by index: the bound is
@@ -212,14 +212,14 @@ def fit_zero_gevrey_relative(table: RemainderTable, scale: GevreyScale) -> Gevre
     if not table.rows:
         raise ValueError("empty remainder table")
     bad = [i for i, r in enumerate(table.rows)
-           if r.t is None or abs(r.t) > scale.radius(r.N) * (1 + 1e-12)]
+           if r.t is None or abs(r.t) > ladder_radius(q, k, r.N) * (1 + 1e-12)]
     if bad:
         raise ValueError(
             "rows outside the shrinking-disc ladder (|t| <= q^{-N/(2k)}): "
             f"indices {bad}")
     rows = table.rows
     offsets = np.array([(r.N + 1) * math.log(abs(r.eps)) for r in rows])
-    return _finish_fit("zero-relative", scale.q, scale.k, rows, offsets)
+    return _finish_fit("zero-relative", q, k, rows, offsets)
 
 
 def restrict_and_refit(table: RemainderTable, q: float, k_from: float,
@@ -235,17 +235,15 @@ def restrict_and_refit(table: RemainderTable, q: float, k_from: float,
     if not k_to < k_from:
         raise ValueError("restriction goes from the finer level to the "
                          f"coarser one: need k_to < k_from, got {k_to} >= {k_from}")
-    fit_from = fit_zero_gevrey_relative(
-        table, GevreyScale(q=q, k=k_from, C=1.0, A=1.0, level=2))
+    fit_from = fit_zero_gevrey_relative(table, q, k_from)
     kept = [r for r in table.rows
             if r.t is not None
-            and abs(r.t) <= q ** (-r.N / (2.0 * k_to)) * (1 + 1e-12)]
+            and abs(r.t) <= ladder_radius(q, k_to, r.N) * (1 + 1e-12)]
     if not kept:
         raise ValueError("no rows survive the disc restriction; add rows "
                          "with smaller |t|")
     sub = RemainderTable(rows=kept)
-    fit_to = fit_zero_gevrey_relative(
-        sub, GevreyScale(q=q, k=k_to, C=1.0, A=1.0, level=1))
+    fit_to = fit_zero_gevrey_relative(sub, q, k_to)
     return fit_from, fit_to, sub
 
 

@@ -19,11 +19,12 @@ import sys
 
 import numpy as np
 
-from .asymptotics import GevreyScale, RemainderTable, fit_q_gevrey, fit_zero_gevrey_relative
+from .asymptotics import RemainderTable, fit_q_gevrey, fit_zero_gevrey_relative
 from .cocycle import CHOptions, Cocycle, cauchy_heine_many, ladder_jump, multilevel_split
 from .equation import EquationSpec, default_spec, manufactured_problem, residual_sweep, \
     validate_hypotheses
 from .fourier import default_profile_for, inverse_fourier, make_symbol
+from .frames import ladder_radius
 from .geometry import (Sector, associate_family, geometry_scenario_from_dict,
                        geometry_scenario_to_dict, make_cyclic_covering,
                        validate_good_covering)
@@ -233,7 +234,7 @@ def _cmd_diff(args) -> tuple[dict, bool]:
 
 # ----------------------------------------------------------------- split
 
-def _split_demo_inputs(t: complex):
+def _split_demo_inputs():
     """Synthetic two-level cocycle on the standard four-sector covering,
     plus branch functions realizing it (entire part + both correction sums)."""
     cov = make_cyclic_covering(4, 0.4, math.radians(60), math.radians(45))
@@ -263,7 +264,7 @@ def _split_demo_inputs(t: complex):
 
 def _cmd_split(args) -> tuple[dict, bool]:
     t = _parse_complex(args.t)
-    _, slow, fast, G, opts = _split_demo_inputs(t)
+    _, slow, fast, G, opts = _split_demo_inputs()
     split = multilevel_split(G, slow, fast, t, opts=opts, j_max=args.j_max,
                              radius_frac=args.radius_frac)
     ok = split.max_spread <= args.tol and split.max_realization_err <= args.tol
@@ -288,7 +289,7 @@ def _cmd_fit(args) -> tuple[dict, bool]:
         rng = np.random.default_rng(args.seed)
         table = RemainderTable()
         for N in range(args.n_max + 1):
-            t_abs = 0.7 * args.q ** (-(N + 1) / (2.0 * args.k))
+            t_abs = 0.7 * ladder_radius(args.q, args.k, N + 1)
             for ae in (0.05, 0.1, 0.2, 0.3):
                 base = (args.plant_C * args.plant_A ** (N + 1) * ae ** (N + 1)
                         * args.q ** (N * (N + 1) / (2.0 * args.k)))
@@ -305,8 +306,7 @@ def _cmd_fit(args) -> tuple[dict, bool]:
     if args.kind == "q-gevrey":
         fit = fit_q_gevrey(table, args.q, args.k)
     else:
-        fit = fit_zero_gevrey_relative(table, GevreyScale(q=args.q, k=args.k,
-                                                          level=args.level))
+        fit = fit_zero_gevrey_relative(table, args.q, args.k)
     ok = fit.certified
     payload = {"fit": fit.to_dict(), "n_rows": len(table.rows), "ok": ok}
     if args.synthetic:
@@ -429,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["q-gevrey", "zero-gevrey"], default="q-gevrey")
     p.add_argument("--q", type=float, default=2.0)
     p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--level", type=int, default=1)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--plant-C", type=float, default=2.0)
     p.add_argument("--plant-A", type=float, default=3.0)

@@ -78,7 +78,6 @@ class Cocycle:
     covering: GoodCovering
     deltas: tuple
     levels: tuple | None = None
-    ray_fraction: float = 0.9
 
     def __post_init__(self) -> None:
         if len(self.deltas) != self.covering.n:
@@ -88,7 +87,7 @@ class Cocycle:
 
     @property
     def rays(self) -> tuple[RaySpec, ...]:
-        return overlap_rays(self.covering, self.ray_fraction)
+        return overlap_rays(self.covering)
 
     def jump(self, p: int, t, xi):
         fn = self.deltas[p % self.covering.n]
@@ -124,13 +123,12 @@ def level_filter(cocycle: Cocycle, level: int) -> Cocycle:
     deltas = tuple(d if lv == level else None
                    for d, lv in zip(cocycle.deltas, cocycle.levels))
     return Cocycle(covering=cocycle.covering, deltas=deltas,
-                   levels=cocycle.levels, ray_fraction=cocycle.ray_fraction)
+                   levels=cocycle.levels)
 
 
 @dataclass(frozen=True)
 class CHOptions:
     tol: float = 1e-10
-    limit: int = 200
 
 
 def _ray_integral(delta: Callable, t, ray: RaySpec, weight: Callable,
@@ -154,7 +152,7 @@ def _ray_integral(delta: Callable, t, ray: RaySpec, weight: Callable,
         return np.asarray(vals, dtype=complex).reshape(out_dim)
 
     val, err = quad_vec(g, 0.0, smax, epsabs=opts.tol, epsrel=opts.tol,
-                        limit=opts.limit)
+                        limit=200)
     return val / TWO_PI_I, abs(err) / (2.0 * math.pi)
 
 

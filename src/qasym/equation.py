@@ -242,13 +242,13 @@ class CoefficientSeries:
     def forcing_envelope(self, p: int) -> float:
         return self.DF * self.T0 ** (-p)
 
-    def certify_envelopes(self, m_grid, eps_grid, p_max: int = 12) -> tuple[bool, float]:
-        """Worst ratio of |C_{l,p}|, |F_p| against the declared envelopes."""
+    def certify_envelopes(self, m_grid, eps_grid) -> tuple[bool, float]:
+        """Worst ratio of |C_{l,p}|, |F_p| (p <= 12) to their envelopes."""
         m = np.asarray(m_grid, dtype=float)
         shape = (1.0 + np.abs(m)) ** (-self.mu) * np.exp(-self.beta * np.abs(m))
         worst = 0.0
         for eps in eps_grid:
-            for p in range(p_max + 1):
+            for p in range(13):
                 for l in range(self.n_terms):
                     ratio = np.abs(self.C_fn(l, p, m, eps)) / np.maximum(
                         self.coeff_envelope(l, p) * shape, 1e-300)

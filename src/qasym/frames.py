@@ -72,34 +72,12 @@ def make_qframe(q: float, k1: float, k2: float,
     return QFrame(q=q, k1=k1, k2=k2, epsilon0=epsilon0, rT=rT)
 
 
-@dataclass(frozen=True)
-class GevreyScale(Record):
-    """A geometric ladder of radii r_p = q^{-p/(2k)} with bound constants.
-
-    `level` is a free label (1 or 2) naming which Gevrey level the
-    ladder belongs to; the radii only depend on (q, k).  C and A are
-    the constants of a bound  C * A^(N+1) * |eps|^(N+1)  certified
-    relative to this ladder.
-    """
-
-    q: float
-    k: float
-    C: float = 1.0
-    A: float = 1.0
-    level: int = 1
-
-    def __post_init__(self) -> None:
-        _require(self.q > 1.0, f"q must be > 1, got {self.q}")
-        _require(self.k > 0.0, f"k must be > 0, got {self.k}")
-        _require(self.C > 0.0, f"C must be > 0, got {self.C}")
-        _require(self.A > 0.0, f"A must be > 0, got {self.A}")
-
-    def radius(self, p: int | float) -> float:
-        """r_p = q^{-p/(2k)}; strictly decreasing in p, -> 0."""
-        return self.q ** (-p / (2.0 * self.k))
-
-    def radii(self, p_max: int) -> list[float]:
-        return [self.radius(p) for p in range(p_max + 1)]
+def ladder_radius(q: float, k: float, N: int | float) -> float:
+    """r_N = q^{-N/(2k)}, the radius of the level-k shrinking disc on
+    which the order-N bound is claimed; strictly decreasing in N, -> 0."""
+    _require(q > 1.0, f"q must be > 1, got {q}")
+    _require(k > 0.0, f"k must be > 0, got {k}")
+    return q ** (-N / (2.0 * k))
 
 
 def log_gaussian_power(q: float, k: float, gamma: float, N: int, absT: float) -> float:

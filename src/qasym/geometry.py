@@ -27,11 +27,12 @@ roots over the m-grid.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .schemas import refuse_unknown_keys
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,15 +79,15 @@ class Sector:
                                                       other.inner_radius)
         return radial and self.angular_gap(other) < 0
 
-    def sample_points(self, n_radial: int = 24, n_angular: int = 24,
-                      r_cap: float = 1e3, pad: float = 1e-3) -> np.ndarray:
-        """Polar sample grid strictly inside the sector (unbounded sectors
-        truncated at r_cap)."""
-        r_hi = min(self.radius, r_cap)
+    def sample_points(self, n_radial: int = 24,
+                      n_angular: int = 24) -> np.ndarray:
+        """Polar sample grid strictly inside the sector, padded 0.1% off
+        its edges (unbounded sectors truncated at radius 1e3)."""
+        r_hi = min(self.radius, 1e3)
         r_lo = max(self.inner_radius, r_hi * 1e-6)
-        radii = np.exp(np.linspace(math.log(r_lo * (1 + pad)),
-                                   math.log(r_hi * (1 - pad)), n_radial))
-        h = self.half_opening * (1 - pad)
+        radii = np.exp(np.linspace(math.log(r_lo * (1 + 1e-3)),
+                                   math.log(r_hi * (1 - 1e-3)), n_radial))
+        h = self.half_opening * (1 - 1e-3)
         angles = self.bisector + np.linspace(-h, h, n_angular)
         return np.multiply.outer(radii, np.exp(1j * angles)).ravel()
 
@@ -96,6 +97,8 @@ class Sector:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Sector":
+        refuse_unknown_keys("Sector", d, ("bisector", "opening", "radius",
+                                          "inner_radius"))
         radius = d.get("radius")
         return cls(bisector=d["bisector"], half_opening=0.5 * d["opening"],
                    radius=math.inf if radius is None else radius,
@@ -165,9 +168,8 @@ class GoodCovering:
         return cls(sectors=tuple(Sector.from_dict(sd) for sd in d["covering"]))
 
 
-def validate_good_covering(cov: GoodCovering,
-                           arc_resolution: int = 2048) -> CoveringReport:
-    """Check the three defining properties on an angle grid.
+def validate_good_covering(cov: GoodCovering) -> CoveringReport:
+    """Check the three defining properties on a 2048-point angle grid.
 
     Reported violations: consecutive pairs that fail to overlap,
     non-consecutive pairs that do, and sample angles covered by no
@@ -185,8 +187,8 @@ def validate_good_covering(cov: GoodCovering,
             if gap > 1 and inter:
                 adjacency.append({"pair": (p, r), "problem": "non-consecutive sectors overlap"})
     gaps = []
-    angles = np.linspace(-math.pi, math.pi, arc_resolution, endpoint=False)
-    covered = np.zeros(arc_resolution, dtype=bool)
+    angles = np.linspace(-math.pi, math.pi, 2048, endpoint=False)
+    covered = np.zeros(angles.size, dtype=bool)
     for s in cov.sectors:
         covered |= np.abs(((angles - s.bisector + math.pi) % TWO_PI) - math.pi) \
             < s.half_opening
@@ -294,11 +296,10 @@ class RootConfig:
         return default_m_grid()
 
 
-def default_m_grid(n: int = 257, m_max: float = 20.0) -> np.ndarray:
-    """Symmetric grid on [-m_max, m_max], denser near 0 (odd count keeps 0)."""
-    half = (n - 1) // 2
-    t = np.linspace(0.0, 1.0, half + 1)
-    pos = m_max * np.sinh(3.0 * t) / math.sinh(3.0)
+def default_m_grid() -> np.ndarray:
+    """257 points on [-20, 20], denser near 0 (the odd count keeps 0)."""
+    t = np.linspace(0.0, 1.0, 129)
+    pos = 20.0 * np.sinh(3.0 * t) / math.sinh(3.0)
     return np.concatenate([-pos[::-1][:-1], pos])
 
 
@@ -340,13 +341,12 @@ class AdmissibilityReport:
 
 
 def direction_admissible(cfg: RootConfig, domain: Sector,
-                         include_disc_radius: float | None = None,
-                         n_radial: int = 40, n_angular: int = 15,
-                         r_cap: float = 1e3) -> AdmissibilityReport:
+                         include_disc_radius: float | None = None
+                         ) -> AdmissibilityReport:
     """Estimate the admissibility margins of a candidate direction.
 
-    The test domain is sampled (sector cloud, optionally union a disc of
-    given radius for the level-one variant) and
+    The test domain is sampled (a 40 x 15 sector cloud, optionally union
+    a disc of given radius for the level-one variant) and
 
         M1_est = min |tau - root| / (1 + |tau|),
         M2_est = min |tau - root| / |root|
@@ -354,7 +354,7 @@ def direction_admissible(cfg: RootConfig, domain: Sector,
     are taken over all sampled tau, grid m and roots.  ok requires both
     estimates to clear the configured margins.
     """
-    taus = domain.sample_points(n_radial=n_radial, n_angular=n_angular, r_cap=r_cap)
+    taus = domain.sample_points(n_radial=40, n_angular=15)
     if include_disc_radius is not None and include_disc_radius > 0:
         radii = np.linspace(include_disc_radius / 12, include_disc_radius, 12)
         angles = np.linspace(-math.pi, math.pi, 24, endpoint=False)
@@ -368,14 +368,13 @@ def direction_admissible(cfg: RootConfig, domain: Sector,
     r1 = dist / (1.0 + np.abs(taus))[:, None]
     i1 = np.unravel_index(int(np.argmin(r1)), r1.shape)
     m1_est = float(r1[i1])
+    worst_tau, worst_root = complex(taus[i1[0]]), complex(all_roots[i1[1]])
     if len(nonzero):
         dist2 = np.abs(taus[:, None] - nonzero[None, :]) / np.abs(nonzero)[None, :]
         i2 = np.unravel_index(int(np.argmin(dist2)), dist2.shape)
         m2_est = float(dist2[i2])
-        worst_tau, worst_root = complex(taus[i1[0]]), complex(all_roots[i1[1]])
     else:
         m2_est = math.inf
-        worst_tau, worst_root = complex(taus[i1[0]]), complex(all_roots[i1[1]])
     ok = (m1_est >= cfg.M1) and (m2_est >= cfg.M2)
     return AdmissibilityReport(ok=ok, M1_est=m1_est, M2_est=m2_est,
                                M1_required=cfg.M1, M2_required=cfg.M2,
@@ -393,11 +392,10 @@ class FamilyReport:
 
 
 def associate_family(cov: GoodCovering, directions: list[float], dlt: float,
-                     t_sector: Sector, epsilon0: float,
-                     n_eps: int = 7, n_t: int = 7) -> FamilyReport:
+                     t_sector: Sector, epsilon0: float) -> FamilyReport:
     """Couple each covering sector E_p with the spiral domain of its direction.
 
-    Verifies on sample grids that (i) eps*t lands in the bounded domain
+    Verifies on 7 x 7 sample grids that (i) eps*t lands in the bounded domain
     R_{d_p, dlt} cap D(0, epsilon0 * t_radius) for every sampled
     (eps, t) in E_p x T, and (ii) consecutive bounded domains intersect
     (witness search on a polar grid).
@@ -408,9 +406,9 @@ def associate_family(cov: GoodCovering, directions: list[float], dlt: float,
     product_failures = []
     for p in range(cov.n):
         dom = QSpiralDomain(d=directions[p], dlt=dlt, radius=epsilon0 * r_t)
-        eps_samples = cov.sector(p).sample_points(n_radial=n_eps, n_angular=n_eps)
+        eps_samples = cov.sector(p).sample_points(n_radial=7, n_angular=7)
         # scale into the sector's radial range [tiny, radius)
-        t_samples = t_sector.sample_points(n_radial=n_t, n_angular=n_t)
+        t_samples = t_sector.sample_points(n_radial=7, n_angular=7)
         for e in eps_samples:
             for t in t_samples:
                 if not dom.contains(e * t):
@@ -441,9 +439,7 @@ def geometry_scenario_to_dict(cov: GoodCovering, directions: list[float],
 
 
 def geometry_scenario_from_dict(d: dict) -> tuple[GoodCovering, list[float], float, float]:
+    refuse_unknown_keys("geometry scenario", d,
+                         ("covering", "directions", "delta_t", "rho"))
     cov = GoodCovering.from_dict(d)
     return cov, list(d["directions"]), float(d["delta_t"]), float(d["rho"])
-
-
-def geometry_scenario_from_json(s: str):
-    return geometry_scenario_from_dict(json.loads(s))

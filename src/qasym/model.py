@@ -35,7 +35,6 @@ Fitting log ||diff|| = a log^2|T| + b log|T| + c and reading the rate as
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,7 +45,7 @@ from .asymptotics import (GevreyFit, RemainderTable, fit_zero_gevrey_relative,
                           restrict_and_refit)
 from .cocycle import classify_levels
 from .fourier import DecayProfile, inverse_fourier
-from .frames import GevreyScale, QFrame, make_qframe
+from .frames import QFrame, ladder_radius, make_qframe
 from .geometry import GoodCovering, Sector, make_cyclic_covering, wrap_angle
 from .qlaplace import log_contour_transform
 from .schemas import Record
@@ -252,14 +251,12 @@ def outer_ray_piece(scn: ModelScenario, branch: int, direction: float,
 
 
 def arc_piece(scn: ModelScenario, branch: int, theta_lo: float,
-              theta_hi: float, T: complex, radius: float | None = None,
-              tol: float = 1e-11) -> complex:
-    """(k2/lq) i int_{theta_lo}^{theta_hi} shape(r e^{i th})
-    invTheta(r e^{i th}/T) d th at fixed radius (default rho)."""
+              theta_hi: float, T: complex, tol: float = 1e-11) -> complex:
+    """(k2/lq) i int_{theta_lo}^{theta_hi} shape(rho e^{i th})
+    invTheta(rho e^{i th}/T) d th on the contraction circle."""
     fr = scn.frame
-    r = scn.rho if radius is None else radius
     val, _, _ = log_contour_transform(lambda u: kernel_shape(scn, branch, u),
-                                      fr.q, fr.k2, T, math.log(r), 1j,
+                                      fr.q, fr.k2, T, math.log(scn.rho), 1j,
                                       theta_lo, theta_hi,
                                       epsabs=tol * 1e-250, epsrel=tol,
                                       limit=200)
@@ -321,40 +318,33 @@ def consecutive_difference(scn: ModelScenario, p: int, T: complex,
                            route: str = "decomposed", tol: float = 1e-11):
     """U_{p+1}(T) - U_p(T) on overlap p.
 
-    route="decomposed": contour pieces (cancellation-free, usable deep
-    into the cascade).  route="direct": subtract two full-ray transforms
-    (loses one digit per fast-level Gaussian factor, shallow use only).
-    route="both": dict with the two values and the pieces.
+    route="decomposed": DiffPieces with the contour pieces
+    (cancellation-free, usable deep into the cascade).  route="direct":
+    the complex difference of two full-ray transforms (loses one digit
+    per fast-level Gaussian factor, shallow use only).
     """
-    if route not in ("decomposed", "direct", "both"):
-        raise ValueError("route must be decomposed|direct|both")
-    level = scn.levels()[p]
-    out = {}
-    if route in ("decomposed", "both"):
-        lo, hi = scn.wedge(p)
-        pieces = {
-            "outer_plus": outer_ray_piece(scn, p + 1, hi, T, tol),
-            "outer_minus": -outer_ray_piece(scn, p, lo, T, tol),
-        }
-        if level == 2:
-            pieces["inner_arc"] = arc_piece(scn, p, lo, hi, T, tol=tol)
-            oracle = residue_closed_form(scn, p, T)
-        else:
-            mid = scn.mid_direction(p)
-            pieces["arc_lo"] = arc_piece(scn, p, lo, mid, T, tol=tol)
-            pieces["arc_hi"] = arc_piece(scn, p + 1, mid, hi, T, tol=tol)
-            pieces["mid_segment"] = mid_segment_piece(scn, p, T, tol)
-            oracle = None
-        out["decomposed"] = DiffPieces(p=p, T=complex(T), level=level,
-                                       pieces=pieces, oracle=oracle)
-    if route in ("direct", "both"):
-        out["direct"] = (laplace_transform_shape(scn, p + 1, T, tol)
-                         - laplace_transform_shape(scn, p, T, tol))
-    if route == "decomposed":
-        return out["decomposed"]
     if route == "direct":
-        return out["direct"]
-    return out
+        return (laplace_transform_shape(scn, p + 1, T, tol)
+                - laplace_transform_shape(scn, p, T, tol))
+    if route != "decomposed":
+        raise ValueError("route must be decomposed|direct")
+    level = scn.levels()[p]
+    lo, hi = scn.wedge(p)
+    pieces = {
+        "outer_plus": outer_ray_piece(scn, p + 1, hi, T, tol),
+        "outer_minus": -outer_ray_piece(scn, p, lo, T, tol),
+    }
+    if level == 2:
+        pieces["inner_arc"] = arc_piece(scn, p, lo, hi, T, tol=tol)
+        oracle = residue_closed_form(scn, p, T)
+    else:
+        mid = scn.mid_direction(p)
+        pieces["arc_lo"] = arc_piece(scn, p, lo, mid, T, tol=tol)
+        pieces["arc_hi"] = arc_piece(scn, p + 1, mid, hi, T, tol=tol)
+        pieces["mid_segment"] = mid_segment_piece(scn, p, T, tol)
+        oracle = None
+    return DiffPieces(p=p, T=complex(T), level=level, pieces=pieces,
+                      oracle=oracle)
 
 
 def _full_ray(scn: ModelScenario, p: int, T: complex, tol: float,
@@ -418,7 +408,6 @@ class DiffRow:
     j: int
     absT: float
     norm: float
-    route: str
 
 
 @dataclass
@@ -426,24 +415,6 @@ class DiffTable:
     p: int
     level: int
     rows: list
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["j", "abs T", "norm", "route"])
-            for r in self.rows:
-                w.writerow([r.j, repr(r.absT), repr(r.norm), r.route])
-
-    @classmethod
-    def read_csv(cls, path: str, p: int = -1, level: int = 0) -> "DiffTable":
-        rows = []
-        with open(path, newline="") as fh:
-            rd = csv.reader(fh)
-            next(rd)
-            for line in rd:
-                rows.append(DiffRow(j=int(line[0]), absT=float(line[1]),
-                                    norm=float(line[2]), route=line[3]))
-        return cls(p=p, level=level, rows=rows)
 
 
 def difference_cascade(scn: ModelScenario, p: int, js: Sequence[int],
@@ -454,17 +425,9 @@ def difference_cascade(scn: ModelScenario, p: int, js: Sequence[int],
     rows = []
     for j in js:
         T = scn.probe_T(p, j)
-        if route == "both":
-            both = consecutive_difference(scn, p, T, "both", tol)
-            rows.append(DiffRow(j=j, absT=abs(T),
-                                norm=abs(both["decomposed"].total),
-                                route="decomposed"))
-            rows.append(DiffRow(j=j, absT=abs(T), norm=abs(both["direct"]),
-                                route="direct"))
-        else:
-            d = consecutive_difference(scn, p, T, route, tol)
-            norm = abs(d.total) if isinstance(d, DiffPieces) else abs(d)
-            rows.append(DiffRow(j=j, absT=abs(T), norm=norm, route=route))
+        d = consecutive_difference(scn, p, T, route, tol)
+        norm = abs(d.total) if isinstance(d, DiffPieces) else abs(d)
+        rows.append(DiffRow(j=j, absT=abs(T), norm=norm))
     return DiffTable(p=p, level=level, rows=rows)
 
 
@@ -484,8 +447,8 @@ class RateFit:
     n_rows: int
 
 
-def fit_rate(table: DiffTable, q: float, route: str | None = None) -> RateFit:
-    rows = [r for r in table.rows if route is None or r.route == route]
+def fit_rate(table: DiffTable, q: float) -> RateFit:
+    rows = table.rows
     if len(rows) < 3:
         raise ValueError("need at least 3 cascade rows to fit a rate")
     x = np.array([math.log(r.absT) for r in rows])
@@ -550,7 +513,7 @@ def difference_remainder_table(scn: ModelScenario, p: int, level_k: float,
     table = RemainderTable()
     mid = scn.mid_direction(p)
     for N in N_range:
-        t_abs = t_frac * fr.q ** (-(N + 1) / (2.0 * level_k))
+        t_abs = t_frac * ladder_radius(fr.q, level_k, N + 1)
         for em in eps_mods:
             T = em * t_abs * complex(math.cos(mid), math.sin(mid))
             d = consecutive_difference(scn, p, T, "decomposed", tol)
@@ -599,10 +562,8 @@ def verify_two_level_theorem(scn: ModelScenario, js: Sequence[int] = range(3, 11
                                             tol=tol)
     slow_table = difference_remainder_table(scn, p_slow, fr.k1, N_range,
                                             tol=tol)
-    fast_fit = fit_zero_gevrey_relative(
-        fast_table, GevreyScale(q=fr.q, k=fr.k2, C=1.0, A=1.0, level=2))
-    slow_fit = fit_zero_gevrey_relative(
-        slow_table, GevreyScale(q=fr.q, k=fr.k1, C=1.0, A=1.0, level=1))
+    fast_fit = fit_zero_gevrey_relative(fast_table, fr.q, fr.k2)
+    slow_fit = fit_zero_gevrey_relative(slow_table, fr.q, fr.k1)
 
     _, corollary_fit, kept = restrict_and_refit(fast_table, fr.q,
                                                 k_from=fr.k2, k_to=fr.k1)

@@ -63,12 +63,12 @@ class GrowthCertificate:
         L = math.log(r)
         return math.log(self.K) + 0.5 * self.k * L * L / math.log(q) + self.alpha * L
 
-    def certify(self, f: Callable[[complex], complex], d: float, q: float,
-                r_lo: float = 1e-6, r_hi: float = 1e3, n: int = 200) -> tuple[bool, float]:
-        """Check |f| against the envelope on a log grid along the ray.
+    def certify(self, f: Callable[[complex], complex], d: float,
+                q: float) -> tuple[bool, float]:
+        """Check |f| against the envelope at 200 log-spaced |u| in [1e-6, 1e3].
 
         Returns (ok, worst log-excess); worst <= 0 means certified."""
-        rs = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), n))
+        rs = np.exp(np.linspace(math.log(1e-6), math.log(1e3), 200))
         worst = -math.inf
         for r in rs:
             v = abs(f(r * cmath.exp(1j * d)))
@@ -88,20 +88,16 @@ def domain_radius(q: float, k: float, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class QLaplaceSpec:
-    """Direction, base, order and guard parameters for the transform."""
+    """Direction, base, order and tolerance of the transform."""
 
     q: float
     k: float
     direction: float
-    dlt_floor: float = 0.1
-    reroute: float = 1e-3
     tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if not (self.q > 1 and self.k > 0):
             raise ValueError("need q > 1 and k > 0")
-        if not 0 < self.dlt_floor < 1:
-            raise ValueError("dlt_floor must be in (0,1)")
 
 
 @dataclass
@@ -189,10 +185,10 @@ def qlaplace(spec: QLaplaceSpec, f: Callable[[complex], complex], T: complex,
              cert: GrowthCertificate, enforce_domain: bool = True) -> QLaplaceResult:
     """Evaluate the transform at T by adaptive quadrature on the log-ray.
 
-    T must lie in the spiral-clear domain for the floor threshold; if
-    the ray grazes the theta zero spiral the direction is rerouted by at
-    most `reroute` radians, otherwise the point is rejected.  With
-    enforce_domain, |T| must also be below the certified radius r1.
+    T must lie in the spiral-clear domain R_{d,0.1}; if the ray grazes
+    the theta zero spiral the direction is rerouted by 1e-3 radians to
+    either side, otherwise the point is rejected.  With enforce_domain,
+    |T| must also be below the certified radius r1.
     """
     T = complex(T)
     if T == 0:
@@ -202,16 +198,16 @@ def qlaplace(spec: QLaplaceSpec, f: Callable[[complex], complex], T: complex,
         if abs(T) >= r1:
             raise ValueError(f"|T|={abs(T):.6g} outside certified radius r1={r1:.6g}")
     d = spec.direction
-    if not qspiral_membership(d, spec.dlt_floor, T):
-        for dd in (spec.reroute, -spec.reroute):
-            if qspiral_membership(d + dd, spec.dlt_floor, T):
+    if not qspiral_membership(d, 0.1, T):
+        for dd in (1e-3, -1e-3):
+            if qspiral_membership(d + dd, 0.1, T):
                 d = d + dd
                 break
         else:
             raise ValueError(
                 f"ray direction {spec.direction} grazes the theta zero spiral at "
                 f"T={T} (clearance {qspiral_infimum(spec.direction, T):.3g} <= "
-                f"{spec.dlt_floor}) and rerouting by {spec.reroute} rad does not fix it")
+                "0.1) and rerouting by 0.001 rad does not fix it")
 
     s_lo, s_hi = _integration_window(spec, cert, abs(T))
     val, err, n = log_contour_transform(f, spec.q, spec.k, T, 1j * d, 1.0,

@@ -11,9 +11,11 @@ schemas it is held to.
 * anything else is stored as is.
 
 A key missing from the input takes the field's default; a missing
-required key, or input that is not a JSON object, raises ValueError
-naming the class and the key.  Keys the class does not know are
-ignored by the codec and refused by the schemas.
+required key, a key that the class's own ``to_dict`` does not write, or
+input that is not a JSON object raises ValueError naming the class and
+the key, so a misspelled optional key is an error, not its default.
+Keys that ``to_dict`` adds beyond the fields (such as ``ok``) are
+accepted and ignored, so every round trip holds.
 
 The schemas are shipped as package data under ``qasym/schemas/``;
 ``validate_payload`` resolves the internal ``qasym:*`` cross-references.
@@ -76,6 +78,18 @@ def _decode(data, hint):
     return data
 
 
+def refuse_unknown_keys(owner: str, d, known) -> None:
+    """Raise ValueError, naming owner, unless d is a JSON object whose
+    keys all lie in known."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{owner}: expected a JSON object, "
+                         f"got {type(d).__name__}")
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ValueError(f"{owner}: unknown key "
+                         + ", ".join(f"'{k}'" for k in unknown))
+
+
 class Record:
     """Base class of dataclasses whose JSON form is their init fields."""
 
@@ -94,7 +108,9 @@ class Record:
                 kwargs[name] = _decode(d[name], hint)
             elif required:
                 raise ValueError(f"{cls.__name__}: missing required key '{name}'")
-        return cls(**kwargs)
+        obj = cls(**kwargs)
+        refuse_unknown_keys(cls.__name__, d, obj.to_dict())
+        return obj
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

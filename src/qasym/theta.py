@@ -203,30 +203,27 @@ def _log_abs_theta(spec: ThetaSpec, z) -> np.ndarray:
         return np.log(np.abs(mant)) + shift
 
 
-def calibrate_theta_constant(spec: ThetaSpec, dlt: float = 0.3,
-                             n_radial: int = 48, n_angular: int = 720,
-                             safety: float = 0.9,
-                             boundary_pad: float = 1.02) -> ThetaSpec:
+def calibrate_theta_constant(spec: ThetaSpec, dlt: float = 0.3) -> ThetaSpec:
     """Measure C(q,k) and return a spec carrying it.
 
     The ratio |Theta(z)| / (dlt * envelope(z)) is log-periodic in |z|
     with period q^{1/k}, so one radial period suffices.  The minimum is
     approached as the clearance decreases to dlt; besides a dense polar
-    grid we add, for each radius, the two angles where the clearance
-    crosses boundary_pad * dlt (bisection), then set
+    grid (48 radii x 720 angles) we add, for each radius, the two angles
+    where the clearance crosses 1.02 dlt (bisection), then set
 
-        Cqk = safety * min ratio over all admissible samples.
+        Cqk = 0.9 * min ratio over all admissible samples.
 
-    The safety deflation (default 0.9) absorbs the residual gap between
-    the sampled minimum and the true infimum over the admissible set.
+    The 0.9 deflation absorbs the residual gap between the sampled
+    minimum and the true infimum over the admissible set.
     """
     q, k = spec.q, spec.k
-    radii = np.exp(np.linspace(0.0, math.log(q) / k, n_radial, endpoint=False))
-    angles = np.linspace(-math.pi, math.pi, n_angular, endpoint=False)
+    radii = np.exp(np.linspace(0.0, math.log(q) / k, 48, endpoint=False))
+    angles = np.linspace(-math.pi, math.pi, 720, endpoint=False)
     zs = np.multiply.outer(radii, np.exp(1j * angles)).ravel()
 
     extra = []
-    target = boundary_pad * dlt
+    target = 1.02 * dlt
     for r in radii:
         # clearance at angle a is even around pi; find the crossing by bisection
         def clear(a: float) -> float:
@@ -250,7 +247,7 @@ def calibrate_theta_constant(spec: ThetaSpec, dlt: float = 0.3,
     zs = zs[ok]
     ratios = np.exp(_log_abs_theta(spec, zs)
                     - np.log(dlt * lower_envelope(q, k, zs)))
-    c = safety * float(np.min(ratios))
+    c = 0.9 * float(np.min(ratios))
     return replace(spec, Cqk=c)
 
 

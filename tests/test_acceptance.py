@@ -24,8 +24,7 @@ from qasym.cocycle import (CHOptions, Cocycle, ladder_jump, multilevel_split,
                            verify_difference_realization)
 from qasym.equation import (EquationTerm, default_spec, manufactured_problem,
                             residual_sweep, validate_hypotheses)
-from qasym.frames import (GevreyScale, log_gaussian_power,
-                          seq_bound_from_log_bound)
+from qasym.frames import log_gaussian_power, seq_bound_from_log_bound
 from qasym.geometry import make_cyclic_covering
 from qasym.model import (consecutive_difference, default_scenario,
                          difference_remainder_table, laplace_transform_shape,
@@ -200,15 +199,16 @@ def test_05_difference_routes_agree_within_composed_tolerance():
     for p in range(scn.n):
         for j in (3, 4, 5):
             T = scn.probe_T(p, j)
-            out = consecutive_difference(scn, p, T, route="both", tol=tol)
-            dec = out["decomposed"].total
-            direct = out["direct"]
+            decomposed = consecutive_difference(scn, p, T, route="decomposed",
+                                                tol=tol)
+            dec = decomposed.total
+            direct = consecutive_difference(scn, p, T, route="direct", tol=tol)
             # composed tolerance: every quadrature in either route carries
             # an epsabs+epsrel budget of `tol`; the direct route subtracts
             # two full-ray transforms, the decomposed route sums its pieces
             u_a = laplace_transform_shape(scn, p, T, tol)
             u_b = laplace_transform_shape(scn, p + 1, T, tol)
-            pieces = out["decomposed"].pieces
+            pieces = decomposed.pieces
             composed = tol * (2.0 + abs(u_a) + abs(u_b)
                               + sum(1.0 + abs(v) for v in pieces.values()))
             worst = max(worst, abs(dec - direct) / (10.0 * composed))
@@ -332,11 +332,9 @@ def test_07_two_level_splitting_reconstructs_and_certifies():
                     for (_, e, per) in split.probes for a in per.values())
 
     fit_slow = fit_zero_gevrey_relative(
-        _jump_ladder_table(slow_amp, cuts, K1_7),
-        GevreyScale(q=Q7, k=K1_7, level=1))
+        _jump_ladder_table(slow_amp, cuts, K1_7), Q7, K1_7)
     fit_fast = fit_zero_gevrey_relative(
-        _jump_ladder_table(fast_amp, cuts, K2_7),
-        GevreyScale(q=Q7, k=K2_7, level=2))
+        _jump_ladder_table(fast_amp, cuts, K2_7), Q7, K2_7)
 
     ok = (realization_err <= 1e-7 and recon_err <= 1e-7
           and split.max_spread <= 1e-7
@@ -368,7 +366,7 @@ def test_08_fits_recover_planted_constant_under_noise():
             wiggle = 1.0 + 0.05 * (2.0 * rng.random() - 1.0)
             table_z.add(N, eps, C0 * (A0 * ae) ** (N + 1) * wiggle, t=t_abs)
     fit_q = fit_q_gevrey(table_q, q, k)
-    fit_z = fit_zero_gevrey_relative(table_z, GevreyScale(q=q, k=k, level=1))
+    fit_z = fit_zero_gevrey_relative(table_z, q, k)
     dev_q = abs(fit_q.A_fit - A0) / A0
     dev_z = abs(fit_z.A_fit - A0) / A0
     ok = dev_q <= 0.10 and dev_z <= 0.10
@@ -483,8 +481,7 @@ def test_10_level2_tables_recertify_at_level1_after_restriction():
     counterexamples = []
     details = []
     for label, table in suite:
-        fit2 = fit_zero_gevrey_relative(table,
-                                        GevreyScale(q=q, k=k2, level=2))
+        fit2 = fit_zero_gevrey_relative(table, q, k2)
         if not fit2.certified:
             counterexamples.append(f"{label}: not level-2 certified")
             continue

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qasym.asymptotics import (NORM_FLOOR, GevreyScale, RemainderTable,
+from qasym.asymptotics import (NORM_FLOOR, RemainderTable,
                                SequentialBound, fit_q_gevrey,
                                fit_zero_gevrey_relative, functional_to_sequential,
                                remainders, restrict_and_refit,
                                seq_bound_from_log_bound)
-from qasym.frames import log_gaussian_power
+from qasym.frames import ladder_radius, log_gaussian_power
 
 
 def planted_table(C, A, q, k, n_max=8, eps_mods=(0.05, 0.1, 0.2, 0.3),
@@ -81,36 +81,32 @@ class TestQGevreyFit:
 class TestZeroGevreyRelativeFit:
     def test_ladder_respecting_rows_accepted(self):
         q, k = 2.0, 2.0
-        sc = GevreyScale(q=q, k=k, level=2)
         table = planted_table(1.5, 2.0, q, 1e18, n_max=6,
-                              with_t=lambda N: 0.6 * sc.radius(N))
-        fit = fit_zero_gevrey_relative(table, sc)
+                              with_t=lambda N: 0.6 * ladder_radius(q, k, N))
+        fit = fit_zero_gevrey_relative(table, q, k)
         assert fit.certified
 
     def test_out_of_ladder_rows_rejected_by_index(self):
         q, k = 2.0, 2.0
-        sc = GevreyScale(q=q, k=k, level=2)
         table = RemainderTable()
-        table.add(0, 0.1, 1.0, t=0.5 * sc.radius(0))
-        table.add(3, 0.1, 1.0, t=2.0 * sc.radius(3))   # violates |t| <= r_3
+        table.add(0, 0.1, 1.0, t=0.5 * ladder_radius(q, k, 0))
+        table.add(3, 0.1, 1.0, t=2.0 * ladder_radius(q, k, 3))  # violates |t| <= r_3
         with pytest.raises(ValueError) as ei:
-            fit_zero_gevrey_relative(table, sc)
+            fit_zero_gevrey_relative(table, q, k)
         assert "1" in str(ei.value)
 
     def test_requires_t_in_rows(self):
-        sc = GevreyScale(q=2.0, k=1.0, level=2)
         table = RemainderTable()
         table.add(0, 0.1, 1.0)  # no t recorded
         with pytest.raises(ValueError):
-            fit_zero_gevrey_relative(table, sc)
+            fit_zero_gevrey_relative(table, 2.0, 1.0)
 
 
 class TestRestriction:
     def test_restrict_keeps_exactly_the_predicted_rows(self):
         q, k2, k1 = 2.0, 2.0, 1.0
-        sc2 = GevreyScale(q=q, k=k2, level=2)
         table = planted_table(1.5, 2.0, q, 1e18, n_max=7,
-                              with_t=lambda N: 0.7 * sc2.radius(N + 1))
+                              with_t=lambda N: 0.7 * ladder_radius(q, k2, N + 1))
         fit2, fit1, kept = restrict_and_refit(table, q, k2, k1)
         assert fit2.certified and fit1.certified
         # oracle: a row survives iff its |t| fits the coarser ladder

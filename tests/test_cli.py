@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from qasym.cli import main
+from qasym.equation import default_spec
+from qasym.model import default_scenario
 from qasym.schemas import validate_payload
 
 
@@ -203,8 +205,7 @@ class TestFit:
 
     def test_zero_gevrey_kind(self, capsys):
         code, payload = run_cli(capsys, "fit", "--synthetic",
-                                "--kind", "zero-gevrey", "--level", "2",
-                                "--k", "2.0")
+                                "--kind", "zero-gevrey", "--k", "2.0")
         assert code == 0
         assert payload["fit"]["kind"] == "zero-relative"
 
@@ -227,10 +228,19 @@ GOLDEN = Path(__file__).parent / "golden"
 _FRAME = {"q": 2.0, "k1": 1.0, "k2": 2.0, "epsilon0": 0.4, "rT": 0.4}
 _SECTORS = [{"bisector": b, "opening": 2.0, "radius": 0.4}
             for b in (0.8, 2.4, -2.4, -0.8)]
+_GEOMETRY = {"covering": _SECTORS, "directions": [0.0, 1.6, 3.2, 4.8],
+             "delta_t": 0.3, "rho": 0.8}
+_SPEC = default_spec().to_dict()
+_SCENARIO = default_scenario().to_dict()
+
+
+def _renamed(d: dict, old: str, new: str) -> dict:
+    """Copy of d with key old spelled new."""
+    return {(new if k == old else k): v for k, v in d.items()}
 
 
 class TestBadInputFiles:
-    @pytest.mark.parametrize("argv, content, missing", [
+    @pytest.mark.parametrize("argv, content, named", [
         pytest.param(("diff", "--scenario"), {"frame": _FRAME}, "covering",
                      id="diff-missing-key"),
         pytest.param(("residual", "--spec"), {"frame": _FRAME}, "d_D1",
@@ -243,16 +253,36 @@ class TestBadInputFiles:
                      id="residual-array"),
         pytest.param(("geometry", "--scenario"), [_FRAME], None,
                      id="geometry-array"),
+        # a key the decoder does not know is refused, not dropped while
+        # the key that was meant silently takes its default
+        pytest.param(("hypotheses", "--spec"),
+                     {**_SPEC, "frame": _renamed(_SPEC["frame"], "epsilon0",
+                                                 "epsilon_0")},
+                     "epsilon_0", id="hypotheses-misspelled-key"),
+        pytest.param(("residual", "--spec"),
+                     {**_SPEC, "terms": [_SPEC["terms"][0],
+                                         _renamed(_SPEC["terms"][1], "R", "r")]},
+                     "'r'", id="residual-misspelled-key"),
+        pytest.param(("diff", "--scenario"),
+                     {**_SCENARIO, "kernel_ampp": [2.0, 0.0]}, "kernel_ampp",
+                     id="diff-misspelled-key"),
+        pytest.param(("geometry", "--scenario"),
+                     {**_GEOMETRY, "covering": [
+                         _renamed(_SECTORS[0], "radius", "radus"),
+                         *_SECTORS[1:]]},
+                     "radus", id="geometry-misspelled-key"),
+        pytest.param(("geometry", "--scenario"), {**_GEOMETRY, "dlt": 0.3},
+                     "dlt", id="geometry-unknown-top-level-key"),
     ])
     def test_undecodable_file_is_two(self, capsys, tmp_path, argv, content,
-                                     missing):
+                                     named):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(content))
         code, payload = run_cli(capsys, *argv, str(path))
         assert code == 2
         assert payload["error"]["type"] == "input"
-        if missing is not None:
-            assert missing in payload["error"]["message"]
+        if named is not None:
+            assert named in payload["error"]["message"]
 
 
 class TestGoldenOutput:

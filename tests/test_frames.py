@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qasym.frames import (GevreyScale, QFrame, log_gaussian_max, log_gaussian_power,
+from qasym.frames import (QFrame, ladder_radius, log_gaussian_max, log_gaussian_power,
                           make_qframe, seq_bound_from_log_bound)
 
 
@@ -49,22 +49,16 @@ class TestQFrame:
         assert back.kappa == pytest.approx(fr.kappa, rel=1e-15)
 
 
-class TestGevreyScale:
+class TestLadderRadius:
     def test_radius_values(self):
-        sc = GevreyScale(q=2.0, k=1.0)
         # r_p = q^{-p/(2k)} by hand for a few p
-        assert sc.radius(0) == 1.0
-        assert sc.radius(2) == pytest.approx(0.5, rel=1e-15)
-        assert sc.radius(4) == pytest.approx(0.25, rel=1e-15)
+        assert ladder_radius(2.0, 1.0, 0) == 1.0
+        assert ladder_radius(2.0, 1.0, 2) == pytest.approx(0.5, rel=1e-15)
+        assert ladder_radius(2.0, 1.0, 4) == pytest.approx(0.25, rel=1e-15)
 
     @given(st.floats(1.1, 6.0), st.floats(0.3, 4.0), st.integers(0, 40))
     def test_radius_strictly_decreasing(self, q, k, p):
-        sc = GevreyScale(q=q, k=k)
-        assert sc.radius(p + 1) < sc.radius(p)
-
-    def test_round_trip(self):
-        sc = GevreyScale(q=2.0, k=2.0, C=1.5, A=0.8, level=2)
-        assert GevreyScale.from_dict(sc.to_dict()) == sc
+        assert ladder_radius(q, k, p + 1) < ladder_radius(q, k, p)
 
 
 class TestScalarBoundLemma:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qasym.geometry import (GoodCovering, RootConfig, Sector, associate_family,
                             direction_admissible, geometry_scenario_from_dict,
-                            geometry_scenario_from_json, geometry_scenario_to_dict,
+                            geometry_scenario_to_dict,
                             make_cyclic_covering, qspiral_infimum,
                             qspiral_membership, validate_good_covering, wrap_angle)
 
@@ -156,8 +156,6 @@ class TestScenarioSerialization:
         assert cov2.to_dict() == cov.to_dict()
         assert dirs2 == pytest.approx(directions)
         assert (dlt2, rho2) == (0.3, 0.8)
-        cov3, _, _, _ = geometry_scenario_from_json(json.dumps(d))
-        assert cov3.to_dict() == cov.to_dict()
 
     def test_family_association(self):
         cov = make_cyclic_covering(4, 0.4, 1.4 * math.pi / 4, phase=math.pi / 4)

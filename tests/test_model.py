@@ -7,8 +7,8 @@ import pytest
 
 from qasym.model import (DiffRow, DiffTable, ModelScenario, PoleSpec,
                          assemble_solution, consecutive_difference,
-                         default_scenario, difference_cascade,
-                         difference_remainder_table, fit_rate,
+                         default_scenario, difference_remainder_table,
+                         fit_rate,
                          kernel_jump_shape, kernel_shape,
                          verify_two_level_theorem)
 from qasym.schemas import validate_payload
@@ -99,9 +99,10 @@ class TestKernel:
 class TestDifferences:
     def test_direct_equals_decomposed_shallow(self, scn):
         for p in (0, 2):   # one fast, one slow overlap
-            both = consecutive_difference(scn, p, scn.probe_T(p, 3), "both",
-                                          tol=1e-11)
-            dec, direct = both["decomposed"].total, both["direct"]
+            dec = consecutive_difference(scn, p, scn.probe_T(p, 3),
+                                         "decomposed", tol=1e-11).total
+            direct = consecutive_difference(scn, p, scn.probe_T(p, 3),
+                                            "direct", tol=1e-11)
             assert abs(dec - direct) < 1e-9 * abs(dec)
 
     def test_fast_difference_matches_residue_closed_form(self, scn):
@@ -146,8 +147,7 @@ class TestRateFit:
         for j in range(3, 12):
             x = math.log(2.0 ** (-j))
             rows.append(DiffRow(j=j, absT=2.0 ** (-j),
-                                norm=math.exp(a * x * x + b * x + c),
-                                route="decomposed"))
+                                norm=math.exp(a * x * x + b * x + c)))
         fit = fit_rate(DiffTable(p=0, level=2, rows=rows), q)
         assert fit.a == pytest.approx(a, rel=1e-9)
         assert fit.b == pytest.approx(b, rel=1e-9)
@@ -156,22 +156,10 @@ class TestRateFit:
         assert fit.residual_rms < 1e-9
         assert fit.n_rows == 9
 
-    def test_route_filter_and_minimum_rows(self):
-        rows = [DiffRow(j=j, absT=2.0 ** (-j), norm=1.0, route="direct")
-                for j in range(3, 9)]
-        table = DiffTable(p=0, level=1, rows=rows)
-        assert fit_rate(table, 2.0, route="direct").n_rows == 6
+    def test_minimum_rows(self):
+        rows = [DiffRow(j=j, absT=2.0 ** (-j), norm=1.0) for j in range(3, 5)]
         with pytest.raises(ValueError):
-            fit_rate(table, 2.0, route="decomposed")
-
-    def test_cascade_table_csv_round_trip(self, scn, tmp_path):
-        table = difference_cascade(scn, 0, range(3, 6), "decomposed",
-                                   tol=1e-10)
-        path = tmp_path / "cascade.csv"
-        table.write_csv(str(path))
-        back = DiffTable.read_csv(str(path), p=table.p, level=table.level)
-        assert [(r.j, r.absT, r.norm, r.route) for r in back.rows] \
-            == [(r.j, r.absT, r.norm, r.route) for r in table.rows]
+            fit_rate(DiffTable(p=0, level=1, rows=rows), 2.0)
 
 
 class TestTheorem:

@@ -111,6 +111,28 @@ class TestDomain:
             qlaplace(spec, lambda u: u ** 5, 2.0 * R, cert)
 
 
+class TestReroute:
+    """A ray grazing the theta zero spiral (clearance <= 0.1) is turned by
+    1e-3 rad when that clears it, and refused otherwise."""
+
+    def test_grazing_ray_rerouted_keeps_closed_form(self):
+        q, k, n = 2.0, 1.0, 2
+        # clearance |sin(arg T)| = 0.0996 on direction 0; 0.1006 on -1e-3
+        T = 0.3 * cmath.exp(-1j * (math.pi - math.asin(0.0996)))
+        spec = QLaplaceSpec(q=q, k=k, direction=0.0)
+        cert = GrowthCertificate(K=1.0, alpha=float(n), k=0.0)
+        res = qlaplace(spec, lambda u: u ** n, T, cert, enforce_domain=False)
+        assert res.direction_used == -1e-3
+        assert abs(res.value - image_constant_oracle(q, k, n) * T ** n) < 1e-9
+
+    def test_ray_on_the_spiral_refused(self):
+        spec = QLaplaceSpec(q=2.0, k=1.0, direction=0.0)
+        cert = GrowthCertificate(K=1.0, alpha=2.0, k=0.0)
+        with pytest.raises(ValueError, match="grazes the theta zero spiral"):
+            qlaplace(spec, lambda u: u * u, -0.3 + 1e-4j, cert,
+                     enforce_domain=False)
+
+
 class TestLink:
     def test_laplace_link_on_separable_kernel(self):
         # w_inner(u, m, eps) = u^2 g(m, eps) has the closed-form image

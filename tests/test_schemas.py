@@ -5,8 +5,9 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from qasym.asymptotics import RemainderTable, fit_q_gevrey
-from qasym.equation import EquationSpec, EquationTerm, default_spec
+from qasym.asymptotics import GevreyFit, RemainderTable, fit_q_gevrey
+from qasym.equation import (EquationSpec, EquationTerm, HypothesesReport, default_spec,
+                            validate_hypotheses)
 from qasym.frames import QFrame, make_qframe
 from qasym.geometry import (geometry_scenario_from_dict, geometry_scenario_to_dict,
                             make_cyclic_covering)
@@ -188,6 +189,22 @@ class TestRecordCodec:
         del d["terms"][0]["Delta"]
         with pytest.raises(ValueError, match=r"EquationTerm.*'Delta'"):
             EquationSpec.from_dict(d)
+
+    def test_unknown_key_names_class_and_key(self):
+        with pytest.raises(ValueError, match=r"QFrame: unknown key 'epsilon_0'"):
+            QFrame.from_dict({"q": 2.0, "k1": 1.0, "k2": 2.0, "epsilon_0": 0.2})
+        d = default_spec().to_dict()
+        d["terms"][1]["r"] = d["terms"][1].pop("R")
+        with pytest.raises(ValueError, match=r"EquationTerm: unknown key 'r'"):
+            EquationSpec.from_dict(d)
+
+    def test_verdict_keys_written_by_to_dict_round_trip(self):
+        fit = planted_fit_payload()
+        assert "certified" in fit
+        assert GevreyFit.from_dict(fit).to_dict() == fit
+        rep = validate_hypotheses(default_spec())
+        assert "ok" in rep.to_dict()
+        assert HypothesesReport.from_dict(rep.to_dict()) == rep
 
     def test_non_object_is_refused(self):
         with pytest.raises(ValueError, match="ModelScenario"):
