@@ -36,9 +36,9 @@ from .model import (ModelScenario, TheoremReport, consecutive_difference,
 from .qlaplace import (GrowthCertificate, QLaplaceResult, QLaplaceSpec,
                        monomial_image_constant, qlaplace, verify_laplace_link)
 from .schemas import load_schema, validate_payload
-from .theta import (ThetaSpec, calibrate_theta_constant, inv_theta, spec_for_annulus,
-                    spiral_admissible, theta_eval, theta_eval_scaled,
-                    theta_lower_bound, theta_qdiff_residual)
+from .theta import (ThetaSpec, calibrate_theta_constant, spec_for_annulus,
+                    spiral_admissible, theta_eval_scaled, theta_lower_bound,
+                    theta_qdiff_residual)
 
 __version__ = "0.1.0"
 
@@ -55,12 +55,12 @@ __all__ = [
     "default_scenario", "default_series", "default_spec", "difference_cascade",
     "difference_remainder_table", "direction_admissible", "fit_q_gevrey",
     "fit_rate", "fit_zero_gevrey_relative", "functional_to_sequential",
-    "geometry_scenario_from_dict", "geometry_scenario_to_dict", "inv_theta",
+    "geometry_scenario_from_dict", "geometry_scenario_to_dict",
     "inverse_fourier", "ladder_bound_constant", "ladder_jump", "load_schema",
     "make_cyclic_covering", "make_qframe", "make_symbol", "manufactured_problem",
     "monomial_image_constant", "multilevel_split", "overlap_rays", "qlaplace",
     "remainders", "residual_sweep", "restrict_and_refit", "spec_for_annulus",
-    "spiral_admissible", "theta_eval", "theta_eval_scaled", "theta_lower_bound",
+    "spiral_admissible", "theta_eval_scaled", "theta_lower_bound",
     "theta_qdiff_residual", "validate_good_covering", "validate_hypotheses",
     "validate_payload", "verify_difference_realization", "verify_laplace_link",
     "verify_rate_dichotomy", "verify_two_level_theorem", "wrap_angle",

@@ -31,7 +31,7 @@ from .geometry import (Sector, associate_family, geometry_scenario_from_dict,
 from .model import (ModelScenario, default_scenario, difference_cascade, fit_rate,
                     verify_rate_dichotomy, verify_two_level_theorem)
 from .qlaplace import GrowthCertificate, QLaplaceSpec, qlaplace
-from .theta import (calibrate_theta_constant, spec_for_annulus, theta_eval_scaled,
+from .theta import (ThetaSpec, calibrate_theta_constant, theta_eval_scaled,
                     theta_lower_bound, theta_qdiff_residual)
 
 
@@ -84,9 +84,7 @@ def _cmd_theta(args) -> tuple[dict, bool]:
     if z == 0:
         raise InputError("theta is evaluated away from the origin; need z != 0")
     q, k, m = args.q, args.k, args.m
-    r = abs(z)
-    pad = q ** ((abs(m) + 1) / k)
-    spec = calibrate_theta_constant(spec_for_annulus(q, k, r / pad, r * pad))
+    spec = calibrate_theta_constant(ThetaSpec(q, k))
     mant, logs = theta_eval_scaled(spec, z)
     residual = theta_qdiff_residual(spec, z, m)
     bound = theta_lower_bound(spec, z, args.dlt)

@@ -165,6 +165,7 @@ class GoodCovering:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GoodCovering":
+        refuse_unknown_keys("GoodCovering", d, ("covering",))
         return cls(sectors=tuple(Sector.from_dict(sd) for sd in d["covering"]))
 
 
@@ -441,5 +442,5 @@ def geometry_scenario_to_dict(cov: GoodCovering, directions: list[float],
 def geometry_scenario_from_dict(d: dict) -> tuple[GoodCovering, list[float], float, float]:
     refuse_unknown_keys("geometry scenario", d,
                          ("covering", "directions", "delta_t", "rho"))
-    cov = GoodCovering.from_dict(d)
+    cov = GoodCovering.from_dict({"covering": d["covering"]})
     return cov, list(d["directions"]), float(d["delta_t"]), float(d["rho"])

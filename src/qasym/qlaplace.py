@@ -163,9 +163,9 @@ def log_contour_transform(f: Callable[[complex], complex], q: float, k: float,
     log-contour u = exp(w0 + x dw), a <= x <= b.
 
     dw = 1 gives the ray at angle Im w0 (x = log|u|), dw = 1j the arc of
-    radius e^{Re w0} (x = arg u); du/u = dw dx.  1/Theta comes from the
-    bucketed lookup theta.inv_theta_at.  Returns (value, error estimate,
-    integrand evaluations).
+    radius e^{Re w0} (x = arg u); du/u = dw dx.  1/Theta comes from
+    theta.inv_theta_at.  Returns (value, error estimate, integrand
+    evaluations).
     """
     w0, dw = complex(w0), complex(dw)
 

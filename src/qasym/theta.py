@@ -2,10 +2,9 @@
 
 The function evaluated here is the bilateral series
 
-    Theta_k(z) = sum_{p in Z} q^{-p(p-1)/(2k)} z^p,   z != 0,
+    Theta_k(z) = sum_{p in Z} q^{-p(p-1)/(2k)} z^p,   z != 0.
 
-truncated symmetrically to |p| <= P.  It solves the q-difference
-equation
+It solves the q-difference equation
 
     Theta_k(q^{m/k} z) = q^{m(m+1)/(2k)} z^m Theta_k(z),   m in Z,
 
@@ -18,9 +17,12 @@ on { z : inf_m |1 + z q^{m/k}| > dlt }, where C = C(q,k) is calibrated
 numerically (grid minimum of the ratio, deflated by a safety factor)
 and persisted with the spec; it is never hard-coded.
 
-All evaluations run in shifted-exponent form so that the huge dynamic
-range of the series (the dominant term is ~ exp((k/2) log^2|z|/log q))
-never overflows intermediate arithmetic.
+With Q = q^{1/k}, each z is reduced to w = z Q^{-m} on the fundamental
+annulus Q^{-1/2} <= |w| <= Q^{1/2} (m = round(log|z| / log Q)); the
+series is summed at w over |p| <= P = truncation_order(q, k) and the
+exact factor Q^{m(m+1)/2} w^m is folded into a shifted-exponent result
+that never overflows.  On that annulus every term with |p| > P is below
+e^{-40} times the p = 0 term, whatever |z| is.
 """
 
 from __future__ import annotations
@@ -36,18 +38,12 @@ from .schemas import Record
 
 @dataclass(frozen=True)
 class ThetaSpec(Record):
-    """Truncation contract for the theta series.
-
-    P is the symmetric truncation order (terms p = -P..P), tail_tol the
-    relative tail budget the truncation was chosen for on the annulus
-    the spec was built for.  Cqk is the calibrated lower-bound constant
-    (None until calibrate() has run).
-    """
+    """Theta parameters and the calibrated lower-bound constant Cqk
+    (None until calibrate_theta_constant has run).  P, the symmetric
+    truncation order (terms p = -P..P), follows from (q, k)."""
 
     q: float
     k: float
-    P: int
-    tail_tol: float = 1e-14
     Cqk: float | None = None
 
     def __post_init__(self) -> None:
@@ -55,85 +51,58 @@ class ThetaSpec(Record):
             raise ValueError(f"q must be > 1, got {self.q}")
         if not self.k > 0.0:
             raise ValueError(f"k must be > 0, got {self.k}")
-        if self.P < 1:
-            raise ValueError(f"P must be >= 1, got {self.P}")
-        if not 0 < self.tail_tol < 1:
-            raise ValueError(f"tail_tol must be in (0,1), got {self.tail_tol}")
+
+    @property
+    def P(self) -> int:
+        return truncation_order(self.q, self.k)
 
 
-def truncation_order(q: float, k: float, r_min: float, r_max: float,
-                     tail_tol: float = 1e-14) -> int:
-    """Symmetric truncation order P adequate on the annulus r_min <= |z| <= r_max.
+def truncation_order(q: float, k: float) -> int:
+    """Truncation order on the fundamental annulus.  With L = log q / k and
+    |log|w|| <= L/2, term p is at most exp(-L p(p-2)/2) for p > 0 and
+    exp(-L p^2/2) for p < 0, so past this P each is below e^{-40}."""
+    return int(math.ceil(math.sqrt(80.0 * k / math.log(q)))) + 2
 
-    The term magnitudes q^{-p(p-1)/(2k)} |z|^p peak near
-    p* = k log|z|/log q + 1/2 and then decay super-geometrically; P is
-    the peak index for the worst radius plus a tail margin derived from
-    tail_tol, so the discarded tail is below tail_tol relative to the
-    retained sum.
-    """
+
+def spec_for_annulus(q: float, k: float, r_min: float, r_max: float) -> ThetaSpec:
+    """ThetaSpec(q, k).  The radii are checked but no longer choose the
+    truncation: every z is reduced to the fundamental annulus."""
     if not (0 < r_min <= r_max):
         raise ValueError("need 0 < r_min <= r_max")
-    lq = math.log(q)
-    reach = max(abs(math.log(r_max)), abs(math.log(r_min)))
-    peak = k * reach / lq + 0.5
-    margin = math.sqrt(2.0 * k * max(math.log(1.0 / tail_tol), 1.0) / lq)
-    return int(math.ceil(peak + margin)) + 8
-
-
-def spec_for_annulus(q: float, k: float, r_min: float, r_max: float,
-                     tail_tol: float = 1e-14) -> ThetaSpec:
-    return ThetaSpec(q=q, k=k, P=truncation_order(q, k, r_min, r_max, tail_tol),
-                     tail_tol=tail_tol)
+    return ThetaSpec(q=q, k=k)
 
 
 def theta_eval_scaled(spec: ThetaSpec, z) -> tuple[np.ndarray, np.ndarray]:
-    """Theta as (mantissa, log_scale): theta = mantissa * exp(log_scale).
-
-    Vectorized over z (any array shape).  z must be nonzero.
-    """
+    """Theta as (mantissa, log_scale): theta = mantissa * exp(log_scale),
+    exp(log_scale) being the modulus of the full series' largest term.
+    Vectorized over nonzero z of any array shape."""
     z = np.asarray(z, dtype=complex)
-    if np.any(z == 0):
+    if not z.all():
         raise ValueError("theta has an essential singularity at z = 0")
-    lq = math.log(spec.q)
+    lQ = math.log(spec.q) / spec.k
+    m = np.rint(np.log(np.abs(z)) / lQ)
+    lw = np.log(z * spec.q ** (-m / spec.k))
     p = np.arange(-spec.P, spec.P + 1)
-    lz = np.log(z)  # principal branch; |z|^p and arg-phases both handled
-    expo = (-p * (p - 1) * (lq / (2.0 * spec.k)))[..., :] + np.multiply.outer(lz, p)
+    expo = -p * (p - 1) * (lQ / 2.0) + np.multiply.outer(lw, p)
     shift = expo.real.max(axis=-1)
     mant = np.exp(expo - shift[..., None]).sum(axis=-1)
-    return mant, shift
-
-
-def theta_eval(spec: ThetaSpec, z) -> np.ndarray:
-    """Theta values (may overflow for extreme |z|; use theta_eval_scaled then)."""
-    mant, shift = theta_eval_scaled(spec, z)
-    out = mant * np.exp(shift)
-    if np.isscalar(z) or np.asarray(z).shape == ():
-        return complex(out)
-    return out
-
-
-def inv_theta(spec: ThetaSpec, z) -> np.ndarray:
-    """1/Theta(z), safe against overflow of Theta itself (underflows to 0)."""
-    mant, shift = theta_eval_scaled(spec, z)
-    with np.errstate(under="ignore"):
-        out = np.exp(-shift) / mant
-    return out
+    # fold in Q^{m(m+1)/2} w^m: term p + m at z is that factor times term p at w
+    return (mant * np.exp(1j * m * lw.imag),
+            shift + m * (m + 1) * (lQ / 2.0) + m * lw.real)
 
 
 @lru_cache(maxsize=64)
-def _bucket_spec(q: float, k: float, bucket: int) -> ThetaSpec:
-    reach = math.exp(8.0 * bucket)
-    return spec_for_annulus(q, k, 1.0 / reach, reach, tail_tol=1e-16)
+def _spec(q: float, k: float) -> ThetaSpec:
+    return ThetaSpec(q=q, k=k)
 
 
-def inv_theta_at(q: float, k: float, z: complex) -> complex:
-    """1/Theta_k(z) at one point, with the truncation chosen per
-    log-radius bucket: |log|z|| <= 8 b uses the spec certified on
-    e^{-8b} <= |z| <= e^{8b}, cached per (q, k, b), so arguments deep in
-    a cascade stay certified without a spec per caller."""
-    la = abs(math.log(max(abs(z), 1e-300)))
-    bucket = max(1, math.ceil(la / 8.0))
-    return complex(inv_theta(_bucket_spec(q, k, bucket), z))
+def inv_theta_at(q: float, k: float, z):
+    """1/Theta_k(z) for scalar or array z, safe against overflow of Theta
+    itself (underflows to 0)."""
+    mant, shift = theta_eval_scaled(_spec(q, k), z)
+    with np.errstate(under="ignore"):
+        out = np.exp(-shift) / mant
+    return out if np.ndim(z) else complex(out)
 
 
 def theta_qdiff_residual(spec: ThetaSpec, z: complex, m: int) -> float:
@@ -142,7 +111,9 @@ def theta_qdiff_residual(spec: ThetaSpec, z: complex, m: int) -> float:
         | Theta(q^{m/k} z) - q^{m(m+1)/(2k)} z^m Theta(z) | / max(|lhs|, |rhs|)
 
     computed in shifted-exponent form so it is meaningful even when the
-    two sides are astronomically large.
+    two sides are astronomically large.  Both sides sum the series on the
+    fundamental annulus, so this checks the reduction's prefactor against
+    the identity; the tests check the series against a triple product.
     """
     z = complex(z)
     lq = math.log(spec.q)

@@ -22,7 +22,7 @@ class TestExitCodes:
         assert payload["ok"] is True
 
     def test_failed_check_is_one(self, capsys):
-        code, payload = run_cli(capsys, "theta", "--z", "0.3+0.4j",
+        code, payload = run_cli(capsys, "theta", "--q", "1.7", "--z", "0.3+0.4j",
                                 "--tol", "1e-30")
         assert code == 1
         assert payload["ok"] is False
@@ -266,6 +266,10 @@ class TestBadInputFiles:
         pytest.param(("diff", "--scenario"),
                      {**_SCENARIO, "kernel_ampp": [2.0, 0.0]}, "kernel_ampp",
                      id="diff-misspelled-key"),
+        pytest.param(("diff", "--scenario"),
+                     {**_SCENARIO, "covering": {**_SCENARIO["covering"],
+                                                "radius": 0.9}},
+                     "radius", id="diff-covering-extra-key"),
         pytest.param(("geometry", "--scenario"),
                      {**_GEOMETRY, "covering": [
                          _renamed(_SECTORS[0], "radius", "radus"),

@@ -1,15 +1,17 @@
 import cmath
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import spiral_clear_brute, theta_brute
-from qasym.theta import (ThetaSpec, calibrate_theta_constant, inv_theta,
-                         inv_theta_at, spec_for_annulus, spiral_admissible, spiral_clearance,
-                         theta_eval, theta_eval_scaled, theta_lower_bound,
+from qasym.theta import (ThetaSpec, calibrate_theta_constant, inv_theta_at,
+                         spec_for_annulus, spiral_admissible, spiral_clearance,
+                         theta_eval_scaled, theta_lower_bound,
                          theta_qdiff_residual, truncation_order)
 
 
@@ -19,17 +21,22 @@ def scaled_to_log(mantissa, log_scale) -> tuple[complex, float]:
     return m, math.log(abs(m)) + float(log_scale)
 
 
+def theta_value(spec, z) -> complex:
+    mant, shift = theta_eval_scaled(spec, z)
+    return complex(mant) * math.exp(float(shift))
+
+
 class TestEvaluation:
     def test_matches_brute_series(self):
         spec = spec_for_annulus(2.0, 1.0, 0.2, 5.0)
         for z in (0.3 + 0.4j, 2.0, -1.7 + 0.1j, 0.25j, 4.9):
-            lib = complex(theta_eval(spec, z))
+            lib = theta_value(spec, z)
             assert lib == pytest.approx(theta_brute(2.0, 1.0, z), rel=1e-12)
 
     def test_matches_brute_series_fractional_level(self):
         spec = spec_for_annulus(1.7, 2.3, 0.3, 3.0)
         for z in (0.5 + 0.1j, -2.0 + 0.7j, 1.1j):
-            lib = complex(theta_eval(spec, z))
+            lib = theta_value(spec, z)
             assert lib == pytest.approx(theta_brute(1.7, 2.3, z), rel=1e-12)
 
     def test_scaled_form_consistent(self):
@@ -42,17 +49,17 @@ class TestEvaluation:
             # rescaled terms
             q, k = spec.q, spec.k
             terms = [(-p * (p - 1) / (2.0 * k)) * math.log(q)
-                     + p * cmath.log(z).real for p in range(-spec.P, spec.P + 1)]
+                     + p * cmath.log(z).real for p in range(-80, 81)]
             peak = max(terms)
             brute = sum(cmath.exp((-p * (p - 1) / (2.0 * k)) * math.log(q)
                                   + p * cmath.log(z) - peak)
-                        for p in range(-spec.P, spec.P + 1))
+                        for p in range(-80, 81))
             assert lg == pytest.approx(peak + math.log(abs(brute)), rel=1e-10)
 
     def test_rejects_origin(self):
         spec = spec_for_annulus(2.0, 1.0, 0.5, 2.0)
         with pytest.raises(ValueError):
-            theta_eval(spec, 0.0)
+            theta_value(spec, 0.0)
 
     def test_vectorized(self):
         spec = spec_for_annulus(2.0, 1.0, 0.2, 5.0)
@@ -64,25 +71,44 @@ class TestEvaluation:
             assert float(logs[i]) == pytest.approx(float(l1), abs=1e-12)
 
 
-class TestInverseLookup:
-    @pytest.mark.parametrize("q,k", [(2.0, 1.0), (2.0, 2.0), (3.0, 0.5)])
-    def test_inverse_across_buckets(self, q, k):
-        """The bucketed 1/Theta times Theta from a spec built around |z| is
-        1, for |log|z|| in several 8-wide buckets, out to the depth of the
-        difference cascades where 1/Theta is still a normal double."""
-        lq = math.log(q)
-        buckets = set()
-        for L in (-39.0, -27.0, -19.0, -11.0, -3.0, 3.0, 11.0, 19.0, 27.0, 39.0):
-            if 0.5 * k * L * L / lq + 0.5 * abs(L) > 690.0:
-                continue
-            buckets.add(math.ceil(abs(L) / 8.0))
-            for phi in (0.0, 0.9, -1.8):
-                z = cmath.exp(complex(L, phi))
-                spec = spec_for_annulus(q, k, abs(z) / 2.0, 2.0 * abs(z))
-                mant, shift = theta_eval_scaled(spec, z)
-                prod = inv_theta_at(q, k, z) * math.exp(float(shift)) * complex(mant)
-                assert abs(prod - 1.0) < 1e-13, (L, phi, prod)
-        assert len(buckets) >= 3
+def triple_product(q: float, k: float, z: complex):
+    """Theta_k(z) = prod_{n>=1} (1 - x^n)(1 + z x^{n-1})(1 + x^n / z),
+    x = q^{-1/k} (Jacobi triple product), in mpmath at the working
+    precision; it shares no code with the series."""
+    x = mpmath.mpf(q) ** (-1 / mpmath.mpf(k))
+    z = mpmath.mpc(z)
+    acc, xn = mpmath.mpf(1), mpmath.mpf(1)   # xn = x^{n-1}
+    eps = mpmath.mpf(10) ** (-mpmath.mp.dps - 5) / max(abs(z), 1 / abs(z), 1)
+    while xn > eps:
+        acc *= (1 - xn * x) * (1 + z * xn) * (1 + xn * x / z)
+        xn *= x
+    return acc
+
+
+class TestTripleProduct:
+    @pytest.mark.parametrize("q,k,tol", [(2.0, 2.0, 5e-10), (2.0, 1.0, 5e-13),
+                                         (3.0, 0.5, 1e-13)])
+    def test_inverse_matches_triple_product(self, q, k, tol):
+        """1/Theta from inv_theta_at against a 40-digit triple product, on
+        150 seeded spiral-clear points (clearance > 0.1) with
+        |log|z|| <= 20, skipping points where 1/Theta underflows."""
+        rng = np.random.default_rng(606)
+        zs, refs = [], []
+        with mpmath.workdps(40):
+            while len(zs) < 150:
+                z = cmath.exp(complex(rng.uniform(-20.0, 20.0),
+                                      rng.uniform(-math.pi, math.pi)))
+                if spiral_clear_brute(q, k, z) <= 0.1:
+                    continue
+                ref = complex(1 / triple_product(q, k, z))
+                if abs(ref) < sys.float_info.min:
+                    continue
+                zs.append(z)
+                refs.append(ref)
+        refs = np.array(refs)
+        lib = inv_theta_at(q, k, np.array(zs))
+        worst = float(np.max(np.abs(lib - refs) / np.abs(refs)))
+        assert worst < tol, worst
 
 
 class TestFunctionalEquation:
@@ -117,9 +143,9 @@ class TestZerosAndBound:
         spec = spec_for_annulus(q, k, 0.05, 20.0)
         for m in range(-3, 4):
             z = -q ** (m / k)
-            val = complex(theta_eval(spec, z))
+            val = theta_value(spec, z)
             # normalize against a nearby non-spiral point
-            ref = abs(complex(theta_eval(spec, z * cmath.exp(0.5j))))
+            ref = abs(theta_value(spec, z * cmath.exp(0.5j)))
             assert abs(val) / ref < 1e-12
 
     def test_clearance_matches_brute_scan(self):
@@ -164,10 +190,16 @@ class TestZerosAndBound:
 
 
 class TestTruncation:
-    def test_order_grows_with_annulus(self):
-        p1 = truncation_order(2.0, 1.0, 0.5, 2.0)
-        p2 = truncation_order(2.0, 1.0, 0.05, 20.0)
-        assert p2 > p1
+    def test_order_meets_tail_bound(self):
+        """On the fundamental annulus |log|w|| <= log(q)/(2k), each term with
+        |p| > P is below e^{-40} times the p = 0 term."""
+        for q, k in [(2.0, 1.0), (2.0, 2.0), (3.0, 0.5), (1.7, 2.3), (1.05, 4.0)]:
+            P = truncation_order(q, k)
+            L = math.log(q) / k
+            for p in range(P + 1, P + 40):
+                for j in (p, -p):
+                    # log of term j at the worst radius |w| = Q^{sign(j)/2}
+                    assert -j * (j - 1) * L / 2 + abs(j) * L / 2 < -40.0, (q, k, j)
 
     def test_spec_serialization(self):
         spec = calibrate_theta_constant(spec_for_annulus(2.0, 1.0, 0.5, 2.0))
@@ -179,5 +211,5 @@ class TestInverse:
     def test_inv_theta_is_reciprocal(self):
         spec = spec_for_annulus(2.0, 1.0, 0.2, 5.0)
         for z in (0.3 + 0.4j, 2.0, -1.7 + 0.1j):
-            assert complex(inv_theta(spec, z)) * complex(theta_eval(spec, z)) \
+            assert inv_theta_at(2.0, 1.0, z) * theta_value(spec, z) \
                 == pytest.approx(1.0, rel=1e-12)
