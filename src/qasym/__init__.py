@@ -5,7 +5,7 @@ The package is organized bottom-up:
 - ``frames``       base-q frames tying together the two Gevrey levels
 - ``theta``        the q-theta function: evaluation, zeros, lower bounds
 - ``fourier``      inverse Fourier transforms with certified tails
-- ``geometry``     sector coverings, q-spiral domains, admissible directions
+- ``geometry``     sector coverings and q-spiral domains
 - ``qlaplace``     the q-Laplace transform along a direction
 - ``asymptotics``  remainder tables and certified Gevrey-constant fits
 - ``equation``     operator hypotheses, coefficient families, residuals
@@ -13,29 +13,25 @@ The package is organized bottom-up:
 - ``model``        an integrable kernel family exercising the whole chain
 """
 
-from .asymptotics import (GevreyFit, RemainderRow, RemainderTable,
-                          SequentialBound, fit_q_gevrey, fit_zero_gevrey_relative,
-                          functional_to_sequential, remainders, restrict_and_refit)
+from .asymptotics import (GevreyFit, RemainderRow, RemainderTable, fit_q_gevrey,
+                          fit_zero_gevrey_relative, restrict_and_refit)
 from .cocycle import (CHOptions, CascadeRow, Cocycle, MultilevelSplit, RaySpec,
-                      asymptotic_coefficients, cauchy_heine_many, cauchy_heine_psi,
-                      ladder_bound_constant, ladder_jump, multilevel_split,
-                      overlap_rays, verify_difference_realization)
+                      cauchy_heine_many, ladder_jump, multilevel_split,
+                      verify_difference_realization)
 from .equation import (CoefficientSeries, EquationSpec, EquationTerm,
-                       HypothesesReport, apply_equation_operator,
-                       assemble_coefficients, default_series, default_spec,
+                       HypothesesReport, apply_equation_operator, default_spec,
                        manufactured_problem, residual_sweep, validate_hypotheses)
 from .fourier import (DecayProfile, HorizontalStrip, InverseFourierResult,
                       complex_quad, inverse_fourier, make_symbol)
-from .frames import QFrame, make_qframe
-from .geometry import (GoodCovering, Sector, associate_family, direction_admissible,
+from .frames import QFrame
+from .geometry import (GoodCovering, Sector, associate_family,
                        geometry_scenario_from_dict, geometry_scenario_to_dict,
                        make_cyclic_covering, validate_good_covering, wrap_angle)
 from .model import (ModelScenario, TheoremReport, consecutive_difference,
                     default_scenario, difference_cascade, difference_remainder_table,
                     fit_rate, verify_rate_dichotomy, verify_two_level_theorem)
-from .qlaplace import (GrowthCertificate, QLaplaceResult, QLaplaceSpec,
-                       monomial_image_constant, qlaplace, verify_laplace_link)
-from .schemas import load_schema, validate_payload
+from .qlaplace import GrowthCertificate, QLaplaceResult, QLaplaceSpec, qlaplace
+from .schemas import validate_payload
 from .theta import (ThetaSpec, calibrate_theta_constant, spec_for_annulus,
                     spiral_admissible, theta_eval_scaled, theta_lower_bound,
                     theta_qdiff_residual)
@@ -48,20 +44,17 @@ __all__ = [
     "GrowthCertificate", "HorizontalStrip", "HypothesesReport",
     "InverseFourierResult", "ModelScenario", "MultilevelSplit", "QFrame",
     "QLaplaceResult", "QLaplaceSpec", "RaySpec", "RemainderRow", "RemainderTable",
-    "Sector", "SequentialBound", "TheoremReport", "ThetaSpec",
-    "apply_equation_operator", "assemble_coefficients", "associate_family",
-    "asymptotic_coefficients", "calibrate_theta_constant", "cauchy_heine_many",
-    "cauchy_heine_psi", "complex_quad", "consecutive_difference",
-    "default_scenario", "default_series", "default_spec", "difference_cascade",
-    "difference_remainder_table", "direction_admissible", "fit_q_gevrey",
-    "fit_rate", "fit_zero_gevrey_relative", "functional_to_sequential",
+    "Sector", "TheoremReport", "ThetaSpec", "apply_equation_operator",
+    "associate_family", "calibrate_theta_constant", "cauchy_heine_many",
+    "complex_quad", "consecutive_difference", "default_scenario",
+    "default_spec", "difference_cascade", "difference_remainder_table",
+    "fit_q_gevrey", "fit_rate", "fit_zero_gevrey_relative",
     "geometry_scenario_from_dict", "geometry_scenario_to_dict",
-    "inverse_fourier", "ladder_bound_constant", "ladder_jump", "load_schema",
-    "make_cyclic_covering", "make_qframe", "make_symbol", "manufactured_problem",
-    "monomial_image_constant", "multilevel_split", "overlap_rays", "qlaplace",
-    "remainders", "residual_sweep", "restrict_and_refit", "spec_for_annulus",
+    "inverse_fourier", "ladder_jump", "make_cyclic_covering", "make_symbol",
+    "manufactured_problem", "multilevel_split", "qlaplace",
+    "residual_sweep", "restrict_and_refit", "spec_for_annulus",
     "spiral_admissible", "theta_eval_scaled", "theta_lower_bound",
     "theta_qdiff_residual", "validate_good_covering", "validate_hypotheses",
-    "validate_payload", "verify_difference_realization", "verify_laplace_link",
+    "validate_payload", "verify_difference_realization",
     "verify_rate_dichotomy", "verify_two_level_theorem", "wrap_angle",
 ]

@@ -32,18 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import ladder_radius, seq_bound_from_log_bound
+from .frames import ladder_radius
 from .schemas import Record
 
 NORM_FLOOR = 1e-300
-
-
-def value_norm(v) -> float:
-    """Norm of a table value: |.| for scalars, sup of |.| over a grid."""
-    a = np.asarray(v)
-    if a.shape == ():
-        return float(abs(complex(a)))
-    return float(np.max(np.abs(a)))
 
 
 @dataclass(frozen=True)
@@ -87,36 +79,15 @@ class RemainderTable:
             for row in reader:
                 if not row:
                     continue
+                if len(row) < 6:
+                    raise ValueError(f"{path}, line {reader.line_num}: need 6 "
+                                     f"columns, got {len(row)}")
                 t = None
                 if row[3].strip() != "" and row[4].strip() != "":
                     t = complex(float(row[3]), float(row[4]))
                 table.add(int(row[0]), complex(float(row[1]), float(row[2])),
                           float(row[5]), t)
         return table
-
-
-def remainders(fn, coeffs, probes, with_t: bool = False) -> RemainderTable:
-    """Build a remainder table  || fn - sum_{p<=N} coeff_p eps^p ||.
-
-    fn and coeff_p are callables; with_t selects the two-variable form
-    fn(t, eps), coeff_p(t).  Values may be scalars or arrays (sup norm).
-    Probes are (N, eps) or (N, eps, t) tuples.
-    """
-    table = RemainderTable()
-    for probe in probes:
-        if with_t:
-            N, eps, t = probe
-            acc = np.asarray(fn(t, eps), dtype=complex).copy()
-            for p in range(N + 1):
-                acc -= np.asarray(coeffs[p](t), dtype=complex) * eps ** p
-            table.add(N, eps, value_norm(acc), t)
-        else:
-            N, eps = probe[0], probe[1]
-            acc = np.asarray(fn(eps), dtype=complex).copy()
-            for p in range(N + 1):
-                acc -= np.asarray(coeffs[p], dtype=complex) * eps ** p
-            table.add(N, eps, value_norm(acc))
-    return table
 
 
 @dataclass
@@ -245,57 +216,3 @@ def restrict_and_refit(table: RemainderTable, q: float, k_from: float,
     sub = RemainderTable(rows=kept)
     fit_to = fit_zero_gevrey_relative(sub, q, k_to)
     return fit_from, fit_to, sub
-
-
-# --- functional -> sequential conversion ------------------------------------
-
-@dataclass(frozen=True)
-class SequentialBound:
-    """Family bound_N(x) = C H^N q^{N^2/(2k)} x^N derived from a functional
-    log-Gaussian bound K exp(-(k/2) log^2 x/log q) x^gamma.
-
-    On |t| <= q^{-N/(2k)} the mixed form in x = |eps t| collapses to
-    C H^N |eps|^N (restricted_bound)."""
-
-    K: float
-    gamma: float
-    q: float
-    k: float
-
-    @property
-    def C(self) -> float:
-        return self.K * self.q ** (self.gamma ** 2 / (2.0 * self.k))
-
-    @property
-    def H(self) -> float:
-        return self.q ** (-self.gamma / self.k)
-
-    def quad_factor(self, N: int) -> float:
-        return self.q ** (N * N / (2.0 * self.k))
-
-    def row(self, N: int) -> tuple[float, float, float]:
-        return self.C, self.H ** N, self.quad_factor(N)
-
-    def bound(self, N: int, abs_et: float) -> float:
-        return self.C * self.H ** N * self.quad_factor(N) * abs_et ** N
-
-    def restricted_bound(self, N: int, abs_eps: float) -> float:
-        return self.C * self.H ** N * abs_eps ** N
-
-    def table(self, N_max: int) -> list[tuple[int, float, float, float]]:
-        return [(N, *self.row(N)) for N in range(N_max + 1)]
-
-
-def functional_to_sequential(K: float, gamma: float, q: float,
-                             k: float) -> SequentialBound:
-    """Package the conversion; the N-th constant triple is exactly
-    seq_bound_from_log_bound scaled by K."""
-    if not (K > 0 and q > 1 and k > 0):
-        raise ValueError("need K > 0, q > 1, k > 0")
-    sb = SequentialBound(K=K, gamma=gamma, q=q, k=k)
-    # consistency with the scalar lemma, cheap self-check
-    probe = sb.bound(3, 1.0)
-    lemma = K * seq_bound_from_log_bound(q, k, gamma, 3)
-    if not math.isclose(probe, lemma, rel_tol=1e-12):
-        raise AssertionError("sequential constants disagree with the scalar lemma")
-    return sb

@@ -116,16 +116,6 @@ def classify_levels(covering: GoodCovering, inner_sectors: Sequence) -> tuple:
     return tuple(out)
 
 
-def level_filter(cocycle: Cocycle, level: int) -> Cocycle:
-    """Sub-cocycle keeping only the jumps declared at the given level."""
-    if cocycle.levels is None:
-        raise ValueError("cocycle has no declared levels")
-    deltas = tuple(d if lv == level else None
-                   for d, lv in zip(cocycle.deltas, cocycle.levels))
-    return Cocycle(covering=cocycle.covering, deltas=deltas,
-                   levels=cocycle.levels)
-
-
 @dataclass(frozen=True)
 class CHOptions:
     tol: float = 1e-10
@@ -200,13 +190,6 @@ def cauchy_heine_many(cocycle: Cocycle, t, eps: np.ndarray,
                 out[i] += complex(np.asarray(
                     cocycle.jump(pm, t, eps[i])).reshape(()))
     return out
-
-
-def cauchy_heine_psi(cocycle: Cocycle, t, eps: complex, p: int,
-                     opts: CHOptions | None = None) -> complex:
-    """Psi_p(t, eps) for a single point in sector p."""
-    val = cauchy_heine_many(cocycle, t, np.array([eps]), np.array([p]), opts)
-    return complex(val[0])
 
 
 def asymptotic_coefficients(cocycle: Cocycle, t, n_max: int,
@@ -306,13 +289,6 @@ class MultilevelSplit:
     realization: list            # JumpCheck rows
     max_realization_err: float
 
-    def glued_values(self) -> list:
-        out = []
-        for _, eps, per_sector in self.probes:
-            vals = list(per_sector.values())
-            out.append((eps, sum(vals) / len(vals)))
-        return out
-
 
 def _probe_angles(cov: GoodCovering) -> np.ndarray:
     """Mid-sector angles plus both flanks of every overlap (off the cuts),
@@ -337,6 +313,8 @@ def multilevel_split(G: Sequence[Callable], slow: Cocycle, fast: Cocycle,
     should sit at quadrature accuracy, and max|a| should stay of one
     size across the shrinking circles.
     """
+    if j_max < 0:
+        raise ValueError(f"j_max must be >= 0 (no probes otherwise), got {j_max}")
     opts = opts or CHOptions()
     cov = slow.covering
     rays = slow.rays
@@ -421,9 +399,3 @@ def ladder_jump(q: float, k: float, A: float, cut_direction: float,
         return np.where(ax == 0.0, 0.0, out)
 
     return delta
-
-
-def ladder_bound_constant(q: float, k: float, t_arg_max: float = math.pi,
-                          xi_arg_max: float = math.pi) -> float:
-    """Constant C with |ladder jump| <= C (A|xi|)^N on |t| <= q^{-N/(2k)}."""
-    return math.exp(2.0 * k / math.log(q) * t_arg_max * xi_arg_max)

@@ -129,9 +129,6 @@ class HypothesesReport(Record):
     def ok(self) -> bool:
         return self.structure_ok and self.spectral_ok
 
-    def failures(self) -> list:
-        return [c for c in self.structure + self.spectral if not c.ok]
-
     def to_dict(self) -> dict:
         return {**super().to_dict(), "ok": self.ok}
 

@@ -9,15 +9,13 @@ so that kappa > k1 and the splitting identity
 
     -k2 + k2^2/(kappa + k2) = -k1
 
-holds exactly.  Two scalar facts used throughout:
+holds exactly.  One scalar fact is used throughout:
 
-* sup_{x>0} x^{gamma-N} exp(-(k/2) log^2(x)/log q)
+    sup_{x>0} x^{gamma-N} exp(-(k/2) log^2(x)/log q)
       = q^{gamma^2/(2k)} (q^{-gamma/k})^N q^{N^2/(2k)},
-  which converts a log-Gaussian functional bound into a sequence of
-  geometric-in-N bounds, and
 
-* H(x) = x^{m1} exp(-m2 log^2 x) attains its maximum at
-  x0 = exp(m1/(2 m2)) with H(x0) = exp(m1^2/(4 m2)).
+which converts a log-Gaussian functional bound into a sequence of
+geometric-in-N bounds.
 """
 
 from __future__ import annotations
@@ -65,13 +63,6 @@ class QFrame(Record):
         raise ValueError(f"level index must be 1 or 2, got {j}")
 
 
-
-def make_qframe(q: float, k1: float, k2: float,
-                epsilon0: float = 0.4, rT: float = 0.4) -> QFrame:
-    """Validated constructor for QFrame."""
-    return QFrame(q=q, k1=k1, k2=k2, epsilon0=epsilon0, rT=rT)
-
-
 def ladder_radius(q: float, k: float, N: int | float) -> float:
     """r_N = q^{-N/(2k)}, the radius of the level-k shrinking disc on
     which the order-N bound is claimed; strictly decreasing in N, -> 0."""
@@ -102,15 +93,3 @@ def seq_bound_from_log_bound(q: float, k: float, gamma: float, N: int) -> float:
     lq = math.log(q)
     expo = (gamma * gamma / (2.0 * k) - gamma * N / k + N * N / (2.0 * k)) * lq
     return math.exp(expo)
-
-
-def log_gaussian_max(m1: float, m2: float) -> tuple[float, float]:
-    """Maximizer and maximum of H(x) = x^{m1} exp(-m2 log^2 x) on x > 0.
-
-    Returns (x0, H(x0)) = (exp(m1/(2 m2)), exp(m1^2/(4 m2))).  m2 must be
-    positive, otherwise H is unbounded.
-    """
-    _require(m2 > 0.0, f"m2 must be > 0 for a finite maximum, got {m2}")
-    x0 = math.exp(m1 / (2.0 * m2))
-    hmax = math.exp(m1 * m1 / (4.0 * m2))
-    return x0, hmax

@@ -1,4 +1,4 @@
-"""Sector geometry: good coverings, q-spiral domains, root admissibility.
+"""Sector geometry: good coverings and q-spiral domains.
 
 A good covering is a cyclic family of open sectors E_0..E_{n-1} with a
 common vertex at 0 such that consecutive sectors (indices mod n)
@@ -12,23 +12,13 @@ The q-spiral domain attached to a direction d and threshold dlt is
 Writing theta = wrap(d - arg T), the infimum over r is 1 when
 cos(theta) >= 0 and |sin(theta)| otherwise, which gives a closed-form
 membership test.  Its bounded version intersects with a disc.
-
-Root layouts: for a polynomial pair (Q, R_D) and integers d_D >= 1, the
-auxiliary polynomial in tau attached to a Fourier point m has roots
-located explicitly: the d_D-th roots of
-
-    [Q(im)/R_D(im)] * (q^{1/k})^{ (d_D+k)(d_D+k-1)/2 - k(k-1)/2 }.
-
-A direction is admissible when every sampled point tau of its test
-domain keeps |tau - root| >= M1 (1+|tau|) and >= M2 |root| for all
-roots over the m-grid.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -203,6 +193,8 @@ def validate_good_covering(cov: GoodCovering) -> CoveringReport:
 def make_cyclic_covering(n: int, radius: float, half_opening: float,
                          phase: float = 0.0) -> GoodCovering:
     """Equispaced bisectors; good iff pi/n < half_opening < 2*pi/n (strictly)."""
+    if n < 2:
+        raise ValueError(f"a cyclic covering needs n >= 2 sectors, got {n}")
     step = TWO_PI / n
     if not (step < 2 * half_opening < 2 * step):
         raise ValueError("half_opening incompatible with a good covering: need "
@@ -251,15 +243,8 @@ class QSpiralDomain:
             return False
         return qspiral_membership(self.d, self.dlt, T)
 
-    def infimum(self, T: complex) -> float:
-        return qspiral_infimum(self.d, T)
 
-    def bounded(self, radius: float) -> "QSpiralDomain":
-        return QSpiralDomain(d=self.d, dlt=self.dlt,
-                             radius=min(self.radius, radius))
-
-
-# --- explicit root layouts and admissibility --------------------------------
+# --- Fourier-grid helpers ---------------------------------------------------
 
 def polyval_im(coeffs, m) -> np.ndarray:
     """Evaluate the polynomial with ascending coefficients at x = i*m."""
@@ -267,120 +252,11 @@ def polyval_im(coeffs, m) -> np.ndarray:
                                             np.asarray(coeffs, dtype=complex))
 
 
-@dataclass(frozen=True)
-class RootConfig:
-    """Data needed to locate the roots attached to one operator level.
-
-    Q, RD: ascending coefficient lists; d_D >= 1 dilation power; k the
-    Gevrey level; q the base.  M1, M2 are the admissibility margins, and
-    m_grid the Fourier grid the layout is examined on.
-    """
-
-    Q: tuple[float, ...]
-    RD: tuple[float, ...]
-    d_D: int
-    k: float
-    q: float
-    M1: float = 0.05
-    M2: float = 0.05
-    m_grid: tuple[float, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        if self.d_D < 1:
-            raise ValueError("d_D must be >= 1")
-        if not (self.q > 1 and self.k > 0):
-            raise ValueError("need q > 1 and k > 0")
-
-    def default_m_grid(self) -> np.ndarray:
-        if self.m_grid is not None and len(self.m_grid):
-            return np.asarray(self.m_grid, dtype=float)
-        return default_m_grid()
-
-
 def default_m_grid() -> np.ndarray:
     """257 points on [-20, 20], denser near 0 (the odd count keeps 0)."""
     t = np.linspace(0.0, 1.0, 129)
     pos = 20.0 * np.sinh(3.0 * t) / math.sinh(3.0)
     return np.concatenate([-pos[::-1][:-1], pos])
-
-
-def roots_of_P(cfg: RootConfig, m: float) -> np.ndarray:
-    """The d_D roots of the tau-polynomial at Fourier point m, sorted by
-    principal argument (ties by modulus).
-
-    They are the d_D-th roots of
-        [Q(im)/RD(im)] * (q^{1/k})^{ (d_D+k)(d_D+k-1)/2 - k(k-1)/2 }.
-    """
-    qnum = complex(polyval_im(cfg.Q, m))
-    rden = complex(polyval_im(cfg.RD, m))
-    if rden == 0:
-        raise ZeroDivisionError(f"RD(im) vanishes at m={m}")
-    expo = ((cfg.d_D + cfg.k) * (cfg.d_D + cfg.k - 1) / 2.0
-            - cfg.k * (cfg.k - 1) / 2.0) / cfg.k
-    target = qnum / rden * cfg.q ** expo
-    if target == 0:
-        return np.zeros(cfg.d_D, dtype=complex)
-    rho = abs(target) ** (1.0 / cfg.d_D)
-    base = cmath.phase(target) / cfg.d_D
-    roots = np.array([rho * cmath.exp(1j * (base + TWO_PI * j / cfg.d_D))
-                      for j in range(cfg.d_D)])
-    order = np.lexsort((np.abs(roots), np.angle(roots)))
-    return roots[order]
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    ok: bool
-    M1_est: float
-    M2_est: float
-    M1_required: float
-    M2_required: float
-    worst_tau: complex
-    worst_root: complex
-    n_tau: int
-    n_m: int
-
-
-def direction_admissible(cfg: RootConfig, domain: Sector,
-                         include_disc_radius: float | None = None
-                         ) -> AdmissibilityReport:
-    """Estimate the admissibility margins of a candidate direction.
-
-    The test domain is sampled (a 40 x 15 sector cloud, optionally union
-    a disc of given radius for the level-one variant) and
-
-        M1_est = min |tau - root| / (1 + |tau|),
-        M2_est = min |tau - root| / |root|
-
-    are taken over all sampled tau, grid m and roots.  ok requires both
-    estimates to clear the configured margins.
-    """
-    taus = domain.sample_points(n_radial=40, n_angular=15)
-    if include_disc_radius is not None and include_disc_radius > 0:
-        radii = np.linspace(include_disc_radius / 12, include_disc_radius, 12)
-        angles = np.linspace(-math.pi, math.pi, 24, endpoint=False)
-        taus = np.concatenate([taus, np.multiply.outer(radii,
-                                                       np.exp(1j * angles)).ravel()])
-    m_grid = cfg.default_m_grid()
-    all_roots = np.concatenate([roots_of_P(cfg, m) for m in m_grid])
-    nonzero = all_roots[np.abs(all_roots) > 0]
-
-    dist = np.abs(taus[:, None] - all_roots[None, :])
-    r1 = dist / (1.0 + np.abs(taus))[:, None]
-    i1 = np.unravel_index(int(np.argmin(r1)), r1.shape)
-    m1_est = float(r1[i1])
-    worst_tau, worst_root = complex(taus[i1[0]]), complex(all_roots[i1[1]])
-    if len(nonzero):
-        dist2 = np.abs(taus[:, None] - nonzero[None, :]) / np.abs(nonzero)[None, :]
-        i2 = np.unravel_index(int(np.argmin(dist2)), dist2.shape)
-        m2_est = float(dist2[i2])
-    else:
-        m2_est = math.inf
-    ok = (m1_est >= cfg.M1) and (m2_est >= cfg.M2)
-    return AdmissibilityReport(ok=ok, M1_est=m1_est, M2_est=m2_est,
-                               M1_required=cfg.M1, M2_required=cfg.M2,
-                               worst_tau=worst_tau, worst_root=worst_root,
-                               n_tau=len(taus), n_m=len(m_grid))
 
 
 # --- pairing of covering sectors with spiral domains ------------------------

@@ -44,8 +44,7 @@ import numpy as np
 from .asymptotics import (GevreyFit, RemainderTable, fit_zero_gevrey_relative,
                           restrict_and_refit)
 from .cocycle import classify_levels
-from .fourier import DecayProfile, inverse_fourier
-from .frames import QFrame, ladder_radius, make_qframe
+from .frames import QFrame, ladder_radius
 from .geometry import GoodCovering, Sector, make_cyclic_covering, wrap_angle
 from .qlaplace import log_contour_transform
 from .schemas import Record
@@ -84,9 +83,6 @@ class ModelScenario(Record):
     kernel_amp: complex
     drift: float
     poles: tuple[PoleSpec, ...]
-    mu: float
-    beta: float
-    t_bisector: float = -math.pi / 4
 
     def __post_init__(self) -> None:
         n = self.covering.n
@@ -147,7 +143,7 @@ def default_scenario() -> ModelScenario:
     """Four sectors; one shared branch over the first three directions
     (two fast overlaps through two poles), a second branch on the last
     (two slow overlaps through the branch discrepancy)."""
-    frame = make_qframe(q=2.0, k1=1.0, k2=2.0, epsilon0=0.4, rT=0.9)
+    frame = QFrame(q=2.0, k1=1.0, k2=2.0, epsilon0=0.4, rT=0.9)
     cov = make_cyclic_covering(4, radius=0.4,
                                half_opening=math.radians(60.0),
                                phase=math.radians(45.0))
@@ -164,7 +160,7 @@ def default_scenario() -> ModelScenario:
                          u_half_widths=(math.radians(50.0),) * 3
                                        + (math.radians(30.0),),
                          rho=0.8, kernel_amp=1.0 + 0.0j, drift=1.0,
-                         poles=poles, mu=4.0, beta=1.0)
+                         poles=poles)
 
 
 # --- kernel ------------------------------------------------------------------
@@ -204,15 +200,6 @@ def kernel_jump_shape(scn: ModelScenario, p: int, u):
     if scn.branch_centers[(p + 1) % scn.n] == scn.branch_centers[p % scn.n]:
         return np.zeros_like(np.asarray(u, dtype=complex))
     return gaussian_branch_part(scn, p + 1, u) - gaussian_branch_part(scn, p, u)
-
-
-def m_profile(scn: ModelScenario, m):
-    am = np.abs(np.asarray(m, dtype=float))
-    return (1.0 + am) ** (-scn.mu) * np.exp(-scn.beta * am)
-
-
-def kernel(scn: ModelScenario, p: int, u, m):
-    return kernel_shape(scn, p, u) * m_profile(scn, m)
 
 
 # --- quadrature pieces --------------------------------------------------------
@@ -314,6 +301,11 @@ class DiffPieces:
         return sum(self.pieces.values())
 
 
+def _check_overlap(scn: ModelScenario, p: int) -> None:
+    if not 0 <= p < scn.n:
+        raise ValueError(f"overlap index must lie in [0, {scn.n}), got {p}")
+
+
 def consecutive_difference(scn: ModelScenario, p: int, T: complex,
                            route: str = "decomposed", tol: float = 1e-11):
     """U_{p+1}(T) - U_p(T) on overlap p.
@@ -323,6 +315,7 @@ def consecutive_difference(scn: ModelScenario, p: int, T: complex,
     the complex difference of two full-ray transforms (loses one digit
     per fast-level Gaussian factor, shallow use only).
     """
+    _check_overlap(scn, p)
     if route == "direct":
         return (laplace_transform_shape(scn, p + 1, T, tol)
                 - laplace_transform_shape(scn, p, T, tol))
@@ -347,58 +340,18 @@ def consecutive_difference(scn: ModelScenario, p: int, T: complex,
                       oracle=oracle)
 
 
-def _full_ray(scn: ModelScenario, p: int, T: complex, tol: float,
-              shape) -> complex:
-    """(k2/lq) int shape(u) invTheta(u/T) du/u along the ray d_p, on the
-    window of the full-ray transform."""
+def laplace_transform_shape(scn: ModelScenario, p: int, T: complex,
+                            tol: float = 1e-12) -> complex:
+    """U_p(T): (k2/lq) int shape_p(u) invTheta(u/T) du/u along the ray
+    d_p, the full-ray fast-level transform of the sector kernel."""
     fr = scn.frame
     lq = math.log(fr.q)
     L = math.log(abs(T))
     half = math.sqrt(2.0 * lq * _budget(tol) / fr.k2) + 2.0
     s_lo = L - half
     s_hi = max(L + half, math.log(scn.rho) + half)
-    return _laplace_ray(scn, shape, scn.directions[p % scn.n], T, s_lo, s_hi,
-                        tol)
-
-
-def laplace_transform_shape(scn: ModelScenario, p: int, T: complex,
-                            tol: float = 1e-12) -> complex:
-    """U_p(T): full-ray fast-level transform of the sector kernel."""
-    return _full_ray(scn, p, T, tol, lambda u: kernel_shape(scn, p, u))
-
-
-def assemble_solution(scn: ModelScenario, p: int, t: complex, z: complex,
-                      eps: complex, method: str = "factored",
-                      tol: float = 1e-10) -> complex:
-    """u_p(t, z, eps): inverse Fourier transform in m of the directional
-    transform of kernel(u, m) at T = eps t.
-
-    method="factored" exploits that the kernel separates into
-    shape(u) * profile(m); method="nested" re-evaluates the u-integral
-    of kernel(u, m), on the same ray and window, inside the
-    m-quadrature without using separability (slow; serves as a
-    cross-check of the nested path).
-    """
-    T = eps * t
-    prof = DecayProfile(C=1.0, mu=scn.mu, beta=scn.beta)
-    if method == "factored":
-        U = laplace_transform_shape(scn, p, T, tol)
-        base = inverse_fourier(lambda m: m_profile(scn, m), z, prof, tol=tol)
-        return U * base.value
-    if method != "nested":
-        raise ValueError("method must be factored|nested")
-    U0 = laplace_transform_shape(scn, p, T, tol)
-    prof_sym = DecayProfile(C=max(abs(U0), 1e-300) * 4.0, mu=scn.mu,
-                            beta=scn.beta)
-
-    def symbol(m):
-        m_arr = np.atleast_1d(np.asarray(m, dtype=float))
-        vals = np.array([_full_ray(scn, p, T, tol,
-                                   lambda u, mi=mi: kernel(scn, p, u, mi))
-                         for mi in m_arr], dtype=complex)
-        return vals if np.ndim(m) else complex(vals[0])
-
-    return inverse_fourier(symbol, z, prof_sym, tol=tol).value
+    return _laplace_ray(scn, lambda u: kernel_shape(scn, p, u),
+                        scn.directions[p % scn.n], T, s_lo, s_hi, tol)
 
 
 # --- cascades, tables, rate fits ----------------------------------------------
@@ -421,6 +374,7 @@ def difference_cascade(scn: ModelScenario, p: int, js: Sequence[int],
                        route: str = "decomposed", tol: float = 1e-11
                        ) -> DiffTable:
     """||U_{p+1} - U_p|| along |T| = 2^-j on the overlap mid-direction."""
+    _check_overlap(scn, p)
     level = scn.levels()[p]
     rows = []
     for j in js:

@@ -235,42 +235,3 @@ def monomial_ratio_law(q: float, k: float, n: int) -> float:
     """q^{(n-1)/k}: the exact ratio c_{n,k}/c_{n-1,k} forced by the theta
     q-difference equation."""
     return q ** ((n - 1) / k)
-
-
-# --- kernel link ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinkProbe:
-    tau: complex
-    m: float
-    eps: complex
-
-
-@dataclass
-class LinkReport:
-    ok: bool
-    max_rel_err: float
-    per_probe: list
-
-
-def verify_laplace_link(q: float, kappa: float, direction: float,
-                        w_inner: Callable[[complex, float, complex], complex],
-                        w_outer: Callable[[complex, float, complex], complex],
-                        probes: list[LinkProbe], cert: GrowthCertificate,
-                        tol: float = 1e-8) -> LinkReport:
-    """Check w_outer(tau, m, eps) = (L_{q;1/kappa}^d w_inner(., m, eps))(tau)
-    at finitely many probes.
-
-    Relative error is measured against max(|lhs|, |rhs|, 1e-30)."""
-    spec = QLaplaceSpec(q=q, k=kappa, direction=direction, tol=1e-13)
-    rows = []
-    worst = 0.0
-    for pr in probes:
-        lhs = qlaplace(spec, lambda u: w_inner(u, pr.m, pr.eps), pr.tau, cert,
-                       enforce_domain=False).value
-        rhs = complex(w_outer(pr.tau, pr.m, pr.eps))
-        rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
-        worst = max(worst, rel)
-        rows.append({"tau": repr(pr.tau), "m": pr.m, "eps": repr(pr.eps),
-                     "rel_err": rel})
-    return LinkReport(ok=worst <= tol, max_rel_err=worst, per_probe=rows)

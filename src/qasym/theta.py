@@ -132,30 +132,42 @@ def theta_qdiff_residual(spec: ThetaSpec, z: complex, m: int) -> float:
     return abs(lhs - rhs) / denom
 
 
-def spiral_clearance(q: float, k: float, z: complex) -> float:
-    """inf over m in Z of |1 + z q^{m/k}|.
+def spiral_clearance(q: float, k: float, z):
+    """inf over m in Z of |1 + z q^{m/k}|, for scalar or array z.
 
     Only finitely many m can bring z q^{m/k} near -1; outside the window
     |z q^{m/k}| in [1/8, 8] the distance to -1 is at least 7/8 from
     below and 7 from above, so the window minimum together with those
     floors is the exact infimum for any threshold < 7/8 and a correct
-    lower bound in general.
+    lower bound in general.  An array shares one window spanning all its
+    moduli, kept as a running minimum over m (memory O(size of z)): the
+    m it adds for a point lie outside that point's own window, where the
+    distance already exceeds the 7/8 floor.
     """
-    az = abs(z)
-    if az == 0:
+    z = np.asarray(z, dtype=complex)
+    if z.ndim:
+        az = np.abs(z)
+        r_lo, r_hi = float(az.min()), float(az.max())
+    else:
+        r_lo = r_hi = abs(complex(z))
+    if r_lo == 0:
         raise ValueError("z must be nonzero")
     lq = math.log(q)
-    m_lo = int(math.floor(k * (math.log(0.125) - math.log(az)) / lq)) - 1
-    m_hi = int(math.ceil(k * (math.log(8.0) - math.log(az)) / lq)) + 1
-    m = np.arange(m_lo, m_hi + 1)
-    w = z * np.exp(m * lq / k)
-    window_min = float(np.min(np.abs(1.0 + w)))
-    return min(window_min, 0.875)
+    m_lo = int(math.floor(k * (math.log(0.125) - math.log(r_hi)) / lq)) - 1
+    m_hi = int(math.ceil(k * (math.log(8.0) - math.log(r_lo)) / lq)) + 1
+    scales = np.exp(np.arange(m_lo, m_hi + 1) * lq / k)
+    if not z.ndim:
+        return min(float(np.min(np.abs(1.0 + z * scales))), 0.875)
+    out = np.full(z.shape, 0.875)
+    for scale in scales:
+        np.minimum(out, np.abs(1.0 + z * scale), out=out)
+    return out
 
 
-def spiral_admissible(q: float, k: float, z: complex, dlt: float) -> bool:
+def spiral_admissible(q: float, k: float, z, dlt: float):
     """Whether z keeps distance > dlt from the zero spiral in the
-    normalized sense inf_m |1 + z q^{m/k}| > dlt.  Exact for dlt < 7/8."""
+    normalized sense inf_m |1 + z q^{m/k}| > dlt, for scalar or array z.
+    Exact for dlt < 7/8."""
     if not 0 < dlt < 0.875:
         raise ValueError(f"dlt must lie in (0, 0.875), got {dlt}")
     return spiral_clearance(q, k, z) > dlt
@@ -214,8 +226,7 @@ def calibrate_theta_constant(spec: ThetaSpec, dlt: float = 0.3) -> ThetaSpec:
     if extra:
         zs = np.concatenate([zs, np.asarray(extra)])
 
-    ok = np.array([spiral_admissible(q, k, z, dlt) for z in zs])
-    zs = zs[ok]
+    zs = zs[spiral_admissible(q, k, zs, dlt)]
     ratios = np.exp(_log_abs_theta(spec, zs)
                     - np.log(dlt * lower_envelope(q, k, zs)))
     c = 0.9 * float(np.min(ratios))

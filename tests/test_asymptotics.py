@@ -1,17 +1,8 @@
-import cmath
-import math
-
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from qasym.asymptotics import (NORM_FLOOR, RemainderTable,
-                               SequentialBound, fit_q_gevrey,
-                               fit_zero_gevrey_relative, functional_to_sequential,
-                               remainders, restrict_and_refit,
-                               seq_bound_from_log_bound)
-from qasym.frames import ladder_radius, log_gaussian_power
+from qasym.asymptotics import (RemainderTable, fit_q_gevrey,
+                               fit_zero_gevrey_relative, restrict_and_refit)
+from qasym.frames import ladder_radius
 
 
 def planted_table(C, A, q, k, n_max=8, eps_mods=(0.05, 0.1, 0.2, 0.3),
@@ -130,56 +121,7 @@ class TestRestriction:
             restrict_and_refit(table, q, 2.0, 1.0)
 
 
-class TestSequentialBound:
-    def test_constants_match_scalar_lemma(self):
-        K, gamma, q, k = 1.7, 1.2, 2.0, 1.0
-        sb = functional_to_sequential(K, gamma, q, k)
-        for N in range(8):
-            # oracle: K times the closed-form supremum
-            assert sb.bound(N, 1.0) == pytest.approx(
-                K * seq_bound_from_log_bound(q, k, gamma, N), rel=1e-12)
-
-    @given(st.floats(1.2, 3.0), st.floats(0.5, 4.0), st.floats(-3.0, 3.0),
-           st.integers(0, 12), st.floats(1e-3, 1.0))
-    def test_bound_dominates_functional_form(self, q, k, gamma, N, x):
-        sb = SequentialBound(K=1.0, gamma=gamma, q=q, k=k)
-        assert log_gaussian_power(q, k, gamma, N, x) * x ** N \
-            <= sb.bound(N, x) * (1 + 1e-9) + 1e-300
-
-    def test_restricted_bound_drops_quadratic_factor(self):
-        sb = SequentialBound(K=2.0, gamma=1.0, q=2.0, k=1.0)
-        N, ae = 5, 0.3
-        assert sb.restricted_bound(N, ae) \
-            == pytest.approx(sb.bound(N, ae) / sb.quad_factor(N), rel=1e-12)
-
-
 class TestRemainders:
-    def test_geometric_series_closed_form(self):
-        # f(eps) = 1/(1 - a eps), coeffs a^n, remainder (a eps)^{N+1} f(eps)
-        a = 1.7
-        f = lambda eps: 1.0 / (1.0 - a * eps)
-        coeffs = [a ** n for n in range(7)]
-        probes = [(N, eps) for N in range(6)
-                  for eps in (0.1, 0.2, 0.1 * cmath.exp(0.5j))]
-        table = remainders(f, coeffs, probes)
-        for row in table.rows:
-            exact = abs((a * row.eps) ** (row.N + 1) / (1.0 - a * row.eps))
-            assert row.norm == pytest.approx(exact, rel=1e-12)
-
-    def test_remainders_with_t_dependence(self):
-        a = 0.9
-        fn = lambda eps, t: 1.0 / (1.0 - a * eps * t)
-        coeffs = [lambda eps, t, n=n: (a * t) ** n * eps ** 0 for n in range(5)]
-        # pass coefficient values as functions of (eps, t) evaluated inside
-        probes = [(N, 0.2, 0.5) for N in range(4)]
-        table = remainders(lambda eps, t: fn(eps, t),
-                           [lambda t, n=n: (a * t) ** n for n in range(5)],
-                           probes, with_t=True)
-        for row in table.rows:
-            exact = abs((a * row.eps * row.t) ** (row.N + 1)
-                        / (1.0 - a * row.eps * row.t))
-            assert row.norm == pytest.approx(exact, rel=1e-12)
-
     def test_csv_round_trip(self, tmp_path):
         table = planted_table(2.0, 3.0, 2.0, 1.0, n_max=3,
                               with_t=lambda N: 0.3 + 0.1j)

@@ -289,6 +289,36 @@ class TestBadInputFiles:
             assert named in payload["error"]["message"]
 
 
+class TestBadArguments:
+    """Out-of-range values exit 2 with a JSON error instead of a traceback
+    or a result computed for some other value."""
+
+    CSV = "<csv>"
+
+    @pytest.mark.parametrize("argv, named", [
+        pytest.param(("diff", "--overlap", "7", "--j-max", "5"), "overlap",
+                     id="diff-overlap-past-last"),
+        pytest.param(("diff", "--overlap", "-1", "--j-max", "5"), "overlap",
+                     id="diff-overlap-negative"),
+        pytest.param(("geometry", "--n", "0"), "n >= 2", id="geometry-no-sectors"),
+        pytest.param(("fit", "--csv", CSV), "line 3", id="fit-short-csv-row"),
+        pytest.param(("split", "--j-max", "-1"), "j_max",
+                     id="split-no-probes"),
+    ])
+    def test_is_two_without_traceback(self, capsys, tmp_path, argv, named):
+        csv = tmp_path / "rows.csv"
+        csv.write_text("N,Re eps,Im eps,Re t,Im t,norm\n"
+                       "0,0.1,0.0,0.5,0.0,0.001\n"
+                       "1,0.1,0.0\n")
+        code = main([str(csv) if a == self.CSV else a for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "input"
+        assert named in error["message"]
+        assert "Traceback" not in captured.err
+
+
 class TestGoldenOutput:
     @pytest.mark.parametrize("argv, golden", [
         pytest.param(("hypotheses",), "hypotheses.json", id="hypotheses"),

@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 
 from helpers import cauchy_ray_direct, closed_jump
 from qasym.cocycle import (CHOptions, Cocycle, asymptotic_coefficients,
-                           cauchy_heine_many, cauchy_heine_psi,
-                           classify_levels, ladder_bound_constant,
-                           ladder_jump, level_filter, multilevel_split,
-                           overlap_rays, verify_difference_realization)
+                           cauchy_heine_many, classify_levels, ladder_jump,
+                           multilevel_split, overlap_rays,
+                           verify_difference_realization)
 from qasym.geometry import Sector, make_cyclic_covering
 
 Q, K1, K2, A = 2.0, 1.0, 2.0, 1.3
 TIGHT = CHOptions(tol=1e-12)
+
+
+def cauchy_heine_psi(coc, t, eps, p, opts):
+    return cauchy_heine_many(coc, t, [eps], [p], opts)[0]
 
 
 def four_sector_covering():
@@ -53,7 +56,7 @@ class TestLadderJump:
         k = K2
         amp = 0.8 - 0.1j
         delta = ladder_jump(Q, k, A, 0.3, amp)
-        C = ladder_bound_constant(Q, k, 0.8, math.pi)
+        C = math.exp(2.0 * k / math.log(Q) * 0.8 * math.pi)
         t = tfrac * Q ** (-N / (2.0 * k)) * cmath.exp(1j * targ)
         xi = r * cmath.exp(1j * (0.3 + dd))
         val = abs(complex(delta(t, xi)))
@@ -62,18 +65,13 @@ class TestLadderJump:
     def test_bound_needs_the_shrinking_disc(self):
         # |t| well outside the N-th disc: the (A|xi|)^N law genuinely fails
         delta = ladder_jump(Q, K1, A, 0.0, 1.0)
-        C = ladder_bound_constant(Q, K1, 0.0, math.pi)
+        C = math.exp(2.0 * K1 / math.log(Q) * 0.0 * math.pi)
         val = abs(complex(delta(0.9, 0.3)))
         assert val > C * (A * 0.3) ** 5
 
     def test_zero_at_origin(self):
         delta = ladder_jump(Q, K1, A, 0.0, 1.0)
         assert complex(delta(0.05, 0.0)) == 0.0
-
-    def test_bound_constant_formula(self):
-        assert ladder_bound_constant(2.0, 1.0, 0.0, math.pi) == 1.0
-        got = ladder_bound_constant(2.0, 2.0, 0.5, 1.0)
-        assert got == pytest.approx(math.exp(4.0 / math.log(2.0) * 0.5))
 
 
 class TestCauchyHeine:
@@ -241,25 +239,10 @@ class TestRealizationAndSplit:
             want = complex(np.asarray(entire(np.asarray([eps]))).reshape(1)[0])
             for p, got in per_sector.items():
                 assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
-        # glued mean agrees too, and cascade radii halve
-        for eps, val in split.glued_values():
-            want = complex(np.asarray(entire(np.asarray([eps]))).reshape(1)[0])
-            assert val == pytest.approx(want, rel=1e-8, abs=1e-10)
+        # cascade radii halve
         radii = [row.radius for row in split.cascade]
         assert radii[1] == pytest.approx(radii[0] / 2)
         assert radii[2] == pytest.approx(radii[0] / 4)
-
-    def test_level_filter_splits_declared_levels(self):
-        cov = four_sector_covering()
-        slow, fast = two_level_pair(cov)
-        only_slow = level_filter(slow, 1)
-        assert [only_slow.has_jump(p) for p in range(4)] \
-            == [False, True, False, True]
-        only_fast = level_filter(fast, 2)
-        assert [only_fast.has_jump(p) for p in range(4)] \
-            == [True, False, True, False]
-        with pytest.raises(ValueError):
-            level_filter(Cocycle(cov, deltas=(None,) * 4), 1)
 
 
 class TestGeometryHelpers:

@@ -5,45 +5,45 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qasym.frames import (QFrame, ladder_radius, log_gaussian_max, log_gaussian_power,
-                          make_qframe, seq_bound_from_log_bound)
+from qasym.frames import (QFrame, ladder_radius, log_gaussian_power,
+                          seq_bound_from_log_bound)
 
 
 class TestQFrame:
     def test_kappa_from_levels(self):
-        fr = make_qframe(2.0, 1.0, 2.0)
+        fr = QFrame(2.0, 1.0, 2.0)
         # oracle: 1/kappa = 1/k1 - 1/k2 done by hand
         assert fr.kappa == pytest.approx(1.0 / (1.0 / 1.0 - 1.0 / 2.0), rel=1e-15)
 
     @given(st.floats(1.1, 8.0), st.floats(1.0, 3.0), st.floats(0.05, 5.0))
     def test_splitting_identity(self, q, k1, dk):
         k2 = k1 + dk
-        fr = make_qframe(q, k1, k2)
+        fr = QFrame(q, k1, k2)
         # the exponent split the two-level theory rests on
         lhs = -k2 + k2 * k2 / (fr.kappa + k2)
         assert lhs == pytest.approx(-k1, rel=1e-12, abs=1e-12)
 
     @given(st.floats(1.1, 8.0), st.floats(1.0, 3.0), st.floats(0.05, 5.0))
     def test_kappa_exceeds_slow_level(self, q, k1, dk):
-        fr = make_qframe(q, k1, k1 + dk)
+        fr = QFrame(q, k1, k1 + dk)
         assert fr.kappa > fr.k1
 
     def test_rejects_sub_unit_slow_level(self):
         with pytest.raises(ValueError):
-            make_qframe(2.0, 0.5, 2.0)
+            QFrame(2.0, 0.5, 2.0)
 
     def test_rejects_bad_orderings(self):
         with pytest.raises(ValueError):
-            make_qframe(2.0, 2.0, 1.0)   # k1 must be < k2
+            QFrame(2.0, 2.0, 1.0)   # k1 must be < k2
         with pytest.raises(ValueError):
-            make_qframe(2.0, 1.0, 1.0)
+            QFrame(2.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            make_qframe(1.0, 1.0, 2.0)   # q must be > 1
+            QFrame(1.0, 1.0, 2.0)   # q must be > 1
         with pytest.raises(ValueError):
-            make_qframe(2.0, -1.0, 2.0)
+            QFrame(2.0, -1.0, 2.0)
 
     def test_round_trip(self):
-        fr = make_qframe(2.5, 1.2, 1.9, epsilon0=0.3, rT=0.6)
+        fr = QFrame(2.5, 1.2, 1.9, epsilon0=0.3, rT=0.6)
         back = QFrame.from_dict(json.loads(json.dumps(fr.to_dict())))
         assert back == fr
         assert back.kappa == pytest.approx(fr.kappa, rel=1e-15)
@@ -77,15 +77,3 @@ class TestScalarBoundLemma:
         lhs = log_gaussian_power(q, k, gamma, N, absT)
         rhs = seq_bound_from_log_bound(q, k, gamma, N)
         assert lhs <= rhs * (1 + 1e-9)
-
-    def test_log_gaussian_max_closed_form(self):
-        m1, m2 = 1.7, 0.4
-        x0, hmax = log_gaussian_max(m1, m2)
-        f = lambda x: x ** m1 * math.exp(-m2 * math.log(x) ** 2)
-        assert f(x0) == pytest.approx(hmax, rel=1e-12)
-        for dx in (-1e-4, 1e-4):
-            assert f(x0 * (1 + dx)) <= hmax
-
-    def test_log_gaussian_max_requires_decay(self):
-        with pytest.raises(ValueError):
-            log_gaussian_max(1.0, 0.0)

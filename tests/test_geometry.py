@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qasym.geometry import (GoodCovering, RootConfig, Sector, associate_family,
-                            direction_admissible, geometry_scenario_from_dict,
+from qasym.geometry import (GoodCovering, Sector, associate_family,
+                            geometry_scenario_from_dict,
                             geometry_scenario_to_dict,
                             make_cyclic_covering, qspiral_infimum,
                             qspiral_membership, validate_good_covering, wrap_angle)
@@ -117,33 +117,6 @@ class TestQSpiral:
 
     def test_infimum_one_when_ray_points_away(self):
         assert qspiral_infimum(0.0, 1.0 + 0.0j) == 1.0
-
-
-class TestAdmissibility:
-    def _config(self):
-        return RootConfig(Q=(2.0, 2.0, 1.0), RD=(3.0, 1.0), d_D=4,
-                          k=2.0, q=2.0, M1=1e-3, M2=1e-3,
-                          m_grid=np.linspace(-8.0, 8.0, 41))
-
-    def test_default_config_admissible(self):
-        cfg = self._config()
-        dom = Sector(bisector=0.0, half_opening=0.3, radius=math.inf)
-        rep = direction_admissible(cfg, dom)
-        assert rep.ok
-        assert rep.M1_est > rep.M1_required
-        assert rep.M2_est > rep.M2_required
-
-    def test_root_inside_domain_rejected(self):
-        cfg = self._config()
-        # place the domain right on a root direction of tau Q(im)=RD stack:
-        # widen until some tau grid point hits a root's direction
-        rep = direction_admissible(cfg, Sector(bisector=0.0,
-                                               half_opening=math.pi * 0.999,
-                                               radius=math.inf),
-                                   include_disc_radius=10.0)
-        assert rep.M1_est < direction_admissible(
-            cfg, Sector(bisector=0.0, half_opening=0.1,
-                        radius=math.inf)).M1_est
 
 
 class TestScenarioSerialization:

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from qasym.model import (DiffRow, DiffTable, ModelScenario, PoleSpec,
-                         assemble_solution, consecutive_difference,
-                         default_scenario, difference_remainder_table,
-                         fit_rate,
+                         consecutive_difference, default_scenario,
+                         difference_remainder_table, fit_rate,
                          kernel_jump_shape, kernel_shape,
                          verify_two_level_theorem)
 from qasym.schemas import validate_payload
@@ -62,22 +61,21 @@ class TestScenario:
                           branch_centers=scn.branch_centers,
                           u_half_widths=scn.u_half_widths, rho=scn.rho,
                           kernel_amp=scn.kernel_amp, drift=scn.drift,
-                          poles=scn.poles, mu=scn.mu, beta=scn.beta)
+                          poles=scn.poles)
         with pytest.raises(ValueError):
             ModelScenario(frame=scn.frame, covering=scn.covering,
                           directions=scn.directions,
                           branch_centers=scn.branch_centers,
                           u_half_widths=scn.u_half_widths, rho=scn.rho,
                           kernel_amp=scn.kernel_amp, drift=scn.drift,
-                          poles=(PoleSpec(0.5 + 0.0j, 1.0 + 0.0j),),
-                          mu=scn.mu, beta=scn.beta)
+                          poles=(PoleSpec(0.5 + 0.0j, 1.0 + 0.0j),))
         with pytest.raises(ValueError):
             ModelScenario(frame=scn.frame, covering=scn.covering,
                           directions=scn.directions,
                           branch_centers=scn.branch_centers,
                           u_half_widths=scn.u_half_widths, rho=-1.0,
                           kernel_amp=scn.kernel_amp, drift=scn.drift,
-                          poles=scn.poles, mu=scn.mu, beta=scn.beta)
+                          poles=scn.poles)
 
 
 class TestKernel:
@@ -184,14 +182,3 @@ class TestTheorem:
         validate_payload("gevrey_fit", d["fast_fit"])
         validate_payload("gevrey_fit", d["slow_fit"])
         validate_payload("gevrey_fit", d["corollary_fit"])
-
-
-class TestAssembly:
-    def test_factored_and_nested_paths_agree(self, scn):
-        a = assemble_solution(scn, 0, 0.1, 0.3, 0.2, method="factored",
-                              tol=1e-6)
-        b = assemble_solution(scn, 0, 0.1, 0.3, 0.2, method="nested",
-                              tol=1e-6)
-        assert abs(a - b) < 1e-6 * abs(a)
-        with pytest.raises(ValueError):
-            assemble_solution(scn, 0, 0.1, 0.3, 0.2, method="other")

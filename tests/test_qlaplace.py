@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qasym.qlaplace import (GrowthCertificate, LinkProbe, QLaplaceSpec,
-                            domain_radius, monomial_image_constant,
-                            monomial_ratio_law, qlaplace, verify_laplace_link)
+from qasym.qlaplace import (GrowthCertificate, QLaplaceSpec, domain_radius,
+                            monomial_image_constant, monomial_ratio_law,
+                            qlaplace)
 
 
 def image_constant_oracle(q: float, k: float, n: int) -> float:
@@ -131,37 +131,3 @@ class TestReroute:
         with pytest.raises(ValueError, match="grazes the theta zero spiral"):
             qlaplace(spec, lambda u: u * u, -0.3 + 1e-4j, cert,
                      enforce_domain=False)
-
-
-class TestLink:
-    def test_laplace_link_on_separable_kernel(self):
-        # w_inner(u, m, eps) = u^2 g(m, eps) has the closed-form image
-        # c_2 tau^2 g(m, eps); the checker should confirm it at each probe
-        q, kappa = 2.0, 1.0
-        c2 = q ** (2 * 1 / (2.0 * kappa))
-
-        def g(m, eps):
-            return cmath.exp(1j * m * 0.1) / (1.0 + m * m) * (1.0 + eps)
-
-        def w_inner(u, m, eps):
-            return u * u * g(m, eps)
-
-        def w_outer(tau, m, eps):
-            return c2 * tau * tau * g(m, eps)
-
-        probes = [LinkProbe(tau=0.2, m=0.0, eps=0.1),
-                  LinkProbe(tau=0.15, m=1.5, eps=0.0),
-                  LinkProbe(tau=0.3, m=-2.0, eps=0.2j)]
-        cert = GrowthCertificate(K=2.0, alpha=2.0, k=0.0)
-        rep = verify_laplace_link(q, kappa, 0.0, w_inner, w_outer, probes, cert)
-        assert rep.ok, rep.per_probe
-        assert rep.max_rel_err < 1e-8
-
-    def test_laplace_link_flags_wrong_image(self):
-        q, kappa = 2.0, 1.0
-        w_inner = lambda u, m, eps: u * u
-        w_outer = lambda tau, m, eps: 1.01 * q * tau * tau  # 1% off
-        probes = [LinkProbe(tau=0.2, m=0.0, eps=0.0)]
-        cert = GrowthCertificate(K=1.0, alpha=2.0, k=0.0)
-        rep = verify_laplace_link(q, kappa, 0.0, w_inner, w_outer, probes, cert)
-        assert not rep.ok

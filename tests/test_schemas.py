@@ -8,7 +8,7 @@ import pytest
 from qasym.asymptotics import GevreyFit, RemainderTable, fit_q_gevrey
 from qasym.equation import (EquationSpec, EquationTerm, HypothesesReport, default_spec,
                             validate_hypotheses)
-from qasym.frames import QFrame, make_qframe
+from qasym.frames import QFrame
 from qasym.geometry import (geometry_scenario_from_dict, geometry_scenario_to_dict,
                             make_cyclic_covering)
 from qasym.model import ModelScenario, PoleSpec, default_scenario
@@ -27,7 +27,7 @@ def planted_fit_payload():
 
 
 CANONICAL = {
-    "qframe": lambda: make_qframe(2.0, 1.0, 2.0, 0.4, 0.9).to_dict(),
+    "qframe": lambda: QFrame(2.0, 1.0, 2.0, 0.4, 0.9).to_dict(),
     "equation_spec": lambda: default_spec().to_dict(),
     "geometry_scenario": lambda: geometry_scenario_to_dict(
         make_cyclic_covering(4, 0.4, math.radians(60), math.radians(45)),

@@ -152,10 +152,16 @@ class TestZerosAndBound:
         # the library caps the clearance at 7/8 (any admissibility
         # threshold sits below that), so compare against the capped oracle
         q, k = 2.0, 1.0
-        for z in (0.3 + 0.4j, -1.9, 2.0 + 0.1j, -0.5 - 0.5j, -1.0 + 0.05j):
+        zs = (0.3 + 0.4j, -1.9, 2.0 + 0.1j, -0.5 - 0.5j, -1.0 + 0.05j)
+        for z in zs:
             lib = spiral_clearance(q, k, z)
             brute = spiral_clear_brute(q, k, z)
             assert lib == pytest.approx(min(brute, 0.875), rel=1e-12)
+        # an array shares one m-window over all its moduli; the extra m
+        # must not move any point's value
+        zs = np.array(zs + (-1e-3 + 1e-9j, -37.0 + 0.5j))
+        assert np.array_equal(spiral_clearance(q, k, zs),
+                              [spiral_clearance(q, k, z) for z in zs])
 
     @given(st.floats(0.25, 4.0), st.floats(-math.pi, math.pi))
     def test_admissibility_agrees_with_brute(self, r, phi):
