@@ -30,7 +30,8 @@ from .geometry import (Sector, associate_family, geometry_scenario_from_dict,
                        validate_good_covering)
 from .model import (ModelScenario, default_scenario, difference_cascade, fit_rate,
                     verify_rate_dichotomy, verify_two_level_theorem)
-from .qlaplace import GrowthCertificate, QLaplaceSpec, qlaplace
+from .qlaplace import (GrowthCertificate, QLaplaceSpec, QuadratureError,
+                       qlaplace)
 from .theta import (ThetaSpec, calibrate_theta_constant, theta_eval_scaled,
                     theta_lower_bound, theta_qdiff_residual)
 
@@ -463,6 +464,10 @@ def main(argv: list[str] | None = None) -> int:
         # user-input problems here, not crashes
         _emit({"error": {"type": "input", "message": str(exc)}})
         return 2
+    except QuadratureError as exc:
+        # a contour integral missed its tolerance: a failed computation
+        _emit({"error": {"type": "quadrature", "message": str(exc)}})
+        return 1
     _emit(payload)
     return 0 if ok else 1
 

@@ -315,6 +315,11 @@ def multilevel_split(G: Sequence[Callable], slow: Cocycle, fast: Cocycle,
     """
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0 (no probes otherwise), got {j_max}")
+    if not 0 < radius_frac <= 1:
+        raise ValueError("radius_frac must lie in (0, 1] (probes inside the "
+                         f"sectors' rays), got {radius_frac}")
+    if t == 0:
+        raise ValueError("t must be nonzero (the ladder jumps take log t)")
     opts = opts or CHOptions()
     cov = slow.covering
     rays = slow.rays

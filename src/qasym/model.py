@@ -31,6 +31,11 @@ split into explicit contour pieces:
 
 Fitting log ||diff|| = a log^2|T| + b log|T| + c and reading the rate as
 -2 a log q recovers k2 on fast overlaps and k1 on slow ones.
+
+Every ray, arc and segment is one call of qlaplace.log_contour_transform,
+which evaluates the kernel on arrays of nodes (the kernel functions
+here are vectorised over u) and raises QuadratureError when a piece
+misses its tolerance within its panel limit.
 """
 
 from __future__ import annotations

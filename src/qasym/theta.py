@@ -205,26 +205,18 @@ def calibrate_theta_constant(spec: ThetaSpec, dlt: float = 0.3) -> ThetaSpec:
     angles = np.linspace(-math.pi, math.pi, 720, endpoint=False)
     zs = np.multiply.outer(radii, np.exp(1j * angles)).ravel()
 
-    extra = []
+    # clearance at angle a is even around pi and grows away from it; for
+    # every radius not already clear at pi, bisect the crossing in [pi/2, pi]
     target = 1.02 * dlt
-    for r in radii:
-        # clearance at angle a is even around pi; find the crossing by bisection
-        def clear(a: float) -> float:
-            return spiral_clearance(q, k, r * np.exp(1j * a))
-
-        lo, hi = math.pi, math.pi / 2.0  # clearance(pi)=dist to spiral min, grows away
-        if clear(lo) >= target:
-            continue
+    r = radii[spiral_clearance(q, k, radii * np.exp(1j * math.pi)) < target]
+    if r.size:
+        lo, hi = np.full(r.size, math.pi), np.full(r.size, math.pi / 2.0)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if clear(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        for a in (hi, -hi):
-            extra.append(r * np.exp(1j * a))
-    if extra:
-        zs = np.concatenate([zs, np.asarray(extra)])
+            below = spiral_clearance(q, k, r * np.exp(1j * mid)) < target
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        crossings = np.column_stack([r * np.exp(1j * hi), r * np.exp(-1j * hi)])
+        zs = np.concatenate([zs, crossings.ravel()])
 
     zs = zs[spiral_admissible(q, k, zs, dlt)]
     ratios = np.exp(_log_abs_theta(spec, zs)

@@ -3,9 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from qasym import cli
 from qasym.cli import main
 from qasym.equation import default_spec
 from qasym.model import default_scenario
+from qasym.qlaplace import QuadratureError
 from qasym.schemas import validate_payload
 
 
@@ -304,6 +306,12 @@ class TestBadArguments:
         pytest.param(("fit", "--csv", CSV), "line 3", id="fit-short-csv-row"),
         pytest.param(("split", "--j-max", "-1"), "j_max",
                      id="split-no-probes"),
+        pytest.param(("split", "--t", "0"), "t must be nonzero",
+                     id="split-t-zero"),
+        pytest.param(("split", "--radius-frac", "1.5"), "radius_frac",
+                     id="split-radius-frac-past-one"),
+        pytest.param(("split", "--radius-frac=-0.1"), "radius_frac",
+                     id="split-radius-frac-negative"),
     ])
     def test_is_two_without_traceback(self, capsys, tmp_path, argv, named):
         csv = tmp_path / "rows.csv"
@@ -316,6 +324,21 @@ class TestBadArguments:
         error = json.loads(captured.out)["error"]
         assert error["type"] == "input"
         assert named in error["message"]
+        assert "Traceback" not in captured.err
+
+
+class TestQuadratureFailure:
+    def test_is_one_with_json_error(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise QuadratureError("contour exp(0j + x*1j): error 1e-3")
+
+        monkeypatch.setattr(cli, "qlaplace", fail)
+        code = main(["qlaplace", "--T", "0.3+0.1j"])
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "quadrature"
+        assert "contour" in error["message"]
         assert "Traceback" not in captured.err
 
 

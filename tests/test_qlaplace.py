@@ -1,13 +1,18 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from qasym.qlaplace import (GrowthCertificate, QLaplaceSpec, domain_radius,
+from qasym import model
+from qasym.qlaplace import (GrowthCertificate, QLaplaceSpec, QuadratureError,
+                            domain_radius, log_contour_transform,
                             monomial_image_constant, monomial_ratio_law,
                             qlaplace)
+from qasym.theta import inv_theta_at
 
 
 def image_constant_oracle(q: float, k: float, n: int) -> float:
@@ -131,3 +136,85 @@ class TestReroute:
         with pytest.raises(ValueError, match="grazes the theta zero spiral"):
             qlaplace(spec, lambda u: u * u, -0.3 + 1e-4j, cert,
                      enforce_domain=False)
+
+
+def scipy_contour(f, q, k, T, w0, dw, a, b, points=None):
+    """The log-contour transform by scipy quad on the real and the
+    imaginary part, one scalar node at a time.  epsabs = 0: an absolute
+    floor would not resolve the deep pieces (the outer ray at |T| = 2^-7
+    is about 5e-16)."""
+    def g(x):
+        u = cmath.exp(w0 + x * dw)
+        return complex(f(np.array(u))) * complex(inv_theta_at(q, k, u / T))
+
+    re, im = (quad(lambda x: part(g(x)), a, b, epsabs=0.0, epsrel=1e-13,
+                   limit=400, points=points, full_output=1)[0]
+              for part in (lambda z: z.real, lambda z: z.imag))
+    return k / math.log(q) * dw * (re + 1j * im)
+
+
+class TestBatchedRule:
+    """log_contour_transform (panel-batched G10K21) against scipy quad."""
+
+    @pytest.mark.parametrize("j", [3, 7])
+    def test_model_pieces_match_scipy(self, monkeypatch, j):
+        calls = []
+
+        def recorded(f, q, k, T, w0, dw, a, b, **kw):
+            out = log_contour_transform(f, q, k, T, w0, dw, a, b, **kw)
+            calls.append(((f, q, k, T, complex(w0), complex(dw), a, b), out[0]))
+            return out
+
+        monkeypatch.setattr(model, "log_contour_transform", recorded)
+        scn = model.default_scenario()
+        p = scn.levels().index(1)
+        lo, hi = scn.wedge(p)
+        T = scn.probe_T(p, j)
+        model.laplace_transform_shape(scn, p, T)
+        model.outer_ray_piece(scn, p + 1, hi, T)
+        model.arc_piece(scn, p, lo, scn.mid_direction(p), T)
+        model.mid_segment_piece(scn, p, T)
+        assert [c[0][5] for c in calls] == [1, 1, 1j, 1]  # ray, ray, arc, segment
+        for args, value in calls:
+            ref = scipy_contour(*args)
+            assert abs(value - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("q,k", [(2.0, 1.0), (3.0, 0.5), (2.0, 2.0)])
+    def test_monomial_images_match_closed_form(self, q, k):
+        T = 0.3 + 0.1j
+        spec = QLaplaceSpec(q=q, k=k, direction=0.0)
+        for n in range(6):
+            cert = GrowthCertificate(K=1.0, alpha=float(n), k=0.0)
+            res = qlaplace(spec, lambda u: u ** n, T, cert,
+                           enforce_domain=False)
+            exact = image_constant_oracle(q, k, n) * T ** n
+            assert abs(res.value - exact) <= 1e-13 * abs(exact)
+
+    def test_small_imaginary_part_meets_its_own_tolerance(self):
+        """Im is 1e-6 of Re and has a kink: it must reach epsrel relative
+        to itself, not to the modulus of the integral."""
+        q, k, T, epsrel = 2.0, 1.0, 0.3, 1e-10
+
+        def f(u):
+            return 1.0 + 1e-6j * np.abs(np.log(np.abs(u)) - 0.3)
+
+        value, _, _ = log_contour_transform(f, q, k, T, 0j, 1.0, -12.0, 8.0,
+                                            epsabs=1e-300, epsrel=epsrel,
+                                            limit=300)
+        ref = scipy_contour(f, q, k, T, 0j, 1.0, -12.0, 8.0, points=[0.3])
+        assert abs(ref.imag) < 1e-5 * abs(ref.real)
+        assert abs(value.imag - ref.imag) <= epsrel * abs(ref.imag)
+        assert abs(value.real - ref.real) <= epsrel * abs(ref.real)
+
+    def test_panel_limit_raises(self):
+        """An arc just inside a kernel pole needs more than 8 panels."""
+        scn = model.default_scenario()
+        fr = scn.frame
+        T = scn.probe_T(0, 5)
+        args = (lambda u: model.kernel_shape(scn, 0, u), fr.q, fr.k2, T,
+                math.log(1.19), 1j, 0.0, math.pi / 2)
+        with pytest.raises(QuadratureError, match=r"x in \[0.0, 1.57.*limit=8"):
+            log_contour_transform(*args, epsabs=1e-261, epsrel=1e-11, limit=8)
+        value, _, _ = log_contour_transform(*args, epsabs=1e-261,
+                                            epsrel=1e-11, limit=400)
+        assert abs(value - scipy_contour(*args)) <= 1e-12 * abs(value)
