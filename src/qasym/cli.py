@@ -23,15 +23,14 @@ from .asymptotics import RemainderTable, fit_q_gevrey, fit_zero_gevrey_relative
 from .cocycle import CHOptions, Cocycle, cauchy_heine_many, ladder_jump, multilevel_split
 from .equation import EquationSpec, default_spec, manufactured_problem, residual_sweep, \
     validate_hypotheses
-from .fourier import default_profile_for, inverse_fourier, make_symbol
+from .fourier import QuadratureError, default_profile_for, inverse_fourier, make_symbol
 from .frames import ladder_radius
 from .geometry import (Sector, associate_family, geometry_scenario_from_dict,
                        geometry_scenario_to_dict, make_cyclic_covering,
                        validate_good_covering)
 from .model import (ModelScenario, default_scenario, difference_cascade, fit_rate,
                     verify_rate_dichotomy, verify_two_level_theorem)
-from .qlaplace import (GrowthCertificate, QLaplaceSpec, QuadratureError,
-                       qlaplace)
+from .qlaplace import GrowthCertificate, QLaplaceSpec, qlaplace
 from .theta import (ThetaSpec, calibrate_theta_constant, theta_eval_scaled,
                     theta_lower_bound, theta_qdiff_residual)
 
@@ -465,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit({"error": {"type": "input", "message": str(exc)}})
         return 2
     except QuadratureError as exc:
-        # a contour integral missed its tolerance: a failed computation
+        # an integral missed its tolerance: a failed computation
         _emit({"error": {"type": "quadrature", "message": str(exc)}})
         return 1
     _emit(payload)

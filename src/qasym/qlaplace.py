@@ -19,10 +19,10 @@ adaptive quadrature on a certificate-derived window suffices.
 Every f/Theta integral in the package -- rays here and in the model,
 the model's arcs and mid segments -- runs through one routine,
 log_contour_transform, on a log-contour u = exp(w0 + x dw).  Its rule
-is QUADPACK's G10K21 batched over panels: each refinement round
-evaluates f and 1/Theta once, as arrays over the nodes of all panels
-it refines, so f must accept an ndarray of u.  A call that cannot meet
-its tolerance within its panel limit raises QuadratureError.
+is fourier.complex_quad, QUADPACK's G10K21 batched over panels: each
+refinement round evaluates f and 1/Theta once, as arrays over the nodes
+of all panels it refines, so f must accept an ndarray of u.  A call that
+cannot meet its tolerance within its panel limit raises QuadratureError.
 
 Monomials u^n map to c_{n,k} T^n with the closed form
 c_{n,k} = q^{n(n-1)/(2k)}, whose ratio law c_{n,k}/c_{n-1,k} = q^{(n-1)/k}
@@ -41,6 +41,7 @@ from typing import Callable
 
 import numpy as np
 
+from .fourier import QuadratureError, complex_quad
 from .geometry import qspiral_infimum, qspiral_membership
 from .theta import inv_theta_at
 
@@ -158,53 +159,6 @@ def _integration_window(spec: QLaplaceSpec, cert: GrowthCertificate,
     return s_lo - 0.5, s_hi + 0.5
 
 
-# QUADPACK qk21: the 21 Kronrod nodes on [-1, 1] and their weights, and
-# the weights of the 10 Gauss nodes among them (every other one).
-_XK = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0])
-_WK = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077208034034236, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821])
-_WG = np.array([
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338])
-_X21 = np.concatenate([-_XK[:-1], _XK[::-1]])
-_W21 = np.concatenate([_WK[:-1], _WK[::-1]])
-_G21 = np.zeros(21)
-_G21[1:10:2] = _WG
-_G21[11:20:2] = _WG[::-1]
-_EPS50 = 50.0 * np.finfo(float).eps
-
-
-class QuadratureError(ArithmeticError):
-    """A contour integral missed its tolerance within `limit` panels."""
-
-
-def _gk21(fv: np.ndarray, half: np.ndarray) -> tuple:
-    """QUADPACK qk21 on each row of fv (panels x 21 nodes, real) for
-    panels of half-width `half`: (value, error estimate, round-off floor)."""
-    h = np.abs(half)
-    resk = fv @ _W21
-    err = np.abs(resk - fv @ _G21) * h
-    resabs = (np.abs(fv) @ _W21) * h
-    resasc = (np.abs(fv - 0.5 * resk[:, None]) @ _W21) * h
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((resasc != 0) & (err != 0), scaled, err)
-    floor = _EPS50 * resabs
-    return resk * half, np.maximum(err, floor), floor
-
-
 def log_contour_transform(f: Callable[[np.ndarray], np.ndarray], q: float,
                           k: float, T: complex, w0: complex, dw: complex,
                           a: float, b: float, *, epsabs: float, epsrel: float,
@@ -215,56 +169,25 @@ def log_contour_transform(f: Callable[[np.ndarray], np.ndarray], q: float,
     dw = 1 gives the ray at angle Im w0 (x = log|u|), dw = 1j the arc of
     radius e^{Re w0} (x = arg u); du/u = dw dx.  f takes an ndarray of u
     and returns values that broadcast against it; 1/Theta comes from
-    theta.inv_theta_at on the same array.
-
-    The rule is QUADPACK's G10K21 (Piessens et al. 1983), batched over
-    panels: from 8 equal panels, each round evaluates f and 1/Theta once,
-    on the 21 nodes of every panel it refines.  As scipy's quad does for
-    each part, the real and the imaginary part must each meet
-    max(epsabs, epsrel |that part of the integral|).  A panel is bisected
-    while one of its parts misses its share of that target (in proportion
-    to width) and is above its round-off floor, 50 eps times the integral
-    of |part| over the panel; when only such floors stand in the way, the
-    call returns with their error.  Raises QuadratureError if a bisection
-    would take the number of panels past `limit`.  Returns (value, error
-    estimate, integrand evaluations).
+    theta.inv_theta_at on the same array.  The integral in x is
+    fourier.complex_quad, so each refinement round evaluates f and
+    1/Theta once, on the nodes of every panel it refines, and a call
+    that would pass `limit` panels raises QuadratureError.  Returns
+    (value, error estimate, integrand evaluations).
     """
     w0, dw = complex(w0), complex(dw)
-    edges = np.linspace(a, b, 9)
-    new_lo, new_hi = edges[:-1], edges[1:]
-    lo = hi = np.empty(0)
-    panels = np.empty((3, 0, 2))   # value, error, floor x panel x (Re, Im)
-    n_eval = 0
-    while True:
-        centre, half = 0.5 * (new_lo + new_hi), 0.5 * (new_hi - new_lo)
-        u = np.exp(w0 + (centre[:, None] + half[:, None] * _X21) * dw)
-        fv = np.broadcast_to(f(u), u.shape) * inv_theta_at(q, k, u / T)
-        n_eval += fv.size
-        lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
-        panels = np.concatenate([panels, np.stack(
-            [_gk21(fv.real, half), _gk21(fv.imag, half)], axis=-1)], axis=1)
-        val, err, floor = panels
-        total, total_err = val.sum(axis=0), err.sum(axis=0)
-        target = np.maximum(epsabs, epsrel * np.abs(total))
-        if np.all(total_err <= target):
-            break
-        share = (hi - lo)[:, None] / (b - a) * target
-        split = ((err > share) & (err > floor)).any(axis=1)
-        if not split.any():
-            break
-        if len(lo) + split.sum() > limit:
-            raise QuadratureError(
-                f"contour exp({w0} + x*{dw}), x in [{a}, {b}]: error "
-                f"{total_err[0]:.3g} (Re), {total_err[1]:.3g} (Im) against "
-                f"target {target[0]:.3g}, {target[1]:.3g} with {len(lo)} "
-                f"panels; bisecting would pass limit={limit}")
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        lo, hi, panels = lo[~split], hi[~split], panels[:, ~split]
+
+    def integrand(x):
+        u = np.exp(w0 + x * dw)
+        return np.broadcast_to(f(u), u.shape) * inv_theta_at(q, k, u / T)
+
+    try:
+        val, err, n_eval = complex_quad(integrand, a, b, epsabs=epsabs,
+                                        epsrel=epsrel, limit=limit)
+    except QuadratureError as exc:
+        raise QuadratureError(f"contour exp({w0} + x*{dw}), {exc}") from exc
     scale = k / math.log(q) * dw
-    return (scale * complex(total[0], total[1]),
-            abs(scale) * math.hypot(total_err[0], total_err[1]), n_eval)
+    return scale * val, abs(scale) * err, n_eval
 
 
 def qlaplace(spec: QLaplaceSpec, f: Callable[[np.ndarray], np.ndarray],

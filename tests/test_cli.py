@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from qasym import cli
+from qasym import cocycle, fourier
 from qasym.cli import main
 from qasym.equation import default_spec
 from qasym.model import default_scenario
@@ -339,6 +340,25 @@ class TestQuadratureFailure:
         error = json.loads(captured.out)["error"]
         assert error["type"] == "quadrature"
         assert "contour" in error["message"]
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("module, argv", [
+        pytest.param(fourier, ("fourier", "--z", "0.2"),
+                     id="fourier-inverse-transform"),
+        pytest.param(cocycle, ("split", "--j-max", "2"),
+                     id="split-cauchy-heine-ray"),
+    ])
+    def test_library_quadrature_is_one(self, capsys, monkeypatch, module, argv):
+        def fail(*args, **kwargs):
+            raise QuadratureError("x in [0.0, 1.0]: error 3 times its target")
+
+        monkeypatch.setattr(module, "complex_quad", fail)
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "quadrature"
+        assert "times its target" in error["message"]
         assert "Traceback" not in captured.err
 
 
