@@ -58,9 +58,12 @@ def _emit(payload: dict) -> None:
 
 def _parse_complex(s: str) -> complex:
     try:
-        return complex(s.replace(" ", ""))
+        z = complex(s.replace(" ", ""))
     except ValueError as exc:
         raise InputError(f"cannot parse complex number from {s!r}") from exc
+    if not cmath.isfinite(z):
+        raise InputError(f"need a finite complex number, got {s!r}")
+    return z
 
 
 def _load_json(path: str, decode):

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,7 +88,7 @@ class Cocycle:
         if self.levels is not None and len(self.levels) != self.covering.n:
             raise ValueError("levels must match the number of overlaps")
 
-    @property
+    @cached_property
     def rays(self) -> tuple[RaySpec, ...]:
         return overlap_rays(self.covering)
 

@@ -1,4 +1,4 @@
-"""Order-k Jacobi-type theta function and its certified lower envelope.
+"""Order-k Jacobi-type theta function and its sampled lower envelope.
 
 The function evaluated here is the bilateral series
 
@@ -14,12 +14,15 @@ z = -q^{m/k}, m in Z.  Away from that spiral it admits the lower bound
     |Theta_k(z)| >= C * dlt * exp((k/2) log^2|z| / log q) * |z|^{1/2}
 
 on { z : inf_m |1 + z q^{m/k}| > dlt }, where C = C(q,k) is calibrated
-numerically (grid minimum of the ratio, deflated by a safety factor)
-and persisted with the spec; it is never hard-coded.
+numerically (sampled minimum of the ratio, deflated by 0.9; not
+certified) and persisted with the spec; it is never hard-coded.  The
+bound is judged in log form, so it stays finite for every double z.
 
 With Q = q^{1/k}, each z is reduced to w = z Q^{-m} on the fundamental
-annulus Q^{-1/2} <= |w| <= Q^{1/2} (m = round(log|z| / log Q)); the
-series is summed at w over |p| <= P = truncation_order(q, k) and the
+annulus Q^{-1/2} <= |w| <= Q^{1/2} (m = round(log|z| / log Q)).  There
+the series is summed over |p| <= P = truncation_order(q, k) by Horner's
+rule, in w for p > 0 and in 1/w for p < 0, with O(size of z) memory;
+its largest term is p = 0 or p = 1, so the scale is max(1, |w|).  The
 exact factor Q^{m(m+1)/2} w^m is folded into a shifted-exponent result
 that never overflows.  On that annulus every term with |p| > P is below
 e^{-40} times the p = 0 term, whatever |z| is.
@@ -72,23 +75,44 @@ def spec_for_annulus(q: float, k: float, r_min: float, r_max: float) -> ThetaSpe
     return ThetaSpec(q=q, k=k)
 
 
+@lru_cache(maxsize=64)
+def _coefficients(q: float, k: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(c_1..c_P, c_{-1}..c_{-P}) with c_p = Q^{-p(p-1)/2}, Q = q^{1/k}."""
+    lQ = math.log(q) / k
+    p = range(1, truncation_order(q, k) + 1)
+    return (tuple(math.exp(-j * (j - 1) * lQ / 2.0) for j in p),
+            tuple(math.exp(-j * (j + 1) * lQ / 2.0) for j in p))
+
+
 def theta_eval_scaled(spec: ThetaSpec, z) -> tuple[np.ndarray, np.ndarray]:
     """Theta as (mantissa, log_scale): theta = mantissa * exp(log_scale),
     exp(log_scale) being the modulus of the full series' largest term.
-    Vectorized over nonzero z of any array shape."""
+    Vectorized over nonzero z of any array shape.
+
+    At w = z Q^{-m} the two halves of 1 + sum_{p=1..P} (c_p w^p +
+    c_{-p} w^{-p}) run by Horner's rule, in w and in 1/w, in one loop
+    over p, so memory stays O(size of z).  With x = log|w| in
+    [-log Q / 2, log Q / 2], term p has exponent -p(p-1) log Q / 2 + p x,
+    at most that of term 1 for p >= 1 and below term 0 for p <= -1: the
+    largest term at w is max(1, |w|).
+    """
     z = np.asarray(z, dtype=complex)
     if not z.all():
         raise ValueError("theta has an essential singularity at z = 0")
     lQ = math.log(spec.q) / spec.k
     m = np.rint(np.log(np.abs(z)) / lQ)
-    lw = np.log(z * spec.q ** (-m / spec.k))
-    p = np.arange(-spec.P, spec.P + 1)
-    expo = -p * (p - 1) * (lQ / 2.0) + np.multiply.outer(lw, p)
-    shift = expo.real.max(axis=-1)
-    mant = np.exp(expo - shift[..., None]).sum(axis=-1)
+    w = z * spec.q ** (-m / spec.k)
+    x = np.log(np.abs(w))
+    u = 1.0 / w
+    pos, neg = _coefficients(spec.q, spec.k)
+    hp = hn = 0.0
+    for cp, cn in zip(pos[::-1], neg[::-1]):
+        hp = (hp + cp) * w
+        hn = (hn + cn) * u
+    top = np.maximum(x, 0.0)
     # fold in Q^{m(m+1)/2} w^m: term p + m at z is that factor times term p at w
-    return (mant * np.exp(1j * m * lw.imag),
-            shift + m * (m + 1) * (lQ / 2.0) + m * lw.real)
+    return ((hp + hn + 1.0) * np.exp(1j * m * np.angle(w)) * np.exp(-top),
+            top + m * (m + 1) * (lQ / 2.0) + m * x)
 
 
 @lru_cache(maxsize=64)
@@ -173,11 +197,11 @@ def spiral_admissible(q: float, k: float, z, dlt: float):
     return spiral_clearance(q, k, z) > dlt
 
 
-def lower_envelope(q: float, k: float, z) -> np.ndarray:
-    """exp((k/2) log^2|z|/log q) * |z|^{1/2}, the shape of the lower bound."""
-    az = np.abs(np.asarray(z, dtype=complex))
-    L = np.log(az)
-    return np.exp(0.5 * k * L * L / math.log(q) + 0.5 * L)
+def log_lower_envelope(q: float, k: float, z) -> np.ndarray:
+    """(k/2) log^2|z| / log q + log|z| / 2, the log of the lower bound's
+    shape; finite for every nonzero double z."""
+    L = np.log(np.abs(np.asarray(z, dtype=complex)))
+    return 0.5 * k * L * L / math.log(q) + 0.5 * L
 
 
 def _log_abs_theta(spec: ThetaSpec, z) -> np.ndarray:
@@ -195,10 +219,12 @@ def calibrate_theta_constant(spec: ThetaSpec, dlt: float = 0.3) -> ThetaSpec:
     grid (48 radii x 720 angles) we add, for each radius, the two angles
     where the clearance crosses 1.02 dlt (bisection), then set
 
-        Cqk = 0.9 * min ratio over all admissible samples.
+        Cqk = 0.9 * min ratio over all admissible samples,
 
-    The 0.9 deflation absorbs the residual gap between the sampled
-    minimum and the true infimum over the admissible set.
+    the ratio formed in log form (log|Theta| - log envelope).  Cqk is a
+    sampled minimum, not a certified one: the 0.9 deflation is meant to
+    absorb the gap between the samples and the true infimum over the
+    admissible set, and nothing checks that it does.
     """
     q, k = spec.q, spec.k
     radii = np.exp(np.linspace(0.0, math.log(q) / k, 48, endpoint=False))
@@ -219,10 +245,8 @@ def calibrate_theta_constant(spec: ThetaSpec, dlt: float = 0.3) -> ThetaSpec:
         zs = np.concatenate([zs, crossings.ravel()])
 
     zs = zs[spiral_admissible(q, k, zs, dlt)]
-    ratios = np.exp(_log_abs_theta(spec, zs)
-                    - np.log(dlt * lower_envelope(q, k, zs)))
-    c = 0.9 * float(np.min(ratios))
-    return replace(spec, Cqk=c)
+    log_ratio = np.min(_log_abs_theta(spec, zs) - log_lower_envelope(q, k, zs))
+    return replace(spec, Cqk=0.9 * math.exp(float(log_ratio)) / dlt)
 
 
 @dataclass(frozen=True)
@@ -247,7 +271,7 @@ def theta_lower_bound(spec: ThetaSpec, z: complex, dlt: float) -> ThetaBoundChec
     clearance = spiral_clearance(spec.q, spec.k, z)
     admissible = clearance > dlt
     log_lhs = float(_log_abs_theta(spec, z))
-    log_rhs = math.log(spec.Cqk * dlt) + float(np.log(lower_envelope(spec.q, spec.k, z)))
+    log_rhs = math.log(spec.Cqk * dlt) + float(log_lower_envelope(spec.q, spec.k, z))
     margin = log_lhs - log_rhs
     lhs = math.exp(log_lhs) if log_lhs < 700 else math.inf
     rhs = math.exp(log_rhs) if log_rhs < 700 else math.inf

@@ -313,6 +313,10 @@ class TestBadArguments:
                      id="split-radius-frac-past-one"),
         pytest.param(("split", "--radius-frac=-0.1"), "radius_frac",
                      id="split-radius-frac-negative"),
+        pytest.param(("theta", "--z", "inf"), "'inf'", id="theta-z-inf"),
+        pytest.param(("fourier", "--z", "nan"), "'nan'", id="fourier-z-nan"),
+        pytest.param(("qlaplace", "--T", "nan+1j"), "'nan+1j'",
+                     id="qlaplace-t-nan"),
     ])
     def test_is_two_without_traceback(self, capsys, tmp_path, argv, named):
         csv = tmp_path / "rows.csv"

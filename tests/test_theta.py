@@ -56,6 +56,19 @@ class TestEvaluation:
                         for p in range(-80, 81))
             assert lg == pytest.approx(peak + math.log(abs(brute)), rel=1e-10)
 
+    @pytest.mark.parametrize("q,k", [(2.0, 1.0), (2.0, 2.0), (3.0, 0.5),
+                                     (2.5, 1.5), (1.3, 0.7)])
+    def test_log_scale_is_largest_term(self, q, k, rng):
+        """log_scale is the largest exponent -p(p-1)/2 log Q + p log|z|,
+        Q = q^{1/k}, over the full bilateral series (here |p| <= 200)."""
+        lQ = math.log(q) / k
+        for _ in range(40):
+            lz = rng.uniform(-20.0, 20.0)
+            z = cmath.exp(complex(lz, rng.uniform(-math.pi, math.pi)))
+            peak = max(-p * (p - 1) / 2.0 * lQ + p * lz for p in range(-200, 201))
+            _, logs = theta_eval_scaled(ThetaSpec(q, k), z)
+            assert abs(float(logs) - peak) < 1e-9, (z, float(logs), peak)
+
     def test_rejects_origin(self):
         spec = spec_for_annulus(2.0, 1.0, 0.5, 2.0)
         with pytest.raises(ValueError):
@@ -87,7 +100,8 @@ def triple_product(q: float, k: float, z: complex):
 
 class TestTripleProduct:
     @pytest.mark.parametrize("q,k,tol", [(2.0, 2.0, 5e-10), (2.0, 1.0, 5e-13),
-                                         (3.0, 0.5, 1e-13)])
+                                         (3.0, 0.5, 1e-13), (2.5, 1.5, 1e-12),
+                                         (1.3, 0.7, 1e-10)])
     def test_inverse_matches_triple_product(self, q, k, tol):
         """1/Theta from inv_theta_at against a 40-digit triple product, on
         150 seeded spiral-clear points (clearance > 0.1) with
@@ -188,6 +202,23 @@ class TestZerosAndBound:
                 + 0.5 * k * math.log(abs(z)) ** 2 / math.log(q) \
                 + 0.5 * math.log(abs(z))
             assert lg >= rhs_log
+
+    @pytest.mark.parametrize("q,k,z", [
+        (2.0, 1.0, 1e14), (2.0, 1.0, 1e200), (2.0, 1.0, 1e-300),
+        (2.0, 1.0, 1e-200j), (3.0, 0.5, 1e30), (3.0, 0.5, 1e200),
+        (3.0, 0.5, 1e-300), (3.0, 0.5, -1e-200j)])
+    def test_lower_bound_holds_far_from_unit_circle(self, q, k, z):
+        """Where exp((k/2) log^2|z| / log q) overflows a double the bound is
+        still judged, in log form, against the recomputed margin."""
+        dlt = 0.3
+        spec = calibrate_theta_constant(ThetaSpec(q, k), dlt)
+        chk = theta_lower_bound(spec, z, dlt)
+        assert chk.admissible
+        L = math.log(abs(z))
+        _, lg = scaled_to_log(*theta_eval_scaled(spec, z))
+        margin = lg - math.log(spec.Cqk * dlt) - 0.5 * k * L * L / math.log(q) - 0.5 * L
+        assert chk.log_margin == pytest.approx(margin, abs=1e-9 * abs(lg))
+        assert margin > 0 and chk.ok
 
     def test_lower_bound_requires_calibration(self):
         spec = spec_for_annulus(2.0, 1.0, 0.5, 2.0)
