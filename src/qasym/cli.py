@@ -53,7 +53,13 @@ def _jsonable(obj):
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2, default=_jsonable))
+    """Print payload as strict JSON; a non-finite float raises ValueError."""
+    print(json.dumps(payload, sort_keys=True, indent=2, default=_jsonable,
+                     allow_nan=False))
+
+
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
 
 
 def _parse_complex(s: str) -> complex:
@@ -98,7 +104,10 @@ def _cmd_theta(args) -> tuple[dict, bool]:
         "functional_equation_residual": float(residual),
         "lower_bound": {
             "admissible": bound.admissible, "clearance": bound.clearance,
-            "lhs": bound.lhs, "rhs": bound.rhs,
+            # the linear sides are null where they overflow a double;
+            # the bound is judged on the log sides
+            "lhs": _finite_or_none(bound.lhs), "rhs": _finite_or_none(bound.rhs),
+            "log_lhs": bound.log_lhs, "log_rhs": bound.log_rhs,
             "log_margin": bound.log_margin, "ok": bound.ok,
         },
         "calibrated_constant": spec.Cqk,
@@ -214,6 +223,9 @@ def _cmd_diff(args) -> tuple[dict, bool]:
     scn = (_load_json(args.scenario, ModelScenario.from_dict)
            if args.scenario is not None else default_scenario())
     js = range(args.j_min, args.j_max + 1)
+    if args.overlap is None and args.route == "direct":
+        raise InputError("--route direct needs --overlap: the dichotomy over "
+                         "all overlaps runs the decomposed route")
     if args.overlap is not None:
         table = difference_cascade(scn, args.overlap, js, args.route, args.tol)
         fit = fit_rate(table, scn.frame.q)
@@ -470,7 +482,12 @@ def main(argv: list[str] | None = None) -> int:
         # an integral missed its tolerance: a failed computation
         _emit({"error": {"type": "quadrature", "message": str(exc)}})
         return 1
-    _emit(payload)
+    try:
+        _emit(payload)
+    except ValueError as exc:
+        # a non-finite number in the result: not JSON, and not a result
+        _emit({"error": {"type": "non-finite", "message": str(exc)}})
+        return 1
     return 0 if ok else 1
 
 

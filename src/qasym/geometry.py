@@ -51,12 +51,15 @@ class Sector:
         if not self.radius > self.inner_radius >= 0:
             raise ValueError("need radius > inner_radius >= 0")
 
-    def contains(self, z: complex) -> bool:
-        z = complex(z)
-        r = abs(z)
-        if not (self.inner_radius < r < self.radius):
-            return False
-        return abs(wrap_angle(cmath.phase(z) - self.bisector)) < self.half_opening
+    def contains(self, z):
+        """Whether z lies in the sector: a bool for a scalar z, a bool
+        array of z's shape for an array."""
+        z = np.asarray(z, dtype=complex)
+        r = np.abs(z)
+        inside = ((self.inner_radius < r) & (r < self.radius)
+                  & (np.abs(wrap_angle(np.angle(z) - self.bisector))
+                     < self.half_opening))
+        return inside if z.ndim else bool(inside)
 
     def angular_gap(self, other: "Sector") -> float:
         """|wrap(bisector difference)| - (sum of half openings); negative
@@ -146,9 +149,6 @@ class GoodCovering:
 
     def overlap_radius(self, p: int) -> float:
         return min(self.sector(p).radius, self.sector(p + 1).radius)
-
-    def membership(self, z: complex) -> list[int]:
-        return [p for p in range(self.n) if self.sectors[p].contains(z)]
 
     def to_dict(self) -> dict:
         return {"covering": [s.to_dict() for s in self.sectors]}

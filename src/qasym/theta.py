@@ -101,7 +101,11 @@ def theta_eval_scaled(spec: ThetaSpec, z) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("theta has an essential singularity at z = 0")
     lQ = math.log(spec.q) / spec.k
     m = np.rint(np.log(np.abs(z)) / lQ)
-    w = z * spec.q ** (-m / spec.k)
+    # w = (z Q^{-m/2}) Q^{-m/2}: the half power stays in double range for
+    # every nonzero double z, also where Q^{-m} overflows (subnormal z);
+    # for q = 2, k = 1 and even m every factor is exact
+    half = spec.q ** (m * (-0.5 / spec.k))
+    w = z * half * half
     x = np.log(np.abs(w))
     u = 1.0 / w
     pos, neg = _coefficients(spec.q, spec.k)
@@ -141,7 +145,14 @@ def theta_qdiff_residual(spec: ThetaSpec, z: complex, m: int) -> float:
     """
     z = complex(z)
     lq = math.log(spec.q)
-    lm, sm = theta_eval_scaled(spec, spec.q ** (m / spec.k) * z)
+    try:
+        shifted = spec.q ** (m / spec.k) * z
+    except OverflowError:
+        shifted = math.inf
+    if not (np.isfinite(shifted) and shifted != 0):
+        raise ValueError("the shifted point q^(m/k) z leaves double range; "
+                         "need a smaller |m| or |log|z||")
+    lm, sm = theta_eval_scaled(spec, shifted)
     rm, sr = theta_eval_scaled(spec, z)
     # fold the prefactor q^{m(m+1)/(2k)} z^m into the right mantissa/scale
     lzm = m * np.log(complex(z))
@@ -179,7 +190,12 @@ def spiral_clearance(q: float, k: float, z):
     lq = math.log(q)
     m_lo = int(math.floor(k * (math.log(0.125) - math.log(r_hi)) / lq)) - 1
     m_hi = int(math.ceil(k * (math.log(8.0) - math.log(r_lo)) / lq)) + 1
-    scales = np.exp(np.arange(m_lo, m_hi + 1) * lq / k)
+    # below |z| ~ 1e-307 the largest scale would overflow: z is scaled up
+    # by 2^e, which is exact, and the scales down by it (e = 0 otherwise)
+    e = max(0, math.ceil((m_hi * lq / k - 700.0) / math.log(2.0)))
+    if e:
+        z = z * 2.0 ** e
+    scales = np.exp(np.arange(m_lo, m_hi + 1) * lq / k - e * math.log(2.0))
     if not z.ndim:
         return min(float(np.min(np.abs(1.0 + z * scales))), 0.875)
     out = np.full(z.shape, 0.875)
@@ -254,9 +270,11 @@ class ThetaBoundCheck:
     z: complex
     admissible: bool
     clearance: float
-    lhs: float          # |Theta(z)| (may be inf if out of double range)
-    rhs: float          # Cqk * dlt * envelope(z)
-    log_margin: float   # log lhs - log rhs; >= 0 means the bound holds
+    lhs: float          # |Theta(z)| (inf where it overflows a double)
+    rhs: float          # Cqk * dlt * envelope(z) (likewise)
+    log_lhs: float      # log |Theta(z)|, finite for every double z
+    log_rhs: float
+    log_margin: float   # log_lhs - log_rhs; >= 0 means the bound holds
     ok: bool
 
 
@@ -276,5 +294,5 @@ def theta_lower_bound(spec: ThetaSpec, z: complex, dlt: float) -> ThetaBoundChec
     lhs = math.exp(log_lhs) if log_lhs < 700 else math.inf
     rhs = math.exp(log_rhs) if log_rhs < 700 else math.inf
     return ThetaBoundCheck(z=complex(z), admissible=admissible, clearance=clearance,
-                           lhs=lhs, rhs=rhs, log_margin=margin,
-                           ok=admissible and margin >= 0.0)
+                           lhs=lhs, rhs=rhs, log_lhs=log_lhs, log_rhs=log_rhs,
+                           log_margin=margin, ok=admissible and margin >= 0.0)

@@ -6,7 +6,10 @@ appears there as a whole word.  Cached functions count as functions.
 """
 
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import qasym
@@ -31,3 +34,14 @@ def test_every_exported_function_has_a_user():
               if inspect.isfunction(inspect.unwrap(getattr(qasym, name)))
               and not re.search(rf"\b{re.escape(name)}\b", text)]
     assert not unused, f"exported but used only by unit tests: {unused}"
+
+
+def test_import_loads_no_scipy():
+    """scipy is a test-only dependency: the tests' quadrature oracles use
+    it, the package does not."""
+    code = ("import sys, qasym, qasym.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -12,10 +14,17 @@ from qasym.qlaplace import QuadratureError
 from qasym.schemas import validate_payload
 
 
+def strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, strict_json(out)
 
 
 class TestExitCodes:
@@ -63,6 +72,31 @@ class TestTheta:
         assert payload["z"] == {"re": 0.3, "im": 0.4}
         assert payload["functional_equation_residual"] <= 1e-10
         assert payload["lower_bound"]["admissible"] in (True, False)
+
+    @pytest.mark.parametrize("z, overflows", [
+        ("1e200", True), ("1e14", True), ("1e-300", True), ("1e-320", True),
+        ("5e-324", True), ("0.3+0.4j", False)])
+    def test_extreme_z_prints_strict_json(self, capsys, z, overflows):
+        """Where |Theta| overflows a double the linear sides of the bound
+        are null and the log sides carry it; subnormal z is evaluated."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, payload = run_cli(capsys, "theta", "--z", z)
+        assert code == 0 and payload["ok"] is True
+        bound = payload["lower_bound"]
+        assert (bound["lhs"] is None) is overflows
+        assert (bound["rhs"] is None) is overflows
+        assert bound["log_lhs"] - bound["log_rhs"] == pytest.approx(
+            bound["log_margin"], abs=1e-9 * abs(bound["log_lhs"]) + 1e-12)
+        if not overflows:
+            assert math.log(bound["lhs"]) == pytest.approx(bound["log_lhs"])
+
+    def test_non_finite_result_is_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_cmd_theta",
+                            lambda args: ({"value": float("nan")}, True))
+        code, payload = run_cli(capsys, "theta", "--z", "0.3")
+        assert code == 1
+        assert payload["error"]["type"] == "non-finite"
 
     def test_deterministic_output(self, capsys):
         main(["theta", "--z", "0.3+0.4j"])
@@ -314,6 +348,12 @@ class TestBadArguments:
         pytest.param(("split", "--radius-frac=-0.1"), "radius_frac",
                      id="split-radius-frac-negative"),
         pytest.param(("theta", "--z", "inf"), "'inf'", id="theta-z-inf"),
+        pytest.param(("theta", "--z", "1e308"), "shifted point",
+                     id="theta-shifted-z-overflows"),
+        pytest.param(("theta", "--z", "0.3", "--m", "5000"), "shifted point",
+                     id="theta-shift-power-overflows"),
+        pytest.param(("diff", "--route", "direct"), "--route direct needs --overlap",
+                     id="diff-route-without-overlap"),
         pytest.param(("fourier", "--z", "nan"), "'nan'", id="fourier-z-nan"),
         pytest.param(("qlaplace", "--T", "nan+1j"), "'nan+1j'",
                      id="qlaplace-t-nan"),
@@ -326,7 +366,7 @@ class TestBadArguments:
         code = main([str(csv) if a == self.CSV else a for a in argv])
         captured = capsys.readouterr()
         assert code == 2
-        error = json.loads(captured.out)["error"]
+        error = strict_json(captured.out)["error"]
         assert error["type"] == "input"
         assert named in error["message"]
         assert "Traceback" not in captured.err

@@ -187,26 +187,30 @@ class TestAsymptoticCoefficients:
             assert 4.0 / 2.5 <= rems[0] / rems[1] <= 4.0 * 2.5
 
 
+def _branches(cov, slow, fast, entire, calls=None):
+    """G_p = entire + Psi^slow_p + Psi^fast_p, vectorized in eps; calls[p]
+    counts the calls of G_p when a list is given."""
+    def branch(p):
+        def G(t_arg, eps):
+            if calls is not None:
+                calls[p] += 1
+            e = np.atleast_1d(np.asarray(eps, dtype=complex))
+            sec = np.full(e.shape, p, dtype=int)
+            vals = (entire(e)
+                    + cauchy_heine_many(slow, t_arg, e, sec, TIGHT)
+                    + cauchy_heine_many(fast, t_arg, e, sec, TIGHT))
+            return vals[0] if np.ndim(eps) == 0 else vals
+        return G
+
+    return [branch(p) for p in range(cov.n)]
+
+
 class TestRealizationAndSplit:
-    @staticmethod
-    def _branches(cov, slow, fast, entire):
-        def branch(p):
-            def G(t_arg, eps):
-                e = np.atleast_1d(np.asarray(eps, dtype=complex))
-                sec = np.full(e.shape, p, dtype=int)
-                vals = (entire(e)
-                        + cauchy_heine_many(slow, t_arg, e, sec, TIGHT)
-                        + cauchy_heine_many(fast, t_arg, e, sec, TIGHT))
-                return vals[0] if np.ndim(eps) == 0 else vals
-            return G
-
-        return [branch(p) for p in range(cov.n)]
-
     def test_difference_realization(self):
         cov = four_sector_covering()
         slow, fast = two_level_pair(cov)
         entire = lambda e: np.exp(0.3 * e)
-        G = self._branches(cov, slow, fast, entire)
+        G = _branches(cov, slow, fast, entire)
         checks = verify_difference_realization(G, [slow, fast], 0.1)
         assert len(checks) == 16
         assert max(c.abs_err for c in checks) < 1e-10
@@ -215,7 +219,7 @@ class TestRealizationAndSplit:
         cov = four_sector_covering()
         slow, fast = two_level_pair(cov)
         entire = lambda e: np.exp(0.3 * e)
-        G = self._branches(cov, slow, fast, entire)
+        G = _branches(cov, slow, fast, entire)
         cuts = [cov.overlap_bisector(p) for p in range(4)]
         wrong = Cocycle(cov, deltas=(None,
                                      ladder_jump(Q, K1, A, cuts[1], 1.05),
@@ -230,7 +234,7 @@ class TestRealizationAndSplit:
         cov = four_sector_covering()
         slow, fast = two_level_pair(cov)
         entire = lambda e: np.exp(0.3 * e) + 0.2 * e * e
-        G = self._branches(cov, slow, fast, entire)
+        G = _branches(cov, slow, fast, entire)
         split = multilevel_split(G, slow, fast, 0.1, opts=TIGHT, j_max=2)
         assert split.max_spread < 1e-10
         assert split.max_realization_err < 1e-10
@@ -244,6 +248,119 @@ class TestRealizationAndSplit:
         assert radii[1] == pytest.approx(radii[0] / 2)
         assert radii[2] == pytest.approx(radii[0] / 4)
 
+
+def _rel(got, want):
+    return abs(got - want) / max(abs(want), 1e-300)
+
+
+class TestBatchedSplit:
+    """The batched split and realization check against a per-probe
+    reference: scalar branch calls and one-point Cauchy-Heine sums."""
+
+    T = 0.07 * cmath.exp(0.2j)
+
+    @staticmethod
+    def entire(e):
+        return np.exp(0.3 * e) + 0.2 * e * e
+
+    def test_split_matches_per_probe_reference(self):
+        cov = four_sector_covering()
+        slow, fast = two_level_pair(cov)
+        G = _branches(cov, slow, fast, self.entire)
+        split = multilevel_split(G, slow, fast, self.T, opts=TIGHT, j_max=3)
+        r0 = 0.6 * min(r.length for r in slow.rays)
+        # mid-sector and overlap-flank directions, in (-pi, pi], ascending
+        angles = sorted(cmath.phase(cmath.exp(1j * a)) for a in
+                        [cov.sector(p).bisector for p in range(4)]
+                        + [cov.overlap_bisector(p) + s * 0.5 * cov.overlap_half_width(p)
+                           for p in range(4) for s in (-1.0, 1.0)])
+        ref = []
+        for j in range(4):
+            for ang in angles:
+                e = r0 * 2.0 ** (-j) * cmath.exp(1j * ang)
+                per = {}
+                for p in range(4):
+                    if cov.sector(p).contains(e):
+                        per[p] = (complex(G[p](self.T, e))
+                                  - cauchy_heine_psi(slow, self.T, e, p, TIGHT)
+                                  - cauchy_heine_psi(fast, self.T, e, p, TIGHT))
+                ref.append((j, e, per))
+        assert len(split.probes) == len(ref)
+        for (j, e, per), (rj, re_, rper) in zip(split.probes, ref):
+            assert j == rj and _rel(e, re_) <= 1e-15
+            assert list(per) == list(rper)
+            for p in per:
+                assert _rel(per[p], rper[p]) <= 1e-13
+        for row in split.cascade:
+            vals = [v for (j, _, per) in ref if j == row.j for v in per.values()]
+            assert _rel(row.max_abs, max(abs(v) for v in vals)) <= 1e-13
+            assert row.max_spread <= 1e-13 * row.max_abs
+        assert split.max_abs == max(row.max_abs for row in split.cascade)
+        assert split.max_spread == max(row.max_spread for row in split.cascade)
+
+    def test_realization_matches_per_probe_reference(self):
+        cov = four_sector_covering()
+        slow, fast = two_level_pair(cov)
+        G = _branches(cov, slow, fast, self.entire)
+        checks = verify_difference_realization(G, [slow, fast], self.T)
+        assert len(checks) == 16
+        for i, chk in enumerate(checks):
+            p = i // 4
+            c, hw = cov.overlap_bisector(p), cov.overlap_half_width(p)
+            # half the ray length, a quarter and three quarters of the
+            # half width clockwise of the cut, then counterclockwise
+            off = (-0.25, -0.75, 0.25, 0.75)[i % 4] * hw
+            e = 0.5 * slow.rays[p].length * cmath.exp(1j * (c + off))
+            assert chk.p == p and _rel(chk.eps, e) <= 1e-15
+            lhs = complex(G[(p + 1) % 4](self.T, e)) - complex(G[p](self.T, e))
+            rhs = sum(complex(np.asarray(coc.jump(p, self.T, e)).reshape(()))
+                      for coc in (slow, fast))
+            assert _rel(chk.lhs, lhs) <= 1e-13
+            assert _rel(chk.rhs, rhs) <= 1e-13
+            assert chk.abs_err == pytest.approx(abs(chk.lhs - chk.rhs), abs=0.0)
+
+    @pytest.mark.parametrize("j_max", [0, 5])
+    def test_each_branch_called_at_most_twice(self, j_max):
+        cov = four_sector_covering()
+        slow, fast = two_level_pair(cov)
+        calls = [0] * 4
+        G = _branches(cov, slow, fast, self.entire, calls)
+        split = multilevel_split(G, slow, fast, self.T, opts=TIGHT,
+                                 j_max=j_max)
+        assert len(split.probes) == 12 * (j_max + 1)
+        assert calls == [2, 2, 2, 2]
+
+    def test_mixed_sector_batch_matches_one_point_calls(self):
+        cov = four_sector_covering()
+        slow, fast = two_level_pair(cov)
+        eps, sectors, pairs = [], [], []
+        for p in range(4):
+            c, hw = cov.overlap_bisector(p), cov.overlap_half_width(p)
+            # both sides of cut p, inside and past the ray tip, each point
+            # seen from both sectors of the overlap
+            for frac in (0.3, 0.8, 1.05):
+                for side in (-0.4, 0.4):
+                    e = frac * slow.rays[p].length * cmath.exp(1j * (c + side * hw))
+                    pairs.append((p, e, len(eps)))
+                    eps += [e, e]
+                    sectors += [p, (p + 1) % 4]
+            eps.append(0.2 * cmath.exp(1j * cov.sector(p).bisector))
+            sectors.append(p)
+        for coc in (slow, fast):
+            batch = cauchy_heine_many(coc, self.T, eps, sectors, TIGHT)
+            assert batch.shape == (len(eps),)
+            for e, p, got in zip(eps, sectors, batch):
+                want = cauchy_heine_psi(coc, self.T, e, p, TIGHT)
+                assert _rel(got, want) <= 1e-13
+            # Psi_{p+1} - Psi_p is the jump inside the ray and 0 past its tip
+            for p, e, i in pairs:
+                jump = complex(np.asarray(coc.jump(p, self.T, e)).reshape(()))
+                want = jump if abs(e) < coc.rays[p].length else 0.0
+                assert batch[i + 1] - batch[i] == pytest.approx(
+                    want, rel=1e-12, abs=1e-15)
+        bad = eps + [0.1 * cmath.exp(1j * cov.sector(2).bisector)]
+        with pytest.raises(ValueError, match="not in covering sector 0"):
+            cauchy_heine_many(slow, self.T, bad, sectors + [0], TIGHT)
 
 class TestGeometryHelpers:
     def test_overlap_rays_sit_on_bisectors(self):

@@ -95,6 +95,19 @@ class TestCovering:
             assert brute_covered(cov, c - 1.05 * hw) == 1
 
 
+    def test_sector_contains_matches_brute_on_arrays(self, rng):
+        s = Sector(bisector=2.8, half_opening=0.9, radius=0.4, inner_radius=0.05)
+        z = rng.uniform(0.0, 0.5, 400) * np.exp(1j * rng.uniform(-4.0, 4.0, 400))
+        got = s.contains(z.reshape(20, 20))
+        assert got.shape == (20, 20) and got.dtype == bool
+        brute = [0.05 < abs(e) < 0.4 and abs((cmath.phase(e) - 2.8 + math.pi)
+                                             % TWO_PI - math.pi) < 0.9
+                 for e in z]
+        assert got.ravel().tolist() == brute
+        assert [s.contains(e) for e in z] == brute
+        assert s.contains(complex(z[0])) is brute[0]
+
+
 class TestQSpiral:
     @given(st.floats(-math.pi, math.pi), st.floats(0.05, 3.0),
            st.floats(-math.pi, math.pi))

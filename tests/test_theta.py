@@ -125,6 +125,33 @@ class TestTripleProduct:
         assert worst < tol, worst
 
 
+class TestExtremeModuli:
+    """Subnormal and near-overflow z, where q^{m/k} alone leaves double
+    range: the reduction to the fundamental annulus and the spiral
+    window stay finite and raise no floating-point error."""
+
+    @pytest.mark.parametrize("q,k,z", [
+        (2.0, 1.0, 1e-320), (2.0, 1.0, 5e-324), (3.0, 0.5, -3e-315j),
+        (2.5, 1.5, 1e-310 + 1e-311j), (2.0, 1.0, 1.7e308)])
+    def test_log_modulus_matches_triple_product(self, q, k, z):
+        with np.errstate(all="raise"):
+            mant, logs = theta_eval_scaled(ThetaSpec(q, k), z)
+        _, lg = scaled_to_log(mant, logs)
+        with mpmath.workdps(40):
+            ref = float(mpmath.log(abs(triple_product(q, k, z))))
+        assert lg == pytest.approx(ref, rel=1e-13)
+
+    def test_clearance_near_a_subnormal_zero(self):
+        # z 2^1063 = -(1 + i/128), at distance 1/128 from the zero at -1;
+        # both parts of z are exact subnormals
+        z = -(2.0 ** -1063) * (1.0 + 1j / 128)
+        with np.errstate(all="raise"):
+            got = spiral_clearance(2.0, 1.0, z)
+            arr = spiral_clearance(2.0, 1.0, np.array([z, 1e-320]))
+        assert got == pytest.approx(1 / 128, rel=1e-12)
+        assert arr.tolist() == pytest.approx([1 / 128, 0.875], rel=1e-12)
+
+
 class TestFunctionalEquation:
     @given(st.floats(1.3, 3.0), st.sampled_from([0.5, 1.0, 2.0]),
            st.integers(-3, 3), st.floats(0.3, 3.0), st.floats(-math.pi, math.pi))
