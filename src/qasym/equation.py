@@ -292,11 +292,11 @@ class CoefficientSeries:
         return DecayProfile(C=max(amp, 1e-300), mu=self.mu, beta=self.beta)
 
 
-def _series_value(series: CoefficientSeries, l: int | None, t: complex,
-                  z: complex, eps: complex, strip: HorizontalStrip | None = None,
-                  tail_tol: float = 1e-12, quad_tol: float = 1e-12) -> complex:
-    """c_l at one point (the forcing f when l is None): p-summation up to
-    the certified truncation point, then one inverse Fourier transform."""
+def _series_symbol(series: CoefficientSeries, l: int | None, t: complex,
+                   eps: complex, tail_tol: float = 1e-12
+                   ) -> tuple[Callable, DecayProfile]:
+    """The symbol of c_l at (t, eps) (of the forcing f when l is None),
+    p-summed up to the certified truncation point, and its profile."""
     et = eps * t
     coeff = l is not None
     P = series.truncation_point(abs(et), coeff, tail_tol)
@@ -313,19 +313,36 @@ def _series_value(series: CoefficientSeries, l: int | None, t: complex,
             acc = acc + np.asarray(term(p, m)) * et ** p
         return acc
     amp = sum(envelope(p) * abs(et) ** p for p in range(P + 1))
-    return inverse_fourier(symbol, z, series.profile(amp + tail_tol), strip,
-                           tol=quad_tol).value
+    return symbol, series.profile(amp + tail_tol)
+
+
+def _inverse_fourier_all(pairs, z: complex, strip: HorizontalStrip | None,
+                         quad_tol: float) -> list[complex]:
+    """Inverse transforms at z of every (symbol, profile) pair, in one
+    inverse_fourier call on the vector symbol that stacks them."""
+    symbols, profiles = zip(*pairs)
+
+    def stacked(m):
+        out = np.empty(np.shape(m) + (len(symbols),), dtype=complex)
+        for i, symbol in enumerate(symbols):
+            out[..., i] = symbol(m)
+        return out
+    res = inverse_fourier(stacked, z, profiles, strip, tol=quad_tol)
+    return res.value.tolist()
 
 
 def assemble_coefficients(series: CoefficientSeries, t: complex, z: complex,
                           eps: complex, strip: HorizontalStrip | None = None,
                           tail_tol: float = 1e-12,
                           quad_tol: float = 1e-12) -> tuple[list[complex], complex]:
-    """Evaluate (c_1..c_{D-1}, f) at one point by p-summation and inverse
-    Fourier transform; truncation points carry a certified tail bound."""
-    cs = [_series_value(series, l, t, z, eps, strip, tail_tol, quad_tol)
-          for l in range(series.n_terms)]
-    return cs, _series_value(series, None, t, z, eps, strip, tail_tol, quad_tol)
+    """Evaluate (c_1..c_{D-1}, f) at one point by p-summation and one
+    inverse Fourier transform of all D symbols; truncation points carry a
+    certified tail bound."""
+    pairs = [_series_symbol(series, l, t, eps, tail_tol)
+             for l in range(series.n_terms)]
+    pairs.append(_series_symbol(series, None, t, eps, tail_tol))
+    values = _inverse_fourier_all(pairs, z, strip, quad_tol)
+    return values[:-1], values[-1]
 
 
 def default_spec(frame: QFrame | None = None) -> EquationSpec:
@@ -394,38 +411,43 @@ def dilate(t: complex, q: float, expo: Fraction) -> complex:
     return q ** float(expo) * t
 
 
+def _poly_symbol(coeffs, U: Callable, profile_U: DecayProfile, t: complex,
+                 eps: complex) -> tuple[Callable, DecayProfile]:
+    """The symbol m -> P(im) U(t, m, eps) of P(d_z) u and its profile."""
+    def symbol(m):
+        return polyval_im(coeffs, m) * U(t, m, eps)
+    return symbol, _poly_profile(profile_U, coeffs)
+
+
 def apply_equation_operator(spec: EquationSpec, series: CoefficientSeries,
                             U: Callable, profile_U: DecayProfile,
                             t: complex, z: complex, eps: complex,
                             strip: HorizontalStrip | None = None,
                             quad_tol: float = 1e-12) -> complex:
     """Residual  (left side) - (right side)  of the operator identity at
-    one point, with u given by its Fourier kernel U(t, m, eps)."""
+    one point, with u given by its Fourier kernel U(t, m, eps).
+
+    Every Fourier-side symbol of the identity (Q u, RD_j u, each c_l and
+    R_l u, and f) is transformed in one inverse_fourier call."""
     q = spec.frame.q
     et = eps * t
-
-    def finv(symbol, prof):
-        return inverse_fourier(symbol, z, prof, strip, tol=quad_tol).value
-
-    lhs = finv(lambda m: polyval_im(spec.Q, m) * U(q * t, m, eps),
-               _poly_profile(profile_U, spec.Q))
-
-    rhs = 0.0 + 0.0j
+    pairs = [_poly_symbol(spec.Q, U, profile_U, q * t, eps)]
     for j, RD in ((1, spec.RD1), (2, spec.RD2)):
-        dDj = spec.d_D1 if j == 1 else spec.d_D2
         td = dilate(t, q, spec.dilation_exponent(j))
-        rhs += et ** dDj * finv(lambda m: polyval_im(RD, m) * U(td, m, eps),
-                                _poly_profile(profile_U, RD))
-
+        pairs.append(_poly_symbol(RD, U, profile_U, td, eps))
     for i, term in enumerate(spec.terms):
-        delta = _as_fraction(term.delta)
-        td = dilate(t, q, delta)
-        c_i = _series_value(series, i, td, z, eps, strip, quad_tol=quad_tol)
-        conv = finv(lambda m: polyval_im(term.R, m) * U(td, m, eps),
-                    _poly_profile(profile_U, term.R))
-        rhs += eps ** term.Delta * t ** term.d * c_i * conv
+        td = dilate(t, q, _as_fraction(term.delta))
+        pairs.append(_series_symbol(series, i, td, eps))
+        pairs.append(_poly_symbol(term.R, U, profile_U, td, eps))
+    pairs.append(_series_symbol(series, None, q * t, eps))
+    values = _inverse_fourier_all(pairs, z, strip, quad_tol)
 
-    rhs += _series_value(series, None, q * t, z, eps, strip, quad_tol=quad_tol)
+    lhs = values[0]
+    rhs = et ** spec.d_D1 * values[1] + et ** spec.d_D2 * values[2]
+    for i, term in enumerate(spec.terms):
+        c_i, conv = values[3 + 2 * i], values[4 + 2 * i]
+        rhs += eps ** term.Delta * t ** term.d * c_i * conv
+    rhs += values[-1]
     return lhs - rhs
 
 

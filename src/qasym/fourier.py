@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -236,13 +236,14 @@ def complex_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 @dataclass
 class InverseFourierResult:
-    value: complex
-    error_estimate: float
+    value: complex | np.ndarray
+    error_estimate: float | np.ndarray
     nodes_used: int
     cutoff: float
 
 
-def inverse_fourier(f: Callable, z: complex, profile: DecayProfile,
+def inverse_fourier(f: Callable, z: complex,
+                    profile: DecayProfile | Sequence[DecayProfile],
                     strip: HorizontalStrip | None = None,
                     tol: float = 1e-12) -> InverseFourierResult:
     """(2 pi)^{-1/2} * integral_{-M}^{M} f(m) e^{izm} dm with profile-derived M.
@@ -250,23 +251,43 @@ def inverse_fourier(f: Callable, z: complex, profile: DecayProfile,
     z must lie strictly inside the declared strip (default: half of the
     profile's beta).  The tail beyond M is bounded by tol by design.
 
+    A vector symbol returns m.shape + (n,) and takes a sequence of n
+    profiles, one per component.  All components share one complex_quad
+    call on [-M, M], M the largest of their cutoffs: each component's
+    tail past that M is at most its tail past its own cutoff, so every
+    component keeps tol.  The default strip and the strip check use the
+    smallest beta, and value and error_estimate are arrays over the
+    components.
+
     The range is split at m = 0: for an even symbol and nearly real z the
     imaginary part of the integrand is nearly odd, and one Gauss-Kronrod
     rule on the symmetric [-M, M] sums it to about 0 with an error
     estimate of about 0, so a small but nonzero integral would be accepted
     as 0 on the first pass.
     """
+    vector = not isinstance(profile, DecayProfile)
+    profiles = tuple(profile) if vector else (profile,)
+    beta = min(p.beta for p in profiles)
     if strip is None:
-        strip = HorizontalStrip(half_width=0.5 * profile.beta)
-    if strip.half_width >= profile.beta:
+        strip = HorizontalStrip(half_width=0.5 * beta)
+    if strip.half_width >= beta:
         raise ValueError("strip half-width must be smaller than the decay rate beta")
     z = complex(z)
     if not strip.contains(z):
         raise ValueError(f"z={z} lies outside the declared strip "
                          f"|Im z| < {strip.half_width}")
-    M = profile.cutoff(strip.half_width, tol)
-    val, err, n = complex_quad(lambda m: np.asarray(f(m)) * np.exp(1j * z * m),
-                               -M, M, epsabs=tol / 4.0, epsrel=1e-11,
+    M = max(p.cutoff(strip.half_width, tol) for p in profiles)
+    if vector:
+        def integrand(m):
+            fv = np.asarray(f(m))
+            if fv.shape != m.shape + (len(profiles),):
+                raise ValueError(f"a vector symbol with {len(profiles)} profiles "
+                                 f"returned shape {fv.shape} on nodes {m.shape}")
+            return fv * np.exp(1j * z * m)[..., None]
+    else:
+        def integrand(m):
+            return np.asarray(f(m)) * np.exp(1j * z * m)
+    val, err, n = complex_quad(integrand, -M, M, epsabs=tol / 4.0, epsrel=1e-11,
                                points=(0.0,))
     return InverseFourierResult(value=val / SQRT2PI, error_estimate=err / SQRT2PI + tol,
                                 nodes_used=n, cutoff=M)

@@ -31,7 +31,9 @@ e^{-40} times the p = 0 term, whatever |z| is.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -105,7 +107,11 @@ def theta_eval_scaled(spec: ThetaSpec, z) -> tuple[np.ndarray, np.ndarray]:
     # every nonzero double z, also where Q^{-m} overflows (subnormal z);
     # for q = 2, k = 1 and even m every factor is exact
     half = spec.q ** (m * (-0.5 / spec.k))
-    w = z * half * half
+    if z.ndim:
+        w = z * half * half
+    else:   # near 1e308 numpy's 0-d complex-by-real multiply flags a false
+        # overflow; the same product on one element does not
+        w = (z.reshape(1) * half * half)[0]
     x = np.log(np.abs(w))
     u = 1.0 / w
     pos, neg = _coefficients(spec.q, spec.k)
@@ -133,6 +139,26 @@ def inv_theta_at(q: float, k: float, z):
     return out if np.ndim(z) else complex(out)
 
 
+def _check_subnormal_shift(scale: float, z: complex, shifted: complex) -> None:
+    """Refuse a subnormal shifted point that rounds by more than 2 eps.
+
+    A subnormal keeps only its few low bits, and theta's log-derivative
+    there (thousands) would turn that rounding into an O(1) residual.  The
+    relative error |shifted - scale z| / |scale z| is computed exactly in
+    Fractions; for q = 2, k = 1 the shift is a power of two and exact."""
+    exact = [Fraction(scale) * Fraction(part) for part in (z.real, z.imag)]
+    err2 = sum((Fraction(got) - want) ** 2
+               for got, want in zip((shifted.real, shifted.imag), exact))
+    norm2 = sum(e * e for e in exact)
+    if err2 > (2.0 * sys.float_info.epsilon) ** 2 * norm2:
+        rel = math.sqrt(float(err2 / norm2))
+        raise ValueError(
+            f"the shifted point q^(m/k) z = {shifted!r} is subnormal and "
+            f"rounds by {rel:.3g} relative, more than 2 eps; need a |z| or m "
+            "that keeps it in normal double range, or a q^(1/k) that is a "
+            "power of two")
+
+
 def theta_qdiff_residual(spec: ThetaSpec, z: complex, m: int) -> float:
     """Relative residual of the q-difference equation at (z, m):
 
@@ -146,12 +172,15 @@ def theta_qdiff_residual(spec: ThetaSpec, z: complex, m: int) -> float:
     z = complex(z)
     lq = math.log(spec.q)
     try:
-        shifted = spec.q ** (m / spec.k) * z
+        scale = spec.q ** (m / spec.k)
+        shifted = scale * z
     except OverflowError:
         shifted = math.inf
     if not (np.isfinite(shifted) and shifted != 0):
         raise ValueError("the shifted point q^(m/k) z leaves double range; "
                          "need a smaller |m| or |log|z||")
+    if abs(shifted) < sys.float_info.min:
+        _check_subnormal_shift(scale, z, shifted)
     lm, sm = theta_eval_scaled(spec, shifted)
     rm, sr = theta_eval_scaled(spec, z)
     # fold the prefactor q^{m(m+1)/(2k)} z^m into the right mantissa/scale

@@ -78,7 +78,8 @@ class TestTheta:
         ("5e-324", True), ("0.3+0.4j", False)])
     def test_extreme_z_prints_strict_json(self, capsys, z, overflows):
         """Where |Theta| overflows a double the linear sides of the bound
-        are null and the log sides carry it; subnormal z is evaluated."""
+        are null and the log sides carry it; subnormal z is evaluated (for
+        q = 2, k = 1 its shift by q^(m/k) is exact)."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, payload = run_cli(capsys, "theta", "--z", z)
@@ -90,6 +91,13 @@ class TestTheta:
             bound["log_margin"], abs=1e-9 * abs(bound["log_lhs"]) + 1e-12)
         if not overflows:
             assert math.log(bound["lhs"]) == pytest.approx(bound["log_lhs"])
+
+    def test_near_overflow_z_warns_nothing(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, payload = run_cli(capsys, "theta", "--z", "1e308+1e308j",
+                                    "--m", "-1")
+        assert code == 0 and payload["ok"] is True
 
     def test_non_finite_result_is_one(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_cmd_theta",
@@ -260,6 +268,11 @@ class TestResidual:
         assert payload["max_abs_residual"] <= payload["threshold"]
         assert payload["n_points"] == 8
 
+    def test_power_two_residual(self, capsys):
+        code, payload = run_cli(capsys, "residual", "--power", "2")
+        assert code == 0 and payload["ok"] is True
+        assert payload["max_abs_residual"] <= payload["threshold"]
+
 
 GOLDEN = Path(__file__).parent / "golden"
 _FRAME = {"q": 2.0, "k1": 1.0, "k2": 2.0, "epsilon0": 0.4, "rT": 0.4}
@@ -352,6 +365,8 @@ class TestBadArguments:
                      id="theta-shifted-z-overflows"),
         pytest.param(("theta", "--z", "0.3", "--m", "5000"), "shifted point",
                      id="theta-shift-power-overflows"),
+        pytest.param(("theta", "--q", "1.3", "--k", "0.7", "--z", "1e-320"),
+                     "is subnormal and rounds", id="theta-shift-rounds-subnormal"),
         pytest.param(("diff", "--route", "direct"), "--route direct needs --overlap",
                      id="diff-route-without-overlap"),
         pytest.param(("fourier", "--z", "nan"), "'nan'", id="fourier-z-nan"),

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qasym import equation
 from qasym.equation import (CoefficientSeries, EquationSpec, EquationTerm,
                             apply_equation_operator, assemble_coefficients,
                             default_series, default_spec, dilate,
                             manufactured_problem, poly_abs_sum, poly_degree,
                             residual_sweep, validate_hypotheses,
                             write_residual_csv)
+from qasym.fourier import inverse_fourier
 from qasym.frames import QFrame
+from qasym.geometry import polyval_im
 
 
 def spec_with(**overrides) -> EquationSpec:
@@ -238,3 +241,57 @@ class TestManufactured:
         text = open(path).read().splitlines()
         assert text[0] == "Re t,Im t,Re z,Im z,Re eps,Im eps,abs residual"
         assert len(text) == 3
+
+
+class TestOneTransformPerPoint:
+    def test_operator_makes_one_inverse_fourier_call(self, monkeypatch):
+        calls = []
+        real = equation.inverse_fourier
+
+        def counted(f, *args, **kwargs):
+            calls.append(f)
+            return real(f, *args, **kwargs)
+        monkeypatch.setattr(equation, "inverse_fourier", counted)
+        spec = default_spec()
+        U, profile_U, series = manufactured_problem(spec, a=1)
+        points = [(0.12 * cmath.exp(0.3j), 0.3, 0.15 * cmath.exp(0.7j)),
+                  (0.1, -0.5, 0.08), (0.15j, 0.0, 0.1 * cmath.exp(1.9j))]
+        for i, (t, z, eps) in enumerate(points, start=1):
+            res = apply_equation_operator(spec, series, U, profile_U, t, z, eps)
+            assert len(calls) == i
+            assert callable(calls[-1])
+            assert type(res) is complex
+            assert abs(res) < 1e-10
+        calls.clear()
+        cs, f = assemble_coefficients(default_series(spec), 0.1, 0.4, 0.2)
+        assert len(calls) == 1
+        assert all(type(c) is complex for c in cs + [f])
+
+    def test_operator_matches_per_symbol_transforms(self):
+        # the parent form: every symbol of the identity transformed on its
+        # own, with its own profile and cutoff
+        spec = default_spec()
+        U, profile_U, _ = manufactured_problem(spec, a=0)
+        series = default_series(spec)
+        q = spec.frame.q
+        t, z, eps = 0.11 * cmath.exp(0.4j), 0.35, 0.12 * cmath.exp(1.1j)
+
+        def finv(symbol, prof):
+            return inverse_fourier(symbol, z, prof, tol=1e-12).value
+
+        def poly(coeffs, td):
+            return finv(lambda m: polyval_im(coeffs, m) * U(td, m, eps),
+                        equation._poly_profile(profile_U, coeffs))
+
+        et = eps * t
+        rhs = et ** spec.d_D1 * poly(spec.RD1, dilate(t, q, spec.dilation_exponent(1)))
+        rhs += et ** spec.d_D2 * poly(spec.RD2, dilate(t, q, spec.dilation_exponent(2)))
+        for i, term in enumerate(spec.terms):
+            td = dilate(t, q, Fraction(term.delta))
+            c_i = finv(*equation._series_symbol(series, i, td, eps))
+            rhs += eps ** term.Delta * t ** term.d * c_i * poly(term.R, td)
+        rhs += finv(*equation._series_symbol(series, None, q * t, eps))
+        expected = poly(spec.Q, q * t) - rhs
+        got = apply_equation_operator(spec, series, U, profile_U, t, z, eps)
+        assert abs(got - expected) <= 1e-11
+        assert abs(expected) > 1e-3     # c_l != 0: a residual, not a zero

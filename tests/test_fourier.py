@@ -194,3 +194,51 @@ class TestInverseFourier:
         rhs = a * inverse_fourier(f, z, prof, strip=strip, tol=1e-11).value \
             + b * inverse_fourier(g, z, prof, strip=strip, tol=1e-11).value
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-9)
+
+
+class TestVectorSymbol:
+    """A vector symbol: one profile per component, one complex_quad call."""
+
+    PROFILES = (DecayProfile(C=1.0, mu=3.0, beta=1.0),
+                DecayProfile(C=1.0, mu=3.0, beta=1.4),
+                default_profile_for("gaussian", 1.2, 3.0),
+                DecayProfile(C=50.0, mu=2.5, beta=1.1))
+    SYMBOLS = (standard_symbol(1.0, 3.0), make_symbol("oscillating", 1.4, 3.0),
+               gaussian_symbol(), lambda m: 50.0 * standard_symbol(1.1, 2.5)(m))
+
+    @staticmethod
+    def stacked(symbols):
+        return lambda m: np.stack([s(m) for s in symbols], axis=-1)
+
+    @pytest.mark.parametrize("z", [0.0, 0.3, -1.7, 0.2 + 0.3j, 1.1 - 0.45j])
+    def test_each_component_matches_its_scalar_call(self, z):
+        tol = 1e-12
+        res = inverse_fourier(self.stacked(self.SYMBOLS), z, self.PROFILES, tol=tol)
+        assert res.value.shape == res.error_estimate.shape == (len(self.SYMBOLS),)
+        for i, (f, prof) in enumerate(zip(self.SYMBOLS, self.PROFILES)):
+            one = inverse_fourier(f, z, prof, strip=HorizontalStrip(0.5), tol=tol)
+            assert abs(res.value[i] - one.value) <= tol
+            assert res.error_estimate[i] >= tol
+
+    def test_cutoff_is_the_largest_component_cutoff(self):
+        strip = HorizontalStrip(0.5)
+        res = inverse_fourier(self.stacked(self.SYMBOLS), 0.3, self.PROFILES,
+                              strip=strip, tol=1e-10)
+        cutoffs = [p.cutoff(0.5, 1e-10) for p in self.PROFILES]
+        assert res.cutoff == max(cutoffs)
+        assert len(set(cutoffs)) == len(cutoffs)   # the max is a real choice
+
+    def test_strip_is_judged_against_the_smallest_beta(self):
+        f = self.stacked(self.SYMBOLS[1:])
+        profiles = self.PROFILES[1:]                 # betas 1.4, 1.2, 1.1
+        assert inverse_fourier(f, 0.3 + 0.5j, profiles).cutoff > 0
+        for half_width in (1.1, 1.3):
+            with pytest.raises(ValueError, match="beta"):
+                inverse_fourier(f, 0.3, profiles,
+                                strip=HorizontalStrip(half_width))
+        with pytest.raises(ValueError, match="strip"):
+            inverse_fourier(f, 0.3 + 0.56j, profiles)   # default strip 0.55
+
+    def test_component_count_must_match_profiles(self):
+        with pytest.raises(ValueError, match="2 profiles"):
+            inverse_fourier(self.stacked(self.SYMBOLS[:3]), 0.3, self.PROFILES[:2])
