@@ -465,10 +465,15 @@ def manufactured_problem(spec: EquationSpec, a: int = 0
     fr = spec.frame
     mu_phi = spec.mu + max(poly_degree(spec.Q), 0)
     beta = spec.beta
+    last = [None, None]   # the node array phi last saw, and phi there
 
     def phi(m):
-        am = np.abs(np.asarray(m, dtype=float))
-        return (1.0 + am) ** (-mu_phi) * np.exp(-beta * am)
+        # a stacked symbol passes one node array to its U and F_fn
+        # components in turn: evaluate phi once per array
+        if m is not last[0]:
+            am = np.abs(np.asarray(m, dtype=float))
+            last[:] = m, (1.0 + am) ** (-mu_phi) * np.exp(-beta * am)
+        return last[1]
 
     def U(t, m, eps):
         return phi(m) * (eps * t) ** a

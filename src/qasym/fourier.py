@@ -138,7 +138,14 @@ _EPS50 = 50.0 * np.finfo(float).eps
 
 
 class QuadratureError(ArithmeticError):
-    """An integral missed its tolerance within `limit` panels."""
+    """An integral missed its tolerance within `limit` panels.
+
+    For a vector integrand, `component` is the index of the component
+    furthest from its target; it is None for a scalar integrand."""
+
+    def __init__(self, message: str, component: int | None = None):
+        super().__init__(message)
+        self.component = component
 
 
 def _gk21(fv: np.ndarray, half: np.ndarray) -> tuple:
@@ -179,7 +186,8 @@ def complex_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     parts is above its round-off floor, 50 eps times the integral of
     |part| over the panel; when only such floors stand in the way, the
     call returns with their error.  Raises QuadratureError if a
-    bisection would take the number of panels past `limit`.
+    bisection would take the number of panels past `limit`; for a vector
+    integrand its `component` is the one furthest from its target.
 
     Returns (value, error estimate, nodes evaluated).  The value and the
     error, the modulus of the real and imaginary errors, are scalars for
@@ -218,12 +226,15 @@ def complex_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         if done or not split.any():
             break
         if len(lo) + split.sum() > limit:
-            ratio = np.max(total_err / target)
+            ratios = total_err / target
+            ratio, worst = np.max(ratios), None
             if val.ndim == 3:
                 ratio = max(ratio, norms.sum() / norm_target)
+                worst = int(np.argmax(ratios.max(axis=1)))
             raise QuadratureError(
                 f"x in [{a}, {b}]: error {ratio:.3g} times its target with "
-                f"{len(lo)} panels; bisecting would pass limit={limit}")
+                f"{len(lo)} panels; bisecting would pass limit={limit}",
+                component=worst)
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])

@@ -35,7 +35,11 @@ Fitting log ||diff|| = a log^2|T| + b log|T| + c and reading the rate as
 Every ray, arc and segment is one call of qlaplace.log_contour_transform,
 which evaluates the kernel on arrays of nodes (the kernel functions
 here are vectorised over u) and raises QuadratureError when a piece
-misses its tolerance within its panel limit.
+misses its tolerance within its panel limit.  The pieces take an array
+of T as well as one T: each point gets its own window, and all of them
+are the components of that one call, so a cascade or a remainder table
+costs one quadrature per piece (3 on a fast overlap, 5 on a slow one),
+whatever its number of probe points.
 """
 
 from __future__ import annotations
@@ -217,10 +221,10 @@ def _budget(tol: float) -> float:
     return math.log(1.0 / tol) + 12.0
 
 
-def _laplace_ray(scn: ModelScenario, shape, direction: float, T: complex,
-                 s_lo: float, s_hi: float, tol: float) -> complex:
+def _laplace_ray(scn: ModelScenario, shape, direction: float, T, s_lo, s_hi,
+                 tol: float):
     """(k2/lq) int shape(e^{s+id}) invTheta(e^{s+id}/T) ds over the
-    log-radius window [s_lo, s_hi]."""
+    log-radius window [s_lo, s_hi] (arrays of windows for an array of T)."""
     fr = scn.frame
     val, _, _ = log_contour_transform(shape, fr.q, fr.k2, T, 1j * direction,
                                       1.0, s_lo, s_hi, epsabs=tol * 1e-250,
@@ -229,23 +233,24 @@ def _laplace_ray(scn: ModelScenario, shape, direction: float, T: complex,
 
 
 def outer_ray_piece(scn: ModelScenario, branch: int, direction: float,
-                    T: complex, tol: float = 1e-11) -> complex:
+                    T, tol: float = 1e-11):
     """Ray piece over [rho, infinity): the integrand peaks at the inner
-    endpoint and dies off at the fast-level Gaussian speed."""
+    endpoint and dies off at the fast-level Gaussian speed.  T is one
+    point or a 1-d array of them (then the result is an array)."""
     fr = scn.frame
     lq = math.log(fr.q)
     s0 = math.log(scn.rho)
-    L = math.log(abs(T))
-    gap = max(s0 - L, 1.0)
+    gap = np.maximum(s0 - np.log(np.abs(T)), 1.0)
     ds = _budget(tol) * lq / (fr.k2 * gap) + 2.0
     return _laplace_ray(scn, lambda u: kernel_shape(scn, branch, u),
                         direction, T, s0, s0 + ds, tol)
 
 
 def arc_piece(scn: ModelScenario, branch: int, theta_lo: float,
-              theta_hi: float, T: complex, tol: float = 1e-11) -> complex:
+              theta_hi: float, T, tol: float = 1e-11):
     """(k2/lq) i int_{theta_lo}^{theta_hi} shape(rho e^{i th})
-    invTheta(rho e^{i th}/T) d th on the contraction circle."""
+    invTheta(rho e^{i th}/T) d th on the contraction circle, at one T or
+    at each of a 1-d array of them."""
     fr = scn.frame
     val, _, _ = log_contour_transform(lambda u: kernel_shape(scn, branch, u),
                                       fr.q, fr.k2, T, math.log(scn.rho), 1j,
@@ -255,24 +260,22 @@ def arc_piece(scn: ModelScenario, branch: int, theta_lo: float,
     return val
 
 
-def mid_segment_piece(scn: ModelScenario, p: int, T: complex,
-                      tol: float = 1e-11) -> complex:
+def mid_segment_piece(scn: ModelScenario, p: int, T, tol: float = 1e-11):
     """(k2/lq) int_0^rho [shape_{p+1} - shape_p](u) invTheta(u/T) du/u
     along the wedge mid-direction: the slow-rate carrier.
 
     The integrand's log-radius exponent is a sum of two Gaussians whose
     saddle realizes  kappa k2/(kappa + k2) = k1;  the window is centred
-    there.
+    there, per point when T is an array.
     """
     fr = scn.frame
     lq = math.log(fr.q)
     kap, k2 = fr.kappa, fr.k2
-    L = math.log(abs(T))
 
-    s_star = (k2 * L + lq * (scn.drift - 0.5)) / (kap + k2)
+    s_star = (k2 * np.log(np.abs(T)) + lq * (scn.drift - 0.5)) / (kap + k2)
     half = math.sqrt(2.0 * lq * _budget(tol) / (kap + k2)) + 2.0
     s_lo = s_star - half
-    s_hi = min(math.log(scn.rho), s_star + half)
+    s_hi = np.minimum(math.log(scn.rho), s_star + half)
     return _laplace_ray(scn, lambda u: kernel_jump_shape(scn, p, u),
                         scn.mid_direction(p), T, s_lo, s_hi, tol)
 
@@ -311,7 +314,7 @@ def _check_overlap(scn: ModelScenario, p: int) -> None:
         raise ValueError(f"overlap index must lie in [0, {scn.n}), got {p}")
 
 
-def consecutive_difference(scn: ModelScenario, p: int, T: complex,
+def consecutive_difference(scn: ModelScenario, p: int, T,
                            route: str = "decomposed", tol: float = 1e-11):
     """U_{p+1}(T) - U_p(T) on overlap p.
 
@@ -319,6 +322,11 @@ def consecutive_difference(scn: ModelScenario, p: int, T: complex,
     (cancellation-free, usable deep into the cascade).  route="direct":
     the complex difference of two full-ray transforms (loses one digit
     per fast-level Gaussian factor, shallow use only).
+
+    T may be a 1-d array: each piece (each full ray on the direct route)
+    is then one contour call on all of its points, and the result is a
+    list with one DiffPieces per point (an array of differences on the
+    direct route).
     """
     _check_overlap(scn, p)
     if route == "direct":
@@ -341,20 +349,26 @@ def consecutive_difference(scn: ModelScenario, p: int, T: complex,
         pieces["arc_hi"] = arc_piece(scn, p + 1, mid, hi, T, tol=tol)
         pieces["mid_segment"] = mid_segment_piece(scn, p, T, tol)
         oracle = None
-    return DiffPieces(p=p, T=complex(T), level=level, pieces=pieces,
-                      oracle=oracle)
+    if np.ndim(T) == 0:
+        return DiffPieces(p=p, T=complex(T), level=level, pieces=pieces,
+                          oracle=oracle)
+    return [DiffPieces(p=p, T=complex(t), level=level,
+                       pieces={name: complex(v[i]) for name, v in pieces.items()},
+                       oracle=None if oracle is None else complex(oracle[i]))
+            for i, t in enumerate(T)]
 
 
-def laplace_transform_shape(scn: ModelScenario, p: int, T: complex,
-                            tol: float = 1e-12) -> complex:
+def laplace_transform_shape(scn: ModelScenario, p: int, T,
+                            tol: float = 1e-12):
     """U_p(T): (k2/lq) int shape_p(u) invTheta(u/T) du/u along the ray
-    d_p, the full-ray fast-level transform of the sector kernel."""
+    d_p, the full-ray fast-level transform of the sector kernel, at one
+    T or at each of a 1-d array of them."""
     fr = scn.frame
     lq = math.log(fr.q)
-    L = math.log(abs(T))
+    L = np.log(np.abs(T))
     half = math.sqrt(2.0 * lq * _budget(tol) / fr.k2) + 2.0
     s_lo = L - half
-    s_hi = max(L + half, math.log(scn.rho) + half)
+    s_hi = np.maximum(L + half, math.log(scn.rho) + half)
     return _laplace_ray(scn, lambda u: kernel_shape(scn, p, u),
                         scn.directions[p % scn.n], T, s_lo, s_hi, tol)
 
@@ -378,15 +392,16 @@ class DiffTable:
 def difference_cascade(scn: ModelScenario, p: int, js: Sequence[int],
                        route: str = "decomposed", tol: float = 1e-11
                        ) -> DiffTable:
-    """||U_{p+1} - U_p|| along |T| = 2^-j on the overlap mid-direction."""
+    """||U_{p+1} - U_p|| along |T| = 2^-j on the overlap mid-direction,
+    from one consecutive_difference call on all the probe points."""
     _check_overlap(scn, p)
     level = scn.levels()[p]
-    rows = []
-    for j in js:
-        T = scn.probe_T(p, j)
-        d = consecutive_difference(scn, p, T, route, tol)
-        norm = abs(d.total) if isinstance(d, DiffPieces) else abs(d)
-        rows.append(DiffRow(j=j, absT=abs(T), norm=norm))
+    Ts = [scn.probe_T(p, j) for j in js]
+    diffs = consecutive_difference(scn, p, np.array(Ts), route, tol)
+    norms = ([abs(d.total) for d in diffs] if route == "decomposed"
+             else [abs(complex(d)) for d in diffs])
+    rows = [DiffRow(j=j, absT=abs(T), norm=norm)
+            for j, T, norm in zip(js, Ts, norms)]
     return DiffTable(p=p, level=level, rows=rows)
 
 
@@ -462,7 +477,8 @@ def difference_remainder_table(scn: ModelScenario, p: int, level_k: float,
                                ) -> RemainderTable:
     """Shrinking-disc rows for the overlap difference: for each order N
     place |t| = t_frac q^{-(N+1)/(2 level_k)} (inside the level's disc
-    ladder) and record ||U_{p+1} - U_p|| at T = eps t.
+    ladder) and record ||U_{p+1} - U_p|| at T = eps t, from one
+    consecutive_difference call on all the rows' T.
 
     The difference plays its own remainder: the sectorial expansions
     agree through every order, so the gap must obey the level's
@@ -471,12 +487,13 @@ def difference_remainder_table(scn: ModelScenario, p: int, level_k: float,
     fr = scn.frame
     table = RemainderTable()
     mid = scn.mid_direction(p)
-    for N in N_range:
-        t_abs = t_frac * ladder_radius(fr.q, level_k, N + 1)
-        for em in eps_mods:
-            T = em * t_abs * complex(math.cos(mid), math.sin(mid))
-            d = consecutive_difference(scn, p, T, "decomposed", tol)
-            table.add(N, em, abs(d.total), t_abs)
+    rows = [(N, em, t_frac * ladder_radius(fr.q, level_k, N + 1))
+            for N in N_range for em in eps_mods]
+    Ts = [em * t_abs * complex(math.cos(mid), math.sin(mid))
+          for _, em, t_abs in rows]
+    diffs = consecutive_difference(scn, p, np.array(Ts), "decomposed", tol)
+    for (N, em, t_abs), d in zip(rows, diffs):
+        table.add(N, em, abs(d.total), t_abs)
     return table
 
 

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from qasym import model
 from qasym.model import (DiffRow, DiffTable, ModelScenario, PoleSpec,
                          consecutive_difference, default_scenario,
-                         difference_remainder_table, fit_rate,
-                         kernel_jump_shape, kernel_shape,
-                         verify_two_level_theorem)
+                         difference_cascade, difference_remainder_table,
+                         fit_rate, kernel_jump_shape, kernel_shape,
+                         residue_closed_form, verify_two_level_theorem)
 from qasym.schemas import validate_payload
 
 
@@ -116,6 +117,50 @@ class TestDifferences:
         assert d.oracle is None
         assert set(d.pieces) == {"outer_plus", "outer_minus", "arc_lo",
                                  "arc_hi", "mid_segment"}
+
+    @pytest.mark.parametrize("p", range(4))
+    def test_array_of_T_matches_scalar_calls(self, scn, p):
+        Ts = np.array([scn.probe_T(p, j) for j in range(3, 9)])
+        batch = consecutive_difference(scn, p, Ts, "decomposed", tol=1e-11)
+        assert len(batch) == len(Ts)
+        for T, d in zip(Ts, batch):
+            one = consecutive_difference(scn, p, T, "decomposed", tol=1e-11)
+            assert d.T == T and d.level == one.level
+            assert set(d.pieces) == set(one.pieces)
+            assert abs(d.total - one.total) <= 1e-10 * abs(one.total)
+            if d.level == 2:
+                oracle = residue_closed_form(scn, p, T)
+                assert d.oracle == pytest.approx(oracle, rel=1e-14)
+                assert abs(d.total - oracle) < 1e-9 * abs(oracle)
+
+    @pytest.mark.parametrize("js", [range(3, 9), range(3, 13)])
+    def test_cascade_makes_one_contour_call_per_piece(self, scn, monkeypatch,
+                                                      js):
+        calls = []
+        contour = model.log_contour_transform
+
+        def counted(*args, **kw):
+            calls.append(np.size(args[3]))
+            return contour(*args, **kw)
+
+        monkeypatch.setattr(model, "log_contour_transform", counted)
+        for p, n_pieces in ((0, 3), (2, 5)):   # one fast, one slow overlap
+            calls.clear()
+            table = difference_cascade(scn, p, js)
+            assert len(table.rows) == len(js)
+            assert calls == [len(js)] * n_pieces
+
+    def test_direct_route_on_an_array_of_T(self, scn):
+        """The direct route subtracts two full-ray transforms, so the
+        batched and the scalar difference agree to tol times their size."""
+        tol = 1e-11
+        Ts = np.array([scn.probe_T(0, j) for j in range(3, 7)])
+        batch = consecutive_difference(scn, 0, Ts, "direct", tol=tol)
+        for T, d in zip(Ts, batch):
+            one = consecutive_difference(scn, 0, T, "direct", tol=tol)
+            size = sum(abs(model.laplace_transform_shape(scn, p, T, tol))
+                       for p in (0, 1))
+            assert abs(d - one) <= tol * size
 
     def test_route_validation(self, scn):
         with pytest.raises(ValueError):

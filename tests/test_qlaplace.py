@@ -218,3 +218,40 @@ class TestBatchedRule:
         value, _, _ = log_contour_transform(*args, epsabs=1e-261,
                                             epsrel=1e-11, limit=400)
         assert abs(value - scipy_contour(*args)) <= 1e-12 * abs(value)
+
+        # three arcs in one call: only the one at |T| = 2^-5 passes the pole
+        Ts = np.array([scn.probe_T(0, j) for j in (4, 5, 6)])
+        batched = (args[0], fr.q, fr.k2, Ts, math.log(1.19), 1j,
+                   np.array([-1.3, 0.0, -1.3]), np.array([-0.2, math.pi / 2, -0.2]))
+        with pytest.raises(QuadratureError,
+                           match=r"3 contours .*worst at \|T\|=0\.0312 on "
+                                 r"s in \[0, 1\.5708\].*limit=8") as info:
+            log_contour_transform(*batched, epsabs=1e-261, epsrel=1e-11, limit=8)
+        assert info.value.component == 1
+
+    @pytest.mark.parametrize("j", [3, 7])
+    def test_batched_pieces_match_scipy(self, monkeypatch, j):
+        """One vector call on 3 T per ray, arc and segment contour matches
+        the scalar oracle component by component."""
+        calls = []
+
+        def recorded(f, q, k, T, w0, dw, a, b, **kw):
+            out = log_contour_transform(f, q, k, T, w0, dw, a, b, **kw)
+            calls.append(((f, q, k, T, complex(w0), complex(dw), a, b), out[0]))
+            return out
+
+        monkeypatch.setattr(model, "log_contour_transform", recorded)
+        scn = model.default_scenario()
+        p = scn.levels().index(1)
+        lo, hi = scn.wedge(p)
+        Ts = np.array([scn.probe_T(p, j + i) for i in range(3)])
+        model.outer_ray_piece(scn, p + 1, hi, Ts)
+        model.arc_piece(scn, p, lo, scn.mid_direction(p), Ts)
+        model.mid_segment_piece(scn, p, Ts)
+        assert [c[0][5] for c in calls] == [1, 1j, 1]  # ray, arc, segment
+        for (f, q, k, T, w0, dw, a, b), values in calls:
+            assert values.shape == (3,)
+            a, b = np.broadcast_to(a, 3), np.broadcast_to(b, 3)
+            for i in range(3):
+                ref = scipy_contour(f, q, k, T[i], w0, dw, a[i], b[i])
+                assert abs(values[i] - ref) <= 1e-12 * abs(ref)
