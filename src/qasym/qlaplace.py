@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -47,6 +48,8 @@ import numpy as np
 from .fourier import QuadratureError, complex_quad
 from .geometry import qspiral_infimum, qspiral_membership
 from .theta import inv_theta_at
+
+_LOG_MAX = math.log(sys.float_info.max)     # e^s overflows a double past this
 
 
 @dataclass(frozen=True)
@@ -63,12 +66,14 @@ class GrowthCertificate:
         if not (self.K > 0 and self.k >= 0 and self.rho > 0):
             raise ValueError("need K > 0, k >= 0, rho > 0")
 
-    def log_bound(self, r: float, q: float) -> float:
-        """log of the certified envelope at |u| = r."""
-        if r <= self.rho:
-            return math.log(self.K)
-        L = math.log(r)
-        return math.log(self.K) + 0.5 * self.k * L * L / math.log(q) + self.alpha * L
+    def log_bound(self, r, q: float):
+        """log of the certified envelope at |u| = r, for scalar or array r."""
+        r, log_K = np.asarray(r, dtype=float), math.log(self.K)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            L = np.log(r)
+            out = np.where(r <= self.rho, log_K,
+                           log_K + 0.5 * self.k * L * L / math.log(q) + self.alpha * L)
+        return out if out.ndim else float(out)
 
     def certify(self, f: Callable[[complex], complex], d: float,
                 q: float) -> tuple[bool, float]:
@@ -126,40 +131,75 @@ def _integration_window(spec: QLaplaceSpec, cert: GrowthCertificate,
         g(s) = log_bound(e^s) - (k/2)(s-L)^2/log q - (s-L)/2,
 
     with L = log|T|.  The window ends where g has dropped `budget` below
-    its peak on each side; if g keeps rising to the right the growth
-    certificate is too strong for the transform order and we refuse.
+    its peak on each side, found by walks of 0.25 evaluated as arrays; if
+    g keeps rising to the right the growth certificate is too strong for
+    the transform order and we refuse, as we do for a window wider than
+    200 log units or one that reaches |u| past the largest double.
     """
     lq = math.log(spec.q)
     L = math.log(absT)
     budget = math.log(1.0 / spec.tol) + 10.0
 
-    def g(s: float) -> float:
-        return cert.log_bound(math.exp(s), spec.q) \
+    def g(s: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            r = np.exp(s)
+        return cert.log_bound(r, spec.q) \
             - 0.5 * spec.k * (s - L) ** 2 / lq - 0.5 * (s - L)
 
     scan_hi = max(L, math.log(cert.rho)) + 2.0
-    scan = np.linspace(L - 2.0, scan_hi, 64)
-    g_peak = max(g(float(s)) for s in scan)
+    floor = g(np.linspace(L - 2.0, scan_hi, 64)).max() - budget
 
+    # each walk steps by 0.25 from one end of the scan while g > floor;
+    # its grid is a cumsum of the steps, so every s is the running sum
+    # that adding 0.25 at a time would form
     step = 0.25
-    s_hi = scan_hi
-    rises = 0
-    while g(s_hi) > g_peak - budget:
-        if g(s_hi + step) > g(s_hi):
-            rises += 1
-            if rises > 400:
-                raise ValueError(
-                    "integrand envelope does not decay along the ray: growth "
-                    f"certificate (k={cert.k}, alpha={cert.alpha}) too strong "
-                    f"for transform order k={spec.k} at |T|={absT:.3g}")
-        s_hi += step
-        if s_hi - scan_hi > 200.0:
-            raise ValueError("q-Laplace window exceeds 200 log units; "
-                             "certificate incompatible with |T|")
+    for count in (64, 810):     # 64 steps can hold neither 401 rises nor 200 units
+        s = _walk(scan_hi, step, count)
+        gs = g(s)
+        if not (gs > floor).all():
+            break
+    # the right walk may not take its step past 200 log units (to s[n]),
+    # nor a step on which g rises for the 401st time
+    n = _first(s - scan_hi > 200.0)
+    s, gs = s[:n + 1], gs[:n + 1]
+    j_stop = min(_first(~(gs > floor)), n)
+    j_rise = _first(np.cumsum(gs[1:] > gs[:-1]) > 400)
+    # the walk looks at s[0..top]: where e^s overflows there, g is not a bound
+    top = j_rise + 1 if j_rise < j_stop else j_stop
+    if s[top] > _LOG_MAX:
+        raise ValueError(f"q-Laplace window reaches |u| = e^{s[top]:.6g}, past "
+                         f"double range, at |T|={absT:.3g}")
+    if j_rise < j_stop:
+        raise ValueError(
+            "integrand envelope does not decay along the ray: growth "
+            f"certificate (k={cert.k}, alpha={cert.alpha}) too strong "
+            f"for transform order k={spec.k} at |T|={absT:.3g}")
+    if j_stop >= n:
+        raise ValueError("q-Laplace window exceeds 200 log units; "
+                         "certificate incompatible with |T|")
+    s_hi = s[j_stop]
+
     s_lo = L - 2.0
-    while g(s_lo) > g_peak - budget:
-        s_lo -= step
-    return s_lo - 0.5, s_hi + 0.5
+    while True:
+        s = _walk(s_lo, -step, 64)
+        j = _first(~(g(s) > floor))
+        if j < s.size:
+            return float(s[j]) - 0.5, float(s_hi) + 0.5
+        s_lo = s[-1]
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in a nonempty mask, or its length if
+    there is none."""
+    j = int(mask.argmax())
+    return j if mask[j] else mask.size
+
+
+def _walk(start: float, step: float, count: int) -> np.ndarray:
+    """start, start + step, ... (count steps), each the running sum."""
+    s = np.full(count + 1, step)
+    s[0] = start
+    return np.cumsum(s)
 
 
 def log_contour_transform(f: Callable[[np.ndarray], np.ndarray], q: float,

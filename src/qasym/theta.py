@@ -255,14 +255,37 @@ def _log_abs_theta(spec: ThetaSpec, z) -> np.ndarray:
         return np.log(np.abs(mant)) + shift
 
 
+def _crossing_angles(q: float, k: float, radii: np.ndarray,
+                     t: float) -> np.ndarray:
+    """Per radius r, the angle a* in (pi/2, pi] past which inf_m
+    |1 + r e^{ia} q^{m/k}| drops below t (0 < t < 1), or inf where it
+    never does.
+
+    With rho_m = r q^{m/k}, |1 + rho_m e^{ia}|^2 = 1 + rho_m^2 + 2 rho_m cos a
+    falls as a goes from 0 to pi and reaches t^2 where
+    cos a = (t^2 - 1 - rho_m^2) / (2 rho_m); that is >= -1 exactly when
+    |1 - rho_m| <= t, so only the m with rho_m in [1 - t, 1 + t] cross,
+    and a* is the smallest of their arccos."""
+    lQ = math.log(q) / k
+    m_lo = math.floor(math.log((1.0 - t) / radii.max()) / lQ)
+    m_hi = math.ceil(math.log((1.0 + t) / radii.min()) / lQ)
+    rho = np.multiply.outer(radii, np.exp(np.arange(m_lo, m_hi + 1) * lQ))
+    c = (t * t - 1.0 - rho * rho) / (2.0 * rho)
+    return np.where(c >= -1.0, np.arccos(np.clip(c, -1.0, 1.0)), np.inf).min(axis=1)
+
+
 def calibrate_theta_constant(spec: ThetaSpec, dlt: float = 0.3) -> ThetaSpec:
     """Measure C(q,k) and return a spec carrying it.
 
     The ratio |Theta(z)| / (dlt * envelope(z)) is log-periodic in |z|
-    with period q^{1/k}, so one radial period suffices.  The minimum is
-    approached as the clearance decreases to dlt; besides a dense polar
-    grid (48 radii x 720 angles) we add, for each radius, the two angles
-    where the clearance crosses 1.02 dlt (bisection), then set
+    with period q^{1/k}, so one radial period suffices.  Theta has real
+    coefficients, so |Theta(conj z)| = |Theta(z)|; the clearance is even
+    in arg z and the envelope depends on |z| only, so the upper half
+    plane suffices too.  The minimum is approached as the clearance
+    decreases to dlt; besides a polar grid (48 radii x 361 angles over
+    [0, pi], about 17k samples) we add, for each radius, the angle where
+    the clearance crosses 1.02 dlt, in closed form (_crossing_angles;
+    admissible by construction), then set
 
         Cqk = 0.9 * min ratio over all admissible samples,
 
@@ -270,27 +293,29 @@ def calibrate_theta_constant(spec: ThetaSpec, dlt: float = 0.3) -> ThetaSpec:
     sampled minimum, not a certified one: the 0.9 deflation is meant to
     absorb the gap between the samples and the true infimum over the
     admissible set, and nothing checks that it does.
+
+    Raises ValueError where the pitch log q / k is so small (about 0.1
+    and below) that |Theta| on one period falls below double resolution:
+    a sampled scaled value under 1e-10 is round-off of terms near 1, not
+    a value of Theta.
     """
     q, k = spec.q, spec.k
     radii = np.exp(np.linspace(0.0, math.log(q) / k, 48, endpoint=False))
-    angles = np.linspace(-math.pi, math.pi, 720, endpoint=False)
-    zs = np.multiply.outer(radii, np.exp(1j * angles)).ravel()
-
-    # clearance at angle a is even around pi and grows away from it; for
-    # every radius not already clear at pi, bisect the crossing in [pi/2, pi]
-    target = 1.02 * dlt
-    r = radii[spiral_clearance(q, k, radii * np.exp(1j * math.pi)) < target]
-    if r.size:
-        lo, hi = np.full(r.size, math.pi), np.full(r.size, math.pi / 2.0)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            below = spiral_clearance(q, k, r * np.exp(1j * mid)) < target
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        crossings = np.column_stack([r * np.exp(1j * hi), r * np.exp(-1j * hi)])
-        zs = np.concatenate([zs, crossings.ravel()])
-
+    zs = np.multiply.outer(radii, np.exp(1j * np.linspace(0.0, math.pi, 361))).ravel()
     zs = zs[spiral_admissible(q, k, zs, dlt)]
-    log_ratio = np.min(_log_abs_theta(spec, zs) - log_lower_envelope(q, k, zs))
+    a = _crossing_angles(q, k, radii, 1.02 * dlt)
+    crossed = np.isfinite(a)
+    zs = np.concatenate([zs, radii[crossed] * np.exp(1j * a[crossed])])
+
+    mant, shift = theta_eval_scaled(spec, zs)
+    mod = np.abs(mant)
+    if not mod.min() >= 1e-10:
+        raise ValueError(
+            f"cannot calibrate Cqk at q={q}, k={k}, dlt={dlt}: at pitch "
+            f"log q / k = {math.log(q) / k:.3g}, |Theta| on the admissible set "
+            f"is below double resolution (smallest scaled value "
+            f"{mod.min():.3g} < 1e-10)")
+    log_ratio = np.min(np.log(mod) + shift - log_lower_envelope(q, k, zs))
     return replace(spec, Cqk=0.9 * math.exp(float(log_ratio)) / dlt)
 
 

@@ -22,11 +22,12 @@ def theta_brute(q: float, k: float, z: complex, P: int = 80) -> complex:
     return acc
 
 
-def spiral_clear_brute(q: float, k: float, z: complex, m_span: int = 80) -> float:
-    """inf_m |1 + z q^{m/k}| by direct scan over a wide integer window."""
+def spiral_clear_brute(q: float, k: float, z, m_span: int = 80):
+    """inf_m |1 + z q^{m/k}| by direct scan over a wide integer window,
+    for scalar or array z."""
     best = math.inf
     for m in range(-m_span, m_span + 1):
-        best = min(best, abs(1.0 + z * q ** (m / k)))
+        best = np.minimum(best, np.abs(1.0 + z * q ** (m / k)))
     return best
 
 

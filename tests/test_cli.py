@@ -367,6 +367,8 @@ class TestBadArguments:
                      id="theta-shift-power-overflows"),
         pytest.param(("theta", "--q", "1.3", "--k", "0.7", "--z", "1e-320"),
                      "is subnormal and rounds", id="theta-shift-rounds-subnormal"),
+        pytest.param(("theta", "--q", "1.05", "--k", "4", "--z", "1"),
+                     "is below double resolution", id="theta-small-pitch"),
         pytest.param(("diff", "--route", "direct"), "--route direct needs --overlap",
                      id="diff-route-without-overlap"),
         pytest.param(("fourier", "--z", "nan"), "'nan'", id="fourier-z-nan"),

@@ -9,7 +9,8 @@ from scipy.integrate import quad
 
 from qasym import model
 from qasym.qlaplace import (GrowthCertificate, QLaplaceSpec, QuadratureError,
-                            domain_radius, log_contour_transform,
+                            _integration_window, domain_radius,
+                            log_contour_transform,
                             monomial_image_constant, monomial_ratio_law,
                             qlaplace)
 from qasym.theta import inv_theta_at
@@ -98,6 +99,79 @@ class TestCertificates:
         cert = GrowthCertificate(K=1.0, alpha=1.0, k=0.0)
         ok, worst = cert.certify(lambda u: u ** 4, 0.0, 2.0)
         assert not ok and worst > 0.0
+
+
+def window_loop(spec, cert, absT):
+    """The q-Laplace s-window by scalar walks, one step of 0.25 at a time,
+    with the certified envelope written out longhand."""
+    lq, L = math.log(spec.q), math.log(absT)
+    budget = math.log(1.0 / spec.tol) + 10.0
+
+    def g(s):
+        r = math.exp(s)
+        bound = math.log(cert.K)
+        if r > cert.rho:
+            bound += 0.5 * cert.k * math.log(r) ** 2 / math.log(spec.q) \
+                + cert.alpha * math.log(r)
+        return bound - 0.5 * spec.k * (s - L) ** 2 / lq - 0.5 * (s - L)
+
+    scan_hi = max(L, math.log(cert.rho)) + 2.0
+    floor = max(g(float(s)) for s in np.linspace(L - 2.0, scan_hi, 64)) - budget
+    s_hi, rises = scan_hi, 0
+    while g(s_hi) > floor:
+        if g(s_hi + 0.25) > g(s_hi):
+            rises += 1
+            if rises > 400:
+                raise ValueError("does not decay")
+        s_hi += 0.25
+        if s_hi - scan_hi > 200.0:
+            raise ValueError("exceeds 200 log units")
+    s_lo = L - 2.0
+    while g(s_lo) > floor:
+        s_lo -= 0.25
+    return s_lo - 0.5, s_hi + 0.5
+
+
+class TestWindow:
+    def test_matches_scalar_walks(self, rng):
+        """Same window, or the same refusal, as the scalar walks on random
+        certificates, among them many that do not decay or need more
+        than 200 log units."""
+        seen = {"window": 0, "does not decay": 0, "exceeds 200 log units": 0}
+        for i in range(400):
+            q, k = rng.uniform(1.05, 5.0), rng.uniform(0.2, 4.0)
+            spec = QLaplaceSpec(q=q, k=k, direction=0.0,
+                                tol=10 ** rng.uniform(-14, -4))
+            absT = 10 ** rng.uniform(-6, 3)
+            if i % 2:
+                cert_k = rng.choice([0.0, rng.uniform(0.0, 2.0 * k)])
+                alpha = rng.uniform(-3.0, 8.0)
+            else:   # cert_k = k leaves g linear past rho, with this slope
+                cert_k = k
+                alpha = 0.5 - k * math.log(absT) / math.log(q) \
+                    + rng.uniform(-0.3, 0.05)
+            cert = GrowthCertificate(K=rng.uniform(0.1, 10.0), alpha=alpha,
+                                     k=cert_k, rho=rng.uniform(0.2, 3.0))
+            try:
+                want = window_loop(spec, cert, absT)
+            except ValueError as exc:
+                seen[str(exc)] += 1
+                with pytest.raises(ValueError, match=str(exc)):
+                    _integration_window(spec, cert, absT)
+            else:
+                seen["window"] += 1
+                assert _integration_window(spec, cert, absT) == want
+        assert min(seen.values()) >= 20, seen
+
+    def test_window_past_double_range_is_refused(self):
+        """Where the walk reaches e^s past the largest double, the envelope
+        is not a bound there; the scalar walk's exp overflows."""
+        spec = QLaplaceSpec(q=2.0, k=1.0, direction=0.0)
+        cert = GrowthCertificate(K=1.0, alpha=0.0, k=0.0)
+        with pytest.raises(OverflowError):
+            window_loop(spec, cert, 1e306)
+        with pytest.raises(ValueError, match="past double range"):
+            _integration_window(spec, cert, 1e306)
 
 
 class TestDomain:

@@ -9,9 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import spiral_clear_brute, theta_brute
-from qasym.theta import (ThetaSpec, calibrate_theta_constant, inv_theta_at,
-                         spec_for_annulus, spiral_admissible, spiral_clearance,
-                         theta_eval_scaled, theta_lower_bound,
+from qasym.theta import (ThetaSpec, _crossing_angles, calibrate_theta_constant,
+                         inv_theta_at, spec_for_annulus, spiral_admissible,
+                         spiral_clearance, theta_eval_scaled, theta_lower_bound,
                          theta_qdiff_residual, truncation_order)
 
 
@@ -251,6 +251,84 @@ class TestZerosAndBound:
         spec = spec_for_annulus(2.0, 1.0, 0.5, 2.0)
         with pytest.raises(ValueError):
             theta_lower_bound(spec, 1.0 + 0.2j, 0.3)
+
+
+CALIBRATED = [(2.0, 1.0), (3.0, 0.5), (2.0, 2.0)]
+IN_USE = CALIBRATED + [(1.3, 0.7), (1.7, 2.3)]
+
+
+def _radii(q, k):
+    return np.exp(np.linspace(0.0, math.log(q) / k, 48, endpoint=False))
+
+
+class TestCalibration:
+    @pytest.mark.parametrize("q,k", CALIBRATED)
+    @pytest.mark.parametrize("dlt", [0.1, 0.3, 0.86])
+    def test_crossings_sit_on_the_target_clearance(self, q, k, dlt):
+        """Each closed-form crossing has brute clearance 1.02 dlt, with
+        clearance above it just before and below it just after; radii
+        without a crossing are clear of 1.02 dlt even at angle pi."""
+        t = 1.02 * dlt
+        radii = _radii(q, k)
+        a = _crossing_angles(q, k, radii, t)
+        hit = np.isfinite(a)
+        assert hit.any()
+        r, a = radii[hit], a[hit]
+        assert np.all((a > math.pi / 2) & (a <= math.pi))
+        at = spiral_clear_brute(q, k, r * np.exp(1j * a))
+        assert np.max(np.abs(at - t)) <= 1e-12
+        inner = a - 1e-6
+        assert np.all(spiral_clear_brute(q, k, r * np.exp(1j * inner)) > t)
+        outer = np.minimum(a + 1e-6, math.pi)
+        assert np.all(spiral_clear_brute(q, k, r * np.exp(1j * outer))[a < math.pi] < t)
+        assert np.all(spiral_clear_brute(q, k, -radii[~hit]) >= t)
+
+    @pytest.mark.parametrize("q,k", IN_USE)
+    @pytest.mark.parametrize("dlt", [0.1, 0.3, 0.86])
+    def test_matches_full_circle_reference(self, q, k, dlt):
+        """Cqk against the full circle: 48 radii x 720 angles over
+        [-pi, pi) plus both crossings of 1.02 dlt per radius, found by
+        bisecting the brute clearance, filtered by the brute clearance."""
+        radii = _radii(q, k)
+        zs = np.multiply.outer(radii, np.exp(1j * np.linspace(
+            -math.pi, math.pi, 720, endpoint=False))).ravel()
+        t = 1.02 * dlt
+        lo, hi = np.full(radii.size, math.pi), np.full(radii.size, math.pi / 2)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            below = spiral_clear_brute(q, k, radii * np.exp(1j * mid)) < t
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        cross = spiral_clear_brute(q, k, -radii) < t
+        zs = np.concatenate([zs, radii[cross] * np.exp(1j * hi[cross]),
+                             radii[cross] * np.exp(-1j * hi[cross])])
+        zs = zs[spiral_clear_brute(q, k, zs) > dlt]
+        mant, shift = theta_eval_scaled(ThetaSpec(q, k), zs)
+        L = np.log(np.abs(zs))
+        log_ratio = np.log(np.abs(mant)) + shift - (0.5 * k * L * L / math.log(q)
+                                                    + 0.5 * L)
+        ref = 0.9 * math.exp(log_ratio.min()) / dlt
+        got = calibrate_theta_constant(ThetaSpec(q, k), dlt).Cqk
+        assert got == pytest.approx(ref, rel=1e-11)
+
+    @pytest.mark.parametrize("q,k", IN_USE)
+    def test_modulus_is_even_under_conjugation(self, q, k, rng):
+        """|Theta(conj z)| = |Theta(z)|: Theta has real coefficients."""
+        lQ = math.log(q) / k
+        zs = np.exp(rng.uniform(-3.0 * lQ, 3.0 * lQ, 200)
+                    + 1j * rng.uniform(-math.pi, math.pi, 200))
+        spec = ThetaSpec(q, k)
+        mant, shift = theta_eval_scaled(spec, zs)
+        cmant, cshift = theta_eval_scaled(spec, zs.conj())
+        assert np.allclose(cshift, shift, rtol=1e-13, atol=0.0)
+        assert np.allclose(np.abs(cmant), np.abs(mant), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("q,k", [(1.05, 4.0), (1.1, 2.0), (1.2, 1.5)])
+    def test_small_pitch_is_refused(self, q, k):
+        """Below pitch log q / k of about 0.1, |Theta| on one period is
+        under the round-off of its largest term."""
+        with pytest.raises(ValueError, match="below double resolution") as exc:
+            calibrate_theta_constant(ThetaSpec(q, k))
+        assert f"pitch log q / k = {math.log(q) / k:.3g}" in str(exc.value)
 
 
 class TestTruncation:
