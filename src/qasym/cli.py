@@ -149,9 +149,15 @@ def _cmd_qlaplace(args) -> tuple[dict, bool]:
     if T == 0:
         raise InputError("need a nonzero evaluation point T")
     spec = QLaplaceSpec(q=args.q, k=args.k, direction=args.direction, tol=args.tol)
+    # closed form c_{n,k} T^n, c_{n,k} = q^{n(n-1)/(2k)}, of the monomial image
+    absT = math.hypot(T.real, T.imag)
+    log_image = args.n * ((args.n - 1) / (2.0 * args.k) * math.log(args.q)
+                          + math.log(absT))
+    if not log_image <= math.log(sys.float_info.max):     # nan: |T| itself overflows
+        raise InputError(f"the image of u^{args.n} at |T|={absT:.3g} has modulus "
+                         f"e^{log_image:.6g}, past double range")
     cert = GrowthCertificate(K=1.0, alpha=float(args.n), k=0.0, rho=1.0)
     res = qlaplace(spec, lambda u: u ** args.n, T, cert, enforce_domain=False)
-    # closed form c_{n,k} = q^{n(n-1)/(2k)} of the monomial image
     predicted = args.q ** (args.n * (args.n - 1) / (2.0 * args.k)) * T ** args.n
     rel = abs(res.value - predicted) / max(abs(predicted), 1e-300)
     ok = rel <= args.check_tol
@@ -264,12 +270,10 @@ def _split_demo_inputs():
 
     def branch(p):
         def G(t_arg, eps):
-            e = np.atleast_1d(np.asarray(eps, dtype=complex))
-            sec = np.full(e.shape, p, dtype=int)
-            vals = (entire(e)
-                    + cauchy_heine_many(slow, t_arg, e, sec, opts)
-                    + cauchy_heine_many(fast, t_arg, e, sec, opts))
-            return vals[0] if np.ndim(eps) == 0 else vals
+            sec = np.full(eps.shape, p, dtype=int)
+            return (entire(eps)
+                    + cauchy_heine_many(slow, t_arg, eps, sec, opts)
+                    + cauchy_heine_many(fast, t_arg, eps, sec, opts))
         return G
 
     return cov, slow, fast, [branch(p) for p in range(4)], opts

@@ -390,9 +390,7 @@ def multilevel_split(G: Sequence[Callable], slow: Cocycle, fast: Cocycle,
         realization = verify_difference_realization(G, (slow, fast), t)
         max_re = max((c.abs_err for c in realization), default=0.0)
 
-    return MultilevelSplit(t=complex(t) if np.isscalar(t) or isinstance(t, complex)
-                           else t,
-                           probes=probes, cascade=cascade,
+    return MultilevelSplit(t=complex(t), probes=probes, cascade=cascade,
                            max_spread=float(row_spread.max()),
                            max_abs=float(row_abs.max()),
                            realization=realization,

@@ -138,10 +138,11 @@ _EPS50 = 50.0 * np.finfo(float).eps
 
 
 class QuadratureError(ArithmeticError):
-    """An integral missed its tolerance within `limit` panels.
+    """An integral missed its tolerance within `limit` panels, or a panel
+    integrated to a non-finite value.
 
     For a vector integrand, `component` is the index of the component
-    furthest from its target; it is None for a scalar integrand."""
+    furthest from its target (or not finite); None for a scalar one."""
 
     def __init__(self, message: str, component: int | None = None):
         super().__init__(message)
@@ -152,14 +153,15 @@ def _gk21(fv: np.ndarray, half: np.ndarray) -> tuple:
     """QUADPACK qk21 along the last axis of fv (real values at the 21
     nodes of each panel) for panels of half-width `half`, which
     broadcasts against the other axes: (value, error estimate, round-off
-    floor)."""
+    floor).  Run it with divide, invalid and overflow warnings off: 0/0
+    in the error scaling is masked here, and a non-finite result is the
+    caller's to refuse."""
     h = np.abs(half)
     resk = fv @ _W21
     err = np.abs(resk - fv @ _G21) * h
     resabs = (np.abs(fv) @ _W21) * h
     resasc = (np.abs(fv - 0.5 * resk[..., None]) @ _W21) * h
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc != 0) & (err != 0), scaled, err)
     floor = _EPS50 * resabs
     return resk * half, np.maximum(err, floor), floor
@@ -170,28 +172,29 @@ def complex_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                  limit: int = 300, points=None) -> tuple:
     """Adaptive Gauss-Kronrod integral of a complex integrand over [a, b].
 
-    f takes an ndarray of nodes and returns values of that shape (a
-    scalar integrand) or of that shape plus one trailing component axis
-    (a vector integrand).  The rule is QUADPACK's G10K21 (Piessens et al.
-    1983) batched over panels: from 8 equal panels, cut at the interior
-    ``points``, each round makes one f call on the 21 nodes of every
-    panel it refines.
+    f takes an ndarray of nodes and returns values of that shape plus a
+    trailing component axis (a vector integrand) or of that shape alone
+    (a scalar integrand, integrated as one component).  The rule is
+    QUADPACK's G10K21 (Piessens et al. 1983) batched over panels: from 8
+    equal panels, cut at the interior ``points``, each round makes one f
+    call on the 21 nodes of every panel it refines.
 
     As scipy's quad does for each part, the real and the imaginary part
     of every component must each meet max(epsabs, epsrel |that part of
-    the integral|).  A vector integrand must also meet quad_vec's test:
-    the 2-norms of the panels' errors sum to at most
-    max(epsabs, epsrel ||integral||_2).  A panel is bisected while it
-    misses its share of a target (in proportion to width) and one of its
-    parts is above its round-off floor, 50 eps times the integral of
-    |part| over the panel; when only such floors stand in the way, the
-    call returns with their error.  Raises QuadratureError if a
-    bisection would take the number of panels past `limit`; for a vector
-    integrand its `component` is the one furthest from its target.
+    the integral|), and, as in quad_vec, the 2-norms of the panels'
+    errors must sum to at most max(epsabs, epsrel ||integral||_2).  A
+    panel is bisected while it misses its share of a target (in
+    proportion to width) and one of its parts is above its round-off
+    floor, 50 eps times the integral of |part| over the panel; when only
+    such floors stand in the way, the call returns with their error.
+    Raises QuadratureError if a bisection would take the number of
+    panels past `limit` or a panel integrates to a non-finite value; its
+    `component` is the one furthest from its target or not finite (None
+    for a scalar integrand).
 
-    Returns (value, error estimate, nodes evaluated).  The value and the
-    error, the modulus of the real and imaginary errors, are scalars for
-    a scalar integrand and arrays over the components otherwise.
+    Returns (value, error estimate, nodes evaluated): the value and the
+    error, the modulus of the real and imaginary errors, are arrays over
+    the components, or a complex and a float for a scalar integrand.
     """
     edges = np.linspace(a, b, 9)
     cuts = [p for p in points or () if min(a, b) < p < max(a, b)]
@@ -199,50 +202,54 @@ def complex_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         edges = np.union1d(edges, cuts)[::1 if a < b else -1]
     new_lo, new_hi = edges[:-1], edges[1:]
     lo = hi = np.empty(0)
-    panels = None   # value, error, floor x panel [x component] x (Re, Im)
+    panels = None   # value, error, floor x panel x component x (Re, Im)
     n_eval = 0
     while True:
-        centre, half = 0.5 * (new_lo + new_hi), 0.5 * (new_hi - new_lo)
-        x = centre[:, None] + half[:, None] * _X21
+        centre, half = 0.5 * (new_lo + new_hi)[:, None], 0.5 * (new_hi - new_lo)[:, None]
+        x = centre + half * _X21
         fv = np.asarray(f(x))
         n_eval += x.size
-        if fv.ndim == 3:   # nodes to the last axis, where _gk21 sums them
-            fv, half = np.moveaxis(fv, 1, 2), half[:, None]
+        scalar = fv.ndim == 2
+        # panel x component x node: the nodes on the last axis, where _gk21 sums them
+        fv = (fv[..., None] if scalar else fv).swapaxes(1, 2)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            new = np.stack([_gk21(fv.real, half), _gk21(fv.imag, half)], axis=-1)
+        if not np.isfinite(new).all():
+            i, c = np.argwhere(~np.isfinite(new).all(axis=(0, 3)))[0]   # panel, component
+            raise QuadratureError(f"x in [{a}, {b}]: the panel on [{new_lo[i]:.6g}, "
+                                  f"{new_hi[i]:.6g}] integrates to a non-finite value",
+                                  component=None if scalar else int(c))
         lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
-        new = np.stack([_gk21(fv.real, half), _gk21(fv.imag, half)], axis=-1)
         panels = new if panels is None else np.concatenate([panels, new], axis=1)
         val, err, floor = panels
         total, total_err = val.sum(axis=0), err.sum(axis=0)
         target = np.maximum(epsabs, epsrel * np.abs(total))
-        width = ((hi - lo) / (b - a)).reshape((-1,) + (1,) * (err.ndim - 1))
-        above = (err > floor).reshape(len(lo), -1)
-        split = ((err > width * target).reshape(len(lo), -1) & above).any(axis=1)
-        done = np.all(total_err <= target)
-        if val.ndim == 3:
+        width = ((hi - lo) / (b - a))[:, None, None]
+        above = err > floor
+        split = ((err > width * target) & above).any(axis=(1, 2))
+        # past 1e154 the squares overflow: an infinite target makes the
+        # norm test vacuous, an infinite panel norm refines or raises
+        with np.errstate(over="ignore"):
             norms = np.sqrt((err ** 2).sum(axis=(1, 2)))
             norm_target = max(epsabs, epsrel * math.sqrt((total ** 2).sum()))
-            split |= (norms > width.ravel() * norm_target) & above.any(axis=1)
-            done = done and norms.sum() <= norm_target
-        if done or not split.any():
+        split |= (norms > width.ravel() * norm_target) & above.any(axis=(1, 2))
+        if (np.all(total_err <= target) and norms.sum() <= norm_target
+                or not split.any()):
             break
         if len(lo) + split.sum() > limit:
             ratios = total_err / target
-            ratio, worst = np.max(ratios), None
-            if val.ndim == 3:
-                ratio = max(ratio, norms.sum() / norm_target)
-                worst = int(np.argmax(ratios.max(axis=1)))
+            ratio = max(np.max(ratios), norms.sum() / norm_target)
             raise QuadratureError(
                 f"x in [{a}, {b}]: error {ratio:.3g} times its target with "
                 f"{len(lo)} panels; bisecting would pass limit={limit}",
-                component=worst)
+                component=None if scalar else int(np.argmax(ratios.max(axis=1))))
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
         lo, hi, panels = lo[~split], hi[~split], panels[:, ~split]
-    if val.ndim == 2:
-        return complex(total[0], total[1]), math.hypot(*total_err), n_eval
-    return (total[:, 0] + 1j * total[:, 1],
-            np.hypot(total_err[:, 0], total_err[:, 1]), n_eval)
+    value = total[:, 0] + 1j * total[:, 1]
+    error = np.hypot(total_err[:, 0], total_err[:, 1])
+    return (complex(value[0]), float(error[0]), n_eval) if scalar else (value, error, n_eval)
 
 
 @dataclass
@@ -268,7 +275,8 @@ def inverse_fourier(f: Callable, z: complex,
     tail past that M is at most its tail past its own cutoff, so every
     component keeps tol.  The default strip and the strip check use the
     smallest beta, and value and error_estimate are arrays over the
-    components.
+    components.  A scalar symbol is a vector of one component, unwrapped
+    to a complex and a float on return.
 
     The range is split at m = 0: for an even symbol and nearly real z the
     imaginary part of the integrand is nearly odd, and one Gauss-Kronrod
@@ -288,20 +296,19 @@ def inverse_fourier(f: Callable, z: complex,
         raise ValueError(f"z={z} lies outside the declared strip "
                          f"|Im z| < {strip.half_width}")
     M = max(p.cutoff(strip.half_width, tol) for p in profiles)
-    if vector:
-        def integrand(m):
-            fv = np.asarray(f(m))
-            if fv.shape != m.shape + (len(profiles),):
-                raise ValueError(f"a vector symbol with {len(profiles)} profiles "
-                                 f"returned shape {fv.shape} on nodes {m.shape}")
-            return fv * np.exp(1j * z * m)[..., None]
-    else:
-        def integrand(m):
-            return np.asarray(f(m)) * np.exp(1j * z * m)
+
+    def integrand(m):
+        fv = np.asarray(f(m))
+        if vector and fv.shape != m.shape + (len(profiles),):
+            raise ValueError(f"a vector symbol with {len(profiles)} profiles "
+                             f"returned shape {fv.shape} on nodes {m.shape}")
+        return fv.reshape(m.shape + (-1,)) * np.exp(1j * z * m)[..., None]
     val, err, n = complex_quad(integrand, -M, M, epsabs=tol / 4.0, epsrel=1e-11,
                                points=(0.0,))
-    return InverseFourierResult(value=val / SQRT2PI, error_estimate=err / SQRT2PI + tol,
-                                nodes_used=n, cutoff=M)
+    val, err = val / SQRT2PI, err / SQRT2PI + tol
+    if not vector:
+        val, err = complex(val[0]), float(err[0])
+    return InverseFourierResult(value=val, error_estimate=err, nodes_used=n, cutoff=M)
 
 
 # --- symbol registry -------------------------------------------------------

@@ -36,10 +36,10 @@ Every ray, arc and segment is one call of qlaplace.log_contour_transform,
 which evaluates the kernel on arrays of nodes (the kernel functions
 here are vectorised over u) and raises QuadratureError when a piece
 misses its tolerance within its panel limit.  The pieces take an array
-of T as well as one T: each point gets its own window, and all of them
-are the components of that one call, so a cascade or a remainder table
-costs one quadrature per piece (3 on a fast overlap, 5 on a slow one),
-whatever its number of probe points.
+of T (one T is a batch of one): each point gets its own window, and all
+of them are the components of that one call, so a cascade or a
+remainder table costs one quadrature per piece (3 on a fast overlap, 5
+on a slow one), whatever its number of probe points.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ def _budget(tol: float) -> float:
 def _laplace_ray(scn: ModelScenario, shape, direction: float, T, s_lo, s_hi,
                  tol: float):
     """(k2/lq) int shape(e^{s+id}) invTheta(e^{s+id}/T) ds over the
-    log-radius window [s_lo, s_hi] (arrays of windows for an array of T)."""
+    log-radius window [s_lo, s_hi] (one window per T)."""
     fr = scn.frame
     val, _, _ = log_contour_transform(shape, fr.q, fr.k2, T, 1j * direction,
                                       1.0, s_lo, s_hi, epsabs=tol * 1e-250,
@@ -235,8 +235,8 @@ def _laplace_ray(scn: ModelScenario, shape, direction: float, T, s_lo, s_hi,
 def outer_ray_piece(scn: ModelScenario, branch: int, direction: float,
                     T, tol: float = 1e-11):
     """Ray piece over [rho, infinity): the integrand peaks at the inner
-    endpoint and dies off at the fast-level Gaussian speed.  T is one
-    point or a 1-d array of them (then the result is an array)."""
+    endpoint and dies off at the fast-level Gaussian speed.  Like every
+    piece, it takes T and returns values as log_contour_transform does."""
     fr = scn.frame
     lq = math.log(fr.q)
     s0 = math.log(scn.rho)
@@ -249,8 +249,7 @@ def outer_ray_piece(scn: ModelScenario, branch: int, direction: float,
 def arc_piece(scn: ModelScenario, branch: int, theta_lo: float,
               theta_hi: float, T, tol: float = 1e-11):
     """(k2/lq) i int_{theta_lo}^{theta_hi} shape(rho e^{i th})
-    invTheta(rho e^{i th}/T) d th on the contraction circle, at one T or
-    at each of a 1-d array of them."""
+    invTheta(rho e^{i th}/T) d th on the contraction circle."""
     fr = scn.frame
     val, _, _ = log_contour_transform(lambda u: kernel_shape(scn, branch, u),
                                       fr.q, fr.k2, T, math.log(scn.rho), 1j,
@@ -266,7 +265,7 @@ def mid_segment_piece(scn: ModelScenario, p: int, T, tol: float = 1e-11):
 
     The integrand's log-radius exponent is a sum of two Gaussians whose
     saddle realizes  kappa k2/(kappa + k2) = k1;  the window is centred
-    there, per point when T is an array.
+    there, per point T.
     """
     fr = scn.frame
     lq = math.log(fr.q)
@@ -323,10 +322,11 @@ def consecutive_difference(scn: ModelScenario, p: int, T,
     the complex difference of two full-ray transforms (loses one digit
     per fast-level Gaussian factor, shallow use only).
 
-    T may be a 1-d array: each piece (each full ray on the direct route)
-    is then one contour call on all of its points, and the result is a
-    list with one DiffPieces per point (an array of differences on the
-    direct route).
+    T is one point or a 1-d array of them.  Each piece (each full ray on
+    the direct route) is one contour call on all of the points, and the
+    result is a list with one DiffPieces per point (an array of
+    differences on the direct route); one T is a batch of one, and the
+    result is then its DiffPieces (its complex difference).
     """
     _check_overlap(scn, p)
     if route == "direct":
@@ -336,33 +336,31 @@ def consecutive_difference(scn: ModelScenario, p: int, T,
         raise ValueError("route must be decomposed|direct")
     level = scn.levels()[p]
     lo, hi = scn.wedge(p)
+    Ts = np.atleast_1d(np.asarray(T, dtype=complex))
     pieces = {
-        "outer_plus": outer_ray_piece(scn, p + 1, hi, T, tol),
-        "outer_minus": -outer_ray_piece(scn, p, lo, T, tol),
+        "outer_plus": outer_ray_piece(scn, p + 1, hi, Ts, tol),
+        "outer_minus": -outer_ray_piece(scn, p, lo, Ts, tol),
     }
     if level == 2:
-        pieces["inner_arc"] = arc_piece(scn, p, lo, hi, T, tol=tol)
-        oracle = residue_closed_form(scn, p, T)
+        pieces["inner_arc"] = arc_piece(scn, p, lo, hi, Ts, tol=tol)
+        oracle = residue_closed_form(scn, p, Ts)
     else:
         mid = scn.mid_direction(p)
-        pieces["arc_lo"] = arc_piece(scn, p, lo, mid, T, tol=tol)
-        pieces["arc_hi"] = arc_piece(scn, p + 1, mid, hi, T, tol=tol)
-        pieces["mid_segment"] = mid_segment_piece(scn, p, T, tol)
+        pieces["arc_lo"] = arc_piece(scn, p, lo, mid, Ts, tol=tol)
+        pieces["arc_hi"] = arc_piece(scn, p + 1, mid, hi, Ts, tol=tol)
+        pieces["mid_segment"] = mid_segment_piece(scn, p, Ts, tol)
         oracle = None
-    if np.ndim(T) == 0:
-        return DiffPieces(p=p, T=complex(T), level=level, pieces=pieces,
-                          oracle=oracle)
-    return [DiffPieces(p=p, T=complex(t), level=level,
-                       pieces={name: complex(v[i]) for name, v in pieces.items()},
-                       oracle=None if oracle is None else complex(oracle[i]))
-            for i, t in enumerate(T)]
+    diffs = [DiffPieces(p=p, T=complex(t), level=level,
+                        pieces={name: complex(v[i]) for name, v in pieces.items()},
+                        oracle=None if oracle is None else complex(oracle[i]))
+             for i, t in enumerate(Ts)]
+    return diffs[0] if np.ndim(T) == 0 else diffs
 
 
 def laplace_transform_shape(scn: ModelScenario, p: int, T,
                             tol: float = 1e-12):
     """U_p(T): (k2/lq) int shape_p(u) invTheta(u/T) du/u along the ray
-    d_p, the full-ray fast-level transform of the sector kernel, at one
-    T or at each of a 1-d array of them."""
+    d_p, the full-ray fast-level transform of the sector kernel."""
     fr = scn.frame
     lq = math.log(fr.q)
     L = np.log(np.abs(T))

@@ -18,14 +18,15 @@ adaptive quadrature on a certificate-derived window suffices.
 
 Every f/Theta integral in the package -- rays here and in the model,
 the model's arcs and mid segments -- runs through one routine,
-log_contour_transform, on a log-contour u = exp(w0 + x dw).  Its rule
+log_contour_transform, on a log-contour u = exp(w0 + s dw).  Its rule
 is fourier.complex_quad, QUADPACK's G10K21 batched over panels: each
 refinement round evaluates f and 1/Theta once, as arrays over the nodes
-of all panels it refines, so f must accept an ndarray of u.  Given an
-array of T (with a window [a, b] per T), it integrates all of those
+of all panels it refines, so f must accept an ndarray of u.  It takes
+an array of T (with a window [a, b] per T) and integrates all of those
 contours as the components of one vector integrand, so a cascade of
-probe points costs one quadrature.  A call that cannot meet its
-tolerance within its panel limit raises QuadratureError.
+probe points costs one quadrature; a single T is a batch of one.  A
+call that cannot meet its tolerance within its panel limit raises
+QuadratureError.
 
 Monomials u^n map to c_{n,k} T^n with the closed form
 c_{n,k} = q^{n(n-1)/(2k)}, whose ratio law c_{n,k}/c_{n-1,k} = q^{(n-1)/k}
@@ -206,58 +207,49 @@ def log_contour_transform(f: Callable[[np.ndarray], np.ndarray], q: float,
                           k: float, T, w0: complex, dw: complex, a, b, *,
                           epsabs: float, epsrel: float, limit: int) -> tuple:
     """(k / log q) * integral f(u) / Theta_k(u/T) du/u along the
-    log-contour u = exp(w0 + x dw), a <= x <= b.
+    log-contour u = exp(w0 + s dw), a <= s <= b.
 
-    dw = 1 gives the ray at angle Im w0 (x = log|u|), dw = 1j the arc of
-    radius e^{Re w0} (x = arg u); du/u = dw dx.  f takes an ndarray of u
+    dw = 1 gives the ray at angle Im w0 (s = log|u|), dw = 1j the arc of
+    radius e^{Re w0} (s = arg u); du/u = dw ds.  f takes an ndarray of u
     and returns values that broadcast against it; 1/Theta comes from
-    theta.inv_theta_at on the same array.  The integral in x is
-    fourier.complex_quad, so each refinement round evaluates f and
-    1/Theta once, on the nodes of every panel it refines, and a call
-    that would pass `limit` panels raises QuadratureError.  Returns
-    (value, error estimate, integrand evaluations).
+    theta.inv_theta_at on the same array.
 
-    T may also be a 1-d array of n points, with a and b scalars or
-    arrays of the same length: n contours that share f, w0 and dw.  They
-    are the components of one vector complex_quad call on x in [0, 1]:
-    component i runs along u = exp(w0 + s dw) at s = a_i + x (b_i - a_i),
-    with Jacobian b_i - a_i, so each keeps its own epsabs and epsrel
-    test.  The value and the error are then arrays over the n points and
-    the count is of x-nodes; a QuadratureError also names the |T| and the
-    s-window of the component furthest from its target.
+    T is one point or a 1-d array of n points, with a and b scalars or
+    arrays of the same length: n contours that share f, w0 and dw (one
+    T is a batch of one).  They are the components of one vector
+    fourier.complex_quad call on x in [0, 1]: component i runs along
+    s = a_i + x (b_i - a_i), with Jacobian b_i - a_i, so each keeps its
+    own epsabs and epsrel test, and each refinement round evaluates f
+    and 1/Theta once, on the nodes of every panel it refines.  Returns
+    (value, error estimate, x-nodes evaluated), with the value and the
+    error arrays over the n points, or a complex and a float for one T.
+    A call that would pass `limit` panels raises QuadratureError naming
+    the |T| and the s-window of the component furthest from its target.
     """
+    scalar = np.ndim(T) == 0
+    T = np.atleast_1d(np.asarray(T, dtype=complex))
+    if T.size == 0:
+        return np.zeros(0, dtype=complex), np.zeros(0), 0
     w0, dw = complex(w0), complex(dw)
-    if np.ndim(T) == 0:
-        def integrand(x):
-            u = np.exp(w0 + x * dw)
-            return np.broadcast_to(f(u), u.shape) * inv_theta_at(q, k, u / T)
-        lo, hi = a, b
-    else:
-        T = np.asarray(T, dtype=complex)
-        if T.size == 0:
-            return np.zeros(0, dtype=complex), np.zeros(0), 0
-        a, b = np.broadcast_to(a, T.shape), np.broadcast_to(b, T.shape)
-        span = b - a
+    a, b = np.broadcast_to(a, T.shape), np.broadcast_to(b, T.shape)
+    span = b - a
 
-        def integrand(x):
-            u = np.exp(w0 + (a + x[..., None] * span) * dw)
-            return (np.broadcast_to(f(u), u.shape) * inv_theta_at(q, k, u / T)
-                    * span)
-        lo, hi = 0.0, 1.0
+    def integrand(x):
+        u = np.exp(w0 + (a + x[..., None] * span) * dw)
+        return np.broadcast_to(f(u), u.shape) * inv_theta_at(q, k, u / T) * span
 
     try:
-        val, err, n_eval = complex_quad(integrand, lo, hi, epsabs=epsabs,
+        val, err, n_eval = complex_quad(integrand, 0.0, 1.0, epsabs=epsabs,
                                         epsrel=epsrel, limit=limit)
     except QuadratureError as exc:
-        where = f"contour exp({w0} + x*{dw})"
-        if exc.component is not None:
-            i = exc.component
-            where = (f"{T.size} contours exp({w0} + s*{dw}), s = a + x (b - a), "
-                     f"worst at |T|={abs(T[i]):.3g} on s in [{a[i]:.6g}, "
-                     f"{b[i]:.6g}]")
-        raise QuadratureError(f"{where}, {exc}", exc.component) from exc
+        i = exc.component
+        raise QuadratureError(
+            f"{T.size} contour{'s' * (T.size > 1)} exp({w0} + s*{dw}), "
+            f"s = a + x (b - a), worst at |T|={abs(T[i]):.3g} on s in "
+            f"[{a[i]:.6g}, {b[i]:.6g}], {exc}", i) from exc
     scale = k / math.log(q) * dw
-    return scale * val, abs(scale) * err, n_eval
+    val, err = scale * val, abs(scale) * err
+    return (complex(val[0]), float(err[0]), n_eval) if scalar else (val, err, n_eval)
 
 
 def qlaplace(spec: QLaplaceSpec, f: Callable[[np.ndarray], np.ndarray],

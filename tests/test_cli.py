@@ -3,6 +3,7 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qasym import cli
@@ -131,6 +132,24 @@ class TestQLaplace:
     def test_zero_T_rejected(self, capsys):
         code, payload = run_cli(capsys, "qlaplace", "--T", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [("--T", "1e150"), ("--n", "1", "--T", "1e300")],
+                             ids=["n2-T1e150", "n1-T1e300"])
+    def test_image_in_double_range_warns_nothing(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, payload = run_cli(capsys, "qlaplace", *argv)
+        assert code == 0 and payload["ok"] is True
+
+    def test_integrand_overflow_is_a_quadrature_error(self, capsys):
+        """u^3 overflows on the window at |T| = 1e100 although the image
+        1e300 q^3 is a double."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, payload = run_cli(capsys, "qlaplace", "--n", "3", "--T", "1e100")
+        assert code == 1
+        assert payload["error"]["type"] == "quadrature"
+        assert "|T|=1e+100" in payload["error"]["message"]
+        assert "non-finite" in payload["error"]["message"]
 
 
 class TestFourier:
@@ -374,6 +393,10 @@ class TestBadArguments:
         pytest.param(("fourier", "--z", "nan"), "'nan'", id="fourier-z-nan"),
         pytest.param(("qlaplace", "--T", "nan+1j"), "'nan+1j'",
                      id="qlaplace-t-nan"),
+        pytest.param(("qlaplace", "--T", "1e300"), "past double range",
+                     id="qlaplace-image-overflows"),
+        pytest.param(("qlaplace", "--T", "1e154"), "past double range",
+                     id="qlaplace-image-just-past-double-range"),
     ])
     def test_is_two_without_traceback(self, capsys, tmp_path, argv, named):
         csv = tmp_path / "rows.csv"

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,39 @@ class TestComplexQuad:
         val, _, _ = complex_quad(f, 0.0, 1.0)
         exact = 1e4 * (math.atan(0.7e4) + math.atan(0.3e4))
         assert val == pytest.approx(exact, rel=1e-11)
+
+    @pytest.mark.parametrize("f", [
+        lambda x: 1e200 * np.exp(1j * x),
+        lambda x: 1e200 * np.exp(1j * x[..., None] * np.arange(1, 4)),
+    ], ids=["scalar", "vector"])
+    def test_huge_integrand_warns_nothing(self, f):
+        """Squared errors past 1e154 overflow in the 2-norm test; the call
+        neither warns nor loses its value."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            val, err, _ = complex_quad(f, 0.0, 1.0)
+        exact = 1e200 * (np.exp(1j * np.arange(1, 4)) - 1.0) / (1j * np.arange(1, 4))
+        assert np.all(np.abs(val - exact[:np.size(val)]) <= 1e-12 * 1e200)
+        assert np.all(np.isfinite(err))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_integrand_raises(self, bad):
+        def scalar(x):
+            return np.where(x > 0.6, bad, 1.0) * np.exp(1j * x)
+
+        def vector(x):
+            return np.stack([np.exp(1j * x), scalar(x), np.cos(x)], axis=-1)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(QuadratureError,
+                               match=r"x in \[0.0, 1.0\]: the panel on \[0.5, 0.625\] "
+                                     "integrates to a non-finite value") as info:
+                complex_quad(scalar, 0.0, 1.0)
+            assert info.value.component is None
+            with pytest.raises(QuadratureError, match="non-finite") as info:
+                complex_quad(vector, 0.0, 1.0)
+            assert info.value.component == 1
 
     def test_points_cut_the_first_panels(self):
         # a jump at x = 1/3 falls on a panel edge only through the cut; the
@@ -219,6 +253,19 @@ class TestVectorSymbol:
             one = inverse_fourier(f, z, prof, strip=HorizontalStrip(0.5), tol=tol)
             assert abs(res.value[i] - one.value) <= tol
             assert res.error_estimate[i] >= tol
+
+    @pytest.mark.parametrize("name, z", [("standard", 0.2), ("gaussian", 0.3 + 0.2j),
+                                         ("oscillating", -1.5 - 0.4j)])
+    def test_scalar_symbol_is_a_batch_of_one(self, name, z):
+        """A scalar symbol gives, bit for bit, element 0 of the same symbol
+        as a vector with one component."""
+        f, prof = make_symbol(name, 1.0, 2.0), default_profile_for(name, 1.0, 2.0)
+        one = inverse_fourier(f, z, prof)
+        batch = inverse_fourier(lambda m: f(m)[..., None], z, [prof])
+        assert type(one.value) is complex and type(one.error_estimate) is float
+        assert one.value == batch.value[0]
+        assert one.error_estimate == batch.error_estimate[0]
+        assert (one.nodes_used, one.cutoff) == (batch.nodes_used, batch.cutoff)
 
     def test_cutoff_is_the_largest_component_cutoff(self):
         strip = HorizontalStrip(0.5)

@@ -133,6 +133,18 @@ class TestDifferences:
                 assert d.oracle == pytest.approx(oracle, rel=1e-14)
                 assert abs(d.total - oracle) < 1e-9 * abs(oracle)
 
+    @pytest.mark.parametrize("p", [0, 2], ids=["fast", "slow"])
+    def test_one_T_is_a_batch_of_one(self, scn, p):
+        """A scalar T gives, bit for bit, element 0 of the call on [T]."""
+        T = scn.probe_T(p, 6)
+        one = consecutive_difference(scn, p, T, "decomposed", tol=1e-11)
+        [batch] = consecutive_difference(scn, p, np.array([T]), "decomposed",
+                                         tol=1e-11)
+        assert isinstance(one, model.DiffPieces)
+        assert (one.T, one.level, one.oracle) == (batch.T, batch.level, batch.oracle)
+        assert one.pieces == batch.pieces
+        assert all(type(v) is complex for v in one.pieces.values())
+
     @pytest.mark.parametrize("js", [range(3, 9), range(3, 13)])
     def test_cascade_makes_one_contour_call_per_piece(self, scn, monkeypatch,
                                                       js):

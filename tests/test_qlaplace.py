@@ -287,8 +287,11 @@ class TestBatchedRule:
         T = scn.probe_T(0, 5)
         args = (lambda u: model.kernel_shape(scn, 0, u), fr.q, fr.k2, T,
                 math.log(1.19), 1j, 0.0, math.pi / 2)
-        with pytest.raises(QuadratureError, match=r"x in \[0.0, 1.57.*limit=8"):
+        with pytest.raises(QuadratureError,
+                           match=r"1 contour .*worst at \|T\|=0\.0312 on "
+                                 r"s in \[0, 1\.5708\].*limit=8") as info:
             log_contour_transform(*args, epsabs=1e-261, epsrel=1e-11, limit=8)
+        assert info.value.component == 0
         value, _, _ = log_contour_transform(*args, epsabs=1e-261,
                                             epsrel=1e-11, limit=400)
         assert abs(value - scipy_contour(*args)) <= 1e-12 * abs(value)
@@ -302,6 +305,35 @@ class TestBatchedRule:
                                  r"s in \[0, 1\.5708\].*limit=8") as info:
             log_contour_transform(*batched, epsabs=1e-261, epsrel=1e-11, limit=8)
         assert info.value.component == 1
+
+    @pytest.mark.parametrize("contour", ["ray", "arc"])
+    def test_one_T_is_a_batch_of_one(self, contour):
+        """A scalar T gives, bit for bit, element 0 of the same call on a
+        one-element array."""
+        scn = model.default_scenario()
+        fr = scn.frame
+        T = scn.probe_T(0, 5)
+        w0, dw, a, b = ((0.25j, 1.0, -8.0, 1.5) if contour == "ray"
+                        else (math.log(scn.rho), 1j, 0.0, math.pi / 2))
+        f = lambda u: model.kernel_shape(scn, 0, u)
+        kw = dict(epsabs=1e-261, epsrel=1e-11, limit=400)
+        val, err, n = log_contour_transform(f, fr.q, fr.k2, T, w0, dw, a, b, **kw)
+        vals, errs, ns = log_contour_transform(f, fr.q, fr.k2, np.array([T]), w0, dw,
+                                               np.array([a]), np.array([b]), **kw)
+        assert type(val) is complex and type(err) is float
+        assert (val, err, n) == (vals[0], errs[0], ns)
+
+    def test_overflowing_integrand_names_its_T(self):
+        """u^2 overflows on the window at |T| = 1e154: a QuadratureError,
+        not a NaN."""
+        spec = QLaplaceSpec(q=2.0, k=1.0, direction=0.0)
+        cert = GrowthCertificate(K=1.0, alpha=2.0, k=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(QuadratureError,
+                               match=r"worst at \|T\|=1e\+154 .*non-finite"):
+                qlaplace(spec, lambda u: u ** 2, 1e154, cert, enforce_domain=False)
+        res = qlaplace(spec, lambda u: u ** 2, 1e150, cert, enforce_domain=False)
+        assert res.value == pytest.approx(2e300, rel=1e-12)
 
     @pytest.mark.parametrize("j", [3, 7])
     def test_batched_pieces_match_scipy(self, monkeypatch, j):
