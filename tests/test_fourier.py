@@ -2,13 +2,15 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad, quad_vec
 
-from qasym.equation import default_spec, manufactured_problem
+from qasym import equation
+from qasym.equation import apply_equation_operator, default_spec, manufactured_problem
 from qasym.fourier import (SQRT2PI, DecayProfile, HorizontalStrip, QuadratureError,
                            complex_quad, default_profile_for, gaussian_symbol,
                            inverse_fourier, make_symbol, standard_symbol)
@@ -112,6 +114,19 @@ class TestComplexQuad:
         assert n == 9 * 21
         assert val == pytest.approx(1.0 / 3.0 + 4.0j / 3.0, rel=1e-14)
 
+    def test_cut_a_few_ulps_off_an_edge_adds_no_sliver(self):
+        # the uniform edge -M + 6 (M/4) rounds an ulp away from M/2, and
+        # the second cut is the first one's neighbouring double
+        M = 53.92413
+        assert np.linspace(-M, M, 9)[6] != M / 2
+        third = 1.0 / 3.0
+        for a, b, points, panels in ((-M, M, (0.0, M / 2, -M / 2), 8),
+                                     (0.0, 1.0, (third, np.nextafter(third, 1.0)), 9)):
+            shapes = []
+            f = lambda x: shapes.append(x.shape) or np.exp(-np.abs(x))
+            complex_quad(f, a, b, points=points)
+            assert shapes[0] == (panels, 21)
+
 
 class TestDecayProfile:
     def test_envelope_dominates_standard_symbol(self, rng):
@@ -195,6 +210,52 @@ class TestInverseFourier:
                                  epsrel=1e-13, limit=400)
                     oracle += re + 1j * im
                 assert res.value == pytest.approx(oracle / SQRT2PI, rel=1e-12)
+
+    @pytest.mark.parametrize("beta, mu, z", [(1.0, 3.0, 0.7), (1.0, 3.0, -0.4 + 0.3j),
+                                             (0.6, 2.5, 1.9), (0.6, 2.5, 0.5 - 0.25j)])
+    def test_standard_symbol_against_mpmath(self, beta, mu, z):
+        # oracle: mpmath quad at 30 digits over the whole line, split at
+        # the kink m = 0; it shares nothing with complex_quad or the cutoff
+        res = inverse_fourier(standard_symbol(beta, mu), z,
+                              DecayProfile(C=1.0, mu=mu, beta=beta), tol=1e-12)
+        with mpmath.workdps(30):
+            zm = mpmath.mpc(z)
+            g = lambda m: (1 + abs(m)) ** -mu * mpmath.exp(-beta * abs(m) + 1j * zm * m)
+            exact = complex(mpmath.quad(g, [-mpmath.inf, 0, mpmath.inf])
+                            / mpmath.sqrt(2 * mpmath.pi))
+        assert abs(res.value - exact) <= res.error_estimate <= 2e-12
+
+    def test_residual_point_converges_in_one_round(self, monkeypatch):
+        """One residual point evaluates its stacked symbol once, on the 16
+        graded panels (336 nodes): the 8 uniform ones cut at 0 and at
+        +-M/2^j, j = 3, 4, ..., down to the first cut at most 1."""
+        calls, cutoffs = [], []
+
+        def traced(f, z, profile, strip=None, tol=1e-12):
+            res = inverse_fourier(lambda m: calls.append(m) or f(m), z, profile,
+                                  strip, tol)
+            cutoffs.append(res.cutoff)
+            return res
+        monkeypatch.setattr(equation, "inverse_fourier", traced)
+        spec = default_spec()
+        U, profile_U, series = manufactured_problem(spec, a=0)
+        r = apply_equation_operator(spec, series, U, profile_U,
+                                    0.12 * cmath.exp(0.2j), 0.3, 0.1 * cmath.exp(0.5j))
+        assert abs(r) <= 1e-8
+        assert len(cutoffs) == 1 and len(calls) == 1
+        m, M = calls[0], cutoffs[0]
+        assert m.shape == (16, 21)
+        # each panel's 21 nodes run from centre - x1 half to centre + x1 half,
+        # x1 the outermost Kronrod node
+        centre, half = m[:, 10], (m[:, -1] - m[:, 0]) / (2 * 0.995657163025808080735527280689)
+        lo, hi = centre - half, centre + half
+        assert hi[:-1] == pytest.approx(lo[1:], abs=1e-12 * M)   # in order, no gaps
+        edges = np.append(lo, hi[-1])
+        assert edges == pytest.approx(-edges[::-1], abs=1e-12 * M)
+        assert edges[[0, -1]] == pytest.approx([-M, M], rel=1e-12)
+        j = max(3, math.ceil(math.log2(M)))
+        assert M / 2 ** j <= 1.0 < M / 2 ** (j - 1)
+        assert np.diff(edges).min() >= M / 2 ** j * (1 - 1e-9)
 
     def test_error_estimate_is_honest(self):
         prof = default_profile_for("gaussian", 1.0, 3.0)
