@@ -157,11 +157,18 @@ def _cmd_qlaplace(args) -> tuple[dict, bool]:
         raise InputError(f"the image of u^{args.n} at |T|={absT:.3g} has modulus "
                          f"e^{log_image:.6g}, past double range")
     cert = GrowthCertificate(K=1.0, alpha=float(args.n), k=0.0, rho=1.0)
-    # u^n may overflow on the window although the image is a double
-    # (n = 3, T = 1e100); complex_quad refuses the non-finite panel as a
-    # QuadratureError, so numpy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = qlaplace(spec, lambda u: u ** args.n, T, cert, enforce_domain=False)
+
+    def monomial(u):
+        # u^n may overflow on the window although the image is a double
+        # (n = 3, T = 1e100): refused here, as complex_quad would refuse
+        # the panel, before a non-finite value reaches the contour integrand
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = u ** args.n
+        if not np.isfinite(v).all():
+            raise QuadratureError(f"u^{args.n} is non-finite on the window, "
+                                  f"|u| up to {np.abs(u).max():.3g}", 0)
+        return v
+    res = qlaplace(spec, monomial, T, cert, enforce_domain=False)
     predicted = args.q ** (args.n * (args.n - 1) / (2.0 * args.k)) * T ** args.n
     rel = abs(res.value - predicted) / max(abs(predicted), 1e-300)
     ok = rel <= args.check_tol

@@ -176,9 +176,8 @@ def complex_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     trailing component axis (a vector integrand) or of that shape alone
     (a scalar integrand, integrated as one component).  The rule is
     QUADPACK's G10K21 (Piessens et al. 1983) batched over panels: from 8
-    equal panels, cut at the interior ``points`` (a point within a few
-    ulps of an edge is that edge), each round makes one f call on the 21
-    nodes of every panel it refines.
+    equal panels, cut at the interior ``points``, each round makes one f
+    call on the 21 nodes of every panel it refines.
 
     As scipy's quad does for each part, the real and the imaginary part
     of every component must each meet max(epsabs, epsrel |that part of
@@ -198,13 +197,7 @@ def complex_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     the components, or a complex and a float for a scalar integrand.
     """
     edges = np.linspace(a, b, 9)
-    # a cut a few ulps off an edge (on [-M, M], M/2 against the rounded
-    # uniform edge -M + 6 (M/4)) would add a sliver panel: it is that edge
-    ulps = 4.0 * np.finfo(float).eps * max(abs(a), abs(b))
-    cuts = []
-    for p in points or ():
-        if min(a, b) < p < max(a, b) and np.abs(np.append(edges, cuts) - p).min() > ulps:
-            cuts.append(p)
+    cuts = [p for p in points or () if min(a, b) < p < max(a, b)]
     if cuts:
         edges = np.union1d(edges, cuts)[::1 if a < b else -1]
     new_lo, new_hi = edges[:-1], edges[1:]
@@ -274,7 +267,8 @@ def inverse_fourier(f: Callable, z: complex,
     """(2 pi)^{-1/2} * integral_{-M}^{M} f(m) e^{izm} dm with profile-derived M.
 
     z must lie strictly inside the declared strip (default: half of the
-    profile's beta).  The tail beyond M is bounded by tol by design.
+    profile's beta).  The tail beyond M is bounded by tol by design; a
+    non-finite M (tol = nan, or C = inf) is refused with ValueError.
 
     A vector symbol returns m.shape + (n,) and takes a sequence of n
     profiles, one per component.  All components share one complex_quad
@@ -314,6 +308,8 @@ def inverse_fourier(f: Callable, z: complex,
         raise ValueError(f"z={z} lies outside the declared strip "
                          f"|Im z| < {strip.half_width}")
     M = max(p.cutoff(strip.half_width, tol) for p in profiles)
+    if not math.isfinite(M):
+        raise ValueError(f"the cutoff M={M} for tol={tol} is not finite")
 
     def integrand(m):
         fv = np.asarray(f(m))
@@ -321,14 +317,9 @@ def inverse_fourier(f: Callable, z: complex,
             raise ValueError(f"a vector symbol with {len(profiles)} profiles "
                              f"returned shape {fv.shape} on nodes {m.shape}")
         return fv.reshape(m.shape + (-1,)) * np.exp(1j * z * m)[..., None]
-    cuts, c = [0.0], M / 8.0
-    while True:
-        cuts += [-c, c]
-        if c <= 1.0:
-            break
-        c /= 2.0
+    cs = M / 2.0 ** np.arange(3, max(3, math.ceil(math.log2(M))) + 1)
     val, err, n = complex_quad(integrand, -M, M, epsabs=tol / 4.0, epsrel=1e-11,
-                               points=cuts)
+                               points=[0.0, *-cs, *cs])
     val, err = val / SQRT2PI, err / SQRT2PI + tol
     if not vector:
         val, err = complex(val[0]), float(err[0])

@@ -391,6 +391,8 @@ class TestBadArguments:
         pytest.param(("diff", "--route", "direct"), "--route direct needs --overlap",
                      id="diff-route-without-overlap"),
         pytest.param(("fourier", "--z", "nan"), "'nan'", id="fourier-z-nan"),
+        pytest.param(("fourier", "--z", "0.3", "--tol", "nan"), "is not finite",
+                     id="fourier-tol-nan"),
         pytest.param(("qlaplace", "--T", "nan+1j"), "'nan+1j'",
                      id="qlaplace-t-nan"),
         pytest.param(("qlaplace", "--T", "1e300"), "past double range",

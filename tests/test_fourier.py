@@ -114,19 +114,6 @@ class TestComplexQuad:
         assert n == 9 * 21
         assert val == pytest.approx(1.0 / 3.0 + 4.0j / 3.0, rel=1e-14)
 
-    def test_cut_a_few_ulps_off_an_edge_adds_no_sliver(self):
-        # the uniform edge -M + 6 (M/4) rounds an ulp away from M/2, and
-        # the second cut is the first one's neighbouring double
-        M = 53.92413
-        assert np.linspace(-M, M, 9)[6] != M / 2
-        third = 1.0 / 3.0
-        for a, b, points, panels in ((-M, M, (0.0, M / 2, -M / 2), 8),
-                                     (0.0, 1.0, (third, np.nextafter(third, 1.0)), 9)):
-            shapes = []
-            f = lambda x: shapes.append(x.shape) or np.exp(-np.abs(x))
-            complex_quad(f, a, b, points=points)
-            assert shapes[0] == (panels, 21)
-
 
 class TestDecayProfile:
     def test_envelope_dominates_standard_symbol(self, rng):
@@ -276,6 +263,13 @@ class TestInverseFourier:
         f = standard_symbol(1.0, 3.0)
         with pytest.raises(ValueError):
             inverse_fourier(f, 0.3 + 0.9j, prof, strip=strip)
+
+    @pytest.mark.parametrize("C, tol", [(1.0, math.nan), (math.inf, 1e-12)],
+                             ids=["tol-nan", "C-inf"])
+    def test_non_finite_cutoff_raises(self, C, tol):
+        prof = DecayProfile(C=C, mu=3.0, beta=1.0)
+        with pytest.raises(ValueError, match="is not finite"):
+            inverse_fourier(standard_symbol(1.0, 3.0), 0.3, prof, tol=tol)
 
     @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-0.4, 0.4))
     def test_linearity(self, a, b, zi):
