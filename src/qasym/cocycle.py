@@ -33,9 +33,9 @@ on the contour); probe angles must avoid the cut directions.
 
 Jumps and sectorial branches are vectorized in the sectorial variable:
 a jump Delta_p(t, xi) and a branch G_p(t, eps) take an ndarray and
-return an array of its shape.  The split and the realization check
-evaluate each branch once, on every probe its sector owns, and each
-jump once per overlap.
+return an array of its shape.  The split evaluates each branch once, on
+every probe its sector owns together with its realization probes, and
+each Cauchy-Heine sum is one quadrature over all of its rays.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fourier import complex_quad
+from .fourier import QuadratureError, complex_quad
 from .geometry import GoodCovering, wrap_angle
 
 TWO_PI_I = 2j * math.pi
@@ -137,29 +137,53 @@ class CHOptions:
     tol: float = 1e-10
 
 
-def _ray_integral(delta: Callable, t, ray: RaySpec, weight: Callable,
-                  opts: CHOptions) -> np.ndarray:
-    """(1/2 pi i) int_gamma Delta(t, xi) w(xi) dxi  with xi = s^2 e^{ic}.
+def _ray_integral(cocycle: Cocycle, t, weight: Callable, points: np.ndarray,
+                  name: str, opts: CHOptions) -> np.ndarray:
+    """sum_p (1/2 pi i) int_{gamma_p} Delta_p(t, xi) w(xi, x_j) dxi over
+    the overlaps p with a jump, at each point x_j of `points`.
 
-    weight maps an array of xi with a trailing axis of length 1 to its
-    values along that axis (one per eps point or per coefficient), so
-    each refinement round of fourier.complex_quad evaluates the jump and
-    the weight once, on the nodes of all panels it refines.  The
-    quadratic substitution clusters nodes at the origin where the jump
-    is flat but the weights are singular; the Gauss-Kronrod nodes are
-    interior, so s = 0 itself is never evaluated.
+    weight maps xi (with a trailing axis of length 1) and `points` to
+    one value per point along that axis: the Cauchy kernel at eps
+    points, or a power of xi per coefficient.  All rays are the
+    components of one fourier.complex_quad call on x in [0, 1]: ray p
+    runs along xi = s^2 e^{ic_p} with s = x sqrt(L_p), so its nodes are
+    those of the substitution in s, and the components over (ray, point)
+    keep their own epsabs and epsrel test; they are summed over rays on
+    return.  Each refinement round evaluates every jump and the weight
+    once, on the nodes of all panels it refines, which the rays share.
+    The quadratic substitution clusters nodes at the origin where the
+    jump is flat but the weights are singular; the Gauss-Kronrod nodes
+    are interior, so s = 0 itself is never evaluated.  A call that would
+    pass its panel limit raises QuadratureError naming the overlap and
+    the point of the component furthest from its target.
     """
-    c, L = ray.direction, ray.length
-    eic = complex(math.cos(c), math.sin(c))
+    ps = [p for p in range(cocycle.covering.n) if cocycle.has_jump(p)]
+    points = np.asarray(points)
+    if not ps:
+        return np.zeros(points.shape, dtype=complex)
+    rays = [cocycle.rays[p] for p in ps]
+    eic = np.exp(1j * np.array([r.direction for r in rays]))
+    root = np.sqrt([r.length for r in rays])
 
-    def g(s):
+    def g(x):
+        s = x[..., None] * root                  # panel x node x ray
         xi = (s * s) * eic
-        base = np.asarray(delta(t, xi), dtype=complex) * (2.0 * s * eic)
-        return base[..., None] * weight(xi[..., None])
+        base = np.stack([np.asarray(cocycle.deltas[p](t, xi[..., i]), dtype=complex)
+                         for i, p in enumerate(ps)], axis=-1)
+        vals = (base * (2.0 * s * eic * root))[..., None] * weight(xi[..., None], points)
+        return vals.reshape(x.shape + (-1,))
 
-    val, _, _ = complex_quad(g, 0.0, math.sqrt(L), epsabs=opts.tol,
-                             epsrel=opts.tol, limit=200)
-    return val / TWO_PI_I
+    try:
+        val, _, _ = complex_quad(g, 0.0, 1.0, epsabs=opts.tol, epsrel=opts.tol,
+                                 limit=200)
+    except QuadratureError as exc:
+        if exc.component is None:      # a back end that names no component
+            raise
+        r, i = divmod(exc.component, points.size)
+        raise QuadratureError(
+            f"{len(ps)} Cauchy-Heine ray{'s' * (len(ps) > 1)}, worst on overlap "
+            f"{ps[r]} at {name}={points[i].item()!r}, {exc}", i) from exc
+    return val.reshape(len(ps), points.size).sum(axis=0) / TWO_PI_I
 
 
 def cauchy_heine_many(cocycle: Cocycle, t, eps: np.ndarray,
@@ -168,10 +192,10 @@ def cauchy_heine_many(cocycle: Cocycle, t, eps: np.ndarray,
     """Sectorial sums Psi_{sectors[i]}(t, eps[i]) for a batch of points.
 
     Each eps[i] must lie in covering sector sectors[i] and off the cut
-    rays.  The raw transform is shared across the batch; the Plemelj
-    corrections take one jump call per overlap, on the points of its
-    two sectors that lie within the ray and past (sector p) or before
-    (sector p + 1) the cut.
+    rays.  The raw transform is one quadrature for the whole batch, over
+    every ray with a jump (_ray_integral); the Plemelj corrections take
+    one jump call per overlap, on the points of its two sectors that lie
+    within the ray and past (sector p) or before (sector p + 1) the cut.
     """
     opts = opts or CHOptions()
     cov = cocycle.covering
@@ -188,13 +212,11 @@ def cauchy_heine_many(cocycle: Cocycle, t, eps: np.ndarray,
             raise ValueError(f"point {complex(outside[0])!r} not in "
                              f"covering sector {p}")
 
-    out = np.zeros(eps.shape, dtype=complex)
+    out = _ray_integral(cocycle, t, lambda xi, e: 1.0 / (xi - e), eps, "eps", opts)
     args, radii = np.angle(eps), np.abs(eps)
     for p in range(cov.n):
         if not cocycle.has_jump(p):
             continue
-        out += _ray_integral(cocycle.deltas[p], t, rays[p],
-                             lambda xi: 1.0 / (xi - eps), opts)
         near = radii < rays[p].length
         side = wrap_angle(args - rays[p].direction)
         # past the forward cut gamma_p of sector p: subtract Delta_p;
@@ -213,20 +235,13 @@ def asymptotic_coefficients(cocycle: Cocycle, t, n_max: int,
     """Common expansion coefficients phi_0..phi_{n_max} of the Psi family.
 
     phi_n(t) = sum_p (1/2 pi i) int_{gamma_p} Delta_p(t, xi) xi^{-n-1} dxi,
-    so that Psi_p(eps) ~ sum_n phi_n(t) eps^n on every sector.  The
-    integrals require the jumps to vanish faster than |xi|^{n_max} at the
-    origin; for ladder-type jumps this caps n_max by the t-radius.
+    so that Psi_p(eps) ~ sum_n phi_n(t) eps^n on every sector; all rays
+    and all n are one quadrature (_ray_integral).  The integrals require
+    the jumps to vanish faster than |xi|^{n_max} at the origin; for
+    ladder-type jumps this caps n_max by the t-radius.
     """
-    opts = opts or CHOptions()
-    ns = np.arange(n_max + 1)
-    phi = np.zeros(n_max + 1, dtype=complex)
-    rays = cocycle.rays
-    for p in range(cocycle.covering.n):
-        if not cocycle.has_jump(p):
-            continue
-        phi += _ray_integral(cocycle.deltas[p], t, rays[p],
-                             lambda xi: xi ** (-ns - 1), opts)
-    return phi
+    return _ray_integral(cocycle, t, lambda xi, n: xi ** (-n - 1),
+                         np.arange(n_max + 1), "n", opts or CHOptions())
 
 
 @dataclass
@@ -241,15 +256,39 @@ class JumpCheck:
 
 
 
-def _overlap_probe_points(cov: GoodCovering, p: int, rays, radius_frac: float,
-                          n_each: int) -> np.ndarray:
-    """Probes inside overlap p on both sides of its cut, off the cut."""
-    c = cov.overlap_bisector(p)
-    hw = cov.overlap_half_width(p)
-    r = radius_frac * rays[p].length
-    offs = np.linspace(0.25, 0.75, n_each) * hw
-    angles = np.concatenate([c - offs, c + offs])
-    return r * np.exp(1j * angles)
+def _realization_probes(cocycles: Sequence[Cocycle], radius_frac: float = 0.5,
+                        n_each: int = 2) -> list:
+    """Probes of each overlap p: radius_frac times its ray length, n_each
+    angles on either side of its cut, off the cut."""
+    cov = cocycles[0].covering
+    for c in cocycles[1:]:
+        if c.covering is not cov and c.covering.to_dict() != cov.to_dict():
+            raise ValueError("cocycles must share one covering")
+    rays = cocycles[0].rays
+    pts = []
+    for p in range(cov.n):
+        c = cov.overlap_bisector(p)
+        offs = np.linspace(0.25, 0.75, n_each) * cov.overlap_half_width(p)
+        angles = np.concatenate([c - offs, c + offs])
+        pts.append(radius_frac * rays[p].length * np.exp(1j * angles))
+    return pts
+
+
+def _jump_checks(cocycles: Sequence[Cocycle], t, pts: list, g: list) -> list:
+    """JumpCheck rows from the probes pts[p] of each overlap p and the
+    values g[p] of G[p] on pts[p] followed by pts[p - 1]."""
+    n = len(pts)
+    checks: list[JumpCheck] = []
+    for p in range(n):
+        q = (p + 1) % n      # G_{p+1} on overlap p follows its own probes
+        lhs = g[q][pts[q].size:] - g[p][:pts[p].size]
+        rhs = np.zeros(pts[p].shape, dtype=complex)
+        for c in cocycles:
+            rhs = rhs + np.asarray(c.jump(p, t, pts[p]), dtype=complex)
+        checks.extend(JumpCheck(p=p, eps=e, lhs=x, rhs=y, abs_err=abs(x - y))
+                      for e, x, y in zip(pts[p].tolist(), lhs.tolist(),
+                                         rhs.tolist()))
+    return checks
 
 
 def verify_difference_realization(G: Sequence[Callable], cocycles: Sequence[Cocycle],
@@ -264,29 +303,10 @@ def verify_difference_realization(G: Sequence[Callable], cocycles: Sequence[Cocy
     called once, on the probes of overlaps p and p - 1 together, and
     each cocycle's jump once per overlap.
     """
-    cov = cocycles[0].covering
-    for c in cocycles[1:]:
-        if c.covering is not cov and c.covering.to_dict() != cov.to_dict():
-            raise ValueError("cocycles must share one covering")
-    rays = cocycles[0].rays
-    n = cov.n
-    pts = [_overlap_probe_points(cov, p, rays, radius_frac, n_each)
-           for p in range(n)]
-    lower, upper = [None] * n, [None] * n    # G_p and G_{p+1} on overlap p
-    for p in range(n):
-        vals = np.asarray(G[p](t, np.concatenate([pts[p], pts[p - 1]])),
-                          dtype=complex)
-        lower[p], upper[p - 1] = np.split(vals, [pts[p].size])
-    checks: list[JumpCheck] = []
-    for p in range(n):
-        lhs = upper[p] - lower[p]
-        rhs = np.zeros(pts[p].shape, dtype=complex)
-        for c in cocycles:
-            rhs = rhs + np.asarray(c.jump(p, t, pts[p]), dtype=complex)
-        checks.extend(JumpCheck(p=p, eps=e, lhs=x, rhs=y, abs_err=abs(x - y))
-                      for e, x, y in zip(pts[p].tolist(), lhs.tolist(),
-                                         rhs.tolist()))
-    return checks
+    pts = _realization_probes(cocycles, radius_frac, n_each)
+    g = [np.asarray(G[p](t, np.concatenate([pts[p], pts[p - 1]])), dtype=complex)
+         for p in range(len(pts))]
+    return _jump_checks(cocycles, t, pts, g)
 
 
 @dataclass
@@ -340,8 +360,11 @@ def multilevel_split(G: Sequence[Callable], slow: Cocycle, fast: Cocycle,
 
     The probes of all levels j = 0..j_max form one batch: each branch
     G[p] (taking an eps ndarray, returning an array of its shape) is
-    called once, on every probe sector p owns, and each cocycle's
-    Cauchy-Heine sum once, on every (probe, owning sector) pair.
+    called once, on every probe sector p owns together with the
+    realization probes of overlaps p and p - 1 (the JumpCheck rows of
+    verify_difference_realization, built from those values), and each
+    cocycle's Cauchy-Heine sum once, on every (probe, owning sector)
+    pair: one quadrature over all of that cocycle's rays.
     """
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0 (no probes otherwise), got {j_max}")
@@ -361,11 +384,18 @@ def multilevel_split(G: Sequence[Callable], slow: Cocycle, fast: Cocycle,
     point, sector = np.nonzero(owned.T)
     e = eps[point]
 
+    # G[p] on the probes it owns, then on the realization probes of
+    # overlaps p and p - 1
+    pts = (_realization_probes((slow, fast)) if check_realization
+           else [np.empty(0, dtype=complex)] * cov.n)
     g = np.empty(e.shape, dtype=complex)
+    g_real = []
     for p in range(cov.n):
         mine = sector == p
-        if mine.any():
-            g[mine] = G[p](t, e[mine])
+        at = np.concatenate([e[mine], pts[p], pts[p - 1]])
+        vals = np.asarray(G[p](t, at), dtype=complex) if at.size else at
+        g[mine], rest = np.split(vals, [mine.sum()])
+        g_real.append(rest)
     a = (g - cauchy_heine_many(slow, t, e, sector, opts)
          - cauchy_heine_many(fast, t, e, sector, opts))
 
@@ -384,11 +414,9 @@ def multilevel_split(G: Sequence[Callable], slow: Cocycle, fast: Cocycle,
                           max_spread=float(row_spread[j]))
                for j, r in enumerate(radii)]
 
-    realization = []
-    max_re = 0.0
-    if check_realization:
-        realization = verify_difference_realization(G, (slow, fast), t)
-        max_re = max((c.abs_err for c in realization), default=0.0)
+    realization = (_jump_checks((slow, fast), t, pts, g_real)
+                   if check_realization else [])
+    max_re = max((c.abs_err for c in realization), default=0.0)
 
     return MultilevelSplit(t=complex(t), probes=probes, cascade=cascade,
                            max_spread=float(row_spread.max()),

@@ -134,6 +134,7 @@ _W21 = np.concatenate([_WK[:-1], _WK[::-1]])
 _G21 = np.zeros(21)
 _G21[1:10:2] = _WG
 _G21[11:20:2] = _WG[::-1]
+_KG21 = np.stack([_W21, _G21])
 _EPS50 = 50.0 * np.finfo(float).eps
 
 
@@ -149,22 +150,25 @@ class QuadratureError(ArithmeticError):
         self.component = component
 
 
-def _gk21(fv: np.ndarray, half: np.ndarray) -> tuple:
-    """QUADPACK qk21 along the last axis of fv (real values at the 21
-    nodes of each panel) for panels of half-width `half`, which
-    broadcasts against the other axes: (value, error estimate, round-off
-    floor).  Run it with divide, invalid and overflow warnings off: 0/0
-    in the error scaling is masked here, and a non-finite result is the
-    caller's to refuse."""
+def _gk21(fv: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """QUADPACK qk21 on real values fv over (panel, node, part), the 21
+    nodes of each panel on the middle axis, for panels of half-width
+    `half` (panel x 1): one (2, 21) Kronrod/Gauss contraction and two
+    weighted |.| sums give, stacked, the (value, error estimate, round-off
+    floor) over (panel, part).  Run it with divide, invalid and overflow
+    warnings off: 0/0 in the error scaling is masked here, and a
+    non-finite result is the caller's to refuse."""
     h = np.abs(half)
-    resk = fv @ _W21
-    err = np.abs(resk - fv @ _G21) * h
-    resabs = (np.abs(fv) @ _W21) * h
-    resasc = (np.abs(fv - 0.5 * resk[..., None]) @ _W21) * h
+    resk, resg = np.moveaxis(_KG21 @ fv, 1, 0)
+    err = np.abs(resk - resg) * h
+    dev = np.abs(fv)      # one scratch array of fv's size for both sums
+    resabs = (_W21 @ dev) * h
+    np.abs(np.subtract(fv, 0.5 * resk[:, None], out=dev), out=dev)
+    resasc = (_W21 @ dev) * h
     scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc != 0) & (err != 0), scaled, err)
     floor = _EPS50 * resabs
-    return resk * half, np.maximum(err, floor), floor
+    return np.stack([resk * half, np.maximum(err, floor), floor])
 
 
 def complex_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -177,7 +181,11 @@ def complex_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     (a scalar integrand, integrated as one component).  The rule is
     QUADPACK's G10K21 (Piessens et al. 1983) batched over panels: from 8
     equal panels, cut at the interior ``points``, each round makes one f
-    call on the 21 nodes of every panel it refines.
+    call on the 21 nodes of every panel it refines.  The values are read
+    as reals, through a float view of the complex array, so a round is
+    one _gk21 call over (panel, node, part), a part being the real or the
+    imaginary part of one component, and the panels' state is kept per
+    (panel, part).
 
     As scipy's quad does for each part, the real and the imaginary part
     of every component must each meet max(epsabs, epsrel |that part of
@@ -202,37 +210,37 @@ def complex_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         edges = np.union1d(edges, cuts)[::1 if a < b else -1]
     new_lo, new_hi = edges[:-1], edges[1:]
     lo = hi = np.empty(0)
-    panels = None   # value, error, floor x panel x component x (Re, Im)
+    panels = None   # value, error, floor x panel x part
     n_eval = 0
     while True:
         centre, half = 0.5 * (new_lo + new_hi)[:, None], 0.5 * (new_hi - new_lo)[:, None]
         x = centre + half * _X21
-        fv = np.asarray(f(x))
+        fv = np.ascontiguousarray(f(x), dtype=complex)
         n_eval += x.size
         scalar = fv.ndim == 2
-        # panel x component x node: the nodes on the last axis, where _gk21 sums them
-        fv = (fv[..., None] if scalar else fv).swapaxes(1, 2)
+        # panel x node x part: part 2c is Re and 2c + 1 is Im of component c
+        fv = (fv[..., None] if scalar else fv).view(float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            new = np.stack([_gk21(fv.real, half), _gk21(fv.imag, half)], axis=-1)
+            new = _gk21(fv, half)
         if not np.isfinite(new).all():
-            i, c = np.argwhere(~np.isfinite(new).all(axis=(0, 3)))[0]   # panel, component
+            i, c = np.argwhere(~np.isfinite(new).all(axis=0))[0]   # panel, part
             raise QuadratureError(f"x in [{a}, {b}]: the panel on [{new_lo[i]:.6g}, "
                                   f"{new_hi[i]:.6g}] integrates to a non-finite value",
-                                  component=None if scalar else int(c))
+                                  component=None if scalar else int(c) // 2)
         lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
         panels = new if panels is None else np.concatenate([panels, new], axis=1)
         val, err, floor = panels
         total, total_err = val.sum(axis=0), err.sum(axis=0)
         target = np.maximum(epsabs, epsrel * np.abs(total))
-        width = ((hi - lo) / (b - a))[:, None, None]
+        width = ((hi - lo) / (b - a))[:, None]
         above = err > floor
-        split = ((err > width * target) & above).any(axis=(1, 2))
+        split = ((err > width * target) & above).any(axis=1)
         # past 1e154 the squares overflow: an infinite target makes the
         # norm test vacuous, an infinite panel norm refines or raises
         with np.errstate(over="ignore"):
-            norms = np.sqrt((err ** 2).sum(axis=(1, 2)))
+            norms = np.sqrt((err ** 2).sum(axis=1))
             norm_target = max(epsabs, epsrel * math.sqrt((total ** 2).sum()))
-        split |= (norms > width.ravel() * norm_target) & above.any(axis=(1, 2))
+        split |= (norms > width.ravel() * norm_target) & above.any(axis=1)
         if (np.all(total_err <= target) and norms.sum() <= norm_target
                 or not split.any()):
             break
@@ -242,13 +250,13 @@ def complex_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
             raise QuadratureError(
                 f"x in [{a}, {b}]: error {ratio:.3g} times its target with "
                 f"{len(lo)} panels; bisecting would pass limit={limit}",
-                component=None if scalar else int(np.argmax(ratios.max(axis=1))))
+                component=None if scalar else int(np.argmax(ratios)) // 2)
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
         lo, hi, panels = lo[~split], hi[~split], panels[:, ~split]
-    value = total[:, 0] + 1j * total[:, 1]
-    error = np.hypot(total_err[:, 0], total_err[:, 1])
+    value = total.view(complex)
+    error = np.hypot(total_err[0::2], total_err[1::2])
     return (complex(value[0]), float(error[0]), n_eval) if scalar else (value, error, n_eval)
 
 

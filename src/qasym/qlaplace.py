@@ -231,7 +231,8 @@ def log_contour_transform(f: Callable[[np.ndarray], np.ndarray], q: float,
     if T.size == 0:
         return np.zeros(0, dtype=complex), np.zeros(0), 0
     w0, dw = complex(w0), complex(dw)
-    a, b = np.broadcast_to(a, T.shape), np.broadcast_to(b, T.shape)
+    # scalar windows stay scalar, so f runs once per node for all T
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     span = b - a
 
     def integrand(x):
@@ -243,6 +244,7 @@ def log_contour_transform(f: Callable[[np.ndarray], np.ndarray], q: float,
                                         epsrel=epsrel, limit=limit)
     except QuadratureError as exc:
         i = exc.component
+        a, b = np.broadcast_to(a, T.shape), np.broadcast_to(b, T.shape)
         raise QuadratureError(
             f"{T.size} contour{'s' * (T.size > 1)} exp({w0} + s*{dw}), "
             f"s = a + x (b - a), worst at |T|={abs(T[i]):.3g} on s in "

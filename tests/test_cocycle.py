@@ -7,10 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import cauchy_ray_direct, closed_jump
+from qasym import cocycle
 from qasym.cocycle import (CHOptions, Cocycle, asymptotic_coefficients,
                            cauchy_heine_many, classify_levels, ladder_jump,
                            multilevel_split, overlap_rays,
                            verify_difference_realization)
+from qasym.fourier import QuadratureError, complex_quad
 from qasym.geometry import Sector, make_cyclic_covering
 
 Q, K1, K2, A = 2.0, 1.0, 2.0, 1.3
@@ -138,6 +140,82 @@ class TestCauchyHeine:
         bad = 0.1 * cmath.exp(1j * (cov.sector(2).bisector))
         with pytest.raises(ValueError):
             cauchy_heine_psi(slow, 0.1, bad, 0, TIGHT)
+
+
+class TestMergedRays:
+    """All rays of one Cauchy-Heine sum share one complex_quad call."""
+
+    T = 0.07 * cmath.exp(0.2j)
+
+    @staticmethod
+    def counted_quad(monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return complex_quad(*args, **kwargs)
+        monkeypatch.setattr(cocycle, "complex_quad", counted)
+        return calls
+
+    @staticmethod
+    def one_ray_cocycles(coc):
+        return [Cocycle(coc.covering, deltas=tuple(
+                    d if q == p else None for q, d in enumerate(coc.deltas)))
+                for p in range(4) if coc.has_jump(p)]
+
+    def test_sum_over_two_jumps_is_one_quadrature(self, monkeypatch):
+        cov = four_sector_covering()
+        slow, _ = two_level_pair(cov)
+        eps = [0.2 * cmath.exp(1j * cov.sector(p).bisector) for p in range(4)]
+        eps += [0.5 * slow.rays[1].length
+                * cmath.exp(1j * (cov.overlap_bisector(1) + s * 0.4
+                                  * cov.overlap_half_width(1))) for s in (-1, 1)]
+        sectors = [0, 1, 2, 3, 1, 2]
+        per_ray = [cauchy_heine_many(one, self.T, eps, sectors, TIGHT)
+                   for one in self.one_ray_cocycles(slow)]
+        calls = self.counted_quad(monkeypatch)
+        merged = cauchy_heine_many(slow, self.T, eps, sectors, TIGHT)
+        assert calls == [(0.0, 1.0)]
+        # each one-ray sum carries the Plemelj term of its own cut only
+        for got, want in zip(merged, per_ray[0] + per_ray[1]):
+            assert _rel(got, want) <= 1e-13
+        # at mid-sector no Plemelj term applies: the direct ray integrals
+        for i in range(4):
+            want = sum(cauchy_ray_direct(slow.deltas[r], self.T, slow.rays[r].direction,
+                                         slow.rays[r].length, eps[i]) for r in (1, 3))
+            assert _rel(merged[i], want) <= 1e-9
+
+    def test_coefficients_over_two_jumps_are_one_quadrature(self, monkeypatch):
+        cov = four_sector_covering()
+        slow, _ = two_level_pair(cov)
+        per_ray = [asymptotic_coefficients(one, 0.05, 2, TIGHT)
+                   for one in self.one_ray_cocycles(slow)]
+        calls = self.counted_quad(monkeypatch)
+        phis = asymptotic_coefficients(slow, 0.05, 2, TIGHT)
+        assert len(calls) == 1
+        for got, want in zip(phis, per_ray[0] + per_ray[1]):
+            assert _rel(got, want) <= 1e-13
+
+    def test_no_jump_is_zero_without_quadrature(self, monkeypatch):
+        cov = four_sector_covering()
+        calls = self.counted_quad(monkeypatch)
+        empty = Cocycle(cov, deltas=(None,) * 4)
+        assert cauchy_heine_psi(empty, self.T, 0.1, 0, TIGHT) == 0.0
+        assert list(asymptotic_coefficients(empty, self.T, 2)) == [0, 0, 0]
+        assert calls == []
+
+    def test_panel_limit_names_overlap_and_point(self):
+        cov = four_sector_covering()
+        slow, _ = two_level_pair(cov)
+        # overlap 3 oscillates far faster than 200 panels resolve
+        rough = Cocycle(cov, deltas=(None, slow.deltas[1], None,
+                                     lambda t, xi: np.exp(1e5j * xi)))
+        eps = [0.2 * cmath.exp(1j * cov.sector(p).bisector) for p in range(4)]
+        with pytest.raises(QuadratureError,
+                           match="worst on overlap 3 at eps=") as info:
+            cauchy_heine_many(rough, self.T, eps, [0, 1, 2, 3], TIGHT)
+        assert f"eps={eps[info.value.component]!r}" in str(info.value)
+        assert "limit=200" in str(info.value)
 
 
 class TestAsymptoticCoefficients:
@@ -320,7 +398,9 @@ class TestBatchedSplit:
             assert chk.abs_err == pytest.approx(abs(chk.lhs - chk.rhs), abs=0.0)
 
     @pytest.mark.parametrize("j_max", [0, 5])
-    def test_each_branch_called_at_most_twice(self, j_max):
+    def test_each_branch_called_once(self, j_max):
+        """The split and its realization rows share one call of each G[p];
+        the rows match those of verify_difference_realization."""
         cov = four_sector_covering()
         slow, fast = two_level_pair(cov)
         calls = [0] * 4
@@ -328,7 +408,24 @@ class TestBatchedSplit:
         split = multilevel_split(G, slow, fast, self.T, opts=TIGHT,
                                  j_max=j_max)
         assert len(split.probes) == 12 * (j_max + 1)
-        assert calls == [2, 2, 2, 2]
+        assert calls == [1, 1, 1, 1]
+        ref = verify_difference_realization(G, [slow, fast], self.T)
+        assert len(split.realization) == len(ref) == 16
+        for got, want in zip(split.realization, ref):
+            assert got.p == want.p and got.eps == want.eps
+            assert _rel(got.lhs, want.lhs) <= 1e-13
+            assert got.rhs == want.rhs
+        assert split.max_realization_err == max(c.abs_err for c in split.realization)
+
+    def test_split_without_realization_calls_branches_on_their_probes(self):
+        cov = four_sector_covering()
+        slow, fast = two_level_pair(cov)
+        calls = [0] * 4
+        G = _branches(cov, slow, fast, self.entire, calls)
+        split = multilevel_split(G, slow, fast, self.T, opts=TIGHT, j_max=1,
+                                 check_realization=False)
+        assert calls == [1, 1, 1, 1]
+        assert split.realization == [] and split.max_realization_err == 0.0
 
     def test_mixed_sector_batch_matches_one_point_calls(self):
         cov = four_sector_covering()

@@ -13,7 +13,8 @@ from qasym import equation
 from qasym.equation import apply_equation_operator, default_spec, manufactured_problem
 from qasym.fourier import (SQRT2PI, DecayProfile, HorizontalStrip, QuadratureError,
                            complex_quad, default_profile_for, gaussian_symbol,
-                           inverse_fourier, make_symbol, standard_symbol)
+                           _gk21, _X21, inverse_fourier, make_symbol,
+                           standard_symbol)
 from qasym.geometry import polyval_im
 
 
@@ -113,6 +114,42 @@ class TestComplexQuad:
         val, _, n = complex_quad(f, 0.0, 1.0, points=(1.0 / 3.0,))
         assert n == 9 * 21
         assert val == pytest.approx(1.0 / 3.0 + 4.0j / 3.0, rel=1e-14)
+
+
+class TestGK21Rule:
+    """_gk21 on single panels against QUADPACK's qk21: scipy quad with
+    limit=1 stops after the first 21-point rule on [a, b]."""
+
+    PANELS = [(0.0, 1.0), (0.3, 2.9), (-1.5, -0.2)]
+    FUNCS = [lambda x: np.exp(3j * x) * np.sqrt(x + 2.0),
+             lambda x: np.cos(x) / (1.0 + x * x) + 1j * np.exp(-x),
+             lambda x: x ** 7 - 2j * x ** 3,
+             lambda x: 1.0 / (x + 1.6 + 0.5j)]
+
+    @staticmethod
+    def qk21(f, a, b):
+        val, err, info = quad(f, a, b, limit=1, full_output=1)[:3]
+        assert info["neval"] == 21
+        return val, err
+
+    @pytest.mark.parametrize("funcs", [FUNCS[:1], FUNCS[1:2], FUNCS],
+                             ids=["one", "another", "batch"])
+    def test_matches_quadpack_qk21(self, funcs):
+        lo, hi = np.array(self.PANELS).T
+        half = 0.5 * (hi - lo)[:, None]
+        x = 0.5 * (lo + hi)[:, None] + half * _X21
+        fv = np.stack([f(x) for f in funcs], axis=-1)
+        value, error, _ = _gk21(fv.view(float), half)
+        assert value.shape == error.shape == (len(self.PANELS), 2 * len(funcs))
+        for i, (a, b) in enumerate(self.PANELS):
+            for j, f in enumerate(funcs):
+                for k, part in enumerate((np.real, np.imag)):
+                    val, err = self.qk21(lambda s: float(part(f(s))), a, b)
+                    assert value[i, 2 * j + k] == pytest.approx(val, rel=4e-15)
+                    # the estimate rests on the Kronrod sum minus the Gauss
+                    # sum, equal to about 1e-9 of either here, so a
+                    # rounding in their last digit shows at about 1e-7
+                    assert error[i, 2 * j + k] == pytest.approx(err, rel=1e-6)
 
 
 class TestDecayProfile:
