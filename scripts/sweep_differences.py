@@ -13,7 +13,7 @@ import argparse
 import csv
 import sys
 
-from qasym import default_scenario, difference_cascade, fit_rate
+from qasym import default_scenario, overlap_rate
 
 
 def main() -> int:
@@ -36,10 +36,7 @@ def main() -> int:
     ok = True
     for p in overlaps:
         for route in args.routes:
-            table = difference_cascade(scn, p, js, route)
-            fit = fit_rate(table, scn.frame.q)
-            target = scn.frame.k2 if table.level == 2 else scn.frame.k1
-            rel = abs(fit.rate - target) / target
+            table, fit, target, rel = overlap_rate(scn, p, js, route, tol=1e-11)
             ok = ok and rel <= 0.15
             print(f"overlap {p} [{route:10s}] level {table.level}: "
                   f"rate {fit.rate:.6f} target {target:.1f} rel_err {rel:.2e}")

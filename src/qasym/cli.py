@@ -28,8 +28,8 @@ from .frames import ladder_radius
 from .geometry import (Sector, associate_family, geometry_scenario_from_dict,
                        geometry_scenario_to_dict, make_cyclic_covering,
                        validate_good_covering)
-from .model import (ModelScenario, default_scenario, difference_cascade, fit_rate,
-                    verify_rate_dichotomy, verify_two_level_theorem)
+from .model import (ModelScenario, default_scenario, overlap_rate, verify_rate_dichotomy,
+                    verify_two_level_theorem)
 from .qlaplace import GrowthCertificate, QLaplaceSpec, qlaplace
 from .theta import (ThetaSpec, calibrate_theta_constant, theta_eval_scaled,
                     theta_lower_bound, theta_qdiff_residual)
@@ -244,17 +244,15 @@ def _cmd_diff(args) -> tuple[dict, bool]:
         raise InputError("--route direct needs --overlap: the dichotomy over "
                          "all overlaps runs the decomposed route")
     if args.overlap is not None:
-        table = difference_cascade(scn, args.overlap, js, args.route, args.tol)
-        fit = fit_rate(table, scn.frame.q)
-        target = scn.frame.k2 if table.level == 2 else scn.frame.k1
-        rel = abs(fit.rate - target) / target
+        table, fit, target, rel = overlap_rate(scn, args.overlap, js, args.route,
+                                               args.tol)
         ok = rel <= args.rel_tol
         payload = {
             "overlap": args.overlap, "route": args.route, "level": table.level,
             "rows": [{"j": r.j, "absT": r.absT, "norm": r.norm} for r in table.rows],
             "fit": {"a": fit.a, "b": fit.b, "c": fit.c, "rate": fit.rate,
                     "residual_rms": fit.residual_rms},
-            "target_rate": float(target), "rel_err": float(rel), "ok": ok,
+            "target_rate": target, "rel_err": rel, "ok": ok,
         }
         return payload, ok
     report = verify_rate_dichotomy(scn, js=js, tol=args.tol, rel_tol=args.rel_tol)

@@ -70,16 +70,11 @@ class RaySpec:
     length: float
 
 
-def overlap_rays(covering: GoodCovering, fraction: float = 0.9
-                 ) -> tuple[RaySpec, ...]:
-    """One cut per overlap, along its bisector, fraction of its radius."""
-    if not 0 < fraction < 1:
-        raise ValueError("ray fraction must lie in (0, 1)")
-    rays = []
-    for p in range(covering.n):
-        rays.append(RaySpec(direction=covering.overlap_bisector(p),
-                            length=fraction * covering.overlap_radius(p)))
-    return tuple(rays)
+def overlap_rays(covering: GoodCovering) -> tuple[RaySpec, ...]:
+    """One cut per overlap, along its bisector, 0.9 of its radius."""
+    return tuple(RaySpec(direction=covering.overlap_bisector(p),
+                         length=0.9 * covering.overlap_radius(p))
+                 for p in range(covering.n))
 
 
 @dataclass(frozen=True)
@@ -87,19 +82,15 @@ class Cocycle:
     """Jumps Delta_p(t, xi) on the overlaps of a good covering.
 
     deltas[p] is a callable vectorized in xi, or None when the cocycle
-    has no component on that overlap.  levels[p] optionally records the
-    decay level the jump is claimed to have (1 = slow, 2 = fast).
+    has no component on that overlap.
     """
 
     covering: GoodCovering
     deltas: tuple
-    levels: tuple | None = None
 
     def __post_init__(self) -> None:
         if len(self.deltas) != self.covering.n:
             raise ValueError("need one jump (or None) per overlap")
-        if self.levels is not None and len(self.levels) != self.covering.n:
-            raise ValueError("levels must match the number of overlaps")
 
     @cached_property
     def rays(self) -> tuple[RaySpec, ...]:
@@ -177,8 +168,6 @@ def _ray_integral(cocycle: Cocycle, t, weight: Callable, points: np.ndarray,
         val, _, _ = complex_quad(g, 0.0, 1.0, epsabs=opts.tol, epsrel=opts.tol,
                                  limit=200)
     except QuadratureError as exc:
-        if exc.component is None:      # a back end that names no component
-            raise
         r, i = divmod(exc.component, points.size)
         raise QuadratureError(
             f"{len(ps)} Cauchy-Heine ray{'s' * (len(ps) > 1)}, worst on overlap "
@@ -255,11 +244,9 @@ class JumpCheck:
     abs_err: float
 
 
-
-def _realization_probes(cocycles: Sequence[Cocycle], radius_frac: float = 0.5,
-                        n_each: int = 2) -> list:
-    """Probes of each overlap p: radius_frac times its ray length, n_each
-    angles on either side of its cut, off the cut."""
+def _realization_probes(cocycles: Sequence[Cocycle]) -> list:
+    """Probes of each overlap p: half its ray length, two angles on
+    either side of its cut, off the cut."""
     cov = cocycles[0].covering
     for c in cocycles[1:]:
         if c.covering is not cov and c.covering.to_dict() != cov.to_dict():
@@ -268,9 +255,9 @@ def _realization_probes(cocycles: Sequence[Cocycle], radius_frac: float = 0.5,
     pts = []
     for p in range(cov.n):
         c = cov.overlap_bisector(p)
-        offs = np.linspace(0.25, 0.75, n_each) * cov.overlap_half_width(p)
+        offs = np.array([0.25, 0.75]) * cov.overlap_half_width(p)
         angles = np.concatenate([c - offs, c + offs])
-        pts.append(radius_frac * rays[p].length * np.exp(1j * angles))
+        pts.append(0.5 * rays[p].length * np.exp(1j * angles))
     return pts
 
 
@@ -289,24 +276,6 @@ def _jump_checks(cocycles: Sequence[Cocycle], t, pts: list, g: list) -> list:
                       for e, x, y in zip(pts[p].tolist(), lhs.tolist(),
                                          rhs.tolist()))
     return checks
-
-
-def verify_difference_realization(G: Sequence[Callable], cocycles: Sequence[Cocycle],
-                                  t, radius_frac: float = 0.5, n_each: int = 2
-                                  ) -> list:
-    """Check G_{p+1} - G_p = sum of cocycle jumps on each overlap.
-
-    G is independent sectorial data (one callable (t, eps) per sector,
-    taking an eps ndarray and returning an array of its shape); the
-    check never routes through the Cauchy-Heine transform, so it can
-    back an end-to-end reconstruction without circularity.  Each G[p] is
-    called once, on the probes of overlaps p and p - 1 together, and
-    each cocycle's jump once per overlap.
-    """
-    pts = _realization_probes(cocycles, radius_frac, n_each)
-    g = [np.asarray(G[p](t, np.concatenate([pts[p], pts[p - 1]])), dtype=complex)
-         for p in range(len(pts))]
-    return _jump_checks(cocycles, t, pts, g)
 
 
 @dataclass
@@ -348,8 +317,7 @@ def _probe_angles(cov: GoodCovering) -> np.ndarray:
 
 def multilevel_split(G: Sequence[Callable], slow: Cocycle, fast: Cocycle,
                      t, opts: CHOptions | None = None,
-                     j_max: int = 5, radius_frac: float = 0.6,
-                     check_realization: bool = True) -> MultilevelSplit:
+                     j_max: int = 5, radius_frac: float = 0.6) -> MultilevelSplit:
     """Remove both cocycle layers from G and certify the leftover glues.
 
     Probes sit on circles |eps| = radius_frac * min ray length * 2^-j at
@@ -361,10 +329,14 @@ def multilevel_split(G: Sequence[Callable], slow: Cocycle, fast: Cocycle,
     The probes of all levels j = 0..j_max form one batch: each branch
     G[p] (taking an eps ndarray, returning an array of its shape) is
     called once, on every probe sector p owns together with the
-    realization probes of overlaps p and p - 1 (the JumpCheck rows of
-    verify_difference_realization, built from those values), and each
-    cocycle's Cauchy-Heine sum once, on every (probe, owning sector)
-    pair: one quadrature over all of that cocycle's rays.
+    realization probes of overlaps p and p - 1, and each cocycle's
+    Cauchy-Heine sum once, on every (probe, owning sector) pair: one
+    quadrature over all of that cocycle's rays.
+
+    The realization rows check G_{p+1} - G_p = sum of the cocycle jumps
+    at half each ray's length, two angles on either side of each cut.
+    They never route through the Cauchy-Heine transform, so they back
+    the reconstruction without circularity.
     """
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0 (no probes otherwise), got {j_max}")
@@ -386,14 +358,13 @@ def multilevel_split(G: Sequence[Callable], slow: Cocycle, fast: Cocycle,
 
     # G[p] on the probes it owns, then on the realization probes of
     # overlaps p and p - 1
-    pts = (_realization_probes((slow, fast)) if check_realization
-           else [np.empty(0, dtype=complex)] * cov.n)
+    pts = _realization_probes((slow, fast))
     g = np.empty(e.shape, dtype=complex)
     g_real = []
     for p in range(cov.n):
         mine = sector == p
         at = np.concatenate([e[mine], pts[p], pts[p - 1]])
-        vals = np.asarray(G[p](t, at), dtype=complex) if at.size else at
+        vals = np.asarray(G[p](t, at), dtype=complex)
         g[mine], rest = np.split(vals, [mine.sum()])
         g_real.append(rest)
     a = (g - cauchy_heine_many(slow, t, e, sector, opts)
@@ -414,15 +385,13 @@ def multilevel_split(G: Sequence[Callable], slow: Cocycle, fast: Cocycle,
                           max_spread=float(row_spread[j]))
                for j, r in enumerate(radii)]
 
-    realization = (_jump_checks((slow, fast), t, pts, g_real)
-                   if check_realization else [])
-    max_re = max((c.abs_err for c in realization), default=0.0)
+    realization = _jump_checks((slow, fast), t, pts, g_real)
 
     return MultilevelSplit(t=complex(t), probes=probes, cascade=cascade,
                            max_spread=float(row_spread.max()),
                            max_abs=float(row_abs.max()),
                            realization=realization,
-                           max_realization_err=max_re)
+                           max_realization_err=max(c.abs_err for c in realization))
 
 
 # --- synthetic ladder jumps --------------------------------------------------

@@ -42,9 +42,9 @@ from typing import Callable
 
 import numpy as np
 
-from .fourier import SQRT2PI, DecayProfile, HorizontalStrip, inverse_fourier
+from .fourier import SQRT2PI, DecayProfile, inverse_fourier
 from .frames import QFrame
-from .geometry import polyval_im
+from .geometry import default_m_grid, polyval_im
 from .schemas import Record
 
 
@@ -100,10 +100,6 @@ class EquationSpec(Record):
         if not self.beta > 0:
             raise ValueError("beta must be > 0")
 
-    @property
-    def D(self) -> int:
-        return len(self.terms) + 1
-
     def dilation_exponent(self, j: int) -> Fraction:
         """Exact exponent dD_j/k_j + 1 of the leading dilations."""
         d = self.d_D1 if j == 1 else self.d_D2
@@ -133,18 +129,15 @@ class HypothesesReport(Record):
         return {**super().to_dict(), "ok": self.ok}
 
 
-def validate_hypotheses(spec: EquationSpec,
-                        m_grid: np.ndarray | None = None) -> HypothesesReport:
+def validate_hypotheses(spec: EquationSpec) -> HypothesesReport:
     """Check the structural and spectral hypotheses.
 
     Rational inequalities are decided exactly with Fractions.  The
-    nonvanishing of Q(im), RD_j(im) is a grid test: points where the
-    value is numerically zero (relative to the coefficient scale) are
-    reported with their location.
+    nonvanishing of Q(im), RD_j(im) is a test on geometry.default_m_grid:
+    points where the value is numerically zero (relative to the
+    coefficient scale) are reported with their location.
     """
-    if m_grid is None:
-        from .geometry import default_m_grid
-        m_grid = default_m_grid()
+    m_grid = default_m_grid()
     fr = spec.frame
     k1, k2 = _as_fraction(fr.k1), _as_fraction(fr.k2)
     kappa = k1 * k2 / (k2 - k1)
@@ -205,13 +198,16 @@ def validate_hypotheses(spec: EquationSpec,
 
 # --- coefficient families ---------------------------------------------------
 
+P_CAP = 20   # largest truncation point a certified tail search tries
+
+
 @dataclass
 class CoefficientSeries:
     """Power-series coefficient data c_l and forcing f on the Fourier side.
 
     C_fn(l, p, m, eps) and F_fn(p, m, eps) are vectorized over m.  DC
     (per l) and DF are the declared envelope amplitudes; T0 the radius
-    scale.  P_cap bounds the truncation point search.
+    scale.
     """
 
     frame: QFrame
@@ -222,7 +218,6 @@ class CoefficientSeries:
     DF: float
     C_fn: Callable
     F_fn: Callable
-    P_cap: int = 20
     F_max_power: int | None = None  # set when F_p vanishes beyond a power
 
     @property
@@ -261,7 +256,7 @@ class CoefficientSeries:
 
     def truncation_point(self, abs_et: float, quadratic: bool,
                          tail_tol: float) -> int:
-        """Smallest P with the certified post-P tail below tail_tol.
+        """Smallest P <= P_CAP with the certified post-P tail below tail_tol.
 
         quadratic selects the c_l envelope (with q^{-p^2 ...}); without
         it (forcing) the series is geometric and requires |eps t| < T0.
@@ -273,7 +268,7 @@ class CoefficientSeries:
         if not quadratic and self.F_max_power is not None:
             return self.F_max_power  # finite support: evaluation is exact
         mass = self._m_mass()
-        for P in range(self.P_cap + 1):
+        for P in range(P_CAP + 1):
             if quadratic:
                 tail = sum(x ** p * self.quad_decay(p)
                            for p in range(P + 1, P + 60))
@@ -285,18 +280,19 @@ class CoefficientSeries:
                 tail = x ** (P + 1) / (1.0 - x)
             if amp * mass * tail <= tail_tol:
                 return P
-        raise ValueError(f"cannot certify tail <= {tail_tol} within P_cap="
-                         f"{self.P_cap} at |eps t|={abs_et:.4g}")
+        raise ValueError(f"cannot certify tail <= {tail_tol} within P_CAP="
+                         f"{P_CAP} at |eps t|={abs_et:.4g}")
 
     def profile(self, amp: float) -> DecayProfile:
         return DecayProfile(C=max(amp, 1e-300), mu=self.mu, beta=self.beta)
 
 
 def _series_symbol(series: CoefficientSeries, l: int | None, t: complex,
-                   eps: complex, tail_tol: float = 1e-12
-                   ) -> tuple[Callable, DecayProfile]:
+                   eps: complex) -> tuple[Callable, DecayProfile]:
     """The symbol of c_l at (t, eps) (of the forcing f when l is None),
-    p-summed up to the certified truncation point, and its profile."""
+    p-summed up to the truncation point certified for a tail below
+    1e-12, and its profile."""
+    tail_tol = 1e-12
     et = eps * t
     coeff = l is not None
     P = series.truncation_point(abs(et), coeff, tail_tol)
@@ -316,8 +312,7 @@ def _series_symbol(series: CoefficientSeries, l: int | None, t: complex,
     return symbol, series.profile(amp + tail_tol)
 
 
-def _inverse_fourier_all(pairs, z: complex, strip: HorizontalStrip | None,
-                         quad_tol: float) -> list[complex]:
+def _inverse_fourier_all(pairs, z: complex, quad_tol: float) -> list[complex]:
     """Inverse transforms at z of every (symbol, profile) pair, in one
     inverse_fourier call on the vector symbol that stacks them."""
     symbols, profiles = zip(*pairs)
@@ -327,21 +322,19 @@ def _inverse_fourier_all(pairs, z: complex, strip: HorizontalStrip | None,
         for i, symbol in enumerate(symbols):
             out[..., i] = symbol(m)
         return out
-    res = inverse_fourier(stacked, z, profiles, strip, tol=quad_tol)
+    res = inverse_fourier(stacked, z, profiles, tol=quad_tol)
     return res.value.tolist()
 
 
 def assemble_coefficients(series: CoefficientSeries, t: complex, z: complex,
-                          eps: complex, strip: HorizontalStrip | None = None,
-                          tail_tol: float = 1e-12,
-                          quad_tol: float = 1e-12) -> tuple[list[complex], complex]:
-    """Evaluate (c_1..c_{D-1}, f) at one point by p-summation and one
-    inverse Fourier transform of all D symbols; truncation points carry a
-    certified tail bound."""
-    pairs = [_series_symbol(series, l, t, eps, tail_tol)
-             for l in range(series.n_terms)]
-    pairs.append(_series_symbol(series, None, t, eps, tail_tol))
-    values = _inverse_fourier_all(pairs, z, strip, quad_tol)
+                          eps: complex, quad_tol: float = 1e-12
+                          ) -> tuple[list[complex], complex]:
+    """Evaluate every c_l and f at one point by p-summation and one
+    inverse Fourier transform of all their symbols; truncation points
+    carry a certified tail bound."""
+    pairs = [_series_symbol(series, l, t, eps) for l in range(series.n_terms)]
+    pairs.append(_series_symbol(series, None, t, eps))
+    values = _inverse_fourier_all(pairs, z, quad_tol)
     return values[:-1], values[-1]
 
 
@@ -422,7 +415,6 @@ def _poly_symbol(coeffs, U: Callable, profile_U: DecayProfile, t: complex,
 def apply_equation_operator(spec: EquationSpec, series: CoefficientSeries,
                             U: Callable, profile_U: DecayProfile,
                             t: complex, z: complex, eps: complex,
-                            strip: HorizontalStrip | None = None,
                             quad_tol: float = 1e-12) -> complex:
     """Residual  (left side) - (right side)  of the operator identity at
     one point, with u given by its Fourier kernel U(t, m, eps).
@@ -440,7 +432,7 @@ def apply_equation_operator(spec: EquationSpec, series: CoefficientSeries,
         pairs.append(_series_symbol(series, i, td, eps))
         pairs.append(_poly_symbol(term.R, U, profile_U, td, eps))
     pairs.append(_series_symbol(series, None, q * t, eps))
-    values = _inverse_fourier_all(pairs, z, strip, quad_tol)
+    values = _inverse_fourier_all(pairs, z, quad_tol)
 
     lhs = values[0]
     rhs = et ** spec.d_D1 * values[1] + et ** spec.d_D2 * values[2]
@@ -460,8 +452,12 @@ def manufactured_problem(spec: EquationSpec, a: int = 0
 
     phi decays mu_phi = mu + deg Q orders so every polynomial image still
     satisfies an integrable profile.  The forcing series has exactly the
-    powers a, a + dD_1, a + dD_2.
+    powers a, a + dD_1, a + dD_2; its powers start at 0, so a < 0 is
+    refused.
     """
+    if a < 0:
+        raise ValueError(f"power a must be >= 0 (the forcing series holds "
+                         f"powers p >= 0), got {a}")
     fr = spec.frame
     mu_phi = spec.mu + max(poly_degree(spec.Q), 0)
     beta = spec.beta
@@ -502,15 +498,12 @@ def manufactured_problem(spec: EquationSpec, a: int = 0
                                DC=tuple(0.0 for _ in spec.terms), DF=DF,
                                C_fn=lambda l, p, m, eps: np.zeros_like(
                                    np.asarray(m, dtype=float), dtype=complex),
-                               F_fn=F_fn,
-                               P_cap=max(20, a + spec.d_D1 + spec.d_D2 + 1),
-                               F_max_power=max(packets))
+                               F_fn=F_fn, F_max_power=max(packets))
     return U, profile_U, series
 
 
 def residual_sweep(spec: EquationSpec, series: CoefficientSeries, U: Callable,
                    profile_U: DecayProfile, t_grid, z_grid, eps_grid,
-                   strip: HorizontalStrip | None = None,
                    quad_tol: float = 1e-12) -> list[tuple]:
     """Rows (t, z, eps, |residual|) over the product grid."""
     rows = []
@@ -518,7 +511,7 @@ def residual_sweep(spec: EquationSpec, series: CoefficientSeries, U: Callable,
         for z in z_grid:
             for eps in eps_grid:
                 r = apply_equation_operator(spec, series, U, profile_U,
-                                            t, z, eps, strip, quad_tol)
+                                            t, z, eps, quad_tol)
                 rows.append((complex(t), complex(z), complex(eps), abs(r)))
     return rows
 

@@ -351,11 +351,11 @@ def gaussian_symbol() -> Callable:
     return f
 
 
-def oscillating_symbol(beta: float, mu: float, freq: float = 1.0) -> Callable:
-    """f(m) = cos(freq*m) (1+|m|)^{-mu} e^{-beta|m|}."""
+def oscillating_symbol(beta: float, mu: float) -> Callable:
+    """f(m) = cos(m) (1+|m|)^{-mu} e^{-beta|m|}."""
     def f(m):
         am = np.abs(m)
-        return np.cos(freq * m) * (1.0 + am) ** (-mu) * np.exp(-beta * am)
+        return np.cos(m) * (1.0 + am) ** (-mu) * np.exp(-beta * am)
     return f
 
 

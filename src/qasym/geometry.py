@@ -72,16 +72,15 @@ class Sector:
                                                       other.inner_radius)
         return radial and self.angular_gap(other) < 0
 
-    def sample_points(self, n_radial: int = 24,
-                      n_angular: int = 24) -> np.ndarray:
-        """Polar sample grid strictly inside the sector, padded 0.1% off
-        its edges (unbounded sectors truncated at radius 1e3)."""
+    def sample_points(self) -> np.ndarray:
+        """Polar 7 x 7 sample grid strictly inside the sector, padded 0.1%
+        off its edges (unbounded sectors truncated at radius 1e3)."""
         r_hi = min(self.radius, 1e3)
         r_lo = max(self.inner_radius, r_hi * 1e-6)
         radii = np.exp(np.linspace(math.log(r_lo * (1 + 1e-3)),
-                                   math.log(r_hi * (1 - 1e-3)), n_radial))
+                                   math.log(r_hi * (1 - 1e-3)), 7))
         h = self.half_opening * (1 - 1e-3)
-        angles = self.bisector + np.linspace(-h, h, n_angular)
+        angles = self.bisector + np.linspace(-h, h, 7)
         return np.multiply.outer(radii, np.exp(1j * angles)).ravel()
 
     def to_dict(self) -> dict:
@@ -283,9 +282,9 @@ def associate_family(cov: GoodCovering, directions: list[float], dlt: float,
     product_failures = []
     for p in range(cov.n):
         dom = QSpiralDomain(d=directions[p], dlt=dlt, radius=epsilon0 * r_t)
-        eps_samples = cov.sector(p).sample_points(n_radial=7, n_angular=7)
+        eps_samples = cov.sector(p).sample_points()
         # scale into the sector's radial range [tiny, radius)
-        t_samples = t_sector.sample_points(n_radial=7, n_angular=7)
+        t_samples = t_sector.sample_points()
         for e in eps_samples:
             for t in t_samples:
                 if not dom.contains(e * t):

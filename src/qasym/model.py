@@ -301,7 +301,6 @@ class DiffPieces:
     T: complex
     level: int
     pieces: dict
-    oracle: complex | None = None   # residue closed form on fast overlaps
 
     @property
     def total(self) -> complex:
@@ -343,16 +342,13 @@ def consecutive_difference(scn: ModelScenario, p: int, T,
     }
     if level == 2:
         pieces["inner_arc"] = arc_piece(scn, p, lo, hi, Ts, tol=tol)
-        oracle = residue_closed_form(scn, p, Ts)
     else:
         mid = scn.mid_direction(p)
         pieces["arc_lo"] = arc_piece(scn, p, lo, mid, Ts, tol=tol)
         pieces["arc_hi"] = arc_piece(scn, p + 1, mid, hi, Ts, tol=tol)
         pieces["mid_segment"] = mid_segment_piece(scn, p, Ts, tol)
-        oracle = None
     diffs = [DiffPieces(p=p, T=complex(t), level=level,
-                        pieces={name: complex(v[i]) for name, v in pieces.items()},
-                        oracle=None if oracle is None else complex(oracle[i]))
+                        pieces={name: complex(v[i]) for name, v in pieces.items()})
              for i, t in enumerate(Ts)]
     return diffs[0] if np.ndim(T) == 0 else diffs
 
@@ -452,31 +448,36 @@ class DichotomyReport:
                             for p, lv, tg, ft, re in self.entries]}
 
 
+def overlap_rate(scn: ModelScenario, p: int, js: Sequence[int], route: str,
+                 tol: float) -> tuple[DiffTable, RateFit, float, float]:
+    """Overlap p's cascade, its rate fit, the target rate (k2 on a fast
+    overlap, k1 on a slow one) and the fit's relative error."""
+    table = difference_cascade(scn, p, js, route, tol)
+    fit = fit_rate(table, scn.frame.q)
+    target = scn.frame.k2 if table.level == 2 else scn.frame.k1
+    return table, fit, float(target), float(abs(fit.rate - target) / target)
+
+
 def verify_rate_dichotomy(scn: ModelScenario, js: Sequence[int] = range(3, 13),
                           tol: float = 1e-11, rel_tol: float = 0.15
                           ) -> DichotomyReport:
     """Fit every overlap's cascade and compare with k2 (fast) / k1 (slow)."""
-    fr = scn.frame
     entries = []
     for p in range(scn.n):
-        table = difference_cascade(scn, p, js, "decomposed", tol)
-        fit = fit_rate(table, fr.q)
-        target = fr.k2 if table.level == 2 else fr.k1
-        rel = abs(fit.rate - target) / target
-        entries.append((p, table.level, float(target), fit.rate, float(rel)))
+        table, fit, target, rel = overlap_rate(scn, p, js, "decomposed", tol)
+        entries.append((p, table.level, target, fit.rate, rel))
     return DichotomyReport(entries=entries, tolerance=rel_tol)
 
 
 # --- end-to-end verification ---------------------------------------------------
 
 def difference_remainder_table(scn: ModelScenario, p: int, level_k: float,
-                               N_range: Sequence[int], eps_mods=(0.25, 0.35),
-                               t_frac: float = 0.7, tol: float = 1e-11
+                               N_range: Sequence[int], t_frac: float = 0.7
                                ) -> RemainderTable:
     """Shrinking-disc rows for the overlap difference: for each order N
     place |t| = t_frac q^{-(N+1)/(2 level_k)} (inside the level's disc
-    ladder) and record ||U_{p+1} - U_p|| at T = eps t, from one
-    consecutive_difference call on all the rows' T.
+    ladder) and record ||U_{p+1} - U_p|| at T = eps t for |eps| = 0.25
+    and 0.35, from one consecutive_difference call on all the rows' T.
 
     The difference plays its own remainder: the sectorial expansions
     agree through every order, so the gap must obey the level's
@@ -486,10 +487,10 @@ def difference_remainder_table(scn: ModelScenario, p: int, level_k: float,
     table = RemainderTable()
     mid = scn.mid_direction(p)
     rows = [(N, em, t_frac * ladder_radius(fr.q, level_k, N + 1))
-            for N in N_range for em in eps_mods]
+            for N in N_range for em in (0.25, 0.35)]
     Ts = [em * t_abs * complex(math.cos(mid), math.sin(mid))
           for _, em, t_abs in rows]
-    diffs = consecutive_difference(scn, p, np.array(Ts), "decomposed", tol)
+    diffs = consecutive_difference(scn, p, np.array(Ts), "decomposed")
     for (N, em, t_abs), d in zip(rows, diffs):
         table.add(N, em, abs(d.total), t_abs)
     return table
@@ -517,25 +518,22 @@ class TheoremReport(Record):
 
 
 def verify_two_level_theorem(scn: ModelScenario, js: Sequence[int] = range(3, 11),
-                             N_range: Sequence[int] = range(0, 7),
-                             tol: float = 1e-11) -> TheoremReport:
+                             N_range: Sequence[int] = range(0, 7)) -> TheoremReport:
     """Covering sanity, rate dichotomy, certified ladder fits at both
     levels, and the restriction corollary (a fast-level certificate,
     restricted to the slow level's smaller discs, re-certifies there)."""
     from .geometry import validate_good_covering
     cov_rep = validate_good_covering(scn.covering)
 
-    dich = verify_rate_dichotomy(scn, js, tol)
+    dich = verify_rate_dichotomy(scn, js)
 
     fr = scn.frame
     levels = scn.levels()
     p_fast = levels.index(2)
     p_slow = levels.index(1)
 
-    fast_table = difference_remainder_table(scn, p_fast, fr.k2, N_range,
-                                            tol=tol)
-    slow_table = difference_remainder_table(scn, p_slow, fr.k1, N_range,
-                                            tol=tol)
+    fast_table = difference_remainder_table(scn, p_fast, fr.k2, N_range)
+    slow_table = difference_remainder_table(scn, p_slow, fr.k1, N_range)
     fast_fit = fit_zero_gevrey_relative(fast_table, fr.q, fr.k2)
     slow_fit = fit_zero_gevrey_relative(slow_table, fr.q, fr.k1)
 

@@ -119,7 +119,6 @@ class QLaplaceResult:
     error_estimate: float
     nodes_used: int
     direction_used: float
-    window: tuple[float, float]
 
 
 def _integration_window(spec: QLaplaceSpec, cert: GrowthCertificate,
@@ -289,7 +288,7 @@ def qlaplace(spec: QLaplaceSpec, f: Callable[[np.ndarray], np.ndarray],
                                         s_lo, s_hi, epsabs=spec.tol,
                                         epsrel=spec.tol * 10, limit=300)
     return QLaplaceResult(value=val, error_estimate=err, nodes_used=n,
-                          direction_used=d, window=(s_lo, s_hi))
+                          direction_used=d)
 
 
 # --- monomial images --------------------------------------------------------

@@ -1,8 +1,8 @@
 """Serialized objects: one dataclass <-> JSON codec and the Draft-07
 schemas it is held to.
 
-``Record`` gives a dataclass ``to_dict``/``from_dict``/``to_json``/
-``from_json`` derived from its init fields and their annotations:
+``Record`` gives a dataclass ``to_dict``/``from_dict`` derived from its
+init fields and their annotations:
 
 * ``complex`` <-> ``[re, im]``;
 * ``Fraction`` (alone or in a union) <-> ``[num, den]``;
@@ -111,13 +111,6 @@ class Record:
         obj = cls(**kwargs)
         refuse_unknown_keys(cls.__name__, d, obj.to_dict())
         return obj
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str):
-        return cls.from_dict(json.loads(s))
 
 
 @lru_cache(maxsize=None)

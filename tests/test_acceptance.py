@@ -20,8 +20,7 @@ from scipy.integrate import quad
 from helpers import cauchy_ray_direct, closed_jump
 from qasym.asymptotics import (RemainderTable, fit_q_gevrey,
                                fit_zero_gevrey_relative, restrict_and_refit)
-from qasym.cocycle import (CHOptions, Cocycle, ladder_jump, multilevel_split,
-                           verify_difference_realization)
+from qasym.cocycle import CHOptions, Cocycle, ladder_jump, multilevel_split
 from qasym.equation import (EquationTerm, default_spec, manufactured_problem,
                             residual_sweep, validate_hypotheses)
 from qasym.frames import log_gaussian_power, seq_bound_from_log_bound
@@ -298,13 +297,12 @@ def test_07_two_level_splitting_reconstructs_and_certifies():
                   for r, a in slow_amp.items()}
     fast_jumps = {r: closed_jump(Q7, K2_7, A7, cuts[r], a)
                   for r, a in fast_amp.items()}
-    levels = (2, 1, 2, 1)
     slow_c = Cocycle(cov, tuple(
         ladder_jump(Q7, K1_7, A7, cuts[r], slow_amp[r]) if r in slow_amp
-        else None for r in range(4)), levels=levels)
+        else None for r in range(4)))
     fast_c = Cocycle(cov, tuple(
         ladder_jump(Q7, K2_7, A7, cuts[r], fast_amp[r]) if r in fast_amp
-        else None for r in range(4)), levels=levels)
+        else None for r in range(4)))
     rays = [(cuts[p], 0.9 * cov.overlap_radius(p)) for p in range(4)]
 
     def make_G(p):
@@ -321,13 +319,12 @@ def test_07_two_level_splitting_reconstructs_and_certifies():
     G = [make_G(p) for p in range(4)]
     t = 0.1
 
-    checks = verify_difference_realization(G, [slow_c, fast_c], t,
-                                           radius_frac=0.5, n_each=2)
-    realization_err = max(c.abs_err for c in checks)
-
+    # the realization rows compare G_{p+1} - G_p with the jumps, at half
+    # each ray's length, two angles on either side of each cut
     split = multilevel_split(G, slow_c, fast_c, t, CHOptions(tol=1e-12),
-                             j_max=3, radius_frac=0.6,
-                             check_realization=False)
+                             j_max=3, radius_frac=0.6)
+    checks = split.realization
+    realization_err = max(c.abs_err for c in checks)
     recon_err = max(abs(a - _entire7(complex(e)))
                     for (_, e, per) in split.probes for a in per.values())
 

@@ -399,6 +399,8 @@ class TestBadArguments:
                      id="qlaplace-image-overflows"),
         pytest.param(("qlaplace", "--T", "1e154"), "past double range",
                      id="qlaplace-image-just-past-double-range"),
+        pytest.param(("residual", "--power", "-1"), "power a must be >= 0",
+                     id="residual-power-negative"),
     ])
     def test_is_two_without_traceback(self, capsys, tmp_path, argv, named):
         csv = tmp_path / "rows.csv"
@@ -428,15 +430,18 @@ class TestQuadratureFailure:
         assert "contour" in error["message"]
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("module, argv", [
-        pytest.param(fourier, ("fourier", "--z", "0.2"),
+    @pytest.mark.parametrize("module, argv, named", [
+        pytest.param(fourier, ("fourier", "--z", "0.2"), "times its target",
                      id="fourier-inverse-transform"),
-        pytest.param(cocycle, ("split", "--j-max", "2"),
+        pytest.param(cocycle, ("split", "--j-max", "2"), "worst on overlap",
                      id="split-cauchy-heine-ray"),
     ])
-    def test_library_quadrature_is_one(self, capsys, monkeypatch, module, argv):
+    def test_library_quadrature_is_one(self, capsys, monkeypatch, module, argv,
+                                       named):
         def fail(*args, **kwargs):
-            raise QuadratureError("x in [0.0, 1.0]: error 3 times its target")
+            # every integrand here is a vector, so complex_quad names the
+            # component furthest from its target
+            raise QuadratureError("x in [0.0, 1.0]: error 3 times its target", 0)
 
         monkeypatch.setattr(module, "complex_quad", fail)
         code = main(list(argv))
@@ -445,6 +450,7 @@ class TestQuadratureFailure:
         error = json.loads(captured.out)["error"]
         assert error["type"] == "quadrature"
         assert "times its target" in error["message"]
+        assert named in error["message"]
         assert "Traceback" not in captured.err
 
 

@@ -10,8 +10,7 @@ from helpers import cauchy_ray_direct, closed_jump
 from qasym import cocycle
 from qasym.cocycle import (CHOptions, Cocycle, asymptotic_coefficients,
                            cauchy_heine_many, classify_levels, ladder_jump,
-                           multilevel_split, overlap_rays,
-                           verify_difference_realization)
+                           multilevel_split, overlap_rays)
 from qasym.fourier import QuadratureError, complex_quad
 from qasym.geometry import Sector, make_cyclic_covering
 
@@ -31,12 +30,10 @@ def two_level_pair(cov):
     """Slow (level-1) jumps on overlaps 1, 3; fast (level-2) on 0, 2."""
     cuts = [cov.overlap_bisector(p) for p in range(4)]
     slow = Cocycle(cov, deltas=(None, ladder_jump(Q, K1, A, cuts[1], 0.7),
-                                None, ladder_jump(Q, K1, A, cuts[3], 0.4j)),
-                   levels=(2, 1, 2, 1))
+                                None, ladder_jump(Q, K1, A, cuts[3], 0.4j)))
     fast = Cocycle(cov, deltas=(ladder_jump(Q, K2, A, cuts[0], 0.9),
                                 None, ladder_jump(Q, K2, A, cuts[2], -0.6),
-                                None),
-                   levels=(2, 1, 2, 1))
+                                None))
     return slow, fast
 
 
@@ -289,7 +286,8 @@ class TestRealizationAndSplit:
         slow, fast = two_level_pair(cov)
         entire = lambda e: np.exp(0.3 * e)
         G = _branches(cov, slow, fast, entire)
-        checks = verify_difference_realization(G, [slow, fast], 0.1)
+        checks = multilevel_split(G, slow, fast, 0.1, opts=TIGHT,
+                                  j_max=0).realization
         assert len(checks) == 16
         assert max(c.abs_err for c in checks) < 1e-10
 
@@ -302,11 +300,9 @@ class TestRealizationAndSplit:
         wrong = Cocycle(cov, deltas=(None,
                                      ladder_jump(Q, K1, A, cuts[1], 1.05),
                                      None,
-                                     ladder_jump(Q, K1, A, cuts[3], 0.4j)),
-                        levels=slow.levels)
-        checks = verify_difference_realization(G, [wrong, fast], 0.2,
-                                               radius_frac=0.9)
-        assert max(c.abs_err for c in checks) > 1e-4
+                                     ladder_jump(Q, K1, A, cuts[3], 0.4j)))
+        split = multilevel_split(G, wrong, fast, 0.2, opts=TIGHT, j_max=0)
+        assert split.max_realization_err > 1e-4
 
     def test_split_recovers_planted_analytic_part(self):
         cov = four_sector_covering()
@@ -332,7 +328,7 @@ def _rel(got, want):
 
 
 class TestBatchedSplit:
-    """The batched split and realization check against a per-probe
+    """The batched split and its realization rows against a per-probe
     reference: scalar branch calls and one-point Cauchy-Heine sums."""
 
     T = 0.07 * cmath.exp(0.2j)
@@ -380,7 +376,8 @@ class TestBatchedSplit:
         cov = four_sector_covering()
         slow, fast = two_level_pair(cov)
         G = _branches(cov, slow, fast, self.entire)
-        checks = verify_difference_realization(G, [slow, fast], self.T)
+        checks = multilevel_split(G, slow, fast, self.T, opts=TIGHT,
+                                  j_max=0).realization
         assert len(checks) == 16
         for i, chk in enumerate(checks):
             p = i // 4
@@ -399,8 +396,7 @@ class TestBatchedSplit:
 
     @pytest.mark.parametrize("j_max", [0, 5])
     def test_each_branch_called_once(self, j_max):
-        """The split and its realization rows share one call of each G[p];
-        the rows match those of verify_difference_realization."""
+        """The split and its realization rows share one call of each G[p]."""
         cov = four_sector_covering()
         slow, fast = two_level_pair(cov)
         calls = [0] * 4
@@ -409,23 +405,8 @@ class TestBatchedSplit:
                                  j_max=j_max)
         assert len(split.probes) == 12 * (j_max + 1)
         assert calls == [1, 1, 1, 1]
-        ref = verify_difference_realization(G, [slow, fast], self.T)
-        assert len(split.realization) == len(ref) == 16
-        for got, want in zip(split.realization, ref):
-            assert got.p == want.p and got.eps == want.eps
-            assert _rel(got.lhs, want.lhs) <= 1e-13
-            assert got.rhs == want.rhs
+        assert len(split.realization) == 16
         assert split.max_realization_err == max(c.abs_err for c in split.realization)
-
-    def test_split_without_realization_calls_branches_on_their_probes(self):
-        cov = four_sector_covering()
-        slow, fast = two_level_pair(cov)
-        calls = [0] * 4
-        G = _branches(cov, slow, fast, self.entire, calls)
-        split = multilevel_split(G, slow, fast, self.T, opts=TIGHT, j_max=1,
-                                 check_realization=False)
-        assert calls == [1, 1, 1, 1]
-        assert split.realization == [] and split.max_realization_err == 0.0
 
     def test_mixed_sector_batch_matches_one_point_calls(self):
         cov = four_sector_covering()
@@ -462,12 +443,10 @@ class TestBatchedSplit:
 class TestGeometryHelpers:
     def test_overlap_rays_sit_on_bisectors(self):
         cov = four_sector_covering()
-        rays = overlap_rays(cov, 0.8)
+        rays = overlap_rays(cov)
         for p, ray in enumerate(rays):
             assert ray.direction == pytest.approx(cov.overlap_bisector(p))
-            assert ray.length == pytest.approx(0.8 * cov.overlap_radius(p))
-        with pytest.raises(ValueError):
-            overlap_rays(cov, 1.0)
+            assert ray.length == pytest.approx(0.9 * cov.overlap_radius(p))
 
     def test_classify_levels_from_inner_sector_geometry(self):
         cov = four_sector_covering()
@@ -487,5 +466,3 @@ class TestGeometryHelpers:
         cov = four_sector_covering()
         with pytest.raises(ValueError):
             Cocycle(cov, deltas=(None, None))
-        with pytest.raises(ValueError):
-            Cocycle(cov, deltas=(None,) * 4, levels=(1, 2))

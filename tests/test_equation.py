@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 from fractions import Fraction
 
@@ -135,8 +136,8 @@ class TestSpecSerialization:
         spec = spec_with(terms=(EquationTerm(Delta=1, d=0, delta=1),
                                 EquationTerm(Delta=3, d=2,
                                              delta=Fraction(5, 2))))
-        back = EquationSpec.from_json(spec.to_json())
-        assert back.to_json() == spec.to_json()
+        back = EquationSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert back.to_dict() == spec.to_dict()
         assert back.terms[1].delta == Fraction(5, 2)
 
     def test_dilation_exponents(self):
@@ -210,9 +211,9 @@ class TestCoefficientFamily:
             return C_fn(0, p, m, eps)
 
         series = CoefficientSeries(frame=spec.frame, T0=1.0, mu=spec.mu,
-                                   beta=spec.beta, DC=(cg,) * (spec.D - 1),
+                                   beta=spec.beta, DC=(cg,) * len(spec.terms),
                                    DF=cg, C_fn=C_fn, F_fn=F_fn)
-        cs, f = assemble_coefficients(series, t=0.1, z=0.4, eps=0.2, strip=None)
+        cs, f = assemble_coefficients(series, t=0.1, z=0.4, eps=0.2)
         exact = cmath.exp(-0.4 ** 2 / 4.0) / math.sqrt(2.0)
         for c in cs:
             assert c == pytest.approx(exact, rel=1e-9)
@@ -228,6 +229,13 @@ class TestManufactured:
                                       t=0.12 * cmath.exp(0.3j), z=0.3,
                                       eps=0.15 * cmath.exp(0.7j))
         assert abs(res) < 1e-10
+
+    @pytest.mark.parametrize("a", [-1, -2])
+    def test_negative_power_is_refused(self, a):
+        # the forcing series holds powers p >= 0 only, so the packet at
+        # power a < 0 would be dropped and the residual would not vanish
+        with pytest.raises(ValueError, match="power a must be >= 0"):
+            manufactured_problem(default_spec(), a=a)
 
     def test_sweep_and_csv(self, tmp_path):
         spec = default_spec()

@@ -49,7 +49,7 @@ class TestScenario:
     def test_round_trip_and_schema(self, scn):
         payload = scn.to_dict()
         validate_payload("model_scenario", payload)
-        back = ModelScenario.from_json(scn.to_json())
+        back = ModelScenario.from_dict(json.loads(json.dumps(payload)))
         assert back.to_dict() == payload
         assert back.frame == scn.frame
         assert back.poles == scn.poles
@@ -106,15 +106,16 @@ class TestDifferences:
 
     def test_fast_difference_matches_residue_closed_form(self, scn):
         for j in (3, 5):
-            d = consecutive_difference(scn, 0, scn.probe_T(0, j),
-                                       "decomposed", tol=1e-11)
-            assert d.oracle is not None
-            assert abs(d.total - d.oracle) < 1e-9 * abs(d.oracle)
+            T = scn.probe_T(0, j)
+            d = consecutive_difference(scn, 0, T, "decomposed", tol=1e-11)
+            oracle = residue_closed_form(scn, 0, T)
+            assert abs(d.total - oracle) < 1e-9 * abs(oracle)
 
     def test_slow_difference_has_no_residue_oracle(self, scn):
         d = consecutive_difference(scn, 2, scn.probe_T(2, 3), "decomposed",
                                    tol=1e-11)
-        assert d.oracle is None
+        assert scn.wedge_poles(2) == ()
+        assert residue_closed_form(scn, 2, scn.probe_T(2, 3)) == 0
         assert set(d.pieces) == {"outer_plus", "outer_minus", "arc_lo",
                                  "arc_hi", "mid_segment"}
 
@@ -130,7 +131,6 @@ class TestDifferences:
             assert abs(d.total - one.total) <= 1e-10 * abs(one.total)
             if d.level == 2:
                 oracle = residue_closed_form(scn, p, T)
-                assert d.oracle == pytest.approx(oracle, rel=1e-14)
                 assert abs(d.total - oracle) < 1e-9 * abs(oracle)
 
     @pytest.mark.parametrize("p", [0, 2], ids=["fast", "slow"])
@@ -141,7 +141,7 @@ class TestDifferences:
         [batch] = consecutive_difference(scn, p, np.array([T]), "decomposed",
                                          tol=1e-11)
         assert isinstance(one, model.DiffPieces)
-        assert (one.T, one.level, one.oracle) == (batch.T, batch.level, batch.oracle)
+        assert (one.T, one.level) == (batch.T, batch.level)
         assert one.pieces == batch.pieces
         assert all(type(v) is complex for v in one.pieces.values())
 
@@ -180,8 +180,7 @@ class TestDifferences:
 
     def test_remainder_table_rows(self, scn):
         fr = scn.frame
-        table = difference_remainder_table(scn, 0, fr.k2, range(0, 3),
-                                           tol=1e-10)
+        table = difference_remainder_table(scn, 0, fr.k2, range(0, 3))
         assert len(table.rows) == 6
         for row in table.rows:
             want_t = 0.7 * fr.q ** (-(row.N + 1) / (2.0 * fr.k2))
@@ -233,7 +232,7 @@ class TestTheorem:
         assert rep.ok
 
     def test_report_serializes(self, theorem_report):
-        d = json.loads(theorem_report.to_json())
+        d = json.loads(json.dumps(theorem_report.to_dict()))
         assert d["ok"] is True
         assert len(d["dichotomy"]["entries"]) == 4
         validate_payload("gevrey_fit", d["fast_fit"])

@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("residual_grid.py", ["--n", "1"]),
     ("sweep_differences.py", ["--j-min", "3", "--j-max", "5", "--overlaps", "0",
                               "--routes", "decomposed"]),
-    ("run_demo.py", ["--help"]),
+    ("run_demo.py", ["--fast"]),
 ])
 def test_script_exits_zero(script, args):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])

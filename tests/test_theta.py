@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import sys
 
@@ -345,7 +346,7 @@ class TestTruncation:
 
     def test_spec_serialization(self):
         spec = calibrate_theta_constant(spec_for_annulus(2.0, 1.0, 0.5, 2.0))
-        back = ThetaSpec.from_json(spec.to_json())
+        back = ThetaSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert back == spec
 
 
