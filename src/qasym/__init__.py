@@ -20,8 +20,8 @@ from .cocycle import (CHOptions, CascadeRow, Cocycle, MultilevelSplit, RaySpec,
 from .equation import (CoefficientSeries, EquationSpec, EquationTerm,
                        HypothesesReport, apply_equation_operator, default_spec,
                        manufactured_problem, residual_sweep, validate_hypotheses)
-from .fourier import (DecayProfile, HorizontalStrip, InverseFourierResult,
-                      complex_quad, inverse_fourier, make_symbol)
+from .fourier import (DecayProfile, InverseFourierResult, complex_quad,
+                      inverse_fourier, make_symbol)
 from .frames import QFrame
 from .geometry import (GoodCovering, Sector, associate_family,
                        geometry_scenario_from_dict, geometry_scenario_to_dict,
@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CHOptions", "CascadeRow", "Cocycle", "CoefficientSeries", "DecayProfile",
     "EquationSpec", "EquationTerm", "GevreyFit", "GoodCovering",
-    "GrowthCertificate", "HorizontalStrip", "HypothesesReport",
+    "GrowthCertificate", "HypothesesReport",
     "InverseFourierResult", "ModelScenario", "MultilevelSplit", "QFrame",
     "QLaplaceResult", "QLaplaceSpec", "RaySpec", "RemainderRow", "RemainderTable",
     "Sector", "TheoremReport", "ThetaSpec", "apply_equation_operator",

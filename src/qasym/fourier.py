@@ -9,9 +9,10 @@ the normalized inverse transform
     (F^{-1} f)(z) = (2 pi)^{-1/2} * integral f(m) exp(i z m) dm
 
 defines a bounded holomorphic function on any horizontal strip
-|Im z| <= beta' < beta.  The integral is truncated at a cutoff M
-derived from the declared profile so the discarded tail is below the
-requested tolerance on the whole strip, then evaluated by complex_quad.
+|Im z| <= beta' < beta; inverse_fourier takes beta' = beta/2.  The
+integral is truncated at a cutoff M derived from the declared profile
+so the discarded tail is below the requested tolerance on that whole
+strip, then evaluated by complex_quad.
 
 complex_quad is the package's one adaptive rule: QUADPACK's G10K21
 batched over panels, so each refinement round makes one call of the
@@ -39,20 +40,6 @@ def __getattr__(name: str):
         from scipy.integrate import quad
         return quad
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-@dataclass(frozen=True)
-class HorizontalStrip:
-    """Open strip |Im z| < half_width."""
-
-    half_width: float
-
-    def __post_init__(self) -> None:
-        if not self.half_width > 0:
-            raise ValueError(f"half_width must be > 0, got {self.half_width}")
-
-    def contains(self, z: complex) -> bool:
-        return abs(complex(z).imag) < self.half_width
 
 
 @dataclass(frozen=True)
@@ -270,22 +257,21 @@ class InverseFourierResult:
 
 def inverse_fourier(f: Callable, z: complex,
                     profile: DecayProfile | Sequence[DecayProfile],
-                    strip: HorizontalStrip | None = None,
                     tol: float = 1e-12) -> InverseFourierResult:
     """(2 pi)^{-1/2} * integral_{-M}^{M} f(m) e^{izm} dm with profile-derived M.
 
-    z must lie strictly inside the declared strip (default: half of the
-    profile's beta).  The tail beyond M is bounded by tol by design; a
+    z must lie strictly inside the strip |Im z| < beta/2 (else
+    ValueError), where the tail beyond M is bounded by tol by design; a
     non-finite M (tol = nan, or C = inf) is refused with ValueError.
 
     A vector symbol returns m.shape + (n,) and takes a sequence of n
     profiles, one per component.  All components share one complex_quad
     call on [-M, M], M the largest of their cutoffs: each component's
     tail past that M is at most its tail past its own cutoff, so every
-    component keeps tol.  The default strip and the strip check use the
-    smallest beta, and value and error_estimate are arrays over the
-    components.  A scalar symbol is a vector of one component, unwrapped
-    to a complex and a float on return.
+    component keeps tol.  The strip is half the smallest beta, and value
+    and error_estimate are arrays over the components.  A scalar symbol
+    is a vector of one component, unwrapped to a complex and a float on
+    return.
 
     The range is split at m = 0: for an even symbol and nearly real z the
     imaginary part of the integrand is nearly odd, and one Gauss-Kronrod
@@ -306,16 +292,12 @@ def inverse_fourier(f: Callable, z: complex,
     """
     vector = not isinstance(profile, DecayProfile)
     profiles = tuple(profile) if vector else (profile,)
-    beta = min(p.beta for p in profiles)
-    if strip is None:
-        strip = HorizontalStrip(half_width=0.5 * beta)
-    if strip.half_width >= beta:
-        raise ValueError("strip half-width must be smaller than the decay rate beta")
+    half_width = 0.5 * min(p.beta for p in profiles)
     z = complex(z)
-    if not strip.contains(z):
+    if not abs(z.imag) < half_width:
         raise ValueError(f"z={z} lies outside the declared strip "
-                         f"|Im z| < {strip.half_width}")
-    M = max(p.cutoff(strip.half_width, tol) for p in profiles)
+                         f"|Im z| < {half_width}")
+    M = max(p.cutoff(half_width, tol) for p in profiles)
     if not math.isfinite(M):
         raise ValueError(f"the cutoff M={M} for tol={tol} is not finite")
 

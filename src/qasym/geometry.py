@@ -11,12 +11,12 @@ The q-spiral domain attached to a direction d and threshold dlt is
 
 Writing theta = wrap(d - arg T), the infimum over r is 1 when
 cos(theta) >= 0 and |sin(theta)| otherwise, which gives a closed-form
-membership test.  Its bounded version intersects with a disc.
+membership test on a scalar or an array of T.  Its bounded version
+intersects with a disc.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -176,14 +176,12 @@ def validate_good_covering(cov: GoodCovering) -> CoveringReport:
                 adjacency.append({"pair": (p, r), "problem": "consecutive sectors disjoint"})
             if gap > 1 and inter:
                 adjacency.append({"pair": (p, r), "problem": "non-consecutive sectors overlap"})
-    gaps = []
     angles = np.linspace(-math.pi, math.pi, 2048, endpoint=False)
     covered = np.zeros(angles.size, dtype=bool)
     for s in cov.sectors:
         covered |= np.abs(((angles - s.bisector + math.pi) % TWO_PI) - math.pi) \
             < s.half_opening
-    for a in angles[~covered]:
-        gaps.append(float(a))
+    gaps = angles[~covered].tolist()
     ok = not adjacency and not gaps
     return CoveringReport(ok=ok, n=n, adjacency_violations=adjacency,
                           coverage_gaps=gaps, common_radius=cov.common_radius)
@@ -206,41 +204,23 @@ def make_cyclic_covering(n: int, radius: float, half_opening: float,
 
 # --- q-spiral domains -------------------------------------------------------
 
-def qspiral_infimum(d: float, T: complex) -> float:
-    """inf over r >= 0 of |1 + r e^{id}/T|, in closed form."""
-    T = complex(T)
-    if T == 0:
+def qspiral_infimum(d: float, T):
+    """inf over r >= 0 of |1 + r e^{id}/T|, in closed form: a float for a
+    scalar T, an array of T's shape for an array."""
+    T = np.asarray(T, dtype=complex)
+    if not T.all():
         raise ValueError("T must be nonzero")
-    theta = wrap_angle(d - cmath.phase(T))
-    if math.cos(theta) >= 0.0:
-        return 1.0
-    return abs(math.sin(theta))
+    theta = wrap_angle(d - np.angle(T))
+    inf = np.where(np.cos(theta) >= 0.0, 1.0, np.abs(np.sin(theta)))
+    return inf if T.ndim else float(inf)
 
 
-def qspiral_membership(d: float, dlt: float, T: complex) -> bool:
-    """T in R_{d,dlt}: the ray r e^{id} stays dlt-clear of -T for r >= 0."""
+def qspiral_membership(d: float, dlt: float, T):
+    """T in R_{d,dlt}: the ray r e^{id} stays dlt-clear of -T for r >= 0.
+    A bool for a scalar T, a bool array of T's shape for an array."""
     if not 0 < dlt < 1:
         raise ValueError(f"dlt must be in (0,1), got {dlt}")
     return qspiral_infimum(d, T) > dlt
-
-
-@dataclass(frozen=True)
-class QSpiralDomain:
-    """R_{d,dlt}, optionally intersected with a disc of given radius."""
-
-    d: float
-    dlt: float
-    radius: float = math.inf
-
-    def __post_init__(self) -> None:
-        if not 0 < self.dlt < 1:
-            raise ValueError(f"dlt must be in (0,1), got {self.dlt}")
-
-    def contains(self, T: complex) -> bool:
-        T = complex(T)
-        if T == 0 or abs(T) >= self.radius:
-            return False
-        return qspiral_membership(self.d, self.dlt, T)
 
 
 # --- Fourier-grid helpers ---------------------------------------------------
@@ -274,32 +254,31 @@ def associate_family(cov: GoodCovering, directions: list[float], dlt: float,
     Verifies on 7 x 7 sample grids that (i) eps*t lands in the bounded domain
     R_{d_p, dlt} cap D(0, epsilon0 * t_radius) for every sampled
     (eps, t) in E_p x T, and (ii) consecutive bounded domains intersect
-    (witness search on a polar grid).
+    (witness search on a 12 x 96 polar grid), each as one array test.
+    Product failures are listed by p, then eps, then t.
     """
     if len(directions) != cov.n:
         raise ValueError("need exactly one direction per covering sector")
-    r_t = t_sector.radius
-    product_failures = []
-    for p in range(cov.n):
-        dom = QSpiralDomain(d=directions[p], dlt=dlt, radius=epsilon0 * r_t)
-        eps_samples = cov.sector(p).sample_points()
-        # scale into the sector's radial range [tiny, radius)
-        t_samples = t_sector.sample_points()
-        for e in eps_samples:
-            for t in t_samples:
-                if not dom.contains(e * t):
-                    product_failures.append({"p": p, "eps": repr(e), "t": repr(t)})
-    overlap_failures = []
-    for p in range(cov.n):
-        a = QSpiralDomain(d=directions[p], dlt=dlt, radius=epsilon0 * r_t)
-        b = QSpiralDomain(d=directions[(p + 1) % cov.n], dlt=dlt,
-                          radius=epsilon0 * r_t)
-        radii = np.linspace(epsilon0 * r_t / 40, epsilon0 * r_t * 0.98, 12)
-        angles = np.linspace(-math.pi, math.pi, 96, endpoint=False)
-        found = any(a.contains(r * np.exp(1j * th)) and b.contains(r * np.exp(1j * th))
-                    for r in radii for th in angles)
-        if not found:
-            overlap_failures.append({"pair": (p, (p + 1) % cov.n)})
+    radius = epsilon0 * t_sector.radius
+
+    def bounded(d, T):
+        """T in R_{d,dlt} cap D(0, radius) (T = 0 is outside)."""
+        near = (T != 0) & (np.abs(T) < radius)
+        return near & qspiral_membership(d, dlt, np.where(near, T, 1.0))
+
+    d = np.asarray(directions, dtype=float)[:, None]
+    eps = np.stack([s.sample_points() for s in cov.sectors])
+    t = t_sector.sample_points()
+    inside = bounded(d[:, :, None], eps[:, :, None] * t)
+    product_failures = [{"p": int(p), "eps": repr(complex(eps[p, i])),
+                         "t": repr(complex(t[j]))}
+                        for p, i, j in np.argwhere(~inside)]
+    rings = np.linspace(radius / 40, radius * 0.98, 12)
+    angles = np.linspace(-math.pi, math.pi, 96, endpoint=False)
+    witness = bounded(d, np.multiply.outer(rings, np.exp(1j * angles)).ravel())
+    found = (witness & np.roll(witness, -1, axis=0)).any(axis=1)
+    overlap_failures = [{"pair": (int(p), (int(p) + 1) % cov.n)}
+                        for p in np.flatnonzero(~found)]
     return FamilyReport(ok=not product_failures and not overlap_failures,
                         product_failures=product_failures,
                         overlap_failures=overlap_failures)

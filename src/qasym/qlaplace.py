@@ -130,14 +130,21 @@ def _integration_window(spec: QLaplaceSpec, cert: GrowthCertificate,
 
         g(s) = log_bound(e^s) - (k/2)(s-L)^2/log q - (s-L)/2,
 
-    with L = log|T|.  The window ends where g has dropped `budget` below
-    its peak on each side, found by walks of 0.25 evaluated as arrays; if
-    g keeps rising to the right the growth certificate is too strong for
-    the transform order and we refuse, as we do for a window wider than
-    200 log units or one that reaches |u| past the largest double.
+    with L = log|T|; past rho it is a s^2 + b s + c, and unless a < 0,
+    or a = 0 and b < 0, the integral diverges and we refuse.  The window
+    ends where g has dropped `budget` below its peak on each side, found
+    by walks of 0.25 evaluated as arrays; we also refuse a window wider
+    than 200 log units or one that reaches |u| past the largest double.
     """
     lq = math.log(spec.q)
     L = math.log(absT)
+    a = (cert.k - spec.k) / (2.0 * lq)
+    b = cert.alpha + spec.k * L / lq - 0.5
+    if not (a < 0 or a == 0 and b < 0):
+        raise ValueError(
+            "integrand envelope does not decay along the ray: growth "
+            f"certificate (k={cert.k}, alpha={cert.alpha}) too strong "
+            f"for transform order k={spec.k} at |T|={absT:.3g}")
     budget = math.log(1.0 / spec.tol) + 10.0
 
     def g(s: np.ndarray) -> np.ndarray:
@@ -153,27 +160,18 @@ def _integration_window(spec: QLaplaceSpec, cert: GrowthCertificate,
     # its grid is a cumsum of the steps, so every s is the running sum
     # that adding 0.25 at a time would form
     step = 0.25
-    for count in (64, 810):     # 64 steps can hold neither 401 rises nor 200 units
+    for count in (64, 810):     # 810 steps pass 200 log units
         s = _walk(scan_hi, step, count)
         gs = g(s)
         if not (gs > floor).all():
             break
-    # the right walk may not take its step past 200 log units (to s[n]),
-    # nor a step on which g rises for the 401st time
+    # the right walk may not take its step past 200 log units (to s[n])
     n = _first(s - scan_hi > 200.0)
-    s, gs = s[:n + 1], gs[:n + 1]
-    j_stop = min(_first(~(gs > floor)), n)
-    j_rise = _first(np.cumsum(gs[1:] > gs[:-1]) > 400)
-    # the walk looks at s[0..top]: where e^s overflows there, g is not a bound
-    top = j_rise + 1 if j_rise < j_stop else j_stop
-    if s[top] > _LOG_MAX:
-        raise ValueError(f"q-Laplace window reaches |u| = e^{s[top]:.6g}, past "
+    j_stop = min(_first(~(gs[:n + 1] > floor)), n)
+    # where e^s overflows on the walk, g is not a bound
+    if s[j_stop] > _LOG_MAX:
+        raise ValueError(f"q-Laplace window reaches |u| = e^{s[j_stop]:.6g}, past "
                          f"double range, at |T|={absT:.3g}")
-    if j_rise < j_stop:
-        raise ValueError(
-            "integrand envelope does not decay along the ray: growth "
-            f"certificate (k={cert.k}, alpha={cert.alpha}) too strong "
-            f"for transform order k={spec.k} at |T|={absT:.3g}")
     if j_stop >= n:
         raise ValueError("q-Laplace window exceeds 200 log units; "
                          "certificate incompatible with |T|")

@@ -11,7 +11,7 @@ from scipy.integrate import quad, quad_vec
 
 from qasym import equation
 from qasym.equation import apply_equation_operator, default_spec, manufactured_problem
-from qasym.fourier import (SQRT2PI, DecayProfile, HorizontalStrip, QuadratureError,
+from qasym.fourier import (SQRT2PI, DecayProfile, QuadratureError,
                            complex_quad, default_profile_for, gaussian_symbol,
                            _gk21, _X21, inverse_fourier, make_symbol,
                            standard_symbol)
@@ -192,8 +192,7 @@ class TestInverseFourier:
         # oracle: (2pi)^{-1/2} int e^{-m^2} e^{izm} dm = e^{-z^2/4}/sqrt(2)
         prof = default_profile_for("gaussian", 1.0, 3.0)
         for z in (0.0, 0.5, -1.2, 0.3 + 0.2j, 2.0 - 0.4j):
-            res = inverse_fourier(gaussian_symbol(), z, prof,
-                                  strip=HorizontalStrip(0.5), tol=1e-12)
+            res = inverse_fourier(gaussian_symbol(), z, prof, tol=1e-12)
             exact = cmath.exp(-z * z / 4.0) / math.sqrt(2.0)
             assert res.value == pytest.approx(exact, rel=1e-9, abs=1e-11)
 
@@ -255,9 +254,9 @@ class TestInverseFourier:
         +-M/2^j, j = 3, 4, ..., down to the first cut at most 1."""
         calls, cutoffs = [], []
 
-        def traced(f, z, profile, strip=None, tol=1e-12):
+        def traced(f, z, profile, tol=1e-12):
             res = inverse_fourier(lambda m: calls.append(m) or f(m), z, profile,
-                                  strip, tol)
+                                  tol)
             cutoffs.append(res.cutoff)
             return res
         monkeypatch.setattr(equation, "inverse_fourier", traced)
@@ -295,11 +294,10 @@ class TestInverseFourier:
         assert r2.cutoff > r1.cutoff
 
     def test_strip_limits_imaginary_part(self):
-        prof = DecayProfile(C=1.0, mu=3.0, beta=1.0)
-        strip = HorizontalStrip(0.5)
+        prof = DecayProfile(C=1.0, mu=3.0, beta=1.0)     # strip |Im z| < 0.5
         f = standard_symbol(1.0, 3.0)
-        with pytest.raises(ValueError):
-            inverse_fourier(f, 0.3 + 0.9j, prof, strip=strip)
+        with pytest.raises(ValueError, match="strip"):
+            inverse_fourier(f, 0.3 + 0.9j, prof)
 
     @pytest.mark.parametrize("C, tol", [(1.0, math.nan), (math.inf, 1e-12)],
                              ids=["tol-nan", "C-inf"])
@@ -312,13 +310,12 @@ class TestInverseFourier:
     def test_linearity(self, a, b, zi):
         z = 0.4 + zi * 1j
         prof = DecayProfile(C=3.0, mu=3.0, beta=1.0)
-        strip = HorizontalStrip(0.6)
         f = standard_symbol(1.0, 3.0)
         g = make_symbol("oscillating", 1.0, 3.0)
         fg = lambda m: a * f(m) + b * g(m)
-        lhs = inverse_fourier(fg, z, prof, strip=strip, tol=1e-11).value
-        rhs = a * inverse_fourier(f, z, prof, strip=strip, tol=1e-11).value \
-            + b * inverse_fourier(g, z, prof, strip=strip, tol=1e-11).value
+        lhs = inverse_fourier(fg, z, prof, tol=1e-11).value
+        rhs = a * inverse_fourier(f, z, prof, tol=1e-11).value \
+            + b * inverse_fourier(g, z, prof, tol=1e-11).value
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-9)
 
 
@@ -342,7 +339,7 @@ class TestVectorSymbol:
         res = inverse_fourier(self.stacked(self.SYMBOLS), z, self.PROFILES, tol=tol)
         assert res.value.shape == res.error_estimate.shape == (len(self.SYMBOLS),)
         for i, (f, prof) in enumerate(zip(self.SYMBOLS, self.PROFILES)):
-            one = inverse_fourier(f, z, prof, strip=HorizontalStrip(0.5), tol=tol)
+            one = inverse_fourier(f, z, prof, tol=tol)
             assert abs(res.value[i] - one.value) <= tol
             assert res.error_estimate[i] >= tol
 
@@ -360,9 +357,8 @@ class TestVectorSymbol:
         assert (one.nodes_used, one.cutoff) == (batch.nodes_used, batch.cutoff)
 
     def test_cutoff_is_the_largest_component_cutoff(self):
-        strip = HorizontalStrip(0.5)
         res = inverse_fourier(self.stacked(self.SYMBOLS), 0.3, self.PROFILES,
-                              strip=strip, tol=1e-10)
+                              tol=1e-10)
         cutoffs = [p.cutoff(0.5, 1e-10) for p in self.PROFILES]
         assert res.cutoff == max(cutoffs)
         assert len(set(cutoffs)) == len(cutoffs)   # the max is a real choice
@@ -371,12 +367,8 @@ class TestVectorSymbol:
         f = self.stacked(self.SYMBOLS[1:])
         profiles = self.PROFILES[1:]                 # betas 1.4, 1.2, 1.1
         assert inverse_fourier(f, 0.3 + 0.5j, profiles).cutoff > 0
-        for half_width in (1.1, 1.3):
-            with pytest.raises(ValueError, match="beta"):
-                inverse_fourier(f, 0.3, profiles,
-                                strip=HorizontalStrip(half_width))
         with pytest.raises(ValueError, match="strip"):
-            inverse_fourier(f, 0.3 + 0.56j, profiles)   # default strip 0.55
+            inverse_fourier(f, 0.3 + 0.56j, profiles)   # strip 0.55
 
     def test_component_count_must_match_profiles(self):
         with pytest.raises(ValueError, match="2 profiles"):

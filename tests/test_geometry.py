@@ -131,6 +131,85 @@ class TestQSpiral:
     def test_infimum_one_when_ray_points_away(self):
         assert qspiral_infimum(0.0, 1.0 + 0.0j) == 1.0
 
+    def test_array_matches_scalar_calls(self, rng):
+        """An array of T gives, element for element, the scalar calls; a
+        scalar T gives a float and a bool."""
+        T = rng.uniform(0.1, 2.0, (5, 7)) * np.exp(1j * rng.uniform(-4, 4, (5, 7)))
+        inf, inside = qspiral_infimum(0.7, T), qspiral_membership(0.7, 0.6, T)
+        assert inf.shape == inside.shape == T.shape and inside.dtype == bool
+        for i, j in np.ndindex(T.shape):
+            one = qspiral_infimum(0.7, complex(T[i, j]))
+            assert type(one) is float and one == inf[i, j]
+            member = qspiral_membership(0.7, 0.6, complex(T[i, j]))
+            assert type(member) is bool and member == inside[i, j]
+        assert 0 < inside.sum() < inside.size
+
+    def test_zero_and_bad_dlt_raise(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            qspiral_infimum(0.0, 0.0)
+        with pytest.raises(ValueError, match="nonzero"):
+            qspiral_infimum(0.0, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="dlt"):
+            qspiral_membership(0.0, 1.0, np.array([1.0j]))
+
+
+def family_longhand(cov, directions, dlt, t_sector, epsilon0):
+    """associate_family's failures by scalar loops: T lies in the bounded
+    domain iff 0 < |T| < epsilon0 * t_radius and inf_r |1 + r e^{id}/T|,
+    which is 1 if cos(d - arg T) >= 0 and |sin(d - arg T)| otherwise,
+    exceeds dlt."""
+    radius = epsilon0 * t_sector.radius
+
+    def bounded(d, T):
+        if T == 0 or abs(T) >= radius:
+            return False
+        phi = d - cmath.phase(T)
+        return (1.0 if math.cos(phi) >= 0 else abs(math.sin(phi))) > dlt
+
+    products = []
+    for p in range(cov.n):
+        for e in cov.sectors[p].sample_points():
+            for t in t_sector.sample_points():
+                if not bounded(directions[p], e * t):
+                    products.append({"p": p, "eps": repr(complex(e)),
+                                     "t": repr(complex(t))})
+    overlaps = []
+    for p in range(cov.n):
+        q = (p + 1) % cov.n
+        if not any(bounded(directions[p], r * cmath.exp(1j * th))
+                   and bounded(directions[q], r * cmath.exp(1j * th))
+                   for r in np.linspace(radius / 40, radius * 0.98, 12)
+                   for th in np.linspace(-math.pi, math.pi, 96, endpoint=False)):
+            overlaps.append({"pair": (p, q)})
+    return products, overlaps
+
+
+class TestFamilyAgainstLonghand:
+    """The CLI's default covering, t-sector and epsilon0, with directions
+    and dlt that make the family fail."""
+
+    COV = make_cyclic_covering(4, 0.4, math.radians(60.0), math.radians(45.0))
+    T_SECTOR = Sector(bisector=math.radians(-45.0),
+                      half_opening=math.radians(15.0), radius=0.4)
+    DIRECTIONS = [math.radians(45.0) + p * math.pi / 2 for p in range(4)]
+
+    @pytest.mark.parametrize("directions, dlt, n_products, n_overlaps", [
+        (DIRECTIONS, 0.3, 0, 0),
+        ([d + math.pi / 2 for d in DIRECTIONS], 0.3, 2352, 0),
+        (DIRECTIONS, 0.95, 588, 0),
+        ([0.01, math.pi + 0.01] * 2, 0.999999, 4802, 4),
+    ], ids=["default", "rotated-90", "dlt-0.95", "antipodal-dlt-0.999999"])
+    def test_failures_match_in_order(self, directions, dlt, n_products,
+                                     n_overlaps):
+        rep = associate_family(self.COV, directions, dlt, self.T_SECTOR, 0.4)
+        products, overlaps = family_longhand(self.COV, directions, dlt,
+                                             self.T_SECTOR, 0.4)
+        assert (len(products), len(overlaps)) == (n_products, n_overlaps)
+        assert rep.product_failures == products
+        assert rep.overlap_failures == overlaps
+        assert rep.ok is (not products and not overlaps)
+        assert all(type(f["p"]) is int for f in rep.product_failures)
+
 
 class TestScenarioSerialization:
     def test_round_trip(self):

@@ -105,6 +105,11 @@ def window_loop(spec, cert, absT):
     """The q-Laplace s-window by scalar walks, one step of 0.25 at a time,
     with the certified envelope written out longhand."""
     lq, L = math.log(spec.q), math.log(absT)
+    # past rho, g(s) = a s^2 + b s + c
+    a = (cert.k - spec.k) / (2.0 * lq)
+    b = cert.alpha + spec.k * L / lq - 0.5
+    if not (a < 0 or a == 0 and b < 0):
+        raise ValueError("does not decay")
     budget = math.log(1.0 / spec.tol) + 10.0
 
     def g(s):
@@ -117,12 +122,8 @@ def window_loop(spec, cert, absT):
 
     scan_hi = max(L, math.log(cert.rho)) + 2.0
     floor = max(g(float(s)) for s in np.linspace(L - 2.0, scan_hi, 64)) - budget
-    s_hi, rises = scan_hi, 0
+    s_hi = scan_hi
     while g(s_hi) > floor:
-        if g(s_hi + 0.25) > g(s_hi):
-            rises += 1
-            if rises > 400:
-                raise ValueError("does not decay")
         s_hi += 0.25
         if s_hi - scan_hi > 200.0:
             raise ValueError("exceeds 200 log units")
@@ -172,6 +173,19 @@ class TestWindow:
             window_loop(spec, cert, 1e306)
         with pytest.raises(ValueError, match="past double range"):
             _integration_window(spec, cert, 1e306)
+
+    @pytest.mark.parametrize("alpha", [-3.0, -1.0])
+    def test_growing_envelope_is_refused(self, alpha):
+        """k_cert > k makes g(s) grow like s^2 past rho, so the transform
+        of a function that saturates the certificate diverges, although
+        the walk first dips below its floor (at alpha = -3 the window
+        was (-10.55, 6.0))."""
+        spec = QLaplaceSpec(q=2.0, k=1.0, direction=0.0)
+        cert = GrowthCertificate(K=1.0, alpha=alpha, k=1.2, rho=1.0)
+        with pytest.raises(ValueError, match="does not decay"):
+            _integration_window(spec, cert, 0.1)
+        with pytest.raises(ValueError, match="does not decay"):
+            qlaplace(spec, np.ones_like, 0.1, cert)
 
 
 class TestDomain:
