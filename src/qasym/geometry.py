@@ -255,27 +255,37 @@ def associate_family(cov: GoodCovering, directions: list[float], dlt: float,
     R_{d_p, dlt} cap D(0, epsilon0 * t_radius) for every sampled
     (eps, t) in E_p x T, and (ii) consecutive bounded domains intersect
     (witness search on a 12 x 96 polar grid), each as one array test.
-    Product failures are listed by p, then eps, then t.
+    Product failures are listed by p, then eps, then t.  The products
+    are formed with eps and t scaled by powers of two toward modulus 1
+    and judged against the radius scaled alike, so the test does not
+    depend on the scale: a tiny eps t does not underflow to a spurious 0.
     """
     if len(directions) != cov.n:
         raise ValueError("need exactly one direction per covering sector")
     radius = epsilon0 * t_sector.radius
 
-    def bounded(d, T):
-        """T in R_{d,dlt} cap D(0, radius) (T = 0 is outside)."""
-        near = (T != 0) & (np.abs(T) < radius)
+    def bounded(d, T, r):
+        """T in R_{d,dlt} cap D(0, r) (T = 0 is outside)."""
+        near = (T != 0) & (np.abs(T) < r)
         return near & qspiral_membership(d, dlt, np.where(near, T, 1.0))
 
     d = np.asarray(directions, dtype=float)[:, None]
     eps = np.stack([s.sample_points() for s in cov.sectors])
     t = t_sector.sample_points()
-    inside = bounded(d[:, :, None], eps[:, :, None] * t)
+    # eps t underflows where both are tiny: scale each by a power of two
+    # toward modulus 1 (capped at 2^1022) and the radius by both, which is
+    # exact and leaves every comparison at normal scale as it is
+    a = 2.0 ** min(1022, -np.frexp(np.abs(eps).max())[1])
+    b = 2.0 ** min(1022, -np.frexp(np.abs(t).max())[1])
+    inside = bounded(d[:, :, None], (eps * a)[:, :, None] * (t * b),
+                     (epsilon0 * a) * (t_sector.radius * b))
     product_failures = [{"p": int(p), "eps": repr(complex(eps[p, i])),
                          "t": repr(complex(t[j]))}
                         for p, i, j in np.argwhere(~inside)]
     rings = np.linspace(radius / 40, radius * 0.98, 12)
     angles = np.linspace(-math.pi, math.pi, 96, endpoint=False)
-    witness = bounded(d, np.multiply.outer(rings, np.exp(1j * angles)).ravel())
+    witness = bounded(d, np.multiply.outer(rings, np.exp(1j * angles)).ravel(),
+                      radius)
     found = (witness & np.roll(witness, -1, axis=0)).any(axis=1)
     overlap_failures = [{"pair": (int(p), (int(p) + 1) % cov.n)}
                         for p in np.flatnonzero(~found)]

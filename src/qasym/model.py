@@ -60,6 +60,9 @@ from .schemas import Record
 from .theta import inv_theta_at
 
 LOG_TINY = -690.0  # below exp() underflow; integrand values are cut here
+DIFF_TOL = 1e-11   # default tol (epsrel) of the consecutive differences
+RATE_REL_TOL = 0.15  # allowed relative error of a fitted decay rate
+T_FRAC = 0.7       # remainder rows sit at |t| = T_FRAC q^{-(N+1)/(2k)}
 
 
 @dataclass(frozen=True)
@@ -313,7 +316,7 @@ def _check_overlap(scn: ModelScenario, p: int) -> None:
 
 
 def consecutive_difference(scn: ModelScenario, p: int, T,
-                           route: str = "decomposed", tol: float = 1e-11):
+                           route: str = "decomposed", tol: float = DIFF_TOL):
     """U_{p+1}(T) - U_p(T) on overlap p.
 
     route="decomposed": DiffPieces with the contour pieces
@@ -383,20 +386,24 @@ class DiffTable:
     rows: list
 
 
+def _cascade_table(scn: ModelScenario, p: int, js: Sequence[int],
+                   Ts: list, norms: list) -> DiffTable:
+    return DiffTable(p=p, level=scn.levels()[p],
+                     rows=[DiffRow(j=j, absT=abs(T), norm=norm)
+                           for j, T, norm in zip(js, Ts, norms)])
+
+
 def difference_cascade(scn: ModelScenario, p: int, js: Sequence[int],
-                       route: str = "decomposed", tol: float = 1e-11
+                       route: str = "decomposed", tol: float = DIFF_TOL
                        ) -> DiffTable:
     """||U_{p+1} - U_p|| along |T| = 2^-j on the overlap mid-direction,
     from one consecutive_difference call on all the probe points."""
     _check_overlap(scn, p)
-    level = scn.levels()[p]
     Ts = [scn.probe_T(p, j) for j in js]
     diffs = consecutive_difference(scn, p, np.array(Ts), route, tol)
     norms = ([abs(d.total) for d in diffs] if route == "decomposed"
              else [abs(complex(d)) for d in diffs])
-    rows = [DiffRow(j=j, absT=abs(T), norm=norm)
-            for j, T, norm in zip(js, Ts, norms)]
-    return DiffTable(p=p, level=level, rows=rows)
+    return _cascade_table(scn, p, js, Ts, norms)
 
 
 @dataclass
@@ -448,31 +455,76 @@ class DichotomyReport:
                             for p, lv, tg, ft, re in self.entries]}
 
 
+def _rate_against_target(scn: ModelScenario, table: DiffTable
+                        ) -> tuple[RateFit, float, float]:
+    """The cascade's rate fit, the target rate (k2 on a fast overlap, k1
+    on a slow one) and the fit's relative error."""
+    fit = fit_rate(table, scn.frame.q)
+    target = scn.frame.k2 if table.level == 2 else scn.frame.k1
+    return fit, float(target), float(abs(fit.rate - target) / target)
+
+
 def overlap_rate(scn: ModelScenario, p: int, js: Sequence[int], route: str,
                  tol: float) -> tuple[DiffTable, RateFit, float, float]:
     """Overlap p's cascade, its rate fit, the target rate (k2 on a fast
     overlap, k1 on a slow one) and the fit's relative error."""
     table = difference_cascade(scn, p, js, route, tol)
-    fit = fit_rate(table, scn.frame.q)
-    target = scn.frame.k2 if table.level == 2 else scn.frame.k1
-    return table, fit, float(target), float(abs(fit.rate - target) / target)
+    return (table, *_rate_against_target(scn, table))
+
+
+def _dichotomy(scn: ModelScenario, js: Sequence[int], tol: float,
+               rel_tol: float, extra: dict) -> tuple[DichotomyReport, dict]:
+    """The rate dichotomy from one decomposed consecutive_difference call
+    per overlap.  extra[p] = (rows, Ts) adds the remainder points Ts to
+    overlap p's call after its probes; their norms come back as the
+    RemainderTable tables[p]."""
+    entries, tables = [], {}
+    for p in range(scn.n):
+        probes = [scn.probe_T(p, j) for j in js]
+        rows, Ts = extra.get(p, ([], []))
+        diffs = consecutive_difference(scn, p, np.array(probes + Ts),
+                                       "decomposed", tol)
+        norms = [abs(d.total) for d in diffs]
+        table = _cascade_table(scn, p, js, probes, norms[:len(probes)])
+        fit, target, rel = _rate_against_target(scn, table)
+        entries.append((p, table.level, target, fit.rate, rel))
+        if p in extra:
+            tables[p] = _remainder_table(rows, norms[len(probes):])
+    return DichotomyReport(entries=entries, tolerance=rel_tol), tables
 
 
 def verify_rate_dichotomy(scn: ModelScenario, js: Sequence[int] = range(3, 13),
-                          tol: float = 1e-11, rel_tol: float = 0.15
+                          tol: float = DIFF_TOL, rel_tol: float = RATE_REL_TOL
                           ) -> DichotomyReport:
     """Fit every overlap's cascade and compare with k2 (fast) / k1 (slow)."""
-    entries = []
-    for p in range(scn.n):
-        table, fit, target, rel = overlap_rate(scn, p, js, "decomposed", tol)
-        entries.append((p, table.level, target, fit.rate, rel))
-    return DichotomyReport(entries=entries, tolerance=rel_tol)
+    return _dichotomy(scn, js, tol, rel_tol, {})[0]
 
 
 # --- end-to-end verification ---------------------------------------------------
 
+def _remainder_points(scn: ModelScenario, p: int, level_k: float,
+                      N_range: Sequence[int], t_frac: float
+                      ) -> tuple[list, list]:
+    """The rows (N, |eps|, |t|) of a remainder table on overlap p and
+    their points T = eps t on the overlap mid-direction."""
+    fr = scn.frame
+    mid = scn.mid_direction(p)
+    rows = [(N, em, t_frac * ladder_radius(fr.q, level_k, N + 1))
+            for N in N_range for em in (0.25, 0.35)]
+    Ts = [em * t_abs * complex(math.cos(mid), math.sin(mid))
+          for _, em, t_abs in rows]
+    return rows, Ts
+
+
+def _remainder_table(rows: list, norms: list) -> RemainderTable:
+    table = RemainderTable()
+    for (N, em, t_abs), norm in zip(rows, norms):
+        table.add(N, em, norm, t_abs)
+    return table
+
+
 def difference_remainder_table(scn: ModelScenario, p: int, level_k: float,
-                               N_range: Sequence[int], t_frac: float = 0.7
+                               N_range: Sequence[int], t_frac: float = T_FRAC
                                ) -> RemainderTable:
     """Shrinking-disc rows for the overlap difference: for each order N
     place |t| = t_frac q^{-(N+1)/(2 level_k)} (inside the level's disc
@@ -483,17 +535,9 @@ def difference_remainder_table(scn: ModelScenario, p: int, level_k: float,
     agree through every order, so the gap must obey the level's
     (N, eps)-ladder bound.
     """
-    fr = scn.frame
-    table = RemainderTable()
-    mid = scn.mid_direction(p)
-    rows = [(N, em, t_frac * ladder_radius(fr.q, level_k, N + 1))
-            for N in N_range for em in (0.25, 0.35)]
-    Ts = [em * t_abs * complex(math.cos(mid), math.sin(mid))
-          for _, em, t_abs in rows]
+    rows, Ts = _remainder_points(scn, p, level_k, N_range, t_frac)
     diffs = consecutive_difference(scn, p, np.array(Ts), "decomposed")
-    for (N, em, t_abs), d in zip(rows, diffs):
-        table.add(N, em, abs(d.total), t_abs)
-    return table
+    return _remainder_table(rows, [abs(d.total) for d in diffs])
 
 
 @dataclass
@@ -521,19 +565,26 @@ def verify_two_level_theorem(scn: ModelScenario, js: Sequence[int] = range(3, 11
                              N_range: Sequence[int] = range(0, 7)) -> TheoremReport:
     """Covering sanity, rate dichotomy, certified ladder fits at both
     levels, and the restriction corollary (a fast-level certificate,
-    restricted to the slow level's smaller discs, re-certifies there)."""
+    restricted to the slow level's smaller discs, re-certifies there).
+
+    One consecutive_difference call per overlap, at tol DIFF_TOL: on the
+    first fast and the first slow overlap the remainder table's
+    2 |N_range| points join the cascade's |js| probes.  Each point keeps
+    its own window, so the entries and tables are those of
+    verify_rate_dichotomy and difference_remainder_table up to the
+    refinement the merged points share."""
     from .geometry import validate_good_covering
     cov_rep = validate_good_covering(scn.covering)
-
-    dich = verify_rate_dichotomy(scn, js)
 
     fr = scn.frame
     levels = scn.levels()
     p_fast = levels.index(2)
     p_slow = levels.index(1)
 
-    fast_table = difference_remainder_table(scn, p_fast, fr.k2, N_range)
-    slow_table = difference_remainder_table(scn, p_slow, fr.k1, N_range)
+    extra = {p: _remainder_points(scn, p, k, N_range, T_FRAC)
+             for p, k in ((p_fast, fr.k2), (p_slow, fr.k1))}
+    dich, tables = _dichotomy(scn, js, DIFF_TOL, RATE_REL_TOL, extra)
+    fast_table, slow_table = tables[p_fast], tables[p_slow]
     fast_fit = fit_zero_gevrey_relative(fast_table, fr.q, fr.k2)
     slow_fit = fit_zero_gevrey_relative(slow_table, fr.q, fr.k1)
 

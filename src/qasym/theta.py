@@ -20,12 +20,21 @@ bound is judged in log form, so it stays finite for every double z.
 
 With Q = q^{1/k}, each z is reduced to w = z Q^{-m} on the fundamental
 annulus Q^{-1/2} <= |w| <= Q^{1/2} (m = round(log|z| / log Q)).  There
-the series is summed over |p| <= P = truncation_order(q, k) by Horner's
-rule, in w for p > 0 and in 1/w for p < 0, with O(size of z) memory;
-its largest term is p = 0 or p = 1, so the scale is max(1, |w|).  The
-exact factor Q^{m(m+1)/2} w^m is folded into a shifted-exponent result
-that never overflows.  On that annulus every term with |p| > P is below
-e^{-40} times the p = 0 term, whatever |z| is.
+the series S(w) is summed over |p| <= P = truncation_order(q, k) by
+Horner's rule, in w for p > 0 and in 1/w for p < 0, in place, with
+O(size of z) memory; its largest term is p = 0 or p = 1, so the scale
+is max(1, |w|).  On that annulus every term with |p| > P is below
+e^{-40} times the p = 0 term, whatever |z| is, and
+
+    Theta_k(z) = Q^{m(m+1)/2} w^m S(w).
+
+theta_eval_scaled folds that exact factor, phase included, into a
+shifted-exponent result that never overflows.  The calibration of C and
+the lower bound read only the modulus, so they form
+log|Theta| = log|S| + m(m+1)/2 log Q + m log|w| without the phase.
+The spiral clearance is a minimum over the few scales q^{m/k} that can
+bring |z q^{m/k}| near 1; the admissibility test needs only those near
+[1 - dlt, 1 + dlt].
 """
 
 from __future__ import annotations
@@ -86,18 +95,14 @@ def _coefficients(q: float, k: float) -> tuple[tuple[float, ...], tuple[float, .
             tuple(math.exp(-j * (j + 1) * lQ / 2.0) for j in p))
 
 
-def theta_eval_scaled(spec: ThetaSpec, z) -> tuple[np.ndarray, np.ndarray]:
-    """Theta as (mantissa, log_scale): theta = mantissa * exp(log_scale),
-    exp(log_scale) being the modulus of the full series' largest term.
-    Vectorized over nonzero z of any array shape.
+def _annulus_sum(spec: ThetaSpec, z):
+    """(S, w, m, x) with Theta(z) = Q^{m(m+1)/2} w^m S, Q = q^{1/k}:
+    z reduced to w = z Q^{-m} on the fundamental annulus, x = log|w|, and
+    S = 1 + sum_{p=1..P} (c_p w^p + c_{-p} w^{-p}).
 
-    At w = z Q^{-m} the two halves of 1 + sum_{p=1..P} (c_p w^p +
-    c_{-p} w^{-p}) run by Horner's rule, in w and in 1/w, in one loop
-    over p, so memory stays O(size of z).  With x = log|w| in
-    [-log Q / 2, log Q / 2], term p has exponent -p(p-1) log Q / 2 + p x,
-    at most that of term 1 for p >= 1 and below term 0 for p <= -1: the
-    largest term at w is max(1, |w|).
-    """
+    The two halves of S run by Horner's rule, in w and in 1/w, in one
+    loop over p and in place, so memory stays O(size of z).  0-d z gives
+    numpy scalars."""
     z = np.asarray(z, dtype=complex)
     if not z.all():
         raise ValueError("theta has an essential singularity at z = 0")
@@ -115,14 +120,36 @@ def theta_eval_scaled(spec: ThetaSpec, z) -> tuple[np.ndarray, np.ndarray]:
     x = np.log(np.abs(w))
     u = 1.0 / w
     pos, neg = _coefficients(spec.q, spec.k)
-    hp = hn = 0.0
-    for cp, cn in zip(pos[::-1], neg[::-1]):
-        hp = (hp + cp) * w
-        hn = (hn + cn) * u
+    hp = pos[-1] * w
+    hn = neg[-1] * u
+    for cp, cn in zip(pos[-2::-1], neg[-2::-1]):
+        hp += cp
+        hp *= w
+        hn += cn
+        hn *= u
+    return hp + hn + 1.0, w, m, x
+
+
+def theta_eval_scaled(spec: ThetaSpec, z) -> tuple[np.ndarray, np.ndarray]:
+    """Theta as (mantissa, log_scale): theta = mantissa * exp(log_scale),
+    exp(log_scale) being the modulus of the full series' largest term.
+    Vectorized over nonzero z of any array shape.
+
+    With x = log|w| in [-log Q / 2, log Q / 2], term p of the series at w
+    has exponent -p(p-1) log Q / 2 + p x, at most that of term 1 for
+    p >= 1 and below term 0 for p <= -1: the largest term at w is
+    max(1, |w|).
+    """
+    S, w, m, x = _annulus_sum(spec, z)
+    lQ = math.log(spec.q) / spec.k
     top = np.maximum(x, 0.0)
-    # fold in Q^{m(m+1)/2} w^m: term p + m at z is that factor times term p at w
-    return ((hp + hn + 1.0) * np.exp(1j * m * np.angle(w)) * np.exp(-top),
-            top + m * (m + 1) * (lQ / 2.0) + m * x)
+    # fold in Q^{m(m+1)/2} w^m: term p + m at z is that factor times term p
+    # at w.  In place, so S stays the left operand: numpy's complex product
+    # rounds differently with its operands swapped, and on large arrays
+    # its temporary elision would swap them for a named S
+    S *= np.exp(1j * m * np.angle(w))
+    S *= np.exp(-top)
+    return S, top + m * (m + 1) * (lQ / 2.0) + m * x
 
 
 @lru_cache(maxsize=64)
@@ -196,17 +223,18 @@ def theta_qdiff_residual(spec: ThetaSpec, z: complex, m: int) -> float:
     return abs(lhs - rhs) / denom
 
 
-def spiral_clearance(q: float, k: float, z):
-    """inf over m in Z of |1 + z q^{m/k}|, for scalar or array z.
+def _spiral_min(q: float, k: float, z, lo: float, hi: float):
+    """min(7/8, |1 + z q^{m/k}|) over the m that bring |z q^{m/k}| into
+    [lo, hi] for some point of z, padded by one scale on each side; a
+    float for a scalar z, an array of z's shape for an array.
 
-    Only finitely many m can bring z q^{m/k} near -1; outside the window
-    |z q^{m/k}| in [1/8, 8] the distance to -1 is at least 7/8 from
-    below and 7 from above, so the window minimum together with those
-    floors is the exact infimum for any threshold < 7/8 and a correct
-    lower bound in general.  An array shares one window spanning all its
-    moduli, kept as a running minimum over m (memory O(size of z)): the
-    m it adds for a point lie outside that point's own window, where the
-    distance already exceeds the 7/8 floor.
+    Each point's value depends only on the point: an array's window
+    spans all its moduli, but the m it adds for a point lie outside that
+    point's own window, and each scale q^{m/k} is formed from m alone.
+    Past e^700 a scale would overflow, so it is applied as
+    (z 2^e) (q^{m/k} 2^{-e}), with e its own and the power of two exact;
+    e is 0 for every smaller scale.  A product that overflows belongs to
+    a point far outside that m's window and is skipped (fmin drops NaN).
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim:
@@ -217,29 +245,51 @@ def spiral_clearance(q: float, k: float, z):
     if r_lo == 0:
         raise ValueError("z must be nonzero")
     lq = math.log(q)
-    m_lo = int(math.floor(k * (math.log(0.125) - math.log(r_hi)) / lq)) - 1
-    m_hi = int(math.ceil(k * (math.log(8.0) - math.log(r_lo)) / lq)) + 1
-    # below |z| ~ 1e-307 the largest scale would overflow: z is scaled up
-    # by 2^e, which is exact, and the scales down by it (e = 0 otherwise)
-    e = max(0, math.ceil((m_hi * lq / k - 700.0) / math.log(2.0)))
-    if e:
-        z = z * 2.0 ** e
-    scales = np.exp(np.arange(m_lo, m_hi + 1) * lq / k - e * math.log(2.0))
+    m_lo = int(math.floor(k * (math.log(lo) - math.log(r_hi)) / lq)) - 1
+    m_hi = int(math.ceil(k * (math.log(hi) - math.log(r_lo)) / lq)) + 1
+    lm = np.arange(m_lo, m_hi + 1) * lq / k
+    e = np.maximum(0.0, np.ceil((lm - 700.0) / math.log(2.0)))
+    scales = np.exp(lm - e * math.log(2.0))
     if not z.ndim:
-        return min(float(np.min(np.abs(1.0 + z * scales))), 0.875)
-    out = np.full(z.shape, 0.875)
-    for scale in scales:
-        np.minimum(out, np.abs(1.0 + z * scale), out=out)
+        # e rises with m, so e[-1] = 0 means that no scale is shifted; the
+        # point's own window keeps every product near 1, so none overflows
+        zs = z * 2.0 ** e if e[-1] else z
+        return min(float(np.min(np.abs(1.0 + zs * scales))), 0.875)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.full(z.shape, 0.875)
+        for shift, scale in zip(e, scales):
+            zs = z * 2.0 ** shift if shift else z
+            np.fmin(out, np.abs(1.0 + zs * scale), out=out)
     return out
+
+
+def spiral_clearance(q: float, k: float, z):
+    """inf over m in Z of |1 + z q^{m/k}|, capped at 7/8, for scalar or
+    array z; a point's value does not depend on the other points.
+
+    Only finitely many m can bring z q^{m/k} near -1; outside the window
+    |z q^{m/k}| in [1/8, 8] the distance to -1 is at least 7/8 from
+    below and 7 from above, so the window minimum together with those
+    floors is the exact infimum for any threshold < 7/8 and a correct
+    lower bound in general.  An array is swept one scale at a time as a
+    running minimum (memory O(size of z)).
+    """
+    return _spiral_min(q, k, z, 0.125, 8.0)
 
 
 def spiral_admissible(q: float, k: float, z, dlt: float):
     """Whether z keeps distance > dlt from the zero spiral in the
     normalized sense inf_m |1 + z q^{m/k}| > dlt, for scalar or array z.
-    Exact for dlt < 7/8."""
+    Exact for dlt < 7/8.
+
+    |1 + z q^{m/k}| > dlt wherever |z q^{m/k}| lies outside
+    [1 - dlt, 1 + dlt], so only the scales that bring it into that
+    window are tested (padded by one on each side), through the same
+    code as spiral_clearance: the result equals
+    spiral_clearance(q, k, z) > dlt exactly."""
     if not 0 < dlt < 0.875:
         raise ValueError(f"dlt must lie in (0, 0.875), got {dlt}")
-    return spiral_clearance(q, k, z) > dlt
+    return _spiral_min(q, k, z, 1.0 - dlt, 1.0 + dlt) > dlt
 
 
 def log_lower_envelope(q: float, k: float, z) -> np.ndarray:
@@ -249,10 +299,17 @@ def log_lower_envelope(q: float, k: float, z) -> np.ndarray:
     return 0.5 * k * L * L / math.log(q) + 0.5 * L
 
 
-def _log_abs_theta(spec: ThetaSpec, z) -> np.ndarray:
-    mant, shift = theta_eval_scaled(spec, z)
+def _log_abs_theta(spec: ThetaSpec, z) -> tuple[np.ndarray, np.ndarray]:
+    """(log|Theta(z)|, log|mantissa|): with Theta(z) = Q^{m(m+1)/2} w^m S
+    on the fundamental annulus, log|Theta| = log|S| + m(m+1)/2 log Q
+    + m log|w|, and the mantissa of theta_eval_scaled has modulus
+    |S| / max(1, |w|).  Neither needs the phase fold exp(i m arg w) nor
+    exp(-max(log|w|, 0))."""
+    S, _, m, x = _annulus_sum(spec, z)
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(mant)) + shift
+        log_s = np.log(np.abs(S))
+    return (log_s + m * (m + 1) * (math.log(spec.q) / spec.k / 2.0) + m * x,
+            log_s - np.maximum(x, 0.0))
 
 
 def _crossing_angles(q: float, k: float, radii: np.ndarray,
@@ -289,7 +346,8 @@ def calibrate_theta_constant(spec: ThetaSpec, dlt: float = 0.3) -> ThetaSpec:
 
         Cqk = 0.9 * min ratio over all admissible samples,
 
-    the ratio formed in log form (log|Theta| - log envelope).  Cqk is a
+    the ratio formed in log form (log|Theta| - log envelope, log|Theta|
+    from the annulus sum without its phase fold).  Cqk is a
     sampled minimum, not a certified one: the 0.9 deflation is meant to
     absorb the gap between the samples and the true infimum over the
     admissible set, and nothing checks that it does.
@@ -307,15 +365,15 @@ def calibrate_theta_constant(spec: ThetaSpec, dlt: float = 0.3) -> ThetaSpec:
     crossed = np.isfinite(a)
     zs = np.concatenate([zs, radii[crossed] * np.exp(1j * a[crossed])])
 
-    mant, shift = theta_eval_scaled(spec, zs)
-    mod = np.abs(mant)
-    if not mod.min() >= 1e-10:
+    log_abs, log_mant = _log_abs_theta(spec, zs)
+    smallest = math.exp(float(log_mant.min()))
+    if not smallest >= 1e-10:
         raise ValueError(
             f"cannot calibrate Cqk at q={q}, k={k}, dlt={dlt}: at pitch "
             f"log q / k = {math.log(q) / k:.3g}, |Theta| on the admissible set "
             f"is below double resolution (smallest scaled value "
-            f"{mod.min():.3g} < 1e-10)")
-    log_ratio = np.min(np.log(mod) + shift - log_lower_envelope(q, k, zs))
+            f"{smallest:.3g} < 1e-10)")
+    log_ratio = np.min(log_abs - log_lower_envelope(q, k, zs))
     return replace(spec, Cqk=0.9 * math.exp(float(log_ratio)) / dlt)
 
 
@@ -342,7 +400,7 @@ def theta_lower_bound(spec: ThetaSpec, z: complex, dlt: float) -> ThetaBoundChec
         raise ValueError("ThetaSpec has no calibrated Cqk; run calibrate_theta_constant")
     clearance = spiral_clearance(spec.q, spec.k, z)
     admissible = clearance > dlt
-    log_lhs = float(_log_abs_theta(spec, z))
+    log_lhs = float(_log_abs_theta(spec, z)[0])
     log_rhs = math.log(spec.Cqk * dlt) + float(log_lower_envelope(spec.q, spec.k, z))
     margin = log_lhs - log_rhs
     lhs = math.exp(log_lhs) if log_lhs < 700 else math.inf

@@ -157,11 +157,11 @@ def family_longhand(cov, directions, dlt, t_sector, epsilon0):
     """associate_family's failures by scalar loops: T lies in the bounded
     domain iff 0 < |T| < epsilon0 * t_radius and inf_r |1 + r e^{id}/T|,
     which is 1 if cos(d - arg T) >= 0 and |sin(d - arg T)| otherwise,
-    exceeds dlt."""
+    exceeds dlt.  Each product is scaled on its own, not per array."""
     radius = epsilon0 * t_sector.radius
 
-    def bounded(d, T):
-        if T == 0 or abs(T) >= radius:
+    def bounded(d, T, r):
+        if T == 0 or abs(T) >= r:
             return False
         phi = d - cmath.phase(T)
         return (1.0 if math.cos(phi) >= 0 else abs(math.sin(phi))) > dlt
@@ -170,14 +170,20 @@ def family_longhand(cov, directions, dlt, t_sector, epsilon0):
     for p in range(cov.n):
         for e in cov.sectors[p].sample_points():
             for t in t_sector.sample_points():
-                if not bounded(directions[p], e * t):
+                # e t at modulus about 1, exact in the powers of two (at
+                # most 2^1022), so that it does not underflow; the radius
+                # is scaled alike
+                a = math.ldexp(1.0, min(1022, -math.frexp(abs(e))[1]))
+                b = math.ldexp(1.0, min(1022, -math.frexp(abs(t))[1]))
+                if not bounded(directions[p], (e * a) * (t * b),
+                               (epsilon0 * a) * (t_sector.radius * b)):
                     products.append({"p": p, "eps": repr(complex(e)),
                                      "t": repr(complex(t))})
     overlaps = []
     for p in range(cov.n):
         q = (p + 1) % cov.n
-        if not any(bounded(directions[p], r * cmath.exp(1j * th))
-                   and bounded(directions[q], r * cmath.exp(1j * th))
+        if not any(bounded(directions[p], r * cmath.exp(1j * th), radius)
+                   and bounded(directions[q], r * cmath.exp(1j * th), radius)
                    for r in np.linspace(radius / 40, radius * 0.98, 12)
                    for th in np.linspace(-math.pi, math.pi, 96, endpoint=False)):
             overlaps.append({"pair": (p, q)})
@@ -188,22 +194,29 @@ class TestFamilyAgainstLonghand:
     """The CLI's default covering, t-sector and epsilon0, with directions
     and dlt that make the family fail."""
 
-    COV = make_cyclic_covering(4, 0.4, math.radians(60.0), math.radians(45.0))
-    T_SECTOR = Sector(bisector=math.radians(-45.0),
-                      half_opening=math.radians(15.0), radius=0.4)
     DIRECTIONS = [math.radians(45.0) + p * math.pi / 2 for p in range(4)]
 
-    @pytest.mark.parametrize("directions, dlt, n_products, n_overlaps", [
-        (DIRECTIONS, 0.3, 0, 0),
-        ([d + math.pi / 2 for d in DIRECTIONS], 0.3, 2352, 0),
-        (DIRECTIONS, 0.95, 588, 0),
-        ([0.01, math.pi + 0.01] * 2, 0.999999, 4802, 4),
-    ], ids=["default", "rotated-90", "dlt-0.95", "antipodal-dlt-0.999999"])
-    def test_failures_match_in_order(self, directions, dlt, n_products,
+    @pytest.mark.parametrize("directions, dlt, radius, n_products, n_overlaps", [
+        (DIRECTIONS, 0.3, 0.4, 0, 0),
+        ([d + math.pi / 2 for d in DIRECTIONS], 0.3, 0.4, 2352, 0),
+        (DIRECTIONS, 0.95, 0.4, 588, 0),
+        ([0.01, math.pi + 0.01] * 2, 0.999999, 0.4, 4802, 4),
+        (DIRECTIONS, 0.3, 1e-170, 0, 0),
+        (DIRECTIONS, 0.3, 1e-310, 0, 0),
+    ], ids=["default", "rotated-90", "dlt-0.95", "antipodal-dlt-0.999999",
+            "eps-t-underflows", "subnormal-radii"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_failures_match_in_order(self, directions, dlt, radius, n_products,
                                      n_overlaps):
-        rep = associate_family(self.COV, directions, dlt, self.T_SECTOR, 0.4)
-        products, overlaps = family_longhand(self.COV, directions, dlt,
-                                             self.T_SECTOR, 0.4)
+        """radius is both the covering's and the t-sector's; at 1e-170
+        every sampled eps t underflows a double, and at 1e-310 every
+        sample is subnormal."""
+        cov = make_cyclic_covering(4, radius, math.radians(60.0),
+                                   math.radians(45.0))
+        t_sector = Sector(bisector=math.radians(-45.0),
+                          half_opening=math.radians(15.0), radius=radius)
+        rep = associate_family(cov, directions, dlt, t_sector, 0.4)
+        products, overlaps = family_longhand(cov, directions, dlt, t_sector, 0.4)
         assert (len(products), len(overlaps)) == (n_products, n_overlaps)
         assert rep.product_failures == products
         assert rep.overlap_failures == overlaps

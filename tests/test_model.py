@@ -10,7 +10,8 @@ from qasym.model import (DiffRow, DiffTable, ModelScenario, PoleSpec,
                          consecutive_difference, default_scenario,
                          difference_cascade, difference_remainder_table,
                          fit_rate, kernel_jump_shape, kernel_shape,
-                         residue_closed_form, verify_two_level_theorem)
+                         residue_closed_form, verify_rate_dichotomy,
+                         verify_two_level_theorem)
 from qasym.schemas import validate_payload
 
 
@@ -230,6 +231,52 @@ class TestTheorem:
         assert rep.corollary_fit.certified
         assert rep.corollary_rows_kept >= 1
         assert rep.ok
+
+    def test_one_difference_call_per_overlap(self, scn, monkeypatch):
+        """The remainder points of the fast overlap 0 and the slow overlap
+        2 join their cascade's call: 4 calls, not 6."""
+        sizes = []
+        diff = model.consecutive_difference
+
+        def counted(*args, **kw):
+            sizes.append(np.size(args[2]))
+            return diff(*args, **kw)
+
+        monkeypatch.setattr(model, "consecutive_difference", counted)
+        verify_two_level_theorem(scn, js=range(3, 9), N_range=range(0, 5))
+        assert sizes == [6 + 10, 6, 6 + 10, 6]
+
+    def test_matches_standalone_dichotomy_and_tables(self, scn, monkeypatch):
+        """Merged points share refinement, so the report matches the
+        standalone verify_rate_dichotomy and difference_remainder_table
+        to 1e-11 relative, with every boolean the same."""
+        js, N_range = range(3, 9), range(0, 5)
+        fr = scn.frame
+        tables = []
+        fit = model.fit_zero_gevrey_relative
+
+        def captured(table, q, k):
+            tables.append(table)
+            return fit(table, q, k)
+
+        monkeypatch.setattr(model, "fit_zero_gevrey_relative", captured)
+        rep = verify_two_level_theorem(scn, js=js, N_range=N_range)
+        monkeypatch.undo()
+        alone = verify_rate_dichotomy(scn, js)
+        assert rep.dichotomy.tolerance == alone.tolerance
+        assert rep.dichotomy.ok is alone.ok
+        for got, want in zip(rep.dichotomy.entries, alone.entries, strict=True):
+            assert got[:3] == want[:3]
+            assert got[3] == pytest.approx(want[3], rel=1e-11)
+            assert (got[4] <= alone.tolerance) is (want[4] <= alone.tolerance)
+        for table, p, k, got_fit in zip(tables, (0, 2), (fr.k2, fr.k1),
+                                        (rep.fast_fit, rep.slow_fit), strict=True):
+            want = difference_remainder_table(scn, p, k, N_range)
+            assert ([(r.N, r.eps, r.t) for r in table.rows]
+                    == [(r.N, r.eps, r.t) for r in want.rows])
+            for r, w in zip(table.rows, want.rows):
+                assert r.norm == pytest.approx(w.norm, rel=1e-11)
+            assert got_fit.certified is fit(want, fr.q, k).certified
 
     def test_report_serializes(self, theorem_report):
         d = json.loads(json.dumps(theorem_report.to_dict()))

@@ -10,10 +10,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import spiral_clear_brute, theta_brute
-from qasym.theta import (ThetaSpec, _crossing_angles, calibrate_theta_constant,
-                         inv_theta_at, spec_for_annulus, spiral_admissible,
-                         spiral_clearance, theta_eval_scaled, theta_lower_bound,
+from qasym.theta import (ThetaSpec, _crossing_angles, _log_abs_theta,
+                         calibrate_theta_constant, inv_theta_at,
+                         spec_for_annulus, spiral_admissible, spiral_clearance,
+                         theta_eval_scaled, theta_lower_bound,
                          theta_qdiff_residual, truncation_order)
+
+
+CALIBRATED = [(2.0, 1.0), (3.0, 0.5), (2.0, 2.0)]
+IN_USE = CALIBRATED + [(1.3, 0.7), (1.7, 2.3)]
 
 
 def scaled_to_log(mantissa, log_scale) -> tuple[complex, float]:
@@ -74,6 +79,62 @@ class TestEvaluation:
         spec = spec_for_annulus(2.0, 1.0, 0.5, 2.0)
         with pytest.raises(ValueError):
             theta_value(spec, 0.0)
+
+    @pytest.mark.parametrize("q,k", IN_USE)
+    def test_matches_out_of_place_horner(self, q, k, rng):
+        """Bit for bit against the out-of-place Horner loop written here,
+        on arrays and on 0-d input, for |z| from e^-700 to e^700."""
+        def longhand(z):
+            z = np.asarray(z, dtype=complex)
+            lQ = math.log(q) / k
+            m = np.rint(np.log(np.abs(z)) / lQ)
+            half = q ** (m * (-0.5 / k))
+            w = (z.reshape(-1) * half.reshape(-1) * half.reshape(-1)).reshape(z.shape)
+            w = w if z.ndim else w[()]
+            p = range(truncation_order(q, k), 0, -1)
+            hp = hn = 0.0
+            for cp, cn in zip((math.exp(-j * (j - 1) * lQ / 2.0) for j in p),
+                              (math.exp(-j * (j + 1) * lQ / 2.0) for j in p)):
+                hp = (hp + cp) * w
+                hn = (hn + cn) * (1.0 / w)
+            x = np.log(np.abs(w))
+            top = np.maximum(x, 0.0)
+            return ((hp + hn + 1.0) * np.exp(1j * m * np.angle(w)) * np.exp(-top),
+                    top + m * (m + 1) * (lQ / 2.0) + m * x)
+
+        spec = ThetaSpec(q, k)
+        # 20,000 points: past numpy's 256 KB temporary-elision threshold
+        zs = np.exp(rng.uniform(-700.0, 700.0, 20000)
+                    + 1j * rng.uniform(-math.pi, math.pi, 20000))
+        for got, want in zip(theta_eval_scaled(spec, zs), longhand(zs)):
+            assert np.array_equal(got, want)
+        for z in zs[:100]:
+            for got, want in zip(theta_eval_scaled(spec, complex(z)),
+                                 longhand(complex(z))):
+                assert np.array_equal(got, want)
+                assert np.ndim(got) == 0
+
+    @pytest.mark.parametrize("q,k", IN_USE)
+    def test_log_modulus_without_the_phase(self, q, k, rng):
+        """log|Theta| as calibration and the lower bound form it (no phase
+        fold) agrees with log|mantissa| + log_scale to 1e-15 of the size
+        of the terms summed, on the calibration grid and on |z| from
+        e^-700 to e^700; its second part is log|mantissa| alike."""
+        spec = ThetaSpec(q, k)
+        grid = np.multiply.outer(_radii(q, k), np.exp(1j * np.linspace(
+            0.0, math.pi, 361))).ravel()
+        zs = np.concatenate([grid, np.exp(
+            rng.uniform(-700.0, 700.0, 5000)
+            + 1j * rng.uniform(-math.pi, math.pi, 5000))])
+        zs = zs[spiral_clearance(q, k, zs) > 1e-3]
+        mant, shift = theta_eval_scaled(spec, zs)
+        log_mant = np.log(np.abs(mant))
+        log_abs, log_mant_2 = _log_abs_theta(spec, zs)
+        size = 1.0 + np.abs(shift) + np.abs(log_mant)
+        assert np.max(np.abs(log_abs - (log_mant + shift)) / size) <= 1e-15
+        assert np.max(np.abs(log_mant_2 - log_mant) / size) <= 1e-15
+        one = _log_abs_theta(spec, complex(zs[0]))[0]
+        assert np.ndim(one) == 0 and one == log_abs[0]
 
     def test_vectorized(self):
         spec = spec_for_annulus(2.0, 1.0, 0.2, 5.0)
@@ -141,6 +202,16 @@ class TestExtremeModuli:
         with mpmath.workdps(40):
             ref = float(mpmath.log(abs(triple_product(q, k, z))))
         assert lg == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_clearance_of_an_array_is_per_point(self):
+        """Subnormal to 1e300 moduli in one array: each value equals the
+        point's own scalar call bit for bit, and no overflow warns."""
+        z = np.array([1e-310 + 1e-310j, 1e300, -1e-5, -1.0, 0.5j,
+                      -1e300 * 2 ** 0.5])
+        got = spiral_clearance(2.0, 1.0, z)
+        assert got.tolist() == [spiral_clearance(2.0, 1.0, v) for v in z]
+        assert got[3] == 0.0
 
     def test_clearance_near_a_subnormal_zero(self):
         # z 2^1063 = -(1 + i/128), at distance 1/128 from the zero at -1;
@@ -211,6 +282,28 @@ class TestZerosAndBound:
         z = r * cmath.exp(1j * phi)
         assert spiral_admissible(q, k, z, dlt) == (spiral_clear_brute(q, k, z) > dlt)
 
+    @pytest.mark.parametrize("q,k", IN_USE)
+    @pytest.mark.parametrize("dlt", [0.1, 0.3, 0.86])
+    def test_admissible_is_clearance_above_dlt(self, q, k, dlt, rng):
+        """spiral_admissible tests only the scales near |z q^{m/k}| = 1;
+        it still equals spiral_clearance > dlt exactly, on the calibration
+        grid and on random arrays with subnormal and 1e300 moduli."""
+        grid = np.multiply.outer(_radii(q, k), np.exp(1j * np.linspace(
+            0.0, math.pi, 361))).ravel()
+        assert np.array_equal(spiral_admissible(q, k, grid, dlt),
+                              spiral_clearance(q, k, grid) > dlt)
+        for lo, hi in ((-745.0, 700.0), (-745.0, -700.0), (680.0, 691.0),
+                       (-3.0, 3.0)):
+            zs = np.exp(rng.uniform(lo, hi, 500)
+                        + 1j * rng.uniform(-math.pi, math.pi, 500))
+            zs = np.concatenate([zs, -q ** (np.arange(-3, 4) / k)])
+            zs = zs[zs != 0]
+            assert np.array_equal(spiral_admissible(q, k, zs, dlt),
+                                  spiral_clearance(q, k, zs) > dlt)
+            for z in zs[::50]:
+                assert spiral_admissible(q, k, z, dlt) == (
+                    spiral_clearance(q, k, z) > dlt)
+
     def test_lower_bound_certified_on_fresh_grid(self, rng):
         q, k, dlt = 2.0, 1.0, 0.3
         spec = calibrate_theta_constant(spec_for_annulus(q, k, 0.1, 10.0))
@@ -252,10 +345,6 @@ class TestZerosAndBound:
         spec = spec_for_annulus(2.0, 1.0, 0.5, 2.0)
         with pytest.raises(ValueError):
             theta_lower_bound(spec, 1.0 + 0.2j, 0.3)
-
-
-CALIBRATED = [(2.0, 1.0), (3.0, 0.5), (2.0, 2.0)]
-IN_USE = CALIBRATED + [(1.3, 0.7), (1.7, 2.3)]
 
 
 def _radii(q, k):
