@@ -181,10 +181,13 @@ def cauchy_heine_many(cocycle: Cocycle, t, eps: np.ndarray,
     """Sectorial sums Psi_{sectors[i]}(t, eps[i]) for a batch of points.
 
     Each eps[i] must lie in covering sector sectors[i] and off the cut
-    rays.  The raw transform is one quadrature for the whole batch, over
-    every ray with a jump (_ray_integral); the Plemelj corrections take
-    one jump call per overlap, on the points of its two sectors that lie
-    within the ray and past (sector p) or before (sector p + 1) the cut.
+    rays.  Only the sectors that occur in the batch are checked, in
+    ascending order, and the ValueError names the first point found
+    outside its sector.  The raw transform is one quadrature for the
+    whole batch, over every ray with a jump (_ray_integral); the Plemelj
+    corrections take one jump call per overlap, on the points of its two
+    sectors that lie within the ray and past (sector p) or before
+    (sector p + 1) the cut.
     """
     opts = opts or CHOptions()
     cov = cocycle.covering
@@ -194,7 +197,7 @@ def cauchy_heine_many(cocycle: Cocycle, t, eps: np.ndarray,
         raise ValueError("eps and sectors must have matching shapes")
     rays = cocycle.rays
     own = sectors % cov.n
-    for p in range(cov.n):
+    for p in np.unique(own).tolist():
         pts = eps[own == p]
         outside = pts[~cov.sector(p).contains(pts)]
         if outside.size:

@@ -36,6 +36,7 @@ dropped tail is below a declared tolerance.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -104,6 +105,16 @@ class EquationSpec(Record):
         """Exact exponent dD_j/k_j + 1 of the leading dilations."""
         d = self.d_D1 if j == 1 else self.d_D2
         return _as_fraction(d) / _as_fraction(self.frame.level(j)) + 1
+
+    @functools.cached_property
+    def dilation_scales(self) -> tuple[float, ...]:
+        """q^{dD_j/k_j + 1} for j = 1, 2, then q^{delta_l} for each term,
+        rounded as dilate rounds them; computed once per spec, not at
+        every residual point."""
+        q = self.frame.q
+        expos = (self.dilation_exponent(1), self.dilation_exponent(2),
+                 *(_as_fraction(term.delta) for term in self.terms))
+        return tuple(dilate(1.0, q, e) for e in expos)
 
 
 @dataclass(frozen=True)
@@ -304,7 +315,7 @@ def _series_symbol(series: CoefficientSeries, l: int | None, t: complex,
         return series.coeff_envelope(l, p) if coeff else series.forcing_envelope(p)
 
     def symbol(m):
-        acc = np.zeros_like(np.asarray(m, dtype=complex))
+        acc = np.zeros(np.shape(m), dtype=complex)
         for p in range(P + 1):
             acc = acc + np.asarray(term(p, m)) * et ** p
         return acc
@@ -390,6 +401,12 @@ def default_series(spec: EquationSpec, DC: tuple[float, ...] | None = None,
 
 def _poly_profile(base: DecayProfile, coeffs) -> DecayProfile:
     """Profile dominating m -> P(im) g(m) when |g| <= base envelope."""
+    return _poly_profile_of(base, tuple(coeffs))
+
+
+@functools.lru_cache(maxsize=64)
+def _poly_profile_of(base: DecayProfile, coeffs: tuple) -> DecayProfile:
+    # memoized: every residual point asks for the same few profiles
     deg = max(poly_degree(coeffs), 0)
     mu = base.mu - deg
     if mu <= 1:
@@ -412,6 +429,40 @@ def _poly_symbol(coeffs, U: Callable, profile_U: DecayProfile, t: complex,
     return symbol, _poly_profile(profile_U, coeffs)
 
 
+def _identity_terms(spec: EquationSpec, series: CoefficientSeries, U: Callable,
+                    profile_U: DecayProfile, t: complex, z: complex,
+                    eps: complex, quad_tol: float) -> tuple[complex, list]:
+    """The left side of the operator identity at one point and the terms
+    of its right side, in the order they are summed: the two leading
+    dilations, one product c_l R_l u per lower-order term, and f."""
+    q = spec.frame.q
+    et = eps * t
+    s1, s2, *deltas = spec.dilation_scales
+    pairs = [_poly_symbol(spec.Q, U, profile_U, q * t, eps),
+             _poly_symbol(spec.RD1, U, profile_U, s1 * t, eps),
+             _poly_symbol(spec.RD2, U, profile_U, s2 * t, eps)]
+    for i, (term, s) in enumerate(zip(spec.terms, deltas)):
+        td = s * t
+        pairs.append(_series_symbol(series, i, td, eps))
+        pairs.append(_poly_symbol(term.R, U, profile_U, td, eps))
+    pairs.append(_series_symbol(series, None, q * t, eps))
+    values = _inverse_fourier_all(pairs, z, quad_tol)
+
+    terms = [et ** spec.d_D1 * values[1], et ** spec.d_D2 * values[2]]
+    for i, term in enumerate(spec.terms):
+        c_i, conv = values[3 + 2 * i], values[4 + 2 * i]
+        terms.append(eps ** term.Delta * t ** term.d * c_i * conv)
+    terms.append(values[-1])
+    return values[0], terms
+
+
+def _residual(lhs: complex, terms: list) -> complex:
+    rhs = terms[0]      # summed left to right, as the identity is written
+    for term in terms[1:]:
+        rhs += term
+    return lhs - rhs
+
+
 def apply_equation_operator(spec: EquationSpec, series: CoefficientSeries,
                             U: Callable, profile_U: DecayProfile,
                             t: complex, z: complex, eps: complex,
@@ -421,26 +472,23 @@ def apply_equation_operator(spec: EquationSpec, series: CoefficientSeries,
 
     Every Fourier-side symbol of the identity (Q u, RD_j u, each c_l and
     R_l u, and f) is transformed in one inverse_fourier call."""
-    q = spec.frame.q
-    et = eps * t
-    pairs = [_poly_symbol(spec.Q, U, profile_U, q * t, eps)]
-    for j, RD in ((1, spec.RD1), (2, spec.RD2)):
-        td = dilate(t, q, spec.dilation_exponent(j))
-        pairs.append(_poly_symbol(RD, U, profile_U, td, eps))
-    for i, term in enumerate(spec.terms):
-        td = dilate(t, q, _as_fraction(term.delta))
-        pairs.append(_series_symbol(series, i, td, eps))
-        pairs.append(_poly_symbol(term.R, U, profile_U, td, eps))
-    pairs.append(_series_symbol(series, None, q * t, eps))
-    values = _inverse_fourier_all(pairs, z, quad_tol)
+    return _residual(*_identity_terms(spec, series, U, profile_U, t, z, eps,
+                                      quad_tol))
 
-    lhs = values[0]
-    rhs = et ** spec.d_D1 * values[1] + et ** spec.d_D2 * values[2]
-    for i, term in enumerate(spec.terms):
-        c_i, conv = values[3 + 2 * i], values[4 + 2 * i]
-        rhs += eps ** term.Delta * t ** term.d * c_i * conv
-    rhs += values[-1]
-    return lhs - rhs
+
+def relative_residual(spec: EquationSpec, series: CoefficientSeries,
+                      U: Callable, profile_U: DecayProfile, t: complex,
+                      z: complex, eps: complex, quad_tol: float
+                      ) -> tuple[complex, float]:
+    """The residual of apply_equation_operator at one point, and its
+    modulus relative to the largest modulus among the terms of the
+    identity (the left side and each right-side term).  Unlike the
+    residual itself, the ratio does not shrink with the solution, so one
+    threshold judges every power of a manufactured solution."""
+    lhs, terms = _identity_terms(spec, series, U, profile_U, t, z, eps, quad_tol)
+    r = _residual(lhs, terms)
+    scale = max(abs(x) for x in (lhs, *terms))
+    return r, abs(r) / scale if scale > 0 else abs(r)
 
 
 # --- manufactured solutions --------------------------------------------------
@@ -485,8 +533,8 @@ def manufactured_problem(spec: EquationSpec, a: int = 0
 
     def F_fn(p, m, eps):
         if p not in packets:
-            return np.zeros_like(np.asarray(m, dtype=float), dtype=complex)
-        acc = np.zeros_like(np.asarray(m, dtype=complex))
+            return np.zeros(np.shape(m), dtype=complex)
+        acc = np.zeros(np.shape(m), dtype=complex)
         for coeffs, w in packets[p]:
             acc = acc + w * polyval_im(coeffs, m)
         return acc * phi(m)
@@ -496,8 +544,8 @@ def manufactured_problem(spec: EquationSpec, a: int = 0
     DF = max(sum(abs(w) * poly_abs_sum(c) for c, w in pk) for pk in packets.values())
     series = CoefficientSeries(frame=fr, T0=1.0, mu=spec.mu, beta=beta,
                                DC=tuple(0.0 for _ in spec.terms), DF=DF,
-                               C_fn=lambda l, p, m, eps: np.zeros_like(
-                                   np.asarray(m, dtype=float), dtype=complex),
+                               C_fn=lambda l, p, m, eps: np.zeros(
+                                   np.shape(m), dtype=complex),
                                F_fn=F_fn, F_max_power=max(packets))
     return U, profile_U, series
 

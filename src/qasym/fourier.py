@@ -24,6 +24,7 @@ QuadratureError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -80,20 +81,27 @@ class DecayProfile:
         """Cutoff M with the two tails of the strip-weighted integral below tol.
 
         Tail estimate: 2/sqrt(2 pi) * C (1+M)^{-mu} e^{-(beta-b')M} / (beta-b').
-        Solved by fixed-point iteration on the log.
+        Solved by fixed-point iteration on the log, once per (profile,
+        strip, tol): a residual point asks again for the same polynomial
+        profiles.
         """
-        gap = self.beta - strip_half_width
-        if gap <= 0:
-            raise ValueError(
-                f"strip half-width {strip_half_width} must be < beta={self.beta}")
-        M = 1.0
-        for _ in range(200):
-            t = 2.0 / SQRT2PI * self.C * (1.0 + M) ** (-self.mu) \
-                * math.exp(-gap * M) / gap
-            if t <= tol:
-                break
-            M += max((math.log(t / tol)) / gap, 0.25)
-        return M
+        return _cutoff(self, strip_half_width, tol)
+
+
+@functools.lru_cache(maxsize=256)
+def _cutoff(profile: DecayProfile, strip_half_width: float, tol: float) -> float:
+    gap = profile.beta - strip_half_width
+    if gap <= 0:
+        raise ValueError(
+            f"strip half-width {strip_half_width} must be < beta={profile.beta}")
+    M = 1.0
+    for _ in range(200):
+        t = 2.0 / SQRT2PI * profile.C * (1.0 + M) ** (-profile.mu) \
+            * math.exp(-gap * M) / gap
+        if t <= tol:
+            break
+        M += max((math.log(t / tol)) / gap, 0.25)
+    return M
 
 
 # QUADPACK qk21: the 21 Kronrod nodes on [-1, 1] and their weights, and
@@ -122,6 +130,7 @@ _G21 = np.zeros(21)
 _G21[1:10:2] = _WG
 _G21[11:20:2] = _WG[::-1]
 _KG21 = np.stack([_W21, _G21])
+_EDGE_STEPS = np.arange(9.0)   # edge k of the 8 starting panels is a + k (b - a)/8
 _EPS50 = 50.0 * np.finfo(float).eps
 
 
@@ -141,21 +150,28 @@ def _gk21(fv: np.ndarray, half: np.ndarray) -> np.ndarray:
     """QUADPACK qk21 on real values fv over (panel, node, part), the 21
     nodes of each panel on the middle axis, for panels of half-width
     `half` (panel x 1): one (2, 21) Kronrod/Gauss contraction and two
-    weighted |.| sums give, stacked, the (value, error estimate, round-off
-    floor) over (panel, part).  Run it with divide, invalid and overflow
-    warnings off: 0/0 in the error scaling is masked here, and a
-    non-finite result is the caller's to refuse."""
-    h = np.abs(half)
+    weighted |.| sums give the (value, error estimate, round-off floor)
+    over (panel, part), written into one (3, panel, part) array.  The
+    three sums that scale with the panel, |Kronrod - Gauss| and the two
+    |.| sums, are multiplied by |half| together, in that array.  Run it
+    with divide, invalid and overflow warnings off: 0/0 in the error
+    scaling is masked here, and a non-finite result is the caller's to
+    refuse."""
     resk, resg = np.moveaxis(_KG21 @ fv, 1, 0)
-    err = np.abs(resk - resg) * h
+    out = np.empty((3,) + resk.shape)
+    resasc, err, resabs = out
+    np.abs(np.subtract(resk, resg, out=err), out=err)
     dev = np.abs(fv)      # one scratch array of fv's size for both sums
-    resabs = (_W21 @ dev) * h
+    resabs[...] = _W21 @ dev
     np.abs(np.subtract(fv, 0.5 * resk[:, None], out=dev), out=dev)
-    resasc = (_W21 @ dev) * h
+    resasc[...] = _W21 @ dev
+    out *= np.abs(half)
     scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((resasc != 0) & (err != 0), scaled, err)
-    floor = _EPS50 * resabs
-    return np.stack([resk * half, np.maximum(err, floor), floor])
+    np.copyto(err, scaled, where=(resasc != 0) & (err != 0))
+    floor = np.multiply(_EPS50, resabs, out=resabs)
+    np.maximum(err, floor, out=err)
+    np.multiply(resk, half, out=out[0])
+    return out
 
 
 def complex_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -167,36 +183,47 @@ def complex_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     trailing component axis (a vector integrand) or of that shape alone
     (a scalar integrand, integrated as one component).  The rule is
     QUADPACK's G10K21 (Piessens et al. 1983) batched over panels: from 8
-    equal panels, cut at the interior ``points``, each round makes one f
-    call on the 21 nodes of every panel it refines.  The values are read
-    as reals, through a float view of the complex array, so a round is
-    one _gk21 call over (panel, node, part), a part being the real or the
-    imaginary part of one component, and the panels' state is kept per
-    (panel, part).
+    equal panels, cut at the ``points`` that lie strictly inside the
+    range (a sequence or an array; repeats are cut once), each round
+    makes one f call on the 21 nodes of every panel it refines.  The
+    values are read as reals, through a float view of the complex array,
+    so a round is one _gk21 call over (panel, node, part), a part being
+    the real or the imaginary part of one component, and the panels'
+    state is kept per (panel, part).
 
     As scipy's quad does for each part, the real and the imaginary part
     of every component must each meet max(epsabs, epsrel |that part of
     the integral|), and, as in quad_vec, the 2-norms of the panels'
-    errors must sum to at most max(epsabs, epsrel ||integral||_2).  A
-    panel is bisected while it misses its share of a target (in
-    proportion to width) and one of its parts is above its round-off
-    floor, 50 eps times the integral of |part| over the panel; when only
-    such floors stand in the way, the call returns with their error.
-    Raises QuadratureError if a bisection would take the number of
-    panels past `limit` or a panel integrates to a non-finite value; its
-    `component` is the one furthest from its target or not finite (None
-    for a scalar integrand).
+    errors must sum to at most max(epsabs, epsrel ||integral||_2).  The
+    call returns as soon as both hold.  Otherwise a panel is bisected
+    while it misses its share of a target (in proportion to width) and
+    one of its parts is above its round-off floor, 50 eps times the
+    integral of |part| over the panel; when only such floors stand in
+    the way, the call returns with their error.  Raises QuadratureError
+    if a bisection would take the number of panels past `limit` or a
+    panel integrates to a non-finite value; its `component` is the one
+    furthest from its target or not finite (None for a scalar
+    integrand).
 
     Returns (value, error estimate, nodes evaluated): the value and the
     error, the modulus of the real and imaginary errors, are arrays over
     the components, or a complex and a float for a scalar integrand.
     """
-    edges = np.linspace(a, b, 9)
-    cuts = [p for p in points or () if min(a, b) < p < max(a, b)]
-    if cuts:
-        edges = np.union1d(edges, cuts)[::1 if a < b else -1]
-    new_lo, new_hi = edges[:-1], edges[1:]
-    lo = hi = np.empty(0)
+    # np.linspace(a, b, 9) bit for bit, without its set-up per call (it
+    # divides before it multiplies when the step underflows to 0)
+    step = (b - a) / 8
+    edges = (_EDGE_STEPS * step if step else _EDGE_STEPS / 8 * (b - a)) + a
+    edges[-1] = b
+    if points is not None:
+        cuts = np.asarray(points, dtype=float).ravel()
+        cuts = cuts[(min(a, b) < cuts) & (cuts < max(a, b))]
+        if cuts.size:
+            # np.union1d's sort and its drop of repeats, reversed when a > b
+            edges = np.concatenate([edges, cuts])
+            edges.sort()
+            edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
+            edges = edges[::1 if a < b else -1]
+    lo, hi = new_lo, new_hi = edges[:-1], edges[1:]
     panels = None   # value, error, floor x panel x part
     n_eval = 0
     while True:
@@ -214,22 +241,26 @@ def complex_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
             raise QuadratureError(f"x in [{a}, {b}]: the panel on [{new_lo[i]:.6g}, "
                                   f"{new_hi[i]:.6g}] integrates to a non-finite value",
                                   component=None if scalar else int(c) // 2)
-        lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
-        panels = new if panels is None else np.concatenate([panels, new], axis=1)
+        if panels is None:
+            panels = new
+        else:
+            lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
+            panels = np.concatenate([panels, new], axis=1)
         val, err, floor = panels
         total, total_err = val.sum(axis=0), err.sum(axis=0)
         target = np.maximum(epsabs, epsrel * np.abs(total))
-        width = ((hi - lo) / (b - a))[:, None]
-        above = err > floor
-        split = ((err > width * target) & above).any(axis=1)
         # past 1e154 the squares overflow: an infinite target makes the
         # norm test vacuous, an infinite panel norm refines or raises
         with np.errstate(over="ignore"):
             norms = np.sqrt((err ** 2).sum(axis=1))
             norm_target = max(epsabs, epsrel * math.sqrt((total ** 2).sum()))
+        if np.all(total_err <= target) and norms.sum() <= norm_target:
+            break
+        width = ((hi - lo) / (b - a))[:, None]
+        above = err > floor
+        split = ((err > width * target) & above).any(axis=1)
         split |= (norms > width.ravel() * norm_target) & above.any(axis=1)
-        if (np.all(total_err <= target) and norms.sum() <= norm_target
-                or not split.any()):
+        if not split.any():
             break
         if len(lo) + split.sum() > limit:
             ratios = total_err / target
@@ -309,7 +340,7 @@ def inverse_fourier(f: Callable, z: complex,
         return fv.reshape(m.shape + (-1,)) * np.exp(1j * z * m)[..., None]
     cs = M / 2.0 ** np.arange(3, max(3, math.ceil(math.log2(M))) + 1)
     val, err, n = complex_quad(integrand, -M, M, epsabs=tol / 4.0, epsrel=1e-11,
-                               points=[0.0, *-cs, *cs])
+                               points=np.concatenate([[0.0], -cs, cs]))
     val, err = val / SQRT2PI, err / SQRT2PI + tol
     if not vector:
         val, err = complex(val[0]), float(err[0])

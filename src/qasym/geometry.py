@@ -226,9 +226,17 @@ def qspiral_membership(d: float, dlt: float, T):
 # --- Fourier-grid helpers ---------------------------------------------------
 
 def polyval_im(coeffs, m) -> np.ndarray:
-    """Evaluate the polynomial with ascending coefficients at x = i*m."""
-    return np.polynomial.polynomial.polyval(1j * np.asarray(m, dtype=float),
-                                            np.asarray(coeffs, dtype=complex))
+    """Evaluate the polynomial with ascending coefficients at x = i*m.
+
+    Horner's rule in the order of numpy.polynomial.polynomial.polyval,
+    c[-1] + x * 0 and then c + acc * x, so the values are its values bit
+    for bit, without its set-up per call."""
+    x = 1j * np.asarray(m, dtype=float)
+    c = np.asarray(coeffs, dtype=complex)
+    acc = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        acc = ci + acc * x
+    return acc
 
 
 def default_m_grid() -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -291,6 +292,31 @@ class TestResidual:
         code, payload = run_cli(capsys, "residual", "--power", "2")
         assert code == 0 and payload["ok"] is True
         assert payload["max_abs_residual"] <= payload["threshold"]
+
+    @pytest.mark.parametrize("power", ["0", "2", "10", "20"])
+    def test_relative_residual_at_round_off(self, capsys, power):
+        # the absolute residual shrinks with |eps t|^power; relative to the
+        # largest term of the identity it stays at round-off
+        code, payload = run_cli(capsys, "residual", "--power", power)
+        assert code == 0 and payload["ok"] is True
+        assert payload["max_rel_residual"] <= 1e-14
+
+    def test_wrong_forcing_fails_at_large_power(self, capsys, monkeypatch):
+        # twice the forcing: every term of the identity is below 1e-15 at
+        # power 20, so the absolute residual passes its threshold and
+        # only the relative gate sees the error
+        real = cli.manufactured_problem
+
+        def doubled(spec, a):
+            U, profile_U, series = real(spec, a)
+            F_fn = series.F_fn
+            return U, profile_U, replace(
+                series, F_fn=lambda p, m, eps: 2.0 * F_fn(p, m, eps))
+        monkeypatch.setattr(cli, "manufactured_problem", doubled)
+        code, payload = run_cli(capsys, "residual", "--power", "20")
+        assert code == 1 and payload["ok"] is False
+        assert payload["max_abs_residual"] <= payload["threshold"]
+        assert payload["max_rel_residual"] > 0.1
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,20 @@ class TestCauchyHeine:
         bad = 0.1 * cmath.exp(1j * (cov.sector(2).bisector))
         with pytest.raises(ValueError):
             cauchy_heine_psi(slow, 0.1, bad, 0, TIGHT)
+
+    def test_names_the_point_outside_its_sector(self):
+        # a one-sector batch, and a batch over four sectors (7 is 3 mod 4)
+        cov = four_sector_covering()
+        slow, _ = two_level_pair(cov)
+        good = [0.1 * cmath.exp(1j * cov.sector(p).bisector) for p in range(4)]
+        bad = 0.1 * cmath.exp(1j * (cov.sector(1).bisector + 0.05))
+        for eps, sectors in (([good[3], bad, good[3]], [3, 3, 3]),
+                             ([good[0], bad, good[2], good[1]], [0, 3, 2, 1])):
+            with pytest.raises(ValueError, match=rf"point {re.escape(repr(bad))} "
+                                                 r"not in covering sector 3"):
+                cauchy_heine_many(slow, 0.1, eps, sectors, TIGHT)
+        out = cauchy_heine_many(slow, 0.1, good[::-1], [7, 2, 1, 0], TIGHT)
+        assert out.shape == (4,) and np.all(np.isfinite(out))
 
 
 class TestMergedRays:

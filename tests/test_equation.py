@@ -15,7 +15,7 @@ from qasym.equation import (CoefficientSeries, EquationSpec, EquationTerm,
                             manufactured_problem, poly_abs_sum, poly_degree,
                             residual_sweep, validate_hypotheses,
                             write_residual_csv)
-from qasym.fourier import inverse_fourier
+from qasym.fourier import DecayProfile, inverse_fourier
 from qasym.frames import QFrame
 from qasym.geometry import polyval_im
 
@@ -249,6 +249,49 @@ class TestManufactured:
         text = open(path).read().splitlines()
         assert text[0] == "Re t,Im t,Re z,Im z,Re eps,Im eps,abs residual"
         assert len(text) == 3
+
+
+class TestPerSpecSetUp:
+    """Values that depend only on the spec or on profile_U are computed
+    once; the residual stays what the per-point computation gives."""
+
+    def test_list_polynomials_match_tuples(self):
+        spec = default_spec()
+        listed = EquationSpec(
+            frame=spec.frame, d_D1=spec.d_D1, d_D2=spec.d_D2, Q=list(spec.Q),
+            RD1=list(spec.RD1), RD2=list(spec.RD2),
+            terms=tuple(EquationTerm(Delta=t.Delta, d=t.d, delta=t.delta,
+                                     R=list(t.R)) for t in spec.terms),
+            mu=spec.mu, beta=spec.beta)
+        U, profile_U, _ = manufactured_problem(spec, a=1)
+        series = default_series(spec)       # c_l != 0: every term counts
+        for t, z, eps in [(0.12 * cmath.exp(0.3j), 0.3, 0.15 * cmath.exp(0.7j)),
+                          (0.1, -0.5, 0.08)]:
+            want = apply_equation_operator(spec, series, U, profile_U, t, z, eps)
+            got = apply_equation_operator(listed, series, U, profile_U, t, z, eps)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(),
+                                                        want.imag.hex())
+
+    def test_dilation_scales_round_as_dilate(self):
+        spec = default_spec()
+        q = spec.frame.q
+        expos = [spec.dilation_exponent(1), spec.dilation_exponent(2),
+                 *(Fraction(t.delta) for t in spec.terms)]
+        assert spec.dilation_scales == tuple(dilate(1.0, q, e) for e in expos)
+        t = 0.11 * cmath.exp(0.4j)
+        for s, e in zip(spec.dilation_scales, expos):
+            assert s * t == dilate(t, q, e)
+
+    def test_poly_profile_refuses_weak_kernels_every_time(self):
+        # mu - deg = 1 exactly is refused too; trailing zeros add no degree
+        base = DecayProfile(C=1.0, mu=3.0, beta=1.0)
+        for coeffs in [(1.0, 0.0, 2.0), [1.0, 0.0, 2.0], (0.0, 0.0, 1.0, 0.0, 0.0)]:
+            for _ in range(2):      # a refusal is not memoized as a profile
+                with pytest.raises(ValueError, match=r"mu - deg = 1\.0 <= 1"):
+                    equation._poly_profile(base, coeffs)
+        ok = equation._poly_profile(base, [2.0, -1.0])
+        assert ok == DecayProfile(C=3.0, mu=2.0, beta=1.0)
+        assert equation._poly_profile(base, (2.0, -1.0)) is ok
 
 
 class TestOneTransformPerPoint:

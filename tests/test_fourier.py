@@ -116,6 +116,66 @@ class TestComplexQuad:
         assert val == pytest.approx(1.0 / 3.0 + 4.0j / 3.0, rel=1e-14)
 
 
+class TestPointsMerge:
+    """Cuts are filtered and merged with array operations; the edges, and
+    so every output, are those of np.union1d on the interior cuts."""
+
+    @staticmethod
+    def f(x):
+        # a kink at 0.37 that takes a few rounds of bisection
+        return np.sqrt(np.abs(x - 0.37)) * np.exp(3j * x)
+
+    @staticmethod
+    def union1d_edges(a, b, points):
+        cuts = [p for p in points if min(a, b) < p < max(a, b)]
+        edges = np.linspace(a, b, 9)
+        if cuts:
+            edges = np.union1d(edges, cuts)[::1 if a < b else -1]
+        return edges
+
+    @pytest.mark.parametrize("a, b, points", [
+        (0.0, 1.0, [0.3, 0.3, 0.7, 0.3]),
+        (0.0, 1.0, (0.0, 0.5, 1.0)),
+        (0.0, 1.0, [-1.0, 0.4, 2.0, 1.0 + 1e-12]),
+        (0.0, 1.0, np.array([0.25, 0.6, 0.25])),
+        (1.0, 0.0, [0.3, 0.3, 0.55, 1.0]),
+        (1.0, 0.0, np.array([[0.8], [0.1]])),
+        (-2.0, 3.0, [-2.0, 0.0, 0.0, 0.37, 7.0]),
+    ], ids=["repeats", "endpoints", "outside", "array", "reversed",
+            "reversed-2d-array", "on-edges"])
+    def test_matches_union1d_longhand(self, a, b, points):
+        calls = []
+
+        def recorded(x):
+            calls.append(x.copy())
+            return self.f(x)
+        val, err, n = complex_quad(recorded, a, b, points=points)
+
+        edges = self.union1d_edges(a, b, np.ravel(points).tolist())
+        lo, hi = edges[:-1], edges[1:]
+        first = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _X21
+        assert calls[0].tobytes() == first.tobytes()
+        # the same edges given as the distinct interior cuts, in order
+        ref_val, ref_err, ref_n = complex_quad(self.f, a, b,
+                                               points=tuple(edges[1:-1]))
+        assert len(calls) > 1 and n == ref_n
+        assert (val, err) == (ref_val, ref_err)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 0.0), (-54.3, 54.3),
+                                      (0, 3), (-1.5, -0.2), (2.5, 2.5),
+                                      (0.0, 1e-323), (-1e300, 1e300)])
+    def test_uniform_start_matches_linspace(self, a, b):
+        # the 8 starting panels come from a closed form of np.linspace,
+        # which divides first when the step underflows (the 1e-323 range)
+        calls = []
+        complex_quad(lambda x: calls.append(x.copy()) or np.exp(1j * x), a, b,
+                     epsabs=math.inf)
+        edges = np.linspace(a, b, 9)
+        lo, hi = edges[:-1], edges[1:]
+        first = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _X21
+        assert calls[0].tobytes() == first.tobytes()
+
+
 class TestGK21Rule:
     """_gk21 on single panels against QUADPACK's qk21: scipy quad with
     limit=1 stops after the first 21-point rule on [a, b]."""

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qasym.geometry import (GoodCovering, Sector, associate_family,
                             geometry_scenario_from_dict,
                             geometry_scenario_to_dict,
-                            make_cyclic_covering, qspiral_infimum,
+                            make_cyclic_covering, polyval_im, qspiral_infimum,
                             qspiral_membership, validate_good_covering, wrap_angle)
 
 TWO_PI = 2.0 * math.pi
@@ -241,3 +241,29 @@ class TestScenarioSerialization:
         t_sector = Sector(bisector=-math.pi / 4, half_opening=0.26, radius=0.4)
         rep = associate_family(cov, directions, 0.3, t_sector, 0.4)
         assert rep.ok, (rep.product_failures, rep.overlap_failures)
+
+
+class TestPolyvalIm:
+    """The direct Horner loop against numpy's polyval, bit for bit."""
+
+    @staticmethod
+    def bits(v) -> bytes:
+        return np.atleast_1d(np.asarray(v, dtype=complex)).tobytes()
+
+    @pytest.mark.parametrize("kind", ["real tuple", "real list", "complex tuple",
+                                      "complex list"])
+    @pytest.mark.parametrize("m", [0.0, -3.7, 12.5,
+                                   np.linspace(-20.0, 20.0, 42).reshape(2, 21)],
+                             ids=["0d-zero", "0d-negative", "0d-positive", "2d"])
+    def test_matches_numpy_polyval(self, kind, m):
+        rng = np.random.default_rng(7)
+        for deg in range(7):
+            c = rng.uniform(-3.0, 3.0, deg + 1)
+            if kind.startswith("complex"):
+                c = c + 1j * rng.uniform(-3.0, 3.0, deg + 1)
+            coeffs = tuple(c.tolist()) if kind.endswith("tuple") else c.tolist()
+            got = polyval_im(coeffs, m)
+            want = np.polynomial.polynomial.polyval(
+                1j * np.asarray(m, dtype=float), np.asarray(coeffs, dtype=complex))
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert self.bits(got) == self.bits(want), deg
