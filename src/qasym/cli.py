@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Every subcommand prints a single JSON document (keys sorted, floats in
-full precision) so runs are reproducible byte-for-byte.  Exit codes:
+Every subcommand returns one report dict, printed as a single JSON
+document (keys sorted, floats in full precision) so runs are
+reproducible byte-for-byte.  A block that shows a library result is that
+result's dataclass fields.  The exit code is the report's own "ok":
 
     0   requested checks/certifications all passed
     1   the computation ran but a check or certification failed
@@ -16,6 +18,7 @@ import cmath
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -88,38 +91,32 @@ def _load_json(path: str, decode):
 
 # ---------------------------------------------------------------- theta
 
-def _cmd_theta(args) -> tuple[dict, bool]:
+def _cmd_theta(args) -> dict:
     z = _parse_complex(args.z)
     if z == 0:
         raise InputError("theta is evaluated away from the origin; need z != 0")
     q, k, m = args.q, args.k, args.m
-    spec = calibrate_theta_constant(ThetaSpec(q, k))
+    spec = calibrate_theta_constant(ThetaSpec(q, k), args.dlt)
     mant, logs = theta_eval_scaled(spec, z)
     residual = theta_qdiff_residual(spec, z, m)
     bound = theta_lower_bound(spec, z, args.dlt)
-    ok = residual <= args.tol and (bound.ok or not bound.admissible)
-    payload = {
+    return {
         "q": q, "k": k, "z": z, "m": m,
         "value": {"mantissa": complex(mant), "log_scale": float(logs)},
         "functional_equation_residual": float(residual),
-        "lower_bound": {
-            "admissible": bound.admissible, "clearance": bound.clearance,
-            # the linear sides are null where they overflow a double;
-            # the bound is judged on the log sides
-            "lhs": _finite_or_none(bound.lhs), "rhs": _finite_or_none(bound.rhs),
-            "log_lhs": bound.log_lhs, "log_rhs": bound.log_rhs,
-            "log_margin": bound.log_margin, "ok": bound.ok,
-        },
+        # the linear sides are null where they overflow a double; the
+        # bound is judged on the log sides
+        "lower_bound": {**asdict(bound), "lhs": _finite_or_none(bound.lhs),
+                        "rhs": _finite_or_none(bound.rhs)},
         "calibrated_constant": spec.Cqk,
         "truncation_order": spec.P,
-        "ok": ok,
+        "ok": residual <= args.tol and (bound.ok or not bound.admissible),
     }
-    return payload, ok
 
 
 # --------------------------------------------------------------- fourier
 
-def _cmd_fourier(args) -> tuple[dict, bool]:
+def _cmd_fourier(args) -> dict:
     z = _parse_complex(args.z)
     try:
         f = make_symbol(args.symbol, args.beta, args.mu)
@@ -127,24 +124,19 @@ def _cmd_fourier(args) -> tuple[dict, bool]:
         raise InputError(str(exc)) from exc
     profile = default_profile_for(args.symbol, args.beta, args.mu)
     res = inverse_fourier(f, z, profile, tol=args.tol)
-    # the estimate stacks a certified tail bound (<= tol) on top of the
-    # quadrature error (<= tol), so the honest acceptance line is 2 tol
-    ok = res.error_estimate <= 2.0 * args.tol * max(1.0, abs(res.value))
-    payload = {
+    return {
         "symbol": args.symbol, "beta": args.beta, "mu": args.mu, "z": z,
-        "value": complex(res.value),
-        "error_estimate": float(res.error_estimate),
-        "nodes_used": int(res.nodes_used),
-        "cutoff": float(res.cutoff),
-        "profile": {"C": profile.C, "mu": profile.mu, "beta": profile.beta},
-        "ok": ok,
+        **asdict(res),
+        "profile": asdict(profile),
+        # the estimate stacks a certified tail bound (<= tol) on top of the
+        # quadrature error (<= tol), so the honest acceptance line is 2 tol
+        "ok": res.error_estimate <= 2.0 * args.tol * max(1.0, abs(res.value)),
     }
-    return payload, ok
 
 
 # -------------------------------------------------------------- qlaplace
 
-def _cmd_qlaplace(args) -> tuple[dict, bool]:
+def _cmd_qlaplace(args) -> dict:
     T = _parse_complex(args.T)
     if T == 0:
         raise InputError("need a nonzero evaluation point T")
@@ -171,23 +163,18 @@ def _cmd_qlaplace(args) -> tuple[dict, bool]:
     res = qlaplace(spec, monomial, T, cert, enforce_domain=False)
     predicted = args.q ** (args.n * (args.n - 1) / (2.0 * args.k)) * T ** args.n
     rel = abs(res.value - predicted) / max(abs(predicted), 1e-300)
-    ok = rel <= args.check_tol
-    payload = {
+    return {
         "q": args.q, "k": args.k, "n": args.n, "T": T,
-        "value": complex(res.value),
-        "error_estimate": float(res.error_estimate),
-        "nodes_used": int(res.nodes_used),
-        "direction_used": float(res.direction_used),
+        **asdict(res),
         "predicted_monomial_image": complex(predicted),
         "relative_deviation": float(rel),
-        "ok": ok,
+        "ok": rel <= args.check_tol,
     }
-    return payload, ok
 
 
 # -------------------------------------------------------------- geometry
 
-def _cmd_geometry(args) -> tuple[dict, bool]:
+def _cmd_geometry(args) -> dict:
     if args.scenario is not None:
         cov, directions, dlt, rho = _load_json(args.scenario, geometry_scenario_from_dict)
     else:
@@ -200,43 +187,31 @@ def _cmd_geometry(args) -> tuple[dict, bool]:
     report = validate_good_covering(cov)
     payload = {
         "scenario": geometry_scenario_to_dict(cov, directions, dlt, rho),
-        "covering": {
-            "ok": report.ok, "n": report.n,
-            "adjacency_violations": report.adjacency_violations,
-            "coverage_gaps": report.coverage_gaps,
-            "common_radius": report.common_radius,
-        },
+        "covering": asdict(report),
+        "ok": report.ok,
     }
-    ok = report.ok
     if args.family:
         t_sector = Sector(bisector=math.radians(args.t_bisector_deg),
                           half_opening=math.radians(args.t_opening_deg) / 2.0,
                           radius=args.t_radius)
         fam = associate_family(cov, directions, dlt, t_sector, args.epsilon0)
-        payload["family"] = {
-            "ok": fam.ok,
-            "product_failures": fam.product_failures,
-            "overlap_failures": fam.overlap_failures,
-        }
-        ok = ok and fam.ok
-    payload["ok"] = ok
-    return payload, ok
+        payload["family"] = asdict(fam)
+        payload["ok"] = report.ok and fam.ok
+    return payload
 
 
 # ------------------------------------------------------------ hypotheses
 
-def _cmd_hypotheses(args) -> tuple[dict, bool]:
+def _cmd_hypotheses(args) -> dict:
     spec = (_load_json(args.spec, EquationSpec.from_dict)
             if args.spec is not None else default_spec())
     report = validate_hypotheses(spec)
-    ok = report.structure_ok and report.spectral_ok
-    payload = {"spec": spec.to_dict(), "report": report.to_dict(), "ok": ok}
-    return payload, ok
+    return {"spec": spec.to_dict(), "report": report.to_dict(), "ok": report.ok}
 
 
 # ------------------------------------------------------------------ diff
 
-def _cmd_diff(args) -> tuple[dict, bool]:
+def _cmd_diff(args) -> dict:
     scn = (_load_json(args.scenario, ModelScenario.from_dict)
            if args.scenario is not None else default_scenario())
     js = range(args.j_min, args.j_max + 1)
@@ -246,18 +221,13 @@ def _cmd_diff(args) -> tuple[dict, bool]:
     if args.overlap is not None:
         table, fit, target, rel = overlap_rate(scn, args.overlap, js, args.route,
                                                args.tol)
-        ok = rel <= args.rel_tol
-        payload = {
+        return {
             "overlap": args.overlap, "route": args.route, "level": table.level,
-            "rows": [{"j": r.j, "absT": r.absT, "norm": r.norm} for r in table.rows],
-            "fit": {"a": fit.a, "b": fit.b, "c": fit.c, "rate": fit.rate,
-                    "residual_rms": fit.residual_rms},
-            "target_rate": target, "rel_err": rel, "ok": ok,
+            "rows": [asdict(r) for r in table.rows], "fit": asdict(fit),
+            "target_rate": target, "rel_err": rel, "ok": rel <= args.rel_tol,
         }
-        return payload, ok
     report = verify_rate_dichotomy(scn, js=js, tol=args.tol, rel_tol=args.rel_tol)
-    payload = {"dichotomy": report.to_dict(), "ok": report.ok}
-    return payload, report.ok
+    return {"dichotomy": report.to_dict(), "ok": report.ok}
 
 
 # ----------------------------------------------------------------- split
@@ -288,29 +258,26 @@ def _split_demo_inputs():
     return cov, slow, fast, [branch(p) for p in range(4)], opts
 
 
-def _cmd_split(args) -> tuple[dict, bool]:
+def _cmd_split(args) -> dict:
     t = _parse_complex(args.t)
     _, slow, fast, G, opts = _split_demo_inputs()
     split = multilevel_split(G, slow, fast, t, opts=opts, j_max=args.j_max,
                              radius_frac=args.radius_frac)
-    ok = split.max_spread <= args.tol and split.max_realization_err <= args.tol
-    payload = {
+    return {
         "t": t,
         "n_probes": len(split.probes),
         "max_spread": float(split.max_spread),
         "max_abs": float(split.max_abs),
         "max_realization_err": float(split.max_realization_err),
-        "cascade": [{"j": row.j, "radius": row.radius, "max_abs": row.max_abs,
-                     "max_spread": row.max_spread} for row in split.cascade],
+        "cascade": [asdict(row) for row in split.cascade],
         "tol": args.tol,
-        "ok": ok,
+        "ok": split.max_spread <= args.tol and split.max_realization_err <= args.tol,
     }
-    return payload, ok
 
 
 # ------------------------------------------------------------------- fit
 
-def _cmd_fit(args) -> tuple[dict, bool]:
+def _cmd_fit(args) -> dict:
     if args.synthetic:
         rng = np.random.default_rng(args.seed)
         table = RemainderTable()
@@ -333,27 +300,25 @@ def _cmd_fit(args) -> tuple[dict, bool]:
         fit = fit_q_gevrey(table, args.q, args.k)
     else:
         fit = fit_zero_gevrey_relative(table, args.q, args.k)
-    ok = fit.certified
-    payload = {"fit": fit.to_dict(), "n_rows": len(table.rows), "ok": ok}
+    payload = {"fit": fit.to_dict(), "n_rows": len(table.rows), "ok": fit.certified}
     if args.synthetic:
         payload["planted"] = {"C": args.plant_C, "A": args.plant_A,
                               "noise": args.noise, "seed": args.seed}
-    return payload, ok
+    return payload
 
 
 # ------------------------------------------------------------------ demo
 
-def _cmd_demo(args) -> tuple[dict, bool]:
+def _cmd_demo(args) -> dict:
     scn = default_scenario()
     js = range(3, 9) if args.fast else range(3, 11)
     N_range = range(0, 5) if args.fast else range(0, 7)
-    rep = verify_two_level_theorem(scn, js=js, N_range=N_range)
-    return rep.to_dict(), rep.ok
+    return verify_two_level_theorem(scn, js=js, N_range=N_range).to_dict()
 
 
 # ------------------------------------------------------------- residuals
 
-def _cmd_residual(args) -> tuple[dict, bool]:
+def _cmd_residual(args) -> dict:
     spec = (_load_json(args.spec, EquationSpec.from_dict)
             if args.spec is not None else default_spec())
     U, profile_U, series = manufactured_problem(spec, a=args.power)
@@ -365,12 +330,11 @@ def _cmd_residual(args) -> tuple[dict, bool]:
     rows = [relative_residual(spec, series, U, profile_U, t, z, eps, args.tol)
             for t in ts for z in zs for eps in es]
     rel = [r for _, r in rows]
-    ok = all(r <= args.threshold for r in rel)
-    payload = {"n_points": len(rows),
-               "max_abs_residual": float(max(abs(r) for r, _ in rows)),
-               "max_rel_residual": float(max(rel)),
-               "threshold": args.threshold, "ok": ok}
-    return payload, ok
+    return {"n_points": len(rows),
+            "max_abs_residual": float(max(abs(r) for r, _ in rows)),
+            "max_rel_residual": float(max(rel)),
+            "threshold": args.threshold,
+            "ok": all(r <= args.threshold for r in rel)}
 
 
 # ------------------------------------------------------------------ main
@@ -489,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse already printed usage; normalize its error code to 2
         return 2 if exc.code not in (0, None) else 0
     try:
-        payload, ok = args.fn(args)
+        payload = args.fn(args)
     except (InputError, ValueError) as exc:
         # domain validation errors (bad q, malformed covering, ...) are
         # user-input problems here, not crashes
@@ -505,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         # a non-finite number in the result: not JSON, and not a result
         _emit({"error": {"type": "non-finite", "message": str(exc)}})
         return 1
-    return 0 if ok else 1
+    return 0 if payload["ok"] else 1
 
 
 if __name__ == "__main__":

@@ -293,7 +293,8 @@ def inverse_fourier(f: Callable, z: complex,
 
     z must lie strictly inside the strip |Im z| < beta/2 (else
     ValueError), where the tail beyond M is bounded by tol by design; a
-    non-finite M (tol = nan, or C = inf) is refused with ValueError.
+    tol <= 0 and a non-finite M (tol = nan, or C = inf) are refused with
+    ValueError.
 
     A vector symbol returns m.shape + (n,) and takes a sequence of n
     profiles, one per component.  All components share one complex_quad
@@ -321,6 +322,8 @@ def inverse_fourier(f: Callable, z: complex,
     took four more rounds of halving the two panels beside 0 (504 nodes
     against 336).
     """
+    if tol <= 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     vector = not isinstance(profile, DecayProfile)
     profiles = tuple(profile) if vector else (profile,)
     half_width = 0.5 * min(p.beta for p in profiles)

@@ -328,9 +328,12 @@ def consecutive_difference(scn: ModelScenario, p: int, T,
     the direct route) is one contour call on all of the points, and the
     result is a list with one DiffPieces per point (an array of
     differences on the direct route); one T is a batch of one, and the
-    result is then its DiffPieces (its complex difference).
+    result is then its DiffPieces (its complex difference).  A tol that
+    is not > 0 is refused with ValueError.
     """
     _check_overlap(scn, p)
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     if route == "direct":
         return (laplace_transform_shape(scn, p + 1, T, tol)
                 - laplace_transform_shape(scn, p, T, tol))
@@ -419,7 +422,6 @@ class RateFit:
     c: float
     rate: float
     residual_rms: float
-    n_rows: int
 
 
 def fit_rate(table: DiffTable, q: float) -> RateFit:
@@ -433,8 +435,7 @@ def fit_rate(table: DiffTable, q: float) -> RateFit:
     resid = X @ coef - y
     return RateFit(a=float(coef[0]), b=float(coef[1]), c=float(coef[2]),
                    rate=float(-2.0 * coef[0] * math.log(q)),
-                   residual_rms=float(np.sqrt(np.mean(resid ** 2))),
-                   n_rows=len(rows))
+                   residual_rms=float(np.sqrt(np.mean(resid ** 2))))
 
 
 @dataclass

@@ -379,7 +379,6 @@ def calibrate_theta_constant(spec: ThetaSpec, dlt: float = 0.3) -> ThetaSpec:
 
 @dataclass(frozen=True)
 class ThetaBoundCheck:
-    z: complex
     admissible: bool
     clearance: float
     lhs: float          # |Theta(z)| (inf where it overflows a double)
@@ -405,6 +404,6 @@ def theta_lower_bound(spec: ThetaSpec, z: complex, dlt: float) -> ThetaBoundChec
     margin = log_lhs - log_rhs
     lhs = math.exp(log_lhs) if log_lhs < 700 else math.inf
     rhs = math.exp(log_rhs) if log_rhs < 700 else math.inf
-    return ThetaBoundCheck(z=complex(z), admissible=admissible, clearance=clearance,
+    return ThetaBoundCheck(admissible=admissible, clearance=clearance,
                            lhs=lhs, rhs=rhs, log_lhs=log_lhs, log_rhs=log_rhs,
                            log_margin=margin, ok=admissible and margin >= 0.0)

@@ -13,6 +13,7 @@ from qasym.equation import default_spec
 from qasym.model import default_scenario
 from qasym.qlaplace import QuadratureError
 from qasym.schemas import validate_payload
+from qasym.theta import ThetaSpec, calibrate_theta_constant
 
 
 def strict_json(text: str):
@@ -102,10 +103,20 @@ class TestTheta:
 
     def test_non_finite_result_is_one(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_cmd_theta",
-                            lambda args: ({"value": float("nan")}, True))
+                            lambda args: {"value": float("nan"), "ok": True})
         code, payload = run_cli(capsys, "theta", "--z", "0.3")
         assert code == 1
         assert payload["error"]["type"] == "non-finite"
+
+    def test_bound_uses_the_constant_calibrated_at_dlt(self, capsys):
+        """Cqk calibrated at the library default dlt = 0.3 fails the bound
+        at this point judged at dlt = 0.7 (log margin -0.04); calibrated
+        at 0.7, as the bound is judged, it holds."""
+        code, payload = run_cli(capsys, "theta", "--q", "3", "--k", "0.5",
+                                "--dlt", "0.7", "--z=-133.607-32.865j")
+        assert code == 0 and payload["lower_bound"]["ok"] is True
+        assert payload["calibrated_constant"] == calibrate_theta_constant(
+            ThetaSpec(3.0, 0.5), 0.7).Cqk
 
     def test_deterministic_output(self, capsys):
         main(["theta", "--z", "0.3+0.4j"])
@@ -419,6 +430,14 @@ class TestBadArguments:
         pytest.param(("fourier", "--z", "nan"), "'nan'", id="fourier-z-nan"),
         pytest.param(("fourier", "--z", "0.3", "--tol", "nan"), "is not finite",
                      id="fourier-tol-nan"),
+        pytest.param(("fourier", "--z", "0.2", "--tol", "0"), "tol must be > 0, got 0.0",
+                     id="fourier-tol-zero"),
+        pytest.param(("residual", "--tol", "0"), "tol must be > 0, got 0.0",
+                     id="residual-tol-zero"),
+        pytest.param(("diff", "--overlap", "0", "--j-max", "5", "--tol", "0"),
+                     "tol must be > 0, got 0.0", id="diff-tol-zero"),
+        pytest.param(("qlaplace", "--T", "0.3", "--tol", "0"), "tol must be > 0, got 0.0",
+                     id="qlaplace-tol-zero"),
         pytest.param(("qlaplace", "--T", "nan+1j"), "'nan+1j'",
                      id="qlaplace-t-nan"),
         pytest.param(("qlaplace", "--T", "1e300"), "past double range",

@@ -209,7 +209,6 @@ class TestRateFit:
         assert fit.c == pytest.approx(c, rel=1e-9)
         assert fit.rate == pytest.approx(-2.0 * a * math.log(q), rel=1e-9)
         assert fit.residual_rms < 1e-9
-        assert fit.n_rows == 9
 
     def test_minimum_rows(self):
         rows = [DiffRow(j=j, absT=2.0 ** (-j), norm=1.0) for j in range(3, 5)]
