@@ -293,8 +293,8 @@ def inverse_fourier(f: Callable, z: complex,
 
     z must lie strictly inside the strip |Im z| < beta/2 (else
     ValueError), where the tail beyond M is bounded by tol by design; a
-    tol <= 0 and a non-finite M (tol = nan, or C = inf) are refused with
-    ValueError.
+    tol that is not finite or not > 0 and a non-finite M (C = inf) are
+    refused with ValueError.
 
     A vector symbol returns m.shape + (n,) and takes a sequence of n
     profiles, one per component.  All components share one complex_quad
@@ -322,6 +322,8 @@ def inverse_fourier(f: Callable, z: complex,
     took four more rounds of halving the two panels beside 0 (504 nodes
     against 336).
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tol={tol} is not finite")
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     vector = not isinstance(profile, DecayProfile)

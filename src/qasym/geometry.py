@@ -37,26 +37,25 @@ def wrap_angle(a):
 
 @dataclass(frozen=True)
 class Sector:
-    """Open sector { z : inner_radius < |z| < radius,
+    """Open sector { z : 0 < |z| < radius,
     |wrap(arg z - bisector)| < half_opening }."""
 
     bisector: float
     half_opening: float
     radius: float = math.inf
-    inner_radius: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0 < self.half_opening < math.pi:
             raise ValueError(f"half_opening must be in (0, pi), got {self.half_opening}")
-        if not self.radius > self.inner_radius >= 0:
-            raise ValueError("need radius > inner_radius >= 0")
+        if not self.radius > 0:
+            raise ValueError(f"radius must be > 0, got {self.radius}")
 
     def contains(self, z):
         """Whether z lies in the sector: a bool for a scalar z, a bool
         array of z's shape for an array."""
         z = np.asarray(z, dtype=complex)
         r = np.abs(z)
-        inside = ((self.inner_radius < r) & (r < self.radius)
+        inside = ((0 < r) & (r < self.radius)
                   & (np.abs(wrap_angle(np.angle(z) - self.bisector))
                      < self.half_opening))
         return inside if z.ndim else bool(inside)
@@ -68,15 +67,13 @@ class Sector:
             - (self.half_opening + other.half_opening)
 
     def intersects(self, other: "Sector") -> bool:
-        radial = min(self.radius, other.radius) > max(self.inner_radius,
-                                                      other.inner_radius)
-        return radial and self.angular_gap(other) < 0
+        return self.angular_gap(other) < 0
 
     def sample_points(self) -> np.ndarray:
         """Polar 7 x 7 sample grid strictly inside the sector, padded 0.1%
         off its edges (unbounded sectors truncated at radius 1e3)."""
         r_hi = min(self.radius, 1e3)
-        r_lo = max(self.inner_radius, r_hi * 1e-6)
+        r_lo = r_hi * 1e-6
         radii = np.exp(np.linspace(math.log(r_lo * (1 + 1e-3)),
                                    math.log(r_hi * (1 - 1e-3)), 7))
         h = self.half_opening * (1 - 1e-3)
@@ -89,12 +86,10 @@ class Sector:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Sector":
-        refuse_unknown_keys("Sector", d, ("bisector", "opening", "radius",
-                                          "inner_radius"))
+        refuse_unknown_keys("Sector", d, ("bisector", "opening", "radius"))
         radius = d.get("radius")
         return cls(bisector=d["bisector"], half_opening=0.5 * d["opening"],
-                   radius=math.inf if radius is None else radius,
-                   inner_radius=d.get("inner_radius", 0.0))
+                   radius=math.inf if radius is None else radius)
 
 
 @dataclass(frozen=True)
@@ -115,10 +110,6 @@ class GoodCovering:
     def __post_init__(self) -> None:
         if len(self.sectors) < 2:
             raise ValueError("a covering needs at least 2 sectors")
-        for s in self.sectors:
-            if s.inner_radius != 0.0:
-                raise ValueError("covering sectors must have vertex at the origin "
-                                 "(inner_radius = 0)")
 
     @property
     def n(self) -> int:

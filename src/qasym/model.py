@@ -37,9 +37,14 @@ which evaluates the kernel on arrays of nodes (the kernel functions
 here are vectorised over u) and raises QuadratureError when a piece
 misses its tolerance within its panel limit.  The pieces take an array
 of T (one T is a batch of one): each point gets its own window, and all
-of them are the components of that one call, so a cascade or a
-remainder table costs one quadrature per piece (3 on a fast overlap, 5
-on a slow one), whatever its number of probe points.
+of them are the components of that one call.  consecutive_difference
+returns one DiffPieces on either route, each piece the array its call
+returned, so a cascade or a remainder table costs one quadrature per
+piece (3 on a fast overlap, 5 on a slow one, 2 full rays on the direct
+route), whatever its number of probe points.  One per-overlap routine
+turns the probes, plus any extra points, into the cascade table, its
+rate fit and the extra points' norms, for overlap_rate and the
+dichotomy alike.
 """
 
 from __future__ import annotations
@@ -236,7 +241,7 @@ def _laplace_ray(scn: ModelScenario, shape, direction: float, T, s_lo, s_hi,
 
 
 def outer_ray_piece(scn: ModelScenario, branch: int, direction: float,
-                    T, tol: float = 1e-11):
+                    T, tol: float):
     """Ray piece over [rho, infinity): the integrand peaks at the inner
     endpoint and dies off at the fast-level Gaussian speed.  Like every
     piece, it takes T and returns values as log_contour_transform does."""
@@ -250,7 +255,7 @@ def outer_ray_piece(scn: ModelScenario, branch: int, direction: float,
 
 
 def arc_piece(scn: ModelScenario, branch: int, theta_lo: float,
-              theta_hi: float, T, tol: float = 1e-11):
+              theta_hi: float, T, tol: float):
     """(k2/lq) i int_{theta_lo}^{theta_hi} shape(rho e^{i th})
     invTheta(rho e^{i th}/T) d th on the contraction circle."""
     fr = scn.frame
@@ -262,7 +267,7 @@ def arc_piece(scn: ModelScenario, branch: int, theta_lo: float,
     return val
 
 
-def mid_segment_piece(scn: ModelScenario, p: int, T, tol: float = 1e-11):
+def mid_segment_piece(scn: ModelScenario, p: int, T, tol: float):
     """(k2/lq) int_0^rho [shape_{p+1} - shape_p](u) invTheta(u/T) du/u
     along the wedge mid-direction: the slow-rate carrier.
 
@@ -298,15 +303,15 @@ def residue_closed_form(scn: ModelScenario, p: int, T: complex) -> complex:
 
 @dataclass
 class DiffPieces:
-    """One consecutive difference, split into its contour pieces."""
+    """One consecutive difference on an overlap of the given level, split
+    into its contour pieces: each an array over a batch of T, or a
+    complex for one T."""
 
-    p: int
-    T: complex
     level: int
     pieces: dict
 
     @property
-    def total(self) -> complex:
+    def total(self):
         return sum(self.pieces.values())
 
 
@@ -316,51 +321,49 @@ def _check_overlap(scn: ModelScenario, p: int) -> None:
 
 
 def consecutive_difference(scn: ModelScenario, p: int, T,
-                           route: str = "decomposed", tol: float = DIFF_TOL):
-    """U_{p+1}(T) - U_p(T) on overlap p.
+                           route: str = "decomposed",
+                           tol: float = DIFF_TOL) -> DiffPieces:
+    """U_{p+1}(T) - U_p(T) on overlap p, as the DiffPieces of a route.
 
-    route="decomposed": DiffPieces with the contour pieces
-    (cancellation-free, usable deep into the cascade).  route="direct":
-    the complex difference of two full-ray transforms (loses one digit
-    per fast-level Gaussian factor, shallow use only).
+    route="decomposed": the contour pieces (cancellation-free, usable
+    deep into the cascade).  route="direct": the pieces ray_plus =
+    U_{p+1} and ray_minus = -U_p, two full-ray transforms whose total
+    loses one digit per fast-level Gaussian factor (shallow use only).
 
-    T is one point or a 1-d array of them.  Each piece (each full ray on
-    the direct route) is one contour call on all of the points, and the
-    result is a list with one DiffPieces per point (an array of
-    differences on the direct route); one T is a batch of one, and the
-    result is then its DiffPieces (its complex difference).  A tol that
-    is not > 0 is refused with ValueError.
+    T is one point or a 1-d array of them.  Each piece is one contour
+    call on all of the points, kept as that call returned it: an array
+    over the points, or a complex for one T (a batch of one, so bit for
+    bit element 0 of the call on [T]).  A tol that is not finite or not
+    > 0 is refused with ValueError.
     """
     _check_overlap(scn, p)
+    if not math.isfinite(tol):
+        raise ValueError(f"tol={tol} is not finite")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
+    level = scn.levels()[p]
     if route == "direct":
-        return (laplace_transform_shape(scn, p + 1, T, tol)
-                - laplace_transform_shape(scn, p, T, tol))
+        return DiffPieces(level=level, pieces={
+            "ray_plus": laplace_transform_shape(scn, p + 1, T, tol),
+            "ray_minus": -laplace_transform_shape(scn, p, T, tol)})
     if route != "decomposed":
         raise ValueError("route must be decomposed|direct")
-    level = scn.levels()[p]
     lo, hi = scn.wedge(p)
-    Ts = np.atleast_1d(np.asarray(T, dtype=complex))
     pieces = {
-        "outer_plus": outer_ray_piece(scn, p + 1, hi, Ts, tol),
-        "outer_minus": -outer_ray_piece(scn, p, lo, Ts, tol),
+        "outer_plus": outer_ray_piece(scn, p + 1, hi, T, tol),
+        "outer_minus": -outer_ray_piece(scn, p, lo, T, tol),
     }
     if level == 2:
-        pieces["inner_arc"] = arc_piece(scn, p, lo, hi, Ts, tol=tol)
+        pieces["inner_arc"] = arc_piece(scn, p, lo, hi, T, tol)
     else:
         mid = scn.mid_direction(p)
-        pieces["arc_lo"] = arc_piece(scn, p, lo, mid, Ts, tol=tol)
-        pieces["arc_hi"] = arc_piece(scn, p + 1, mid, hi, Ts, tol=tol)
-        pieces["mid_segment"] = mid_segment_piece(scn, p, Ts, tol)
-    diffs = [DiffPieces(p=p, T=complex(t), level=level,
-                        pieces={name: complex(v[i]) for name, v in pieces.items()})
-             for i, t in enumerate(Ts)]
-    return diffs[0] if np.ndim(T) == 0 else diffs
+        pieces["arc_lo"] = arc_piece(scn, p, lo, mid, T, tol)
+        pieces["arc_hi"] = arc_piece(scn, p + 1, mid, hi, T, tol)
+        pieces["mid_segment"] = mid_segment_piece(scn, p, T, tol)
+    return DiffPieces(level=level, pieces=pieces)
 
 
-def laplace_transform_shape(scn: ModelScenario, p: int, T,
-                            tol: float = 1e-12):
+def laplace_transform_shape(scn: ModelScenario, p: int, T, tol: float):
     """U_p(T): (k2/lq) int shape_p(u) invTheta(u/T) du/u along the ray
     d_p, the full-ray fast-level transform of the sector kernel."""
     fr = scn.frame
@@ -387,26 +390,6 @@ class DiffTable:
     p: int
     level: int
     rows: list
-
-
-def _cascade_table(scn: ModelScenario, p: int, js: Sequence[int],
-                   Ts: list, norms: list) -> DiffTable:
-    return DiffTable(p=p, level=scn.levels()[p],
-                     rows=[DiffRow(j=j, absT=abs(T), norm=norm)
-                           for j, T, norm in zip(js, Ts, norms)])
-
-
-def difference_cascade(scn: ModelScenario, p: int, js: Sequence[int],
-                       route: str = "decomposed", tol: float = DIFF_TOL
-                       ) -> DiffTable:
-    """||U_{p+1} - U_p|| along |T| = 2^-j on the overlap mid-direction,
-    from one consecutive_difference call on all the probe points."""
-    _check_overlap(scn, p)
-    Ts = [scn.probe_T(p, j) for j in js]
-    diffs = consecutive_difference(scn, p, np.array(Ts), route, tol)
-    norms = ([abs(d.total) for d in diffs] if route == "decomposed"
-             else [abs(complex(d)) for d in diffs])
-    return _cascade_table(scn, p, js, Ts, norms)
 
 
 @dataclass
@@ -456,21 +439,32 @@ class DichotomyReport:
                             for p, lv, tg, ft, re in self.entries]}
 
 
-def _rate_against_target(scn: ModelScenario, table: DiffTable
-                        ) -> tuple[RateFit, float, float]:
-    """The cascade's rate fit, the target rate (k2 on a fast overlap, k1
-    on a slow one) and the fit's relative error."""
+def _overlap_report(scn: ModelScenario, p: int, js: Sequence[int],
+                    extra_Ts: list, route: str, tol: float) -> tuple:
+    """Overlap p's cascade along |T| = 2^-j on the mid-direction, its
+    rate fit, the target rate (k2 on a fast overlap, k1 on a slow one),
+    the fit's relative error, and the norms at the points extra_Ts, from
+    one consecutive_difference call on the probes followed by extra_Ts."""
+    _check_overlap(scn, p)
+    probes = [scn.probe_T(p, j) for j in js]
+    diff = consecutive_difference(scn, p, np.array(probes + extra_Ts), route,
+                                  tol)
+    # abs of each Python complex: np.abs can round the last bit otherwise
+    norms = list(map(abs, diff.total.tolist()))
+    table = DiffTable(p=p, level=diff.level,
+                      rows=[DiffRow(j=j, absT=abs(T), norm=norm)
+                            for j, T, norm in zip(js, probes, norms)])
     fit = fit_rate(table, scn.frame.q)
-    target = scn.frame.k2 if table.level == 2 else scn.frame.k1
-    return fit, float(target), float(abs(fit.rate - target) / target)
+    target = float(scn.frame.k2 if diff.level == 2 else scn.frame.k1)
+    return (table, fit, target, abs(fit.rate - target) / target,
+            norms[len(probes):])
 
 
 def overlap_rate(scn: ModelScenario, p: int, js: Sequence[int], route: str,
                  tol: float) -> tuple[DiffTable, RateFit, float, float]:
     """Overlap p's cascade, its rate fit, the target rate (k2 on a fast
     overlap, k1 on a slow one) and the fit's relative error."""
-    table = difference_cascade(scn, p, js, route, tol)
-    return (table, *_rate_against_target(scn, table))
+    return _overlap_report(scn, p, js, [], route, tol)[:4]
 
 
 def _dichotomy(scn: ModelScenario, js: Sequence[int], tol: float,
@@ -481,16 +475,12 @@ def _dichotomy(scn: ModelScenario, js: Sequence[int], tol: float,
     RemainderTable tables[p]."""
     entries, tables = [], {}
     for p in range(scn.n):
-        probes = [scn.probe_T(p, j) for j in js]
         rows, Ts = extra.get(p, ([], []))
-        diffs = consecutive_difference(scn, p, np.array(probes + Ts),
-                                       "decomposed", tol)
-        norms = [abs(d.total) for d in diffs]
-        table = _cascade_table(scn, p, js, probes, norms[:len(probes)])
-        fit, target, rel = _rate_against_target(scn, table)
+        table, fit, target, rel, norms = _overlap_report(scn, p, js, Ts,
+                                                         "decomposed", tol)
         entries.append((p, table.level, target, fit.rate, rel))
         if p in extra:
-            tables[p] = _remainder_table(rows, norms[len(probes):])
+            tables[p] = _remainder_table(rows, norms)
     return DichotomyReport(entries=entries, tolerance=rel_tol), tables
 
 
@@ -537,8 +527,8 @@ def difference_remainder_table(scn: ModelScenario, p: int, level_k: float,
     (N, eps)-ladder bound.
     """
     rows, Ts = _remainder_points(scn, p, level_k, N_range, t_frac)
-    diffs = consecutive_difference(scn, p, np.array(Ts), "decomposed")
-    return _remainder_table(rows, [abs(d.total) for d in diffs])
+    diff = consecutive_difference(scn, p, np.array(Ts), "decomposed")
+    return _remainder_table(rows, list(map(abs, diff.total.tolist())))
 
 
 @dataclass

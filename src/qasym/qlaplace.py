@@ -111,6 +111,8 @@ class QLaplaceSpec:
     def __post_init__(self) -> None:
         if not (self.q > 1 and self.k > 0):
             raise ValueError("need q > 1 and k > 0")
+        if not math.isfinite(self.tol):
+            raise ValueError(f"tol={self.tol} is not finite")
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
 

@@ -201,7 +201,8 @@ def test_05_difference_routes_agree_within_composed_tolerance():
             decomposed = consecutive_difference(scn, p, T, route="decomposed",
                                                 tol=tol)
             dec = decomposed.total
-            direct = consecutive_difference(scn, p, T, route="direct", tol=tol)
+            direct = consecutive_difference(scn, p, T, route="direct",
+                                            tol=tol).total
             # composed tolerance: every quadrature in either route carries
             # an epsabs+epsrel budget of `tol`; the direct route subtracts
             # two full-ray transforms, the decomposed route sums its pieces

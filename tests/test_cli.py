@@ -446,6 +446,14 @@ class TestBadArguments:
                      id="qlaplace-image-just-past-double-range"),
         pytest.param(("residual", "--power", "-1"), "power a must be >= 0",
                      id="residual-power-negative"),
+        pytest.param(("diff", "--overlap", "0", "--j-max", "5", "--tol", "inf"),
+                     "tol=inf is not finite", id="diff-tol-inf"),
+        pytest.param(("qlaplace", "--T", "0.3", "--tol", "inf"),
+                     "tol=inf is not finite", id="qlaplace-tol-inf"),
+        pytest.param(("fourier", "--z", "0.2", "--tol", "inf"),
+                     "tol=inf is not finite", id="fourier-tol-inf"),
+        pytest.param(("residual", "--tol", "inf"), "tol=inf is not finite",
+                     id="residual-tol-inf"),
     ])
     def test_is_two_without_traceback(self, capsys, tmp_path, argv, named):
         csv = tmp_path / "rows.csv"

@@ -469,11 +469,6 @@ class TestGeometryHelpers:
         inner = [Sector(cov.sector(p).bisector, math.radians(openings[p]),
                         radius=0.2) for p in range(4)]
         assert classify_levels(cov, inner) == (2, 1, 1, 1)
-        # radially disjoint rings never intersect, whatever the angles
-        rings = [Sector(cov.sector(p).bisector, math.radians(80.0),
-                        radius=0.1 * (p + 1), inner_radius=0.1 * p + 0.01)
-                 for p in range(4)]
-        assert classify_levels(cov, rings) == (1, 1, 1, 1)
         with pytest.raises(ValueError):
             classify_levels(cov, inner[:3])
 

@@ -359,8 +359,9 @@ class TestInverseFourier:
         with pytest.raises(ValueError, match="strip"):
             inverse_fourier(f, 0.3 + 0.9j, prof)
 
-    @pytest.mark.parametrize("C, tol", [(1.0, math.nan), (math.inf, 1e-12)],
-                             ids=["tol-nan", "C-inf"])
+    @pytest.mark.parametrize("C, tol", [(1.0, math.nan), (1.0, math.inf),
+                                        (math.inf, 1e-12)],
+                             ids=["tol-nan", "tol-inf", "C-inf"])
     def test_non_finite_cutoff_raises(self, C, tol):
         prof = DecayProfile(C=C, mu=3.0, beta=1.0)
         with pytest.raises(ValueError, match="is not finite"):

@@ -96,16 +96,28 @@ class TestCovering:
 
 
     def test_sector_contains_matches_brute_on_arrays(self, rng):
-        s = Sector(bisector=2.8, half_opening=0.9, radius=0.4, inner_radius=0.05)
+        s = Sector(bisector=2.8, half_opening=0.9, radius=0.4)
         z = rng.uniform(0.0, 0.5, 400) * np.exp(1j * rng.uniform(-4.0, 4.0, 400))
         got = s.contains(z.reshape(20, 20))
         assert got.shape == (20, 20) and got.dtype == bool
-        brute = [0.05 < abs(e) < 0.4 and abs((cmath.phase(e) - 2.8 + math.pi)
-                                             % TWO_PI - math.pi) < 0.9
+        brute = [0 < abs(e) < 0.4 and abs((cmath.phase(e) - 2.8 + math.pi)
+                                          % TWO_PI - math.pi) < 0.9
                  for e in z]
         assert got.ravel().tolist() == brute
         assert [s.contains(e) for e in z] == brute
         assert s.contains(complex(z[0])) is brute[0]
+
+    def test_sector_has_no_inner_radius(self):
+        """Sectors have their vertex at the origin: an inner radius is
+        neither a field nor a key of the codec."""
+        with pytest.raises(TypeError):
+            Sector(bisector=0.0, half_opening=0.5, radius=0.4, inner_radius=0.1)
+        with pytest.raises(ValueError, match="inner_radius"):
+            Sector.from_dict({"bisector": 0.0, "opening": 1.0, "radius": 0.4,
+                              "inner_radius": 0.1})
+        with pytest.raises(ValueError, match="radius must be > 0"):
+            Sector(bisector=0.0, half_opening=0.5, radius=0.0)
+        assert not Sector(bisector=0.0, half_opening=0.5).contains(0.0)
 
 
 class TestQSpiral:

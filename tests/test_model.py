@@ -8,8 +8,8 @@ import pytest
 from qasym import model
 from qasym.model import (DiffRow, DiffTable, ModelScenario, PoleSpec,
                          consecutive_difference, default_scenario,
-                         difference_cascade, difference_remainder_table,
-                         fit_rate, kernel_jump_shape, kernel_shape,
+                         difference_remainder_table, fit_rate,
+                         kernel_jump_shape, kernel_shape, overlap_rate,
                          residue_closed_form, verify_rate_dichotomy,
                          verify_two_level_theorem)
 from qasym.schemas import validate_payload
@@ -102,7 +102,7 @@ class TestDifferences:
             dec = consecutive_difference(scn, p, scn.probe_T(p, 3),
                                          "decomposed", tol=1e-11).total
             direct = consecutive_difference(scn, p, scn.probe_T(p, 3),
-                                            "direct", tol=1e-11)
+                                            "direct", tol=1e-11).total
             assert abs(dec - direct) < 1e-9 * abs(dec)
 
     def test_fast_difference_matches_residue_closed_form(self, scn):
@@ -124,27 +124,50 @@ class TestDifferences:
     def test_array_of_T_matches_scalar_calls(self, scn, p):
         Ts = np.array([scn.probe_T(p, j) for j in range(3, 9)])
         batch = consecutive_difference(scn, p, Ts, "decomposed", tol=1e-11)
-        assert len(batch) == len(Ts)
-        for T, d in zip(Ts, batch):
+        assert batch.total.shape == Ts.shape
+        for T, total in zip(Ts, batch.total):
             one = consecutive_difference(scn, p, T, "decomposed", tol=1e-11)
-            assert d.T == T and d.level == one.level
-            assert set(d.pieces) == set(one.pieces)
-            assert abs(d.total - one.total) <= 1e-10 * abs(one.total)
-            if d.level == 2:
+            assert batch.level == one.level
+            assert set(batch.pieces) == set(one.pieces)
+            assert abs(total - one.total) <= 1e-10 * abs(one.total)
+            if one.level == 2:
                 oracle = residue_closed_form(scn, p, T)
-                assert abs(d.total - oracle) < 1e-9 * abs(oracle)
+                assert abs(total - oracle) < 1e-9 * abs(oracle)
 
-    @pytest.mark.parametrize("p", [0, 2], ids=["fast", "slow"])
-    def test_one_T_is_a_batch_of_one(self, scn, p):
+    @pytest.mark.parametrize("p, route", [(0, "decomposed"), (2, "decomposed"),
+                                          (2, "direct")],
+                             ids=["fast", "slow", "slow-direct"])
+    def test_one_T_is_a_batch_of_one(self, scn, p, route):
         """A scalar T gives, bit for bit, element 0 of the call on [T]."""
         T = scn.probe_T(p, 6)
-        one = consecutive_difference(scn, p, T, "decomposed", tol=1e-11)
-        [batch] = consecutive_difference(scn, p, np.array([T]), "decomposed",
-                                         tol=1e-11)
+        one = consecutive_difference(scn, p, T, route, tol=1e-11)
+        batch = consecutive_difference(scn, p, np.array([T]), route,
+                                       tol=1e-11)
         assert isinstance(one, model.DiffPieces)
-        assert (one.T, one.level) == (batch.T, batch.level)
-        assert one.pieces == batch.pieces
+        assert one.level == batch.level
+        assert one.pieces == {name: v[0] for name, v in batch.pieces.items()}
         assert all(type(v) is complex for v in one.pieces.values())
+        assert one.total == batch.total[0]
+
+    @pytest.mark.parametrize("p", [0, 2], ids=["fast", "slow"])
+    def test_direct_route_returns_its_two_rays(self, scn, p):
+        """The direct route's pieces are U_{p+1} and -U_p, for one T and
+        for an array, so its total is their difference bit for bit."""
+        tol = 1e-11
+        Ts = np.array([scn.probe_T(p, j) for j in (3, 4, 5)])
+        for T in (Ts[0], Ts):
+            d = consecutive_difference(scn, p, T, "direct", tol=tol)
+            assert isinstance(d, model.DiffPieces)
+            assert set(d.pieces) == {"ray_plus", "ray_minus"}
+            assert d.level == scn.levels()[p]
+            want = (model.laplace_transform_shape(scn, p + 1, T, tol)
+                    - model.laplace_transform_shape(scn, p, T, tol))
+            assert np.all(d.total == want)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf])
+    def test_non_finite_tol_is_refused(self, scn, tol):
+        with pytest.raises(ValueError, match="tol=.* is not finite"):
+            consecutive_difference(scn, 0, scn.probe_T(0, 3), "decomposed", tol)
 
     @pytest.mark.parametrize("js", [range(3, 9), range(3, 13)])
     def test_cascade_makes_one_contour_call_per_piece(self, scn, monkeypatch,
@@ -159,7 +182,7 @@ class TestDifferences:
         monkeypatch.setattr(model, "log_contour_transform", counted)
         for p, n_pieces in ((0, 3), (2, 5)):   # one fast, one slow overlap
             calls.clear()
-            table = difference_cascade(scn, p, js)
+            table = overlap_rate(scn, p, js, "decomposed", model.DIFF_TOL)[0]
             assert len(table.rows) == len(js)
             assert calls == [len(js)] * n_pieces
 
@@ -169,11 +192,11 @@ class TestDifferences:
         tol = 1e-11
         Ts = np.array([scn.probe_T(0, j) for j in range(3, 7)])
         batch = consecutive_difference(scn, 0, Ts, "direct", tol=tol)
-        for T, d in zip(Ts, batch):
+        for T, total in zip(Ts, batch.total):
             one = consecutive_difference(scn, 0, T, "direct", tol=tol)
             size = sum(abs(model.laplace_transform_shape(scn, p, T, tol))
                        for p in (0, 1))
-            assert abs(d - one) <= tol * size
+            assert abs(total - one.total) <= tol * size
 
     def test_route_validation(self, scn):
         with pytest.raises(ValueError):

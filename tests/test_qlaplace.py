@@ -73,6 +73,13 @@ class TestMonomialImages:
             image_constant_oracle(q, k, n) * T ** n, rel=1e-8)
 
 
+class TestSpec:
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_tol_is_refused(self, tol):
+        with pytest.raises(ValueError, match="tol=.* is not finite"):
+            QLaplaceSpec(q=2.0, k=1.0, direction=0.0, tol=tol)
+
+
 class TestCertificates:
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
@@ -258,10 +265,10 @@ class TestBatchedRule:
         p = scn.levels().index(1)
         lo, hi = scn.wedge(p)
         T = scn.probe_T(p, j)
-        model.laplace_transform_shape(scn, p, T)
-        model.outer_ray_piece(scn, p + 1, hi, T)
-        model.arc_piece(scn, p, lo, scn.mid_direction(p), T)
-        model.mid_segment_piece(scn, p, T)
+        model.laplace_transform_shape(scn, p, T, 1e-12)
+        model.outer_ray_piece(scn, p + 1, hi, T, 1e-11)
+        model.arc_piece(scn, p, lo, scn.mid_direction(p), T, 1e-11)
+        model.mid_segment_piece(scn, p, T, 1e-11)
         assert [c[0][5] for c in calls] == [1, 1, 1j, 1]  # ray, ray, arc, segment
         for args, value in calls:
             ref = scipy_contour(*args)
@@ -365,9 +372,9 @@ class TestBatchedRule:
         p = scn.levels().index(1)
         lo, hi = scn.wedge(p)
         Ts = np.array([scn.probe_T(p, j + i) for i in range(3)])
-        model.outer_ray_piece(scn, p + 1, hi, Ts)
-        model.arc_piece(scn, p, lo, scn.mid_direction(p), Ts)
-        model.mid_segment_piece(scn, p, Ts)
+        model.outer_ray_piece(scn, p + 1, hi, Ts, 1e-11)
+        model.arc_piece(scn, p, lo, scn.mid_direction(p), Ts, 1e-11)
+        model.mid_segment_piece(scn, p, Ts, 1e-11)
         assert [c[0][5] for c in calls] == [1, 1j, 1]  # ray, arc, segment
         for (f, q, k, T, w0, dw, a, b), values in calls:
             assert values.shape == (3,)
