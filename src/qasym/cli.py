@@ -95,6 +95,10 @@ def _cmd_theta(args) -> dict:
     z = _parse_complex(args.z)
     if z == 0:
         raise InputError("theta is evaluated away from the origin; need z != 0")
+    if not math.isfinite(args.tol):
+        raise InputError(f"tol={args.tol} is not finite")
+    if not args.tol > 0:
+        raise InputError(f"tol must be > 0, got {args.tol}")
     q, k, m = args.q, args.k, args.m
     spec = calibrate_theta_constant(ThetaSpec(q, k), args.dlt)
     mant, logs = theta_eval_scaled(spec, z)

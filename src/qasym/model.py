@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -122,9 +123,14 @@ class ModelScenario(Record):
                             half_opening=self.u_half_widths[p])
                      for p in range(self.n))
 
-    def levels(self) -> tuple:
-        """2 (fast) where neighbouring kernel sectors intersect, else 1."""
+    @cached_property
+    def _levels(self) -> tuple:
         return classify_levels(self.covering, self.u_sectors())
+
+    def levels(self) -> tuple:
+        """2 (fast) where neighbouring kernel sectors intersect, else 1;
+        classified once per scenario, not at every difference."""
+        return self._levels
 
     def wedge(self, p: int) -> tuple:
         """Forward wedge (d_p, d_{p+1}) of overlap p, unwrapped."""

@@ -111,6 +111,9 @@ class QLaplaceSpec:
     def __post_init__(self) -> None:
         if not (self.q > 1 and self.k > 0):
             raise ValueError("need q > 1 and k > 0")
+        for name, v in (("q", self.q), ("k", self.k)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name}={v} is not finite")
         if not math.isfinite(self.tol):
             raise ValueError(f"tol={self.tol} is not finite")
         if not self.tol > 0:

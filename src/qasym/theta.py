@@ -29,16 +29,28 @@ e^{-40} times the p = 0 term, whatever |z| is, and
     Theta_k(z) = Q^{m(m+1)/2} w^m S(w).
 
 theta_eval_scaled folds that exact factor, phase included, into a
-shifted-exponent result that never overflows.  The calibration of C and
-the lower bound read only the modulus, so they form
+shifted-exponent result that never overflows.  A 0-d z is summed in
+Python complex numbers, calling numpy only where its bits differ from
+Python's, so a scalar gives the bits it always gave.  The calibration of
+C and the lower bound read only the modulus, so they form
 log|Theta| = log|S| + m(m+1)/2 log Q + m log|w| without the phase.
 The spiral clearance is a minimum over the few scales q^{m/k} that can
 bring |z q^{m/k}| near 1; the admissibility test needs only those near
 [1 - dlt, 1 + dlt].
+
+By the Jacobi triple product every factor of |Theta(r e^{ia})| is
+|1 + c e^{+-ia}| with c > 0, and each term |1 + rho_m e^{ia}| of the
+clearance has that form too, so on a circle |z| = r both fall as a goes
+from 0 to pi.  The calibration uses this: on each grid radius it sums
+Theta only at the last admissible grid angle, found among the four grid
+columns around the closed-form crossing of dlt, and at the closed-form
+crossing of 1.02 dlt.  A radius whose four columns do not bracket its
+boundary tests its whole row, so Cqk is the full grid's minimum.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -65,6 +77,9 @@ class ThetaSpec(Record):
             raise ValueError(f"q must be > 1, got {self.q}")
         if not self.k > 0.0:
             raise ValueError(f"k must be > 0, got {self.k}")
+        for name, v in (("q", self.q), ("k", self.k)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name}={v} is not finite")
 
     @property
     def P(self) -> int:
@@ -101,10 +116,13 @@ def _annulus_sum(spec: ThetaSpec, z):
     S = 1 + sum_{p=1..P} (c_p w^p + c_{-p} w^{-p}).
 
     The two halves of S run by Horner's rule, in w and in 1/w, in one
-    loop over p and in place, so memory stays O(size of z).  0-d z gives
-    numpy scalars."""
+    loop over p and in place, so memory stays O(size of z).  0-d z runs
+    on Python numbers (S and w complex, m and x float): Python's complex
+    add and multiply give the bits of numpy's scalars.  numpy stays for
+    abs, log, rint and the reciprocal, whose bits differ from Python's,
+    and for the half power shared with arrays."""
     z = np.asarray(z, dtype=complex)
-    if not z.all():
+    if not (z.all() if z.ndim else complex(z) != 0):
         raise ValueError("theta has an essential singularity at z = 0")
     lQ = math.log(spec.q) / spec.k
     m = np.rint(np.log(np.abs(z)) / lQ)
@@ -114,11 +132,12 @@ def _annulus_sum(spec: ThetaSpec, z):
     half = spec.q ** (m * (-0.5 / spec.k))
     if z.ndim:
         w = z * half * half
-    else:   # near 1e308 numpy's 0-d complex-by-real multiply flags a false
-        # overflow; the same product on one element does not
-        w = (z.reshape(1) * half * half)[0]
-    x = np.log(np.abs(w))
-    u = 1.0 / w
+        x = np.log(np.abs(w))
+        u = 1.0 / w
+    else:
+        w = complex(z) * half * half
+        m, x = float(m), float(np.log(np.abs(w)))
+        u = complex(1.0 / np.complex128(w))
     pos, neg = _coefficients(spec.q, spec.k)
     hp = pos[-1] * w
     hn = neg[-1] * u
@@ -133,7 +152,8 @@ def _annulus_sum(spec: ThetaSpec, z):
 def theta_eval_scaled(spec: ThetaSpec, z) -> tuple[np.ndarray, np.ndarray]:
     """Theta as (mantissa, log_scale): theta = mantissa * exp(log_scale),
     exp(log_scale) being the modulus of the full series' largest term.
-    Vectorized over nonzero z of any array shape.
+    Vectorized over nonzero z of any array shape; 0-d z gives a Python
+    complex and float.
 
     With x = log|w| in [-log Q / 2, log Q / 2], term p of the series at w
     has exponent -p(p-1) log Q / 2 + p x, at most that of term 1 for
@@ -142,12 +162,24 @@ def theta_eval_scaled(spec: ThetaSpec, z) -> tuple[np.ndarray, np.ndarray]:
     """
     S, w, m, x = _annulus_sum(spec, z)
     lQ = math.log(spec.q) / spec.k
-    top = np.maximum(x, 0.0)
     # fold in Q^{m(m+1)/2} w^m: term p + m at z is that factor times term p
-    # at w.  In place, so S stays the left operand: numpy's complex product
+    # at w.  The phase is exp(i m arg w): cmath.exp for 0-d z, and for an
+    # array cos y + i sin y, y = m arg w, the bits of numpy's complex exp
+    # at real part 0 without its complex temporaries
+    arg = np.arctan2(w.imag, w.real)
+    if isinstance(S, complex):
+        top = max(x, 0.0)
+        S = S * cmath.exp(1j * m * arg) * np.exp(-top)
+        return S, top + m * (m + 1) * (lQ / 2.0) + m * x
+    top = np.maximum(x, 0.0)
+    y = m * arg
+    phase = np.empty(S.shape, complex)
+    phase.real = np.cos(y)
+    phase.imag = np.sin(y)
+    # in place, so S stays the left operand: numpy's complex product
     # rounds differently with its operands swapped, and on large arrays
     # its temporary elision would swap them for a named S
-    S *= np.exp(1j * m * np.angle(w))
+    S *= phase
     S *= np.exp(-top)
     return S, top + m * (m + 1) * (lQ / 2.0) + m * x
 
@@ -251,10 +283,12 @@ def _spiral_min(q: float, k: float, z, lo: float, hi: float):
     e = np.maximum(0.0, np.ceil((lm - 700.0) / math.log(2.0)))
     scales = np.exp(lm - e * math.log(2.0))
     if not z.ndim:
-        # e rises with m, so e[-1] = 0 means that no scale is shifted; the
-        # point's own window keeps every product near 1, so none overflows
+        # e rises with m, so e[-1] = 0 means that no scale is shifted.  The
+        # padding scale past the point's window overflows the product where
+        # q^{1/k} is past about 1e150; it is inf, and the minimum skips it
         zs = z * 2.0 ** e if e[-1] else z
-        return min(float(np.min(np.abs(1.0 + zs * scales))), 0.875)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return min(float(np.min(np.abs(1.0 + zs * scales))), 0.875)
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.full(z.shape, 0.875)
         for shift, scale in zip(e, scales):
@@ -287,9 +321,13 @@ def spiral_admissible(q: float, k: float, z, dlt: float):
     window are tested (padded by one on each side), through the same
     code as spiral_clearance: the result equals
     spiral_clearance(q, k, z) > dlt exactly."""
+    _check_dlt(dlt)
+    return _spiral_min(q, k, z, 1.0 - dlt, 1.0 + dlt) > dlt
+
+
+def _check_dlt(dlt: float) -> None:
     if not 0 < dlt < 0.875:
         raise ValueError(f"dlt must lie in (0, 0.875), got {dlt}")
-    return _spiral_min(q, k, z, 1.0 - dlt, 1.0 + dlt) > dlt
 
 
 def log_lower_envelope(q: float, k: float, z) -> np.ndarray:
@@ -326,8 +364,10 @@ def _crossing_angles(q: float, k: float, radii: np.ndarray,
     lQ = math.log(q) / k
     m_lo = math.floor(math.log((1.0 - t) / radii.max()) / lQ)
     m_hi = math.ceil(math.log((1.0 + t) / radii.min()) / lQ)
-    rho = np.multiply.outer(radii, np.exp(np.arange(m_lo, m_hi + 1) * lQ))
-    c = (t * t - 1.0 - rho * rho) / (2.0 * rho)
+    # past double range rho overflows and c is -inf or nan: no crossing
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = np.multiply.outer(radii, np.exp(np.arange(m_lo, m_hi + 1) * lQ))
+        c = (t * t - 1.0 - rho * rho) / (2.0 * rho)
     return np.where(c >= -1.0, np.arccos(np.clip(c, -1.0, 1.0)), np.inf).min(axis=1)
 
 
@@ -339,10 +379,10 @@ def calibrate_theta_constant(spec: ThetaSpec, dlt: float = 0.3) -> ThetaSpec:
     coefficients, so |Theta(conj z)| = |Theta(z)|; the clearance is even
     in arg z and the envelope depends on |z| only, so the upper half
     plane suffices too.  The minimum is approached as the clearance
-    decreases to dlt; besides a polar grid (48 radii x 361 angles over
-    [0, pi], about 17k samples) we add, for each radius, the angle where
-    the clearance crosses 1.02 dlt, in closed form (_crossing_angles;
-    admissible by construction), then set
+    decreases to dlt.  The samples are a polar grid (48 radii x 361
+    angles over [0, pi]) and, for each radius, the angle where the
+    clearance crosses 1.02 dlt, in closed form (_crossing_angles;
+    admissible by construction); then
 
         Cqk = 0.9 * min ratio over all admissible samples,
 
@@ -352,25 +392,61 @@ def calibrate_theta_constant(spec: ThetaSpec, dlt: float = 0.3) -> ThetaSpec:
     absorb the gap between the samples and the true infimum over the
     admissible set, and nothing checks that it does.
 
+    Theta is summed on at most 2 points per radius.  By the triple
+    product every factor of Theta(r e^{ia}) is |1 + c e^{+-ia}| with
+    c > 0, and so is every term |1 + rho_m e^{ia}| of the clearance: on
+    a radius both fall as a goes from 0 to pi.  So the admissible grid
+    angles are a prefix of the row, and the smallest ratio (and the
+    smallest scaled |Theta|) of the row sits at its last admissible
+    angle.  That angle is found near the closed-form crossing of dlt:
+    with cut the last grid column at or below it, only the columns
+    cut-2 .. cut+1 (clipped to [0, 360]) are tested.  A radius whose
+    candidates do not bracket its boundary (the first inadmissible, or
+    the last admissible and not column 360) tests its whole row.  Each
+    sample is the product radius * phase of the full grid, so Cqk is
+    the full grid's minimum bit for bit.
+
     Raises ValueError where the pitch log q / k is so small (about 0.1
     and below) that |Theta| on one period falls below double resolution:
     a sampled scaled value under 1e-10 is round-off of terms near 1, not
-    a value of Theta.
+    a value of Theta.  Raises ValueError too where the pitch is past the
+    log of the largest double, so that one radial period leaves double
+    range.
     """
     q, k = spec.q, spec.k
-    radii = np.exp(np.linspace(0.0, math.log(q) / k, 48, endpoint=False))
-    zs = np.multiply.outer(radii, np.exp(1j * np.linspace(0.0, math.pi, 361))).ravel()
-    zs = zs[spiral_admissible(q, k, zs, dlt)]
+    _check_dlt(dlt)
+    pitch = math.log(q) / k
+    if not pitch <= math.log(sys.float_info.max):
+        raise ValueError(
+            f"cannot calibrate Cqk at q={q}, k={k}, dlt={dlt}: at pitch "
+            f"log q / k = {pitch:.3g}, one radial period leaves double range "
+            f"(pitch > {math.log(sys.float_info.max):.6g}, the log of the "
+            f"largest double)")
+    radii = np.exp(np.linspace(0.0, pitch, 48, endpoint=False))
+    n = 360                                     # last grid column, angle pi
+    phases = np.exp(1j * np.linspace(0.0, math.pi, n + 1))
+    cut = np.floor(np.minimum(_crossing_angles(q, k, radii, dlt), math.pi)
+                   * (n / math.pi)).astype(int)
+    cols = np.clip(cut[:, None] + np.arange(-2, 2), 0, n)
+    ok = spiral_admissible(q, k, radii[:, None] * phases[cols], dlt)
+    # column 0 (z = r > 0, clearance >= 1) is always admissible, so a first
+    # candidate that is not admissible is past the boundary
+    last = np.where(ok, cols, -1).max(axis=1)
+    full = ~ok[:, 0] | (ok[:, -1] & (cols[:, -1] < n))
+    if full.any():
+        row_ok = spiral_admissible(q, k, np.multiply.outer(radii[full], phases), dlt)
+        last[full] = np.where(row_ok, np.arange(n + 1), -1).max(axis=1)
     a = _crossing_angles(q, k, radii, 1.02 * dlt)
     crossed = np.isfinite(a)
-    zs = np.concatenate([zs, radii[crossed] * np.exp(1j * a[crossed])])
+    zs = np.concatenate([radii * phases[last],
+                         radii[crossed] * np.exp(1j * a[crossed])])
 
     log_abs, log_mant = _log_abs_theta(spec, zs)
     smallest = math.exp(float(log_mant.min()))
     if not smallest >= 1e-10:
         raise ValueError(
             f"cannot calibrate Cqk at q={q}, k={k}, dlt={dlt}: at pitch "
-            f"log q / k = {math.log(q) / k:.3g}, |Theta| on the admissible set "
+            f"log q / k = {pitch:.3g}, |Theta| on the admissible set "
             f"is below double resolution (smallest scaled value "
             f"{smallest:.3g} < 1e-10)")
     log_ratio = np.min(log_abs - log_lower_envelope(q, k, zs))

@@ -101,6 +101,14 @@ class TestTheta:
                                     "--m", "-1")
         assert code == 0 and payload["ok"] is True
 
+    def test_huge_q_warns_nothing(self, capsys):
+        """At q = 1e300 the scales one step past a window overflow; the
+        clearance and the crossing angles drop them without a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, payload = run_cli(capsys, "theta", "--q", "1e300", "--z", "0.3")
+        assert code == 0 and payload["ok"] is True
+
     def test_non_finite_result_is_one(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_cmd_theta",
                             lambda args: {"value": float("nan"), "ok": True})
@@ -454,6 +462,18 @@ class TestBadArguments:
                      "tol=inf is not finite", id="fourier-tol-inf"),
         pytest.param(("residual", "--tol", "inf"), "tol=inf is not finite",
                      id="residual-tol-inf"),
+        pytest.param(("theta", "--k", "inf", "--z", "0.3"), "k=inf is not finite",
+                     id="theta-k-inf"),
+        pytest.param(("theta", "--k", "1e-300", "--z", "0.3"),
+                     "one radial period leaves double range", id="theta-pitch-past-range"),
+        pytest.param(("theta", "--q", "inf", "--z", "0.3"), "q=inf is not finite",
+                     id="theta-q-inf"),
+        pytest.param(("theta", "--z", "0.3", "--tol", "nan"), "tol=nan is not finite",
+                     id="theta-tol-nan"),
+        pytest.param(("theta", "--z", "0.3", "--tol", "-1"), "tol must be > 0, got -1.0",
+                     id="theta-tol-negative"),
+        pytest.param(("qlaplace", "--k", "inf", "--T", "0.3"), "k=inf is not finite",
+                     id="qlaplace-k-inf"),
     ])
     def test_is_two_without_traceback(self, capsys, tmp_path, argv, named):
         csv = tmp_path / "rows.csv"
@@ -512,6 +532,8 @@ class TestGoldenOutput:
         pytest.param(("hypotheses",), "hypotheses.json", id="hypotheses"),
         pytest.param(("geometry", "--family"), "geometry_family.json",
                      id="geometry-family"),
+        pytest.param(("theta", "--q", "2", "--k", "1", "--z", "0.3+0.4j"), "theta.json",
+                     id="theta"),
     ])
     def test_stdout_matches_golden_file(self, capsys, argv, golden):
         assert main(list(argv)) == 0

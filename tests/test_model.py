@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,12 @@ def theorem_report(scn):
 
 class TestScenario:
     def test_levels_follow_kernel_sector_geometry(self, scn):
+        assert scn.levels() == (2, 2, 1, 1)
+
+    def test_levels_are_classified_once_per_scenario(self, scn):
+        assert scn.levels() is scn.levels()
+        wide = replace(scn, u_half_widths=(math.radians(50.0),) * 4)
+        assert wide.levels() == (2, 2, 2, 2)
         assert scn.levels() == (2, 2, 1, 1)
 
     def test_wedges_and_poles(self, scn):

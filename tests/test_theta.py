@@ -10,9 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import spiral_clear_brute, theta_brute
+from qasym import theta
 from qasym.theta import (ThetaSpec, _crossing_angles, _log_abs_theta,
                          calibrate_theta_constant, inv_theta_at,
-                         spec_for_annulus, spiral_admissible, spiral_clearance,
+                         log_lower_envelope, spec_for_annulus,
+                         spiral_admissible, spiral_clearance,
                          theta_eval_scaled, theta_lower_bound,
                          theta_qdiff_residual, truncation_order)
 
@@ -113,6 +115,20 @@ class TestEvaluation:
                                  longhand(complex(z))):
                 assert np.array_equal(got, want)
                 assert np.ndim(got) == 0
+
+    @pytest.mark.parametrize("q,k", IN_USE)
+    def test_scalar_types_give_the_same_bits(self, q, k, rng):
+        """A Python complex, an np.complex128 and a 0-d array take the
+        same 0-d path, with the same bits."""
+        spec = ThetaSpec(q, k)
+        zs = np.exp(rng.uniform(-700.0, 700.0, 200)
+                    + 1j * rng.uniform(-math.pi, math.pi, 200))
+        for z in zs:
+            want = theta_eval_scaled(spec, complex(z))
+            for form in (np.complex128(z), np.asarray(z)):
+                got = theta_eval_scaled(spec, form)
+                for g, w in zip(got, want):
+                    assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
     @pytest.mark.parametrize("q,k", IN_USE)
     def test_log_modulus_without_the_phase(self, q, k, rng):
@@ -351,7 +367,100 @@ def _radii(q, k):
     return np.exp(np.linspace(0.0, math.log(q) / k, 48, endpoint=False))
 
 
+GRID_DLTS = [0.05, 0.1, 0.3, 0.7, 0.86]
+
+
+def _random_pairs(n):
+    rng = np.random.default_rng(24)
+    return [(float(rng.uniform(1.3, 10.0)), float(rng.uniform(0.3, 4.0)))
+            for _ in range(n)]
+
+
+def full_grid_cqk(q, k, dlt):
+    """Cqk from every admissible point of the 48 x 361 grid plus the
+    crossings of 1.02 dlt, or None where the smallest scaled |Theta| is
+    below 1e-10 (a refusal)."""
+    radii = _radii(q, k)
+    zs = np.multiply.outer(radii, np.exp(1j * np.linspace(0.0, math.pi, 361))).ravel()
+    zs = zs[spiral_admissible(q, k, zs, dlt)]
+    a = _crossing_angles(q, k, radii, 1.02 * dlt)
+    crossed = np.isfinite(a)
+    zs = np.concatenate([zs, radii[crossed] * np.exp(1j * a[crossed])])
+    log_abs, log_mant = _log_abs_theta(ThetaSpec(q, k), zs)
+    if not math.exp(float(log_mant.min())) >= 1e-10:
+        return None
+    log_ratio = np.min(log_abs - log_lower_envelope(q, k, zs))
+    return 0.9 * math.exp(float(log_ratio)) / dlt
+
+
+def _assert_matches_full_grid(q, k, dlt):
+    want = full_grid_cqk(q, k, dlt)
+    if want is None:
+        with pytest.raises(ValueError, match="below double resolution"):
+            calibrate_theta_constant(ThetaSpec(q, k), dlt)
+    else:
+        assert calibrate_theta_constant(ThetaSpec(q, k), dlt).Cqk == want
+
+
 class TestCalibration:
+    @pytest.mark.parametrize("q,k", IN_USE + _random_pairs(20))
+    @pytest.mark.parametrize("dlt", GRID_DLTS)
+    def test_equals_the_full_grid(self, q, k, dlt):
+        """Cqk from the last admissible angle per radius is the minimum
+        over the whole admissible grid, bit for bit."""
+        _assert_matches_full_grid(q, k, dlt)
+
+    @pytest.mark.parametrize("q,k", IN_USE)
+    @pytest.mark.parametrize("off", [-0.1, 0.1])
+    def test_fallback_rows_equal_the_full_grid(self, q, k, off, monkeypatch):
+        """With the boundary crossing 0.1 rad off, no radius's candidates
+        bracket its boundary: each crossing radius tests its whole row,
+        and Cqk still equals the full grid's."""
+        dlt = 0.3
+        real = theta._crossing_angles
+        monkeypatch.setattr(theta, "_crossing_angles",
+                            lambda q, k, r, t: real(q, k, r, t) + (off if t == dlt else 0.0))
+        shapes = []
+        admissible = theta.spiral_admissible
+
+        def recording(q, k, z, d):
+            shapes.append(np.shape(z))
+            return admissible(q, k, z, d)
+
+        monkeypatch.setattr(theta, "spiral_admissible", recording)
+        _assert_matches_full_grid(q, k, dlt)
+        crossing = int(np.isfinite(real(q, k, _radii(q, k), dlt)).sum())
+        assert crossing > 0
+        assert (crossing, 361) in shapes[:2]
+
+    @pytest.mark.parametrize("q,k", IN_USE)
+    def test_sums_theta_on_at_most_two_points_per_radius(self, q, k, monkeypatch):
+        sizes = []
+        log_abs = theta._log_abs_theta
+
+        def recording(spec, z):
+            sizes.append(np.size(z))
+            return log_abs(spec, z)
+
+        monkeypatch.setattr(theta, "_log_abs_theta", recording)
+        calibrate_theta_constant(ThetaSpec(q, k), 0.3)
+        assert 0 < sum(sizes) <= 2 * _radii(q, k).size
+
+    @pytest.mark.parametrize("q,k", IN_USE)
+    @pytest.mark.parametrize("dlt", GRID_DLTS)
+    def test_theta_falls_along_each_admissible_row(self, q, k, dlt):
+        """The premise of the calibration: on each radius the admissible
+        grid angles are a prefix of [0, pi], and along them log|Theta|
+        and log|mantissa| do not increase."""
+        grid = np.multiply.outer(_radii(q, k), np.exp(1j * np.linspace(0.0, math.pi, 361)))
+        ok = spiral_admissible(q, k, grid, dlt)
+        log_abs, log_mant = _log_abs_theta(ThetaSpec(q, k), grid)
+        for row_ok, row_abs, row_mant in zip(ok, log_abs, log_mant):
+            n = int(row_ok.sum())
+            assert row_ok[:n].all()
+            assert np.all(np.diff(row_abs[:n]) <= 0.0)
+            assert np.all(np.diff(row_mant[:n]) <= 0.0)
+
     @pytest.mark.parametrize("q,k", CALIBRATED)
     @pytest.mark.parametrize("dlt", [0.1, 0.3, 0.86])
     def test_crossings_sit_on_the_target_clearance(self, q, k, dlt):
