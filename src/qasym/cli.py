@@ -108,10 +108,13 @@ def _cmd_theta(args) -> dict:
         "q": q, "k": k, "z": z, "m": m,
         "value": {"mantissa": complex(mant), "log_scale": float(logs)},
         "functional_equation_residual": float(residual),
-        # the linear sides are null where they overflow a double; the
+        # the linear sides are null where they overflow a double, and
+        # log_lhs and log_margin where z is a zero of theta (-inf); the
         # bound is judged on the log sides
         "lower_bound": {**asdict(bound), "lhs": _finite_or_none(bound.lhs),
-                        "rhs": _finite_or_none(bound.rhs)},
+                        "rhs": _finite_or_none(bound.rhs),
+                        "log_lhs": _finite_or_none(bound.log_lhs),
+                        "log_margin": _finite_or_none(bound.log_margin)},
         "calibrated_constant": spec.Cqk,
         "truncation_order": spec.P,
         "ok": residual <= args.tol and (bound.ok or not bound.admissible),

@@ -63,20 +63,6 @@ class DecayProfile:
         m = np.abs(np.asarray(m, dtype=float))
         return self.C * (1.0 + m) ** (-self.mu) * np.exp(-self.beta * m)
 
-    def certify(self, f: Callable[[np.ndarray], np.ndarray],
-                m_grid: np.ndarray) -> tuple[bool, float, float]:
-        """Check |f| <= bound on a grid.
-
-        Returns (ok, worst_ratio, argmax_m); worst_ratio <= 1 means the
-        profile dominates the samples.
-        """
-        m_grid = np.asarray(m_grid, dtype=float)
-        vals = np.abs(np.asarray(f(m_grid), dtype=complex))
-        bnd = self.bound(m_grid)
-        ratios = vals / bnd
-        i = int(np.argmax(ratios))
-        return bool(ratios[i] <= 1.0 + 1e-12), float(ratios[i]), float(m_grid[i])
-
     def cutoff(self, strip_half_width: float, tol: float) -> float:
         """Cutoff M with the two tails of the strip-weighted integral below tol.
 

@@ -76,20 +76,6 @@ class GrowthCertificate:
                            log_K + 0.5 * self.k * L * L / math.log(q) + self.alpha * L)
         return out if out.ndim else float(out)
 
-    def certify(self, f: Callable[[complex], complex], d: float,
-                q: float) -> tuple[bool, float]:
-        """Check |f| against the envelope at 200 log-spaced |u| in [1e-6, 1e3].
-
-        Returns (ok, worst log-excess); worst <= 0 means certified."""
-        rs = np.exp(np.linspace(math.log(1e-6), math.log(1e3), 200))
-        worst = -math.inf
-        for r in rs:
-            v = abs(f(r * cmath.exp(1j * d)))
-            if v == 0.0:
-                continue
-            worst = max(worst, math.log(v) - self.log_bound(float(r), q))
-        return worst <= 1e-9, worst
-
 
 def domain_radius(q: float, k: float, alpha: float) -> float:
     """r1 = q^{(1/2 - alpha)/k} / 2, the certified disc radius of the

@@ -35,8 +35,8 @@ Python's, so a scalar gives the bits it always gave.  The calibration of
 C and the lower bound read only the modulus, so they form
 log|Theta| = log|S| + m(m+1)/2 log Q + m log|w| without the phase.
 The spiral clearance is a minimum over the few scales q^{m/k} that can
-bring |z q^{m/k}| near 1; the admissibility test needs only those near
-[1 - dlt, 1 + dlt].
+bring |z q^{m/k}| into [1/8, 8], in a window of scales of each point's
+own, and a point is admissible where its clearance exceeds dlt.
 
 By the Jacobi triple product every factor of |Theta(r e^{ia})| is
 |1 + c e^{+-ia}| with c > 0, and each term |1 + rho_m e^{ia}| of the
@@ -255,74 +255,55 @@ def theta_qdiff_residual(spec: ThetaSpec, z: complex, m: int) -> float:
     return abs(lhs - rhs) / denom
 
 
-def _spiral_min(q: float, k: float, z, lo: float, hi: float):
-    """min(7/8, |1 + z q^{m/k}|) over the m that bring |z q^{m/k}| into
-    [lo, hi] for some point of z, padded by one scale on each side; a
-    float for a scalar z, an array of z's shape for an array.
-
-    Each point's value depends only on the point: an array's window
-    spans all its moduli, but the m it adds for a point lie outside that
-    point's own window, and each scale q^{m/k} is formed from m alone.
-    Past e^700 a scale would overflow, so it is applied as
-    (z 2^e) (q^{m/k} 2^{-e}), with e its own and the power of two exact;
-    e is 0 for every smaller scale.  A product that overflows belongs to
-    a point far outside that m's window and is skipped (fmin drops NaN).
-    """
-    z = np.asarray(z, dtype=complex)
-    if z.ndim:
-        az = np.abs(z)
-        r_lo, r_hi = float(az.min()), float(az.max())
-    else:
-        r_lo = r_hi = abs(complex(z))
-    if r_lo == 0:
-        raise ValueError("z must be nonzero")
-    lq = math.log(q)
-    m_lo = int(math.floor(k * (math.log(lo) - math.log(r_hi)) / lq)) - 1
-    m_hi = int(math.ceil(k * (math.log(hi) - math.log(r_lo)) / lq)) + 1
-    lm = np.arange(m_lo, m_hi + 1) * lq / k
-    e = np.maximum(0.0, np.ceil((lm - 700.0) / math.log(2.0)))
-    scales = np.exp(lm - e * math.log(2.0))
-    if not z.ndim:
-        # e rises with m, so e[-1] = 0 means that no scale is shifted.  The
-        # padding scale past the point's window overflows the product where
-        # q^{1/k} is past about 1e150; it is inf, and the minimum skips it
-        zs = z * 2.0 ** e if e[-1] else z
-        with np.errstate(over="ignore", invalid="ignore"):
-            return min(float(np.min(np.abs(1.0 + zs * scales))), 0.875)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.full(z.shape, 0.875)
-        for shift, scale in zip(e, scales):
-            zs = z * 2.0 ** shift if shift else z
-            np.fmin(out, np.abs(1.0 + zs * scale), out=out)
-    return out
-
-
 def spiral_clearance(q: float, k: float, z):
     """inf over m in Z of |1 + z q^{m/k}|, capped at 7/8, for scalar or
-    array z; a point's value does not depend on the other points.
+    array z; a float for a scalar z, an array of z's shape for an array.
 
     Only finitely many m can bring z q^{m/k} near -1; outside the window
     |z q^{m/k}| in [1/8, 8] the distance to -1 is at least 7/8 from
     below and 7 from above, so the window minimum together with those
     floors is the exact infimum for any threshold < 7/8 and a correct
-    lower bound in general.  An array is swept one scale at a time as a
-    running minimum (memory O(size of z)).
+    lower bound in general.  Each point gets its own window: the
+    ceil(k log 64 / log q) + 3 scales from m_lo = floor(k (log(1/8) -
+    log|z|) / log q) - 1 up, which cover [1/8, 8] with one scale to
+    spare on each side.  So a point's value does not depend on the other
+    points, and memory is the size of z times that count.
+
+    Past e^700 a scale would overflow, so it is applied as
+    (z 2^e) (q^{m/k} 2^{-e}), with e its own and the power of two exact;
+    e is 0 for every smaller scale.  A product that overflows belongs to
+    a scale far outside [1/8, 8] and is inf, or nan and skipped.  A z
+    that is 0, or whose modulus is not a finite double, is refused.
     """
-    return _spiral_min(q, k, z, 0.125, 8.0)
+    z = np.asarray(z, dtype=complex)
+    lq = math.log(q)
+    count = math.ceil(k * math.log(64.0) / lq) + 3
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m_lo = np.floor(k * (math.log(0.125) - np.log(np.abs(z))) / lq) - 1.0
+        if not np.isfinite(m_lo).all():
+            raise ValueError("z must be nonzero with a finite modulus")
+        # the scales run along a new first axis, so each product and the
+        # minimum over them run along z's contiguous axes
+        j = np.arange(count).reshape((count,) + (1,) * z.ndim)
+        lm = (m_lo + j) * lq / k
+        if lm.max() > 700.0:
+            e = np.maximum(0.0, np.ceil((lm - 700.0) / math.log(2.0)))
+            z = z * 2.0 ** e
+            lm -= e * math.log(2.0)
+        # cast up front: numpy's mixed complex-by-real product casts in
+        # small buffers, several times slower; the values are the same
+        w = z * np.exp(lm).astype(complex)
+        w += 1.0
+        out = np.fmin.reduce(np.abs(w), axis=0, initial=0.875)
+    return out if out.ndim else float(out)
 
 
 def spiral_admissible(q: float, k: float, z, dlt: float):
     """Whether z keeps distance > dlt from the zero spiral in the
-    normalized sense inf_m |1 + z q^{m/k}| > dlt, for scalar or array z.
-    Exact for dlt < 7/8.
-
-    |1 + z q^{m/k}| > dlt wherever |z q^{m/k}| lies outside
-    [1 - dlt, 1 + dlt], so only the scales that bring it into that
-    window are tested (padded by one on each side), through the same
-    code as spiral_clearance: the result equals
-    spiral_clearance(q, k, z) > dlt exactly."""
+    normalized sense inf_m |1 + z q^{m/k}| > dlt, for scalar or array z:
+    spiral_clearance(q, k, z) > dlt by definition, exact for dlt < 7/8."""
     _check_dlt(dlt)
-    return _spiral_min(q, k, z, 1.0 - dlt, 1.0 + dlt) > dlt
+    return spiral_clearance(q, k, z) > dlt
 
 
 def _check_dlt(dlt: float) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -29,6 +30,15 @@ def spiral_clear_brute(q: float, k: float, z, m_span: int = 80):
     for m in range(-m_span, m_span + 1):
         best = np.minimum(best, np.abs(1.0 + z * q ** (m / k)))
     return best
+
+
+def spiral_clear_mp(q: float, k: float, z: complex, m_span: int = 80) -> float:
+    """inf over |m| <= m_span of |1 + z q^{m/k}|, scanned in mpmath at 40
+    digits, so no scale overflows or underflows whatever q and z are."""
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(z.real, z.imag)
+        Q = mpmath.mpf(q) ** (mpmath.mpf(1) / k)
+        return float(min(abs(1 + zm * Q ** m) for m in range(-m_span, m_span + 1)))
 
 
 def cauchy_ray_direct(delta, t, direction: float, length: float,

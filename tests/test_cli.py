@@ -109,6 +109,31 @@ class TestTheta:
             code, payload = run_cli(capsys, "theta", "--q", "1e300", "--z", "0.3")
         assert code == 0 and payload["ok"] is True
 
+    @pytest.mark.parametrize("q, z", [("1e300", "1e-300"), ("1e300", "5e-324"),
+                                      ("1e308", "1e-308")])
+    def test_huge_q_and_tiny_z_warn_nothing(self, capsys, q, z):
+        """The scales that bring z near 1 are past e^700 and the padding
+        scale's power of two past 2^1023; the clearance stays finite."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, payload = run_cli(capsys, "theta", "--q", q, "--z", z)
+        assert code == 0 and payload["ok"] is True
+        assert 0.0 <= payload["lower_bound"]["clearance"] <= 0.875
+
+    @pytest.mark.parametrize("z", ["-1", "-2", "-0.5"])
+    def test_zero_of_theta_prints_null_log_sides(self, capsys, z):
+        """At a zero of theta log|Theta| is -inf: log_lhs and log_margin
+        print as null, the point is not admissible and the run exits 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, payload = run_cli(capsys, "theta", f"--z={z}")
+        assert code == 0 and payload["ok"] is True
+        bound = payload["lower_bound"]
+        assert bound["admissible"] is False and bound["clearance"] == 0.0
+        assert bound["lhs"] == 0.0
+        assert bound["log_lhs"] is None and bound["log_margin"] is None
+        assert math.isfinite(bound["log_rhs"])
+
     def test_non_finite_result_is_one(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_cmd_theta",
                             lambda args: {"value": float("nan"), "ok": True})

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import spiral_clear_brute, theta_brute
+from helpers import spiral_clear_brute, spiral_clear_mp, theta_brute
 from qasym import theta
 from qasym.theta import (ThetaSpec, _crossing_angles, _log_abs_theta,
                          calibrate_theta_constant, inv_theta_at,
@@ -239,6 +239,38 @@ class TestExtremeModuli:
         assert got == pytest.approx(1 / 128, rel=1e-12)
         assert arr.tolist() == pytest.approx([1 / 128, 0.875], rel=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_clearance_at_huge_q_and_tiny_z(self):
+        """At q = 1e300 the scale that brings -1e-300 to -1 is past e^700,
+        and the next one's power of two past 2^1023: the clearance stays
+        finite, each value is the point's own scalar call bit for bit, and
+        the zero at -1e-300 is seen (clearance about 2.4e-14)."""
+        z = np.array([1e-300, -1e-300, 0.3])
+        got = spiral_clearance(1e300, 1.0, z)
+        assert np.all(np.isfinite(got))
+        assert got.tolist() == [spiral_clearance(1e300, 1.0, v) for v in z]
+        assert got[1] <= 0.3
+
+    @pytest.mark.parametrize("z", [0j, complex("inf"), complex("nan"),
+                                   np.array([0.3, complex(1.0, math.inf)]),
+                                   1.7e308 + 1.7e308j])
+    def test_clearance_refuses_zero_and_non_finite_z(self, z):
+        with pytest.raises(ValueError, match="nonzero with a finite modulus"):
+            spiral_clearance(2.0, 1.0, z)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("q,k", [(1e300, 1.0), (1e308, 1.0), (1e300, 2.0)])
+    def test_clearance_matches_mpmath_scan_at_extremes(self, q, k):
+        """Subnormal z, z near the zero -q^{-1/k} and z near 1e300 against
+        a 40-digit scan over m, where q^{m/k} overflows a double."""
+        inv = q ** (-1.0 / k)
+        zs = [5e-324, -5e-324, 1e-310 + 1e-310j, -3e-320j, -1e-320,
+              -inv, -inv * (1 + 1e-6), -inv * (1 + 1e-3j), inv * 1j,
+              1e300, -1e300, 1e300j, -1e300 * (1 + 1e-3j), 1.7e308, -1e308]
+        for z in zs:
+            want = min(spiral_clear_mp(q, k, complex(z), m_span=8), 0.875)
+            assert spiral_clearance(q, k, z) == pytest.approx(want, abs=1e-12), z
+
 
 class TestFunctionalEquation:
     @given(st.floats(1.3, 3.0), st.sampled_from([0.5, 1.0, 2.0]),
@@ -286,8 +318,8 @@ class TestZerosAndBound:
             lib = spiral_clearance(q, k, z)
             brute = spiral_clear_brute(q, k, z)
             assert lib == pytest.approx(min(brute, 0.875), rel=1e-12)
-        # an array shares one m-window over all its moduli; the extra m
-        # must not move any point's value
+        # each point of an array has its own m-window, so its value is
+        # its scalar call's
         zs = np.array(zs + (-1e-3 + 1e-9j, -37.0 + 0.5j))
         assert np.array_equal(spiral_clearance(q, k, zs),
                               [spiral_clearance(q, k, z) for z in zs])
@@ -301,9 +333,9 @@ class TestZerosAndBound:
     @pytest.mark.parametrize("q,k", IN_USE)
     @pytest.mark.parametrize("dlt", [0.1, 0.3, 0.86])
     def test_admissible_is_clearance_above_dlt(self, q, k, dlt, rng):
-        """spiral_admissible tests only the scales near |z q^{m/k}| = 1;
-        it still equals spiral_clearance > dlt exactly, on the calibration
-        grid and on random arrays with subnormal and 1e300 moduli."""
+        """spiral_admissible is spiral_clearance > dlt, on the calibration
+        grid and on random arrays with subnormal and 1e300 moduli, for an
+        array and for its points one at a time."""
         grid = np.multiply.outer(_radii(q, k), np.exp(1j * np.linspace(
             0.0, math.pi, 361))).ravel()
         assert np.array_equal(spiral_admissible(q, k, grid, dlt),
