@@ -331,8 +331,14 @@ def consecutive_difference(scn: ModelScenario, p: int, T,
                            tol: float = DIFF_TOL) -> DiffPieces:
     """U_{p+1}(T) - U_p(T) on overlap p, as the DiffPieces of a route.
 
-    route="decomposed": the contour pieces (cancellation-free, usable
-    deep into the cascade).  route="direct": the pieces ray_plus =
+    route="decomposed": the contour pieces.  On a slow overlap they do
+    not cancel.  On a fast overlap they do: the pieces stay near the size
+    of 1/Theta(rho/T) while the total is the residue sum, about
+    1/Theta(u*/T), so the total loses digits as |T| shrinks.  On the
+    default scenario, overlap 0, at j = 4, 8 and 12 the largest piece is
+    67, 1.0e3 and 1.8e4 times the total, and the total is off
+    residue_closed_form by 1.5e-14, 2.3e-12 and 1.1e-10 relative.
+    route="direct": the pieces ray_plus =
     U_{p+1} and ray_minus = -U_p, two full-ray transforms whose total
     loses one digit per fast-level Gaussian factor (shallow use only).
 

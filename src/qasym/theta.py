@@ -41,11 +41,10 @@ own, and a point is admissible where its clearance exceeds dlt.
 By the Jacobi triple product every factor of |Theta(r e^{ia})| is
 |1 + c e^{+-ia}| with c > 0, and each term |1 + rho_m e^{ia}| of the
 clearance has that form too, so on a circle |z| = r both fall as a goes
-from 0 to pi.  The calibration uses this: on each grid radius it sums
-Theta only at the last admissible grid angle, found among the four grid
-columns around the closed-form crossing of dlt, and at the closed-form
-crossing of 1.02 dlt.  A radius whose four columns do not bracket its
-boundary tests its whole row, so Cqk is the full grid's minimum.
+from 0 to pi.  So the admissible part of the upper half circle is the
+arc of angles below a*(r) = min(crossing of dlt, pi), in closed form,
+and the ratio's infimum over it is its value at a*(r): the calibration
+sums Theta once per radius, at r e^{i a*(r)}.
 """
 
 from __future__ import annotations
@@ -120,12 +119,18 @@ def _annulus_sum(spec: ThetaSpec, z):
     on Python numbers (S and w complex, m and x float): Python's complex
     add and multiply give the bits of numpy's scalars.  numpy stays for
     abs, log, rint and the reciprocal, whose bits differ from Python's,
-    and for the half power shared with arrays."""
+    and for the half power shared with arrays.  A z that is 0, or whose
+    modulus is not a finite double, is refused."""
     z = np.asarray(z, dtype=complex)
     if not (z.all() if z.ndim else complex(z) != 0):
         raise ValueError("theta has an essential singularity at z = 0")
     lQ = math.log(spec.q) / spec.k
     m = np.rint(np.log(np.abs(z)) / lQ)
+    # |z| is inf where it overflows a double or a part is inf, and nan
+    # where a part is nan; m, already at hand, shows either
+    if not (np.isfinite(m).all() if z.ndim else math.isfinite(m)):
+        raise ValueError("theta needs a z whose modulus is a finite double "
+                         "(|z| <= 1.8e308)")
     # w = (z Q^{-m/2}) Q^{-m/2}: the half power stays in double range for
     # every nonzero double z, also where Q^{-m} overflows (subnormal z);
     # for q = 2, k = 1 and even m every factor is exact
@@ -359,33 +364,20 @@ def calibrate_theta_constant(spec: ThetaSpec, dlt: float = 0.3) -> ThetaSpec:
     with period q^{1/k}, so one radial period suffices.  Theta has real
     coefficients, so |Theta(conj z)| = |Theta(z)|; the clearance is even
     in arg z and the envelope depends on |z| only, so the upper half
-    plane suffices too.  The minimum is approached as the clearance
-    decreases to dlt.  The samples are a polar grid (48 radii x 361
-    angles over [0, pi]) and, for each radius, the angle where the
-    clearance crosses 1.02 dlt, in closed form (_crossing_angles;
-    admissible by construction); then
+    plane suffices too.  On a radius |Theta| and the clearance fall as
+    arg z goes from 0 to pi (the triple product, module docstring), so
+    the admissible angles are those below a*(r), the closed-form
+    crossing of dlt (_crossing_angles) or pi where there is none, and
+    the ratio's infimum on the radius is its value at r e^{i a*(r)}.
+    On 48 radii over one period,
 
-        Cqk = 0.9 * min ratio over all admissible samples,
+        Cqk = 0.9 * min over the radii of the ratio at r e^{i a*(r)},
 
     the ratio formed in log form (log|Theta| - log envelope, log|Theta|
-    from the annulus sum without its phase fold).  Cqk is a
-    sampled minimum, not a certified one: the 0.9 deflation is meant to
-    absorb the gap between the samples and the true infimum over the
-    admissible set, and nothing checks that it does.
-
-    Theta is summed on at most 2 points per radius.  By the triple
-    product every factor of Theta(r e^{ia}) is |1 + c e^{+-ia}| with
-    c > 0, and so is every term |1 + rho_m e^{ia}| of the clearance: on
-    a radius both fall as a goes from 0 to pi.  So the admissible grid
-    angles are a prefix of the row, and the smallest ratio (and the
-    smallest scaled |Theta|) of the row sits at its last admissible
-    angle.  That angle is found near the closed-form crossing of dlt:
-    with cut the last grid column at or below it, only the columns
-    cut-2 .. cut+1 (clipped to [0, 360]) are tested.  A radius whose
-    candidates do not bracket its boundary (the first inadmissible, or
-    the last admissible and not column 360) tests its whole row.  Each
-    sample is the product radius * phase of the full grid, so Cqk is
-    the full grid's minimum bit for bit.
+    from the annulus sum without its phase fold): Theta is summed at 48
+    points.  Cqk is a sampled minimum over log r, not a certified one:
+    the 0.9 deflation is meant to absorb the gap between the 48 radii and
+    the infimum over all of them, and nothing checks that it does.
 
     Raises ValueError where the pitch log q / k is so small (about 0.1
     and below) that |Theta| on one period falls below double resolution:
@@ -404,24 +396,7 @@ def calibrate_theta_constant(spec: ThetaSpec, dlt: float = 0.3) -> ThetaSpec:
             f"(pitch > {math.log(sys.float_info.max):.6g}, the log of the "
             f"largest double)")
     radii = np.exp(np.linspace(0.0, pitch, 48, endpoint=False))
-    n = 360                                     # last grid column, angle pi
-    phases = np.exp(1j * np.linspace(0.0, math.pi, n + 1))
-    cut = np.floor(np.minimum(_crossing_angles(q, k, radii, dlt), math.pi)
-                   * (n / math.pi)).astype(int)
-    cols = np.clip(cut[:, None] + np.arange(-2, 2), 0, n)
-    ok = spiral_admissible(q, k, radii[:, None] * phases[cols], dlt)
-    # column 0 (z = r > 0, clearance >= 1) is always admissible, so a first
-    # candidate that is not admissible is past the boundary
-    last = np.where(ok, cols, -1).max(axis=1)
-    full = ~ok[:, 0] | (ok[:, -1] & (cols[:, -1] < n))
-    if full.any():
-        row_ok = spiral_admissible(q, k, np.multiply.outer(radii[full], phases), dlt)
-        last[full] = np.where(row_ok, np.arange(n + 1), -1).max(axis=1)
-    a = _crossing_angles(q, k, radii, 1.02 * dlt)
-    crossed = np.isfinite(a)
-    zs = np.concatenate([radii * phases[last],
-                         radii[crossed] * np.exp(1j * a[crossed])])
-
+    zs = radii * np.exp(1j * np.minimum(_crossing_angles(q, k, radii, dlt), math.pi))
     log_abs, log_mant = _log_abs_theta(spec, zs)
     smallest = math.exp(float(log_mant.min()))
     if not smallest >= 1e-10:
@@ -449,9 +424,11 @@ class ThetaBoundCheck:
 def theta_lower_bound(spec: ThetaSpec, z: complex, dlt: float) -> ThetaBoundCheck:
     """Check |Theta(z)| >= Cqk * dlt * envelope(z) at one admissible point.
 
-    Raises if the spec has no calibrated Cqk.  Points failing the spiral
-    clearance are reported admissible=False and not judged.
+    Raises if dlt is not in (0, 7/8) or the spec has no calibrated Cqk.
+    Points failing the spiral clearance are reported admissible=False and
+    not judged.
     """
+    _check_dlt(dlt)
     if spec.Cqk is None:
         raise ValueError("ThetaSpec has no calibrated Cqk; run calibrate_theta_constant")
     clearance = spiral_clearance(spec.q, spec.k, z)

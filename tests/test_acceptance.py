@@ -108,7 +108,8 @@ def test_02_theta_growth_bound_holds_off_calibration_grid():
         spec = calibrate_theta_constant(
             spec_for_annulus(q, k, q ** (-1.2 / k), q ** (2.2 / k)), dlt=dlt)
         # independent grid: seeded random points over three radial periods
-        # (the calibration grid is a deterministic single-period polar mesh)
+        # (the calibration samples one boundary point on each of 48 radii of
+        # one period)
         done = 0
         while done < 200:
             r = q ** ((3.0 * rng.random() - 1.0) / k)

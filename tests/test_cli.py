@@ -120,6 +120,15 @@ class TestTheta:
         assert code == 0 and payload["ok"] is True
         assert 0.0 <= payload["lower_bound"]["clearance"] <= 0.875
 
+    def test_modulus_past_double_range_is_refused_without_warning(self, capsys):
+        """Both parts of z are finite but |z| overflows a double: an input
+        error naming the modulus, and no floating-point warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, payload = run_cli(capsys, "theta", "--z", "1.7e308+1.7e308j")
+        assert code == 2 and payload["error"]["type"] == "input"
+        assert "modulus is a finite double" in payload["error"]["message"]
+
     @pytest.mark.parametrize("z", ["-1", "-2", "-0.5"])
     def test_zero_of_theta_prints_null_log_sides(self, capsys, z):
         """At a zero of theta log|Theta| is -inf: log_lhs and log_margin

@@ -259,6 +259,19 @@ class TestExtremeModuli:
             spiral_clearance(2.0, 1.0, z)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("z", [1.7e308 + 1.7e308j, -1.5e308 - 1.5e308j,
+                                   np.array([0.3, 1.7e308 + 1.7e308j]),
+                                   complex("inf"), complex(1.0, math.nan)])
+    def test_theta_refuses_a_modulus_past_double_range(self, z):
+        """A z with finite parts whose modulus overflows a double, or with
+        a non-finite part, is refused before any term is summed."""
+        for call in (lambda: theta_eval_scaled(ThetaSpec(2.0, 1.0), z),
+                     lambda: _log_abs_theta(ThetaSpec(2.0, 1.0), z),
+                     lambda: inv_theta_at(2.0, 1.0, z)):
+            with pytest.raises(ValueError, match="modulus is a finite double"):
+                call()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("q,k", [(1e300, 1.0), (1e308, 1.0), (1e300, 2.0)])
     def test_clearance_matches_mpmath_scan_at_extremes(self, q, k):
         """Subnormal z, z near the zero -q^{-1/k} and z near 1e300 against
@@ -389,6 +402,14 @@ class TestZerosAndBound:
         assert chk.log_margin == pytest.approx(margin, abs=1e-9 * abs(lg))
         assert margin > 0 and chk.ok
 
+    @pytest.mark.parametrize("dlt", [0.0, -0.1, 0.875, 0.9])
+    def test_lower_bound_refuses_dlt_outside_range(self, dlt):
+        """dlt must lie in (0, 7/8): at or past 7/8 no point clears it,
+        since the clearance is capped there."""
+        spec = calibrate_theta_constant(ThetaSpec(2.0, 1.0))
+        with pytest.raises(ValueError, match=r"dlt must lie in \(0, 0.875\)"):
+            theta_lower_bound(spec, 0.3 + 0.4j, dlt)
+
     def test_lower_bound_requires_calibration(self):
         spec = spec_for_annulus(2.0, 1.0, 0.5, 2.0)
         with pytest.raises(ValueError):
@@ -408,65 +429,110 @@ def _random_pairs(n):
             for _ in range(n)]
 
 
+def _cqk_over(q, k, dlt, zs):
+    """0.9 * min ratio / dlt over the points zs, or None where their
+    smallest scaled |Theta| is below 1e-10 (a refusal)."""
+    log_abs, log_mant = _log_abs_theta(ThetaSpec(q, k), zs)
+    if not math.exp(float(log_mant.min())) >= 1e-10:
+        return None
+    return 0.9 * math.exp(float(np.min(log_abs - log_lower_envelope(q, k, zs)))) / dlt
+
+
+def _admissible_grid(q, k, dlt):
+    """The admissible points of the 48 x 361 polar grid over [0, pi]."""
+    zs = np.multiply.outer(_radii(q, k), np.exp(1j * np.linspace(0.0, math.pi, 361))).ravel()
+    return zs[spiral_admissible(q, k, zs, dlt)]
+
+
+def _boundary(q, k, radii, dlt):
+    """Each radius's boundary point r e^{i a*(r)}: the closed-form
+    crossing of dlt, or angle pi where the clearance never drops to it."""
+    return radii * np.exp(1j * np.minimum(_crossing_angles(q, k, radii, dlt), math.pi))
+
+
+def _dense_radii(q, k, per):
+    """The 48 calibration radii joined with per x 48 radii over the same
+    period, so the dense set contains each calibration radius exactly."""
+    return np.concatenate([_radii(q, k), np.exp(np.linspace(
+        0.0, math.log(q) / k, 48 * per, endpoint=False))])
+
+
 def full_grid_cqk(q, k, dlt):
     """Cqk from every admissible point of the 48 x 361 grid plus the
     crossings of 1.02 dlt, or None where the smallest scaled |Theta| is
     below 1e-10 (a refusal)."""
     radii = _radii(q, k)
-    zs = np.multiply.outer(radii, np.exp(1j * np.linspace(0.0, math.pi, 361))).ravel()
-    zs = zs[spiral_admissible(q, k, zs, dlt)]
     a = _crossing_angles(q, k, radii, 1.02 * dlt)
     crossed = np.isfinite(a)
-    zs = np.concatenate([zs, radii[crossed] * np.exp(1j * a[crossed])])
-    log_abs, log_mant = _log_abs_theta(ThetaSpec(q, k), zs)
-    if not math.exp(float(log_mant.min())) >= 1e-10:
+    return _cqk_over(q, k, dlt, np.concatenate([
+        _admissible_grid(q, k, dlt), radii[crossed] * np.exp(1j * a[crossed])]))
+
+
+def _calibrated(q, k, dlt):
+    """Cqk, or None where the calibration refuses below double resolution."""
+    try:
+        return calibrate_theta_constant(ThetaSpec(q, k), dlt).Cqk
+    except ValueError as exc:
+        assert "below double resolution" in str(exc)
         return None
-    log_ratio = np.min(log_abs - log_lower_envelope(q, k, zs))
-    return 0.9 * math.exp(float(log_ratio)) / dlt
-
-
-def _assert_matches_full_grid(q, k, dlt):
-    want = full_grid_cqk(q, k, dlt)
-    if want is None:
-        with pytest.raises(ValueError, match="below double resolution"):
-            calibrate_theta_constant(ThetaSpec(q, k), dlt)
-    else:
-        assert calibrate_theta_constant(ThetaSpec(q, k), dlt).Cqk == want
 
 
 class TestCalibration:
     @pytest.mark.parametrize("q,k", IN_USE + _random_pairs(20))
     @pytest.mark.parametrize("dlt", GRID_DLTS)
     def test_equals_the_full_grid(self, q, k, dlt):
-        """Cqk from the last admissible angle per radius is the minimum
-        over the whole admissible grid, bit for bit."""
-        _assert_matches_full_grid(q, k, dlt)
+        """Cqk is the minimum over the admissible 48 x 361 grid joined
+        with each radius's boundary point, bit for bit: no admissible grid
+        point lies below its radius's boundary.  The calibration refuses
+        where the grid with its 1.02 dlt crossings (full_grid_cqk)
+        refuses, and otherwise gives at most that grid's constant."""
+        want = _cqk_over(q, k, dlt, np.concatenate([
+            _admissible_grid(q, k, dlt), _boundary(q, k, _radii(q, k), dlt)]))
+        grid = full_grid_cqk(q, k, dlt)
+        got = _calibrated(q, k, dlt)
+        assert (got is None) == (want is None) == (grid is None)
+        if got is not None:
+            assert got == want and got <= grid
 
-    @pytest.mark.parametrize("q,k", IN_USE)
-    @pytest.mark.parametrize("off", [-0.1, 0.1])
-    def test_fallback_rows_equal_the_full_grid(self, q, k, off, monkeypatch):
-        """With the boundary crossing 0.1 rad off, no radius's candidates
-        bracket its boundary: each crossing radius tests its whole row,
-        and Cqk still equals the full grid's."""
-        dlt = 0.3
-        real = theta._crossing_angles
-        monkeypatch.setattr(theta, "_crossing_angles",
-                            lambda q, k, r, t: real(q, k, r, t) + (off if t == dlt else 0.0))
-        shapes = []
-        admissible = theta.spiral_admissible
+    @pytest.mark.parametrize("q,k", IN_USE + _random_pairs(20))
+    @pytest.mark.parametrize("dlt", GRID_DLTS)
+    def test_within_five_percent_of_the_dense_boundary(self, q, k, dlt):
+        """Against the boundary on 48 x 256 radii plus the 48 calibration
+        radii, Cqk / (0.9 * dense minimum / dlt) lies in [1, 1.05]: the 48
+        radii come within 5% of the infimum over log r."""
+        got = _calibrated(q, k, dlt)
+        if got is None:
+            return
+        radii = _dense_radii(q, k, 256)
+        dense = _cqk_over(q, k, dlt, _boundary(q, k, radii, dlt))
+        assert 1.0 <= got / dense <= 1.05
 
-        def recording(q, k, z, d):
-            shapes.append(np.shape(z))
-            return admissible(q, k, z, d)
-
-        monkeypatch.setattr(theta, "spiral_admissible", recording)
-        _assert_matches_full_grid(q, k, dlt)
-        crossing = int(np.isfinite(real(q, k, _radii(q, k), dlt)).sum())
-        assert crossing > 0
-        assert (crossing, 361) in shapes[:2]
+    @pytest.mark.parametrize("q,k", IN_USE + _random_pairs(20))
+    @pytest.mark.parametrize("dlt", GRID_DLTS)
+    def test_bound_holds_just_inside_the_boundary(self, q, k, dlt):
+        """theta_lower_bound is ok at the hardest admissible points: at
+        angle a*(r) - 1e-9 on every radius of a 48 x 4 grid plus the 48
+        calibration radii, and on each radius of a 48 x 256 grid where the
+        boundary ratio is smallest between two calibration radii."""
+        got = _calibrated(q, k, dlt)
+        if got is None:
+            return
+        spec = ThetaSpec(q, k, got)
+        dense = _dense_radii(q, k, 256)[48:]
+        at = _boundary(q, k, dense, dlt)
+        log_abs, _ = _log_abs_theta(spec, at)
+        lowest = np.argmin((log_abs - log_lower_envelope(q, k, at)).reshape(48, 256), axis=1)
+        radii = np.concatenate([_dense_radii(q, k, 4),
+                                dense[lowest + 256 * np.arange(48)]])
+        a = np.minimum(_crossing_angles(q, k, radii, dlt), math.pi) - 1e-9
+        for z in radii * np.exp(1j * a):
+            chk = theta_lower_bound(spec, complex(z), dlt)
+            assert chk.admissible and chk.ok, (z, chk)
 
     @pytest.mark.parametrize("q,k", IN_USE)
     def test_sums_theta_on_at_most_two_points_per_radius(self, q, k, monkeypatch):
+        """The calibration sums Theta once per radius, 48 points in one
+        call, and tests no clearance: the boundary is in closed form."""
         sizes = []
         log_abs = theta._log_abs_theta
 
@@ -474,9 +540,14 @@ class TestCalibration:
             sizes.append(np.size(z))
             return log_abs(spec, z)
 
+        def refuse(*args):
+            raise AssertionError("the calibration tests a clearance")
+
         monkeypatch.setattr(theta, "_log_abs_theta", recording)
+        monkeypatch.setattr(theta, "spiral_admissible", refuse)
+        monkeypatch.setattr(theta, "spiral_clearance", refuse)
         calibrate_theta_constant(ThetaSpec(q, k), 0.3)
-        assert 0 < sum(sizes) <= 2 * _radii(q, k).size
+        assert sizes == [_radii(q, k).size]
 
     @pytest.mark.parametrize("q,k", IN_USE)
     @pytest.mark.parametrize("dlt", GRID_DLTS)
@@ -496,43 +567,42 @@ class TestCalibration:
     @pytest.mark.parametrize("q,k", CALIBRATED)
     @pytest.mark.parametrize("dlt", [0.1, 0.3, 0.86])
     def test_crossings_sit_on_the_target_clearance(self, q, k, dlt):
-        """Each closed-form crossing has brute clearance 1.02 dlt, with
+        """Each closed-form crossing of dlt has brute clearance dlt, with
         clearance above it just before and below it just after; radii
-        without a crossing are clear of 1.02 dlt even at angle pi."""
-        t = 1.02 * dlt
+        without a crossing are clear of dlt even at angle pi."""
         radii = _radii(q, k)
-        a = _crossing_angles(q, k, radii, t)
+        a = _crossing_angles(q, k, radii, dlt)
         hit = np.isfinite(a)
         assert hit.any()
         r, a = radii[hit], a[hit]
         assert np.all((a > math.pi / 2) & (a <= math.pi))
         at = spiral_clear_brute(q, k, r * np.exp(1j * a))
-        assert np.max(np.abs(at - t)) <= 1e-12
+        assert np.max(np.abs(at - dlt)) <= 1e-12
         inner = a - 1e-6
-        assert np.all(spiral_clear_brute(q, k, r * np.exp(1j * inner)) > t)
+        assert np.all(spiral_clear_brute(q, k, r * np.exp(1j * inner)) > dlt)
         outer = np.minimum(a + 1e-6, math.pi)
-        assert np.all(spiral_clear_brute(q, k, r * np.exp(1j * outer))[a < math.pi] < t)
-        assert np.all(spiral_clear_brute(q, k, -radii[~hit]) >= t)
+        assert np.all(spiral_clear_brute(q, k, r * np.exp(1j * outer))[a < math.pi] < dlt)
+        assert np.all(spiral_clear_brute(q, k, -radii[~hit]) >= dlt)
 
     @pytest.mark.parametrize("q,k", IN_USE)
     @pytest.mark.parametrize("dlt", [0.1, 0.3, 0.86])
     def test_matches_full_circle_reference(self, q, k, dlt):
-        """Cqk against the full circle: 48 radii x 720 angles over
-        [-pi, pi) plus both crossings of 1.02 dlt per radius, found by
-        bisecting the brute clearance, filtered by the brute clearance."""
+        """Cqk against the full circle: the admissible points of 48 radii
+        x 720 angles over [-pi, pi), filtered by the brute clearance, plus
+        both crossings of dlt per radius, found by bisecting the brute
+        clearance and kept on its admissible side."""
         radii = _radii(q, k)
         zs = np.multiply.outer(radii, np.exp(1j * np.linspace(
             -math.pi, math.pi, 720, endpoint=False))).ravel()
-        t = 1.02 * dlt
+        zs = zs[spiral_clear_brute(q, k, zs) > dlt]
         lo, hi = np.full(radii.size, math.pi), np.full(radii.size, math.pi / 2)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            below = spiral_clear_brute(q, k, radii * np.exp(1j * mid)) < t
+            below = spiral_clear_brute(q, k, radii * np.exp(1j * mid)) < dlt
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        cross = spiral_clear_brute(q, k, -radii) < t
+        cross = spiral_clear_brute(q, k, -radii) < dlt
         zs = np.concatenate([zs, radii[cross] * np.exp(1j * hi[cross]),
                              radii[cross] * np.exp(-1j * hi[cross])])
-        zs = zs[spiral_clear_brute(q, k, zs) > dlt]
         mant, shift = theta_eval_scaled(ThetaSpec(q, k), zs)
         L = np.log(np.abs(zs))
         log_ratio = np.log(np.abs(mant)) + shift - (0.5 * k * L * L / math.log(q)
