@@ -95,8 +95,6 @@ def _cmd_theta(args) -> dict:
     z = _parse_complex(args.z)
     if z == 0:
         raise InputError("theta is evaluated away from the origin; need z != 0")
-    if not math.isfinite(args.tol):
-        raise InputError(f"tol={args.tol} is not finite")
     if not args.tol > 0:
         raise InputError(f"tol must be > 0, got {args.tol}")
     q, k, m = args.q, args.k, args.m
@@ -460,6 +458,9 @@ def main(argv: list[str] | None = None) -> int:
         # argparse already printed usage; normalize its error code to 2
         return 2 if exc.code not in (0, None) else 0
     try:
+        for dest, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InputError(f"{dest}={value} is not finite")
         payload = args.fn(args)
     except (InputError, ValueError) as exc:
         # domain validation errors (bad q, malformed covering, ...) are

@@ -64,17 +64,12 @@ class GrowthCertificate:
     rho: float = 1.0
 
     def __post_init__(self) -> None:
+        for name, v in (("K", self.K), ("alpha", self.alpha), ("k", self.k),
+                        ("rho", self.rho)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name}={v} is not finite")
         if not (self.K > 0 and self.k >= 0 and self.rho > 0):
             raise ValueError("need K > 0, k >= 0, rho > 0")
-
-    def log_bound(self, r, q: float):
-        """log of the certified envelope at |u| = r, for scalar or array r."""
-        r, log_K = np.asarray(r, dtype=float), math.log(self.K)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            L = np.log(r)
-            out = np.where(r <= self.rho, log_K,
-                           log_K + 0.5 * self.k * L * L / math.log(q) + self.alpha * L)
-        return out if out.ndim else float(out)
 
 
 def domain_radius(q: float, k: float, alpha: float) -> float:
@@ -97,11 +92,10 @@ class QLaplaceSpec:
     def __post_init__(self) -> None:
         if not (self.q > 1 and self.k > 0):
             raise ValueError("need q > 1 and k > 0")
-        for name, v in (("q", self.q), ("k", self.k)):
+        for name, v in (("q", self.q), ("k", self.k),
+                        ("direction", self.direction), ("tol", self.tol)):
             if not math.isfinite(v):
                 raise ValueError(f"{name}={v} is not finite")
-        if not math.isfinite(self.tol):
-            raise ValueError(f"tol={self.tol} is not finite")
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
 
@@ -119,78 +113,57 @@ def _integration_window(spec: QLaplaceSpec, cert: GrowthCertificate,
     """s-window outside which the integrand envelope is below tol * peak.
 
     The envelope in s = log|u| is the certified growth of f minus the
-    theta kernel's lower bound:
+    theta kernel's lower bound, with L = log|T|, lq = log q and the
+    certificate's level k_c:
 
-        g(s) = log_bound(e^s) - (k/2)(s-L)^2/log q - (s-L)/2,
+        g(s) = log K - (k/2)(s-L)^2/lq - (s-L)/2,    s <= log rho,
+        g(s) = log K - (k/2)(s-L)^2/lq - (s-L)/2
+               + (k_c/2) s^2/lq + alpha s,            s >  log rho,
 
-    with L = log|T|; past rho it is a s^2 + b s + c, and unless a < 0,
-    or a = 0 and b < 0, the integral diverges and we refuse.  The window
-    ends where g has dropped `budget` below its peak on each side, found
-    by walks of 0.25 evaluated as arrays; we also refuse a window wider
-    than 200 log units or one that reaches |u| past the largest double.
+    two quadratics a s^2 + b s + c that share c.  Unless the outer one has
+    a < 0, or a = 0 and b < 0, the integral diverges and we refuse.  The
+    peak of g is the larger of its values at the two vertices, each
+    clipped to its side of log rho (a linear outer piece peaks at
+    log rho).  On each piece g >= peak - budget, budget = log(1/tol) + 10,
+    on one closed-form interval, and the window is the hull of those,
+    widened by 0.5 on each side.  We refuse a window wider than 200 log
+    units, or one that reaches |u| past the largest double.
     """
-    lq = math.log(spec.q)
-    L = math.log(absT)
-    a = (cert.k - spec.k) / (2.0 * lq)
-    b = cert.alpha + spec.k * L / lq - 0.5
+    lq, L, s_rho = math.log(spec.q), math.log(absT), math.log(cert.rho)
+    b = spec.k * L / lq - 0.5
+    c = math.log(cert.K) - 0.5 * spec.k * L * L / lq + 0.5 * L
+    # (a, b, first s, last s) of the inner and the outer piece
+    pieces = ((-0.5 * spec.k / lq, b, -math.inf, s_rho),
+              ((cert.k - spec.k) / (2.0 * lq), b + cert.alpha, s_rho, math.inf))
+    a, b = pieces[1][:2]
     if not (a < 0 or a == 0 and b < 0):
         raise ValueError(
             "integrand envelope does not decay along the ray: growth "
             f"certificate (k={cert.k}, alpha={cert.alpha}) too strong "
             f"for transform order k={spec.k} at |T|={absT:.3g}")
-    budget = math.log(1.0 / spec.tol) + 10.0
+    tops = [min(max(-b / (2.0 * a) if a else lo, lo), hi) for a, b, lo, hi in pieces]
+    peaks = [(a * s + b) * s + c for (a, b, _, _), s in zip(pieces, tops)]
+    floor = max(peaks) - math.log(1.0 / spec.tol) - 10.0
 
-    def g(s: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            r = np.exp(s)
-        return cert.log_bound(r, spec.q) \
-            - 0.5 * spec.k * (s - L) ** 2 / lq - 0.5 * (s - L)
-
-    scan_hi = max(L, math.log(cert.rho)) + 2.0
-    floor = g(np.linspace(L - 2.0, scan_hi, 64)).max() - budget
-
-    # each walk steps by 0.25 from one end of the scan while g > floor;
-    # its grid is a cumsum of the steps, so every s is the running sum
-    # that adding 0.25 at a time would form
-    step = 0.25
-    for count in (64, 810):     # 810 steps pass 200 log units
-        s = _walk(scan_hi, step, count)
-        gs = g(s)
-        if not (gs > floor).all():
-            break
-    # the right walk may not take its step past 200 log units (to s[n])
-    n = _first(s - scan_hi > 200.0)
-    j_stop = min(_first(~(gs[:n + 1] > floor)), n)
-    # where e^s overflows on the walk, g is not a bound
-    if s[j_stop] > _LOG_MAX:
-        raise ValueError(f"q-Laplace window reaches |u| = e^{s[j_stop]:.6g}, past "
-                         f"double range, at |T|={absT:.3g}")
-    if j_stop >= n:
+    ends = []
+    for (a, b, lo, hi), peak in zip(pieces, peaks):
+        if peak < floor:
+            continue
+        if a:
+            v = -b / (2.0 * a)
+            h = math.sqrt((floor - c - b * v / 2.0) / a)
+            ends += [max(v - h, lo), min(v + h, hi)]
+        else:
+            ends += [lo, (floor - c) / b]
+    s_lo, s_hi = min(ends) - 0.5, max(ends) + 0.5
+    if s_hi - s_lo > 200.0:
         raise ValueError("q-Laplace window exceeds 200 log units; "
                          "certificate incompatible with |T|")
-    s_hi = s[j_stop]
-
-    s_lo = L - 2.0
-    while True:
-        s = _walk(s_lo, -step, 64)
-        j = _first(~(g(s) > floor))
-        if j < s.size:
-            return float(s[j]) - 0.5, float(s_hi) + 0.5
-        s_lo = s[-1]
-
-
-def _first(mask: np.ndarray) -> int:
-    """Index of the first True in a nonempty mask, or its length if
-    there is none."""
-    j = int(mask.argmax())
-    return j if mask[j] else mask.size
-
-
-def _walk(start: float, step: float, count: int) -> np.ndarray:
-    """start, start + step, ... (count steps), each the running sum."""
-    s = np.full(count + 1, step)
-    s[0] = start
-    return np.cumsum(s)
+    # past the largest double, e^s overflows and g is not a bound
+    if s_hi > _LOG_MAX:
+        raise ValueError(f"q-Laplace window reaches |u| = e^{s_hi:.6g}, past "
+                         f"double range, at |T|={absT:.3g}")
+    return s_lo, s_hi
 
 
 def log_contour_transform(f: Callable[[np.ndarray], np.ndarray], q: float,

@@ -508,6 +508,24 @@ class TestBadArguments:
                      id="theta-tol-negative"),
         pytest.param(("qlaplace", "--k", "inf", "--T", "0.3"), "k=inf is not finite",
                      id="qlaplace-k-inf"),
+        pytest.param(("qlaplace", "--T", "0.3", "--direction", "inf"),
+                     "direction=inf is not finite", id="qlaplace-direction-inf"),
+        pytest.param(("qlaplace", "--T", "0.3", "--check-tol", "nan"),
+                     "check_tol=nan is not finite", id="qlaplace-check-tol-nan"),
+        pytest.param(("geometry", "--family", "--t-radius", "inf"),
+                     "t_radius=inf is not finite", id="geometry-t-radius-inf"),
+        pytest.param(("geometry", "--rho", "nan"), "rho=nan is not finite",
+                     id="geometry-rho-nan"),
+        pytest.param(("fourier", "--z", "0.2", "--mu", "inf"), "mu=inf is not finite",
+                     id="fourier-mu-inf"),
+        pytest.param(("split", "--tol", "nan"), "tol=nan is not finite",
+                     id="split-tol-nan"),
+        pytest.param(("residual", "--threshold", "nan"), "threshold=nan is not finite",
+                     id="residual-threshold-nan"),
+        pytest.param(("fit", "--synthetic", "--noise", "nan"), "noise=nan is not finite",
+                     id="fit-noise-nan"),
+        pytest.param(("diff", "--overlap", "3", "--j-max", "6", "--rel-tol", "nan"),
+                     "rel_tol=nan is not finite", id="diff-rel-tol-nan"),
     ])
     def test_is_two_without_traceback(self, capsys, tmp_path, argv, named):
         csv = tmp_path / "rows.csv"

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -79,6 +80,11 @@ class TestSpec:
         with pytest.raises(ValueError, match="tol=.* is not finite"):
             QLaplaceSpec(q=2.0, k=1.0, direction=0.0, tol=tol)
 
+    @pytest.mark.parametrize("direction", [math.inf, math.nan])
+    def test_non_finite_direction_is_refused(self, direction):
+        with pytest.raises(ValueError, match=f"direction={direction} is not finite"):
+            QLaplaceSpec(q=2.0, k=1.0, direction=direction)
+
 
 class TestCertificates:
     def test_rejects_invalid(self):
@@ -87,54 +93,49 @@ class TestCertificates:
         with pytest.raises(ValueError):
             GrowthCertificate(K=1.0, alpha=1.0, k=-1.0)
 
-    def test_log_bound_shape(self):
-        cert = GrowthCertificate(K=2.0, alpha=1.5, k=1.0, rho=1.0)
-        # inside the disc the bound is flat
-        assert cert.log_bound(0.5, 2.0) == pytest.approx(math.log(2.0))
-        # outside it grows like the log-Gaussian times the power
-        r = 4.0
-        expect = math.log(2.0) + 0.5 * math.log(r) ** 2 / math.log(2.0) \
-            + 1.5 * math.log(r)
-        assert cert.log_bound(r, 2.0) == pytest.approx(expect, rel=1e-12)
+    @pytest.mark.parametrize("field", ["K", "alpha", "k", "rho"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_field_is_refused(self, field, value):
+        """A non-finite field is named, not integrated on (alpha = nan gave
+        0.12496 for the image 0.125 of u^2 at T = 0.25)."""
+        fields = {**dict(K=1.0, alpha=2.0, k=0.0, rho=1.0), field: value}
+        with pytest.raises(ValueError, match=f"{field}={value} is not finite"):
+            GrowthCertificate(**fields)
 
 
-def window_loop(spec, cert, absT):
-    """The q-Laplace s-window by scalar walks, one step of 0.25 at a time,
-    with the certified envelope written out longhand."""
+def envelope(spec, cert, absT, s):
+    """The certified envelope g(s) on an array of s = log|u|, written out
+    longhand: the log of the growth bound on f minus the log of the theta
+    kernel's lower bound."""
     lq, L = math.log(spec.q), math.log(absT)
-    # past rho, g(s) = a s^2 + b s + c
-    a = (cert.k - spec.k) / (2.0 * lq)
-    b = cert.alpha + spec.k * L / lq - 0.5
-    if not (a < 0 or a == 0 and b < 0):
-        raise ValueError("does not decay")
-    budget = math.log(1.0 / spec.tol) + 10.0
+    bound = math.log(cert.K) + np.where(
+        s > math.log(cert.rho), 0.5 * cert.k * s * s / lq + cert.alpha * s, 0.0)
+    return bound - 0.5 * spec.k * (s - L) ** 2 / lq - 0.5 * (s - L)
 
-    def g(s):
-        r = math.exp(s)
-        bound = math.log(cert.K)
-        if r > cert.rho:
-            bound += 0.5 * cert.k * math.log(r) ** 2 / math.log(spec.q) \
-                + cert.alpha * math.log(r)
-        return bound - 0.5 * spec.k * (s - L) ** 2 / lq - 0.5 * (s - L)
 
-    scan_hi = max(L, math.log(cert.rho)) + 2.0
-    floor = max(g(float(s)) for s in np.linspace(L - 2.0, scan_hi, 64)) - budget
-    s_hi = scan_hi
-    while g(s_hi) > floor:
-        s_hi += 0.25
-        if s_hi - scan_hi > 200.0:
-            raise ValueError("exceeds 200 log units")
-    s_lo = L - 2.0
-    while g(s_lo) > floor:
-        s_lo -= 0.25
-    return s_lo - 0.5, s_hi + 0.5
+_H = 0.01
+_GRID = np.arange(-800.0, math.log(sys.float_info.max), _H)
+
+
+def above_floor(spec, cert, absT):
+    """The s of the dense grid where the envelope is within the budget
+    log(1/tol) + 10 of its largest grid value.  g jumps at log rho, so
+    the grid holds log rho and the next double above it."""
+    s_rho = math.log(cert.rho)
+    s = np.sort(np.append(_GRID, [s_rho, np.nextafter(s_rho, math.inf)]))
+    g = envelope(spec, cert, absT, s)
+    return s[g >= g.max() - math.log(1.0 / spec.tol) - 10.0]
 
 
 class TestWindow:
-    def test_matches_scalar_walks(self, rng):
-        """Same window, or the same refusal, as the scalar walks on random
-        certificates, among them many that do not decay or need more
-        than 200 log units."""
+    def test_holds_the_dense_grid_envelope(self, rng):
+        """On random certificates, among them many that do not decay or
+        need more than 200 log units, the window holds every grid s where the
+        envelope is within the budget of its peak and ends within 0.5 (plus
+        a grid step) past the outermost such s; a refusal matches the
+        envelope: it does not decay (g is not, past rho, a concave
+        quadratic or a falling line), or the s above the floor span more
+        than 199 log units or run past the grid's top."""
         seen = {"window": 0, "does not decay": 0, "exceeds 200 log units": 0}
         for i in range(400):
             q, k = rng.uniform(1.05, 5.0), rng.uniform(0.2, 4.0)
@@ -150,24 +151,58 @@ class TestWindow:
                     + rng.uniform(-0.3, 0.05)
             cert = GrowthCertificate(K=rng.uniform(0.1, 10.0), alpha=alpha,
                                      k=cert_k, rho=rng.uniform(0.2, 3.0))
-            try:
-                want = window_loop(spec, cert, absT)
-            except ValueError as exc:
-                seen[str(exc)] += 1
-                with pytest.raises(ValueError, match=str(exc)):
+            lq = math.log(q)
+            a = (cert.k - spec.k) / (2.0 * lq)
+            b = cert.alpha + spec.k * math.log(absT) / lq - 0.5
+            if not (a < 0 or a == 0 and b < 0):
+                seen["does not decay"] += 1
+                with pytest.raises(ValueError, match="does not decay"):
                     _integration_window(spec, cert, absT)
-            else:
-                seen["window"] += 1
-                assert _integration_window(spec, cert, absT) == want
+                continue
+            s = above_floor(spec, cert, absT)
+            try:
+                lo, hi = _integration_window(spec, cert, absT)
+            except ValueError as exc:
+                assert "exceeds 200 log units" in str(exc), exc
+                seen["exceeds 200 log units"] += 1
+                assert s[-1] - s[0] > 199.0 - 2 * _H or s[-1] == _GRID[-1]
+                continue
+            seen["window"] += 1
+            assert lo <= s[0] and s[-1] <= hi
+            assert lo >= s[0] - 0.5 - _H and hi <= s[-1] + 0.5 + _H
         assert min(seen.values()) >= 20, seen
 
+    def test_holds_the_envelope_past_the_scan(self):
+        """The envelope of this certificate stays above its floor out to
+        s = 17.9, far past log rho + 2 = 2.87; a window that ends at 3.37
+        leaves the transform of the function that saturates the
+        certificate 1.6e-8 off."""
+        q, k = 3.628387151367485, 0.37275668631574976
+        spec = QLaplaceSpec(q=q, k=k, direction=0.0, tol=1.3587842721616303e-07)
+        cert = GrowthCertificate(K=2.445902716728336, alpha=7.490920698342496,
+                                 k=0.0, rho=2.3834168431869784)
+        T = 1.2239346581572237e-06
+        lo, hi = _integration_window(spec, cert, T)
+        s = above_floor(spec, cert, T)
+        assert s[-1] > 17.0
+        assert lo <= s[0] and s[-1] <= hi
+
+        def saturating(u):
+            r = np.abs(u)
+            return cert.K * np.where(r <= cert.rho, 1.0, r ** cert.alpha)
+        value = qlaplace(spec, saturating, T, cert, enforce_domain=False).value
+        wide, _, _ = log_contour_transform(saturating, q, k, T, 0j, 1.0,
+                                           -60.0, 60.0, epsabs=0.0,
+                                           epsrel=1e-14, limit=300)
+        assert abs(value - wide) <= 1e-9 * abs(wide)
+
     def test_window_past_double_range_is_refused(self):
-        """Where the walk reaches e^s past the largest double, the envelope
-        is not a bound there; the scalar walk's exp overflows."""
+        """Where the window reaches e^s past the largest double, the envelope
+        is not a bound there; the envelope is still above its floor at the
+        last grid s below log of the largest double."""
         spec = QLaplaceSpec(q=2.0, k=1.0, direction=0.0)
         cert = GrowthCertificate(K=1.0, alpha=0.0, k=0.0)
-        with pytest.raises(OverflowError):
-            window_loop(spec, cert, 1e306)
+        assert above_floor(spec, cert, 1e306)[-1] == _GRID[-1]
         with pytest.raises(ValueError, match="past double range"):
             _integration_window(spec, cert, 1e306)
 
@@ -175,8 +210,8 @@ class TestWindow:
     def test_growing_envelope_is_refused(self, alpha):
         """k_cert > k makes g(s) grow like s^2 past rho, so the transform
         of a function that saturates the certificate diverges, although
-        the walk first dips below its floor (at alpha = -3 the window
-        was (-10.55, 6.0))."""
+        g first falls past rho (at alpha = -3 a window that ends where it
+        first falls below its floor was (-10.55, 6.0))."""
         spec = QLaplaceSpec(q=2.0, k=1.0, direction=0.0)
         cert = GrowthCertificate(K=1.0, alpha=alpha, k=1.2, rho=1.0)
         with pytest.raises(ValueError, match="does not decay"):
