@@ -18,9 +18,11 @@ split into explicit contour pieces:
 
   * both sectors on one branch, a pole u* inside the wedge ("fast"):
         diff = I1 - I2 + I3,
-    outer rays from radius rho plus the inner arc; every piece -- and,
-    by the residue theorem, the total  (k2/lq) 2 pi i s_j / Theta(u*/T)
-    -- decays in |T| at the fast rate k2;
+    outer rays from radius rho plus the inner arc.  By the residue
+    theorem the total is  -(k2/lq) 2 pi i sum_j s_j / Theta(u*_j/T),
+    which decays in |T| at the fast rate k2, while the pieces stay near
+    1/Theta(rho/T) and cancel: the cascade layer reads the residue sum
+    (residue_closed_form) and keeps the pieces as its oracle;
 
   * branch change across the wedge ("slow"):
         diff = I1 - I2 + I4 + I5 + I6,
@@ -28,6 +30,9 @@ split into explicit contour pieces:
     segment I6 carrying the branch discrepancy.  The discrepancy is flat
     of order kappa, and the Laplace saddle turns that into decay at the
     slow rate  k1 = kappa k2 / (kappa + k2):   -k2 + k2^2/(kappa+k2) = -k1.
+
+Both need the theta-zero ray arg u = arg(-T) outside the closed wedge;
+a T whose zero ray lies in it is refused with ValueError.
 
 Fitting log ||diff|| = a log^2|T| + b log|T| + c and reading the rate as
 -2 a log q recovers k2 on fast overlaps and k1 on slow ones.
@@ -39,12 +44,14 @@ misses its tolerance within its panel limit.  The pieces take an array
 of T (one T is a batch of one): each point gets its own window, and all
 of them are the components of that one call.  consecutive_difference
 returns one DiffPieces on either route, each piece the array its call
-returned, so a cascade or a remainder table costs one quadrature per
-piece (3 on a fast overlap, 5 on a slow one, 2 full rays on the direct
-route), whatever its number of probe points.  One per-overlap routine
+returned (3 on a fast overlap, 5 on a slow one, 2 full rays on the
+direct route), whatever its number of points.  One per-overlap routine
 turns the probes, plus any extra points, into the cascade table, its
 rate fit and the extra points' norms, for overlap_rate and the
-dichotomy alike.
+dichotomy alike.  On the decomposed route it takes a fast overlap's
+difference from the residue sum, one inv_theta_at array call per wedge
+pole and no quadrature, and a slow overlap's from one quadrature per
+piece.
 """
 
 from __future__ import annotations
@@ -293,18 +300,25 @@ def mid_segment_piece(scn: ModelScenario, p: int, T, tol: float):
                         scn.mid_direction(p), T, s_lo, s_hi, tol)
 
 
-def residue_closed_form(scn: ModelScenario, p: int, T: complex) -> complex:
+def residue_closed_form(scn: ModelScenario, p: int, T):
     """Exact value of a fast-overlap difference via residues.
 
     The counterclockwise wedge boundary runs up the ray d_p and down the
     ray d_{p+1}, so the forward difference of the two ray transforms is
     minus 2 pi i (k2/lq) times the residues of shape/(Theta(./T) u) at
-    the wedge poles."""
+    the wedge poles: one inv_theta_at array call per wedge pole over all
+    the T, and no quadrature.  T is one point or a 1-d array of them; one
+    T is a batch of one, so bit for bit element 0 of the call on [T].
+    A T whose theta-zero ray lies in the closed wedge is refused with
+    ValueError (the sum would miss the zeros' poles)."""
     fr = scn.frame
-    acc = 0.0 + 0.0j
+    _check_zero_ray(scn, p, T)
+    Ts = np.atleast_1d(np.asarray(T, dtype=complex))
+    acc = np.zeros(Ts.shape, dtype=complex)
     for pole in scn.wedge_poles(p):
-        acc += pole.strength * inv_theta_at(fr.q, fr.k2, pole.location / T)
-    return -_prefactor(scn) * 2j * math.pi * acc
+        acc += pole.strength * inv_theta_at(fr.q, fr.k2, pole.location / Ts)
+    out = -_prefactor(scn) * 2j * math.pi * acc
+    return out if np.ndim(T) else complex(out[0])
 
 
 @dataclass
@@ -326,6 +340,31 @@ def _check_overlap(scn: ModelScenario, p: int) -> None:
         raise ValueError(f"overlap index must lie in [0, {scn.n}), got {p}")
 
 
+def _check_tol(tol: float) -> None:
+    if not math.isfinite(tol):
+        raise ValueError(f"tol={tol} is not finite")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+
+
+def _check_zero_ray(scn: ModelScenario, p: int, T) -> None:
+    """Refuse the first T whose theta-zero ray arg u = arg(-T) lies in the
+    closed wedge [d_p, d_{p+1}] of overlap p: the zeros of Theta(u/T) are
+    poles that the residue sum misses and the contour deformation
+    crosses."""
+    Ts = np.atleast_1d(np.asarray(T, dtype=complex))
+    lo, hi = scn.wedge(p)
+    ray = np.angle(-Ts)
+    inside = np.flatnonzero(np.mod(ray - lo, 2.0 * math.pi) <= hi - lo)
+    if inside.size:
+        i = inside[0]
+        raise ValueError(
+            f"T={complex(Ts[i])!r}: the zeros of Theta(u/T) fill the ray "
+            f"arg u = {math.degrees(ray[i]):.6g} deg, inside the wedge "
+            f"[{math.degrees(lo):.6g}, {math.degrees(hi):.6g}] deg of "
+            f"overlap {p}; T needs its zero ray outside the wedge")
+
+
 def consecutive_difference(scn: ModelScenario, p: int, T,
                            route: str = "decomposed",
                            tol: float = DIFF_TOL) -> DiffPieces:
@@ -337,7 +376,12 @@ def consecutive_difference(scn: ModelScenario, p: int, T,
     1/Theta(u*/T), so the total loses digits as |T| shrinks.  On the
     default scenario, overlap 0, at j = 4, 8 and 12 the largest piece is
     67, 1.0e3 and 1.8e4 times the total, and the total is off
-    residue_closed_form by 1.5e-14, 2.3e-12 and 1.1e-10 relative.
+    residue_closed_form by 1.5e-14, 2.3e-12 and 1.1e-10 relative.  That
+    is why the cascades, the dichotomy and the remainder tables read a
+    fast overlap from residue_closed_form; the pieces stay here as its
+    independent oracle at shallow j.  A T whose theta-zero ray lies in
+    the closed wedge is refused with ValueError, since the deformation
+    would cross the zeros.
     route="direct": the pieces ray_plus =
     U_{p+1} and ray_minus = -U_p, two full-ray transforms whose total
     loses one digit per fast-level Gaussian factor (shallow use only).
@@ -349,10 +393,7 @@ def consecutive_difference(scn: ModelScenario, p: int, T,
     > 0 is refused with ValueError.
     """
     _check_overlap(scn, p)
-    if not math.isfinite(tol):
-        raise ValueError(f"tol={tol} is not finite")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    _check_tol(tol)
     level = scn.levels()[p]
     if route == "direct":
         return DiffPieces(level=level, pieces={
@@ -360,6 +401,7 @@ def consecutive_difference(scn: ModelScenario, p: int, T,
             "ray_minus": -laplace_transform_shape(scn, p, T, tol)})
     if route != "decomposed":
         raise ValueError("route must be decomposed|direct")
+    _check_zero_ray(scn, p, T)
     lo, hi = scn.wedge(p)
     pieces = {
         "outer_plus": outer_ray_piece(scn, p + 1, hi, T, tol),
@@ -451,23 +493,36 @@ class DichotomyReport:
                             for p, lv, tg, ft, re in self.entries]}
 
 
+def _difference_total(scn: ModelScenario, p: int, T, route: str,
+                      tol: float):
+    """U_{p+1}(T) - U_p(T) for the cascade layer: residue_closed_form on a
+    fast overlap's decomposed route, else the total of
+    consecutive_difference.  The overlap and tol are checked first on
+    either branch."""
+    _check_overlap(scn, p)
+    _check_tol(tol)
+    if route == "decomposed" and scn.levels()[p] == 2:
+        return residue_closed_form(scn, p, T)
+    return consecutive_difference(scn, p, T, route, tol).total
+
+
 def _overlap_report(scn: ModelScenario, p: int, js: Sequence[int],
                     extra_Ts: list, route: str, tol: float) -> tuple:
     """Overlap p's cascade along |T| = 2^-j on the mid-direction, its
     rate fit, the target rate (k2 on a fast overlap, k1 on a slow one),
     the fit's relative error, and the norms at the points extra_Ts, from
-    one consecutive_difference call on the probes followed by extra_Ts."""
+    one difference evaluation on the probes followed by extra_Ts."""
     _check_overlap(scn, p)
     probes = [scn.probe_T(p, j) for j in js]
-    diff = consecutive_difference(scn, p, np.array(probes + extra_Ts), route,
-                                  tol)
+    total = _difference_total(scn, p, np.array(probes + extra_Ts), route, tol)
     # abs of each Python complex: np.abs can round the last bit otherwise
-    norms = list(map(abs, diff.total.tolist()))
-    table = DiffTable(p=p, level=diff.level,
+    norms = list(map(abs, total.tolist()))
+    level = scn.levels()[p]
+    table = DiffTable(p=p, level=level,
                       rows=[DiffRow(j=j, absT=abs(T), norm=norm)
                             for j, T, norm in zip(js, probes, norms)])
     fit = fit_rate(table, scn.frame.q)
-    target = float(scn.frame.k2 if diff.level == 2 else scn.frame.k1)
+    target = float(scn.frame.k2 if level == 2 else scn.frame.k1)
     return (table, fit, target, abs(fit.rate - target) / target,
             norms[len(probes):])
 
@@ -481,10 +536,11 @@ def overlap_rate(scn: ModelScenario, p: int, js: Sequence[int], route: str,
 
 def _dichotomy(scn: ModelScenario, js: Sequence[int], tol: float,
                rel_tol: float, extra: dict) -> tuple[DichotomyReport, dict]:
-    """The rate dichotomy from one decomposed consecutive_difference call
-    per overlap.  extra[p] = (rows, Ts) adds the remainder points Ts to
-    overlap p's call after its probes; their norms come back as the
-    RemainderTable tables[p]."""
+    """The rate dichotomy from one decomposed difference evaluation per
+    overlap: the residue sum on a fast overlap, one
+    consecutive_difference call on a slow one.  extra[p] = (rows, Ts)
+    adds the remainder points Ts to overlap p's evaluation after its
+    probes; their norms come back as the RemainderTable tables[p]."""
     entries, tables = [], {}
     for p in range(scn.n):
         rows, Ts = extra.get(p, ([], []))
@@ -532,15 +588,16 @@ def difference_remainder_table(scn: ModelScenario, p: int, level_k: float,
     """Shrinking-disc rows for the overlap difference: for each order N
     place |t| = t_frac q^{-(N+1)/(2 level_k)} (inside the level's disc
     ladder) and record ||U_{p+1} - U_p|| at T = eps t for |eps| = 0.25
-    and 0.35, from one consecutive_difference call on all the rows' T.
+    and 0.35, from one difference evaluation on all the rows' T (the
+    residue sum on a fast overlap).
 
     The difference plays its own remainder: the sectorial expansions
     agree through every order, so the gap must obey the level's
     (N, eps)-ladder bound.
     """
     rows, Ts = _remainder_points(scn, p, level_k, N_range, t_frac)
-    diff = consecutive_difference(scn, p, np.array(Ts), "decomposed")
-    return _remainder_table(rows, list(map(abs, diff.total.tolist())))
+    total = _difference_total(scn, p, np.array(Ts), "decomposed", DIFF_TOL)
+    return _remainder_table(rows, list(map(abs, total.tolist())))
 
 
 @dataclass
@@ -570,11 +627,15 @@ def verify_two_level_theorem(scn: ModelScenario, js: Sequence[int] = range(3, 11
     levels, and the restriction corollary (a fast-level certificate,
     restricted to the slow level's smaller discs, re-certifies there).
 
-    One consecutive_difference call per overlap, at tol DIFF_TOL: on the
-    first fast and the first slow overlap the remainder table's
-    2 |N_range| points join the cascade's |js| probes.  Each point keeps
-    its own window, so the entries and tables are those of
-    verify_rate_dichotomy and difference_remainder_table up to the
+    One difference evaluation per overlap, at tol DIFF_TOL: on the first
+    fast and the first slow overlap the remainder table's 2 |N_range|
+    points join the cascade's |js| probes.  A fast overlap is its residue
+    sum, point by point with no shared refinement, so its entries and
+    table are those of the standalone verify_rate_dichotomy and
+    difference_remainder_table (bit for bit on the default scenario;
+    numpy's vector math can move a last bit with a point's place in the
+    batch).  A slow overlap is one consecutive_difference call, whose
+    points keep their own windows, so it matches them up to the
     refinement the merged points share."""
     from .geometry import validate_good_covering
     cov_rep = validate_good_covering(scn.covering)

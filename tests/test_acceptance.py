@@ -1,4 +1,5 @@
-"""End-to-end acceptance gate: ten independent certifications.
+"""End-to-end acceptance gate: ten independent certifications (the rate
+dichotomy on the default scenario and on a seeded family of 40).
 
 Each test exercises one headline capability at its stated tolerance and
 prints a single PASS/FAIL line with the measured margin (visible with
@@ -12,6 +13,7 @@ bound inequalities.
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,9 +25,9 @@ from qasym.asymptotics import (RemainderTable, fit_q_gevrey,
 from qasym.cocycle import CHOptions, Cocycle, ladder_jump, multilevel_split
 from qasym.equation import (EquationTerm, default_spec, manufactured_problem,
                             residual_sweep, validate_hypotheses)
-from qasym.frames import log_gaussian_power, seq_bound_from_log_bound
+from qasym.frames import QFrame, log_gaussian_power, seq_bound_from_log_bound
 from qasym.geometry import make_cyclic_covering
-from qasym.model import (consecutive_difference, default_scenario,
+from qasym.model import (PoleSpec, consecutive_difference, default_scenario,
                          difference_remainder_table, laplace_transform_shape,
                          verify_rate_dichotomy)
 from qasym.qlaplace import (GrowthCertificate, QLaplaceSpec,
@@ -231,6 +233,41 @@ def test_06_rate_dichotomy_matches_levels():
     detail = ", ".join(f"p={e[0]}: fitted {e[3]:.3f} vs {e[2]:.1f} "
                        f"(rel {e[4]:.1%})" for e in rep.entries)
     assert _gate(ok, "criterion 6 (rate dichotomy)", detail)
+
+
+def _seeded_family(n: int = 40) -> list:
+    """n scenarios drawn from np.random.default_rng(0), in this order per
+    scenario: q, k1 and the step k2 - k1; for each of the poles near 45
+    and 135 deg its modulus, its angle offset and its complex normal
+    strength; a complex normal kernel_amp; the drift."""
+    rng = np.random.default_rng(0)
+    base = default_scenario()
+    family = []
+    for _ in range(n):
+        q = float(rng.choice([1.5, 2.0, 3.0, 5.0]))
+        k1 = float(rng.choice([1.0, 1.5, 2.0]))
+        k2 = k1 + float(rng.choice([0.5, 1.0, 2.0, 4.0]))
+        poles = []
+        for center in (45.0, 135.0):
+            r = rng.uniform(1.0, 2.0)
+            a = math.radians(center + rng.uniform(-20.0, 20.0))
+            s = complex(rng.normal(), rng.normal())
+            poles.append(PoleSpec(location=complex(r * cmath.exp(1j * a)),
+                                  strength=s))
+        amp = complex(rng.normal(), rng.normal())
+        drift = float(rng.uniform(-1.0, 2.0))
+        family.append(replace(base, frame=QFrame(q, k1, k2, 0.4, 0.9),
+                              poles=tuple(poles), kernel_amp=amp, drift=drift))
+    return family
+
+
+def test_06_rate_dichotomy_on_a_seeded_family():
+    """Poles out to 2.5 rho make the fast contour pieces cancel by many
+    digits; the residue sum keeps every fast fit at k2."""
+    failed = [i for i, scn in enumerate(_seeded_family())
+              if not verify_rate_dichotomy(scn, js=range(3, 11)).ok]
+    assert _gate(not failed, "criterion 6 (rate dichotomy, seeded family)",
+                 f"{40 - len(failed)} of 40 scenarios pass, failing: {failed}")
 
 
 # --- 7. two-level splitting with a deformation oracle ----------------------------

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -127,6 +128,59 @@ class TestDifferences:
         assert set(d.pieces) == {"outer_plus", "outer_minus", "arc_lo",
                                  "arc_hi", "mid_segment"}
 
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_residue_sum_matches_its_oracles(self, scn, p):
+        """On both fast overlaps, j = 3..6 as one array: the residue sum
+        is the contour-piece total to 1e-9 relative.  The direct route
+        subtracts two full rays, so it is held to tol times their size
+        (8e-13 to 1e-5 relative from j = 3 to 6)."""
+        tol = 1e-11
+        Ts = np.array([scn.probe_T(p, j) for j in range(3, 7)])
+        res = residue_closed_form(scn, p, Ts)
+        assert res.shape == Ts.shape
+        total = consecutive_difference(scn, p, Ts, "decomposed", tol).total
+        assert np.all(np.abs(res - total) < 1e-9 * np.abs(res))
+        direct = consecutive_difference(scn, p, Ts, "direct", tol).total
+        size = sum(np.abs(model.laplace_transform_shape(scn, b, Ts, tol))
+                   for b in (p, p + 1))
+        assert np.all(np.abs(res - direct) <= tol * size)
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_residue_sum_of_one_T_is_a_batch_of_one(self, scn, p):
+        T = scn.probe_T(p, 6)
+        one = residue_closed_form(scn, p, T)
+        assert type(one) is complex
+        assert one == residue_closed_form(scn, p, np.array([T]))[0]
+
+    @pytest.mark.parametrize("p, j_max", [(0, 20), (1, 30)])
+    def test_fast_cascade_fits_k2_deep(self, scn, p, j_max):
+        rel = overlap_rate(scn, p, range(3, j_max + 1), "decomposed",
+                           model.DIFF_TOL)[3]
+        assert rel < 1e-12
+
+    @pytest.mark.parametrize("deg", [200.0, 225.0])
+    def test_zero_ray_in_the_wedge_is_refused(self, scn, deg):
+        """At arg T = 225 deg the zeros of Theta(u/T) fill arg u = 45 deg,
+        inside wedge 0: the residue sum and the decomposed contours would
+        be 57% off the direct route (99.8% at 200 deg), so both refuse the
+        first such T and name it and the wedge."""
+        T = 0.125 * cmath.exp(1j * math.radians(deg))
+        Ts = np.array([scn.probe_T(0, 3), T, -T])
+        for call in (lambda: residue_closed_form(scn, 0, Ts),
+                     lambda: consecutive_difference(scn, 0, Ts, "decomposed")):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"T={T!r}") + ".*"
+                               + re.escape("wedge [0, 90] deg")):
+                call()
+
+    @pytest.mark.parametrize("deg", [45.0, 120.0])
+    def test_zero_ray_outside_the_wedge_agrees(self, scn, deg):
+        T = 0.125 * cmath.exp(1j * math.radians(deg))
+        res = residue_closed_form(scn, 0, T)
+        for route in ("decomposed", "direct"):
+            total = consecutive_difference(scn, 0, T, route, tol=1e-11).total
+            assert abs(total - res) < 1e-9 * abs(res)
+
     @pytest.mark.parametrize("p", range(4))
     def test_array_of_T_matches_scalar_calls(self, scn, p):
         Ts = np.array([scn.probe_T(p, j) for j in range(3, 9)])
@@ -179,6 +233,8 @@ class TestDifferences:
     @pytest.mark.parametrize("js", [range(3, 9), range(3, 13)])
     def test_cascade_makes_one_contour_call_per_piece(self, scn, monkeypatch,
                                                       js):
+        """A fast overlap's cascade is its residue sum, with no contour
+        call; a slow one makes one contour call per piece."""
         calls = []
         contour = model.log_contour_transform
 
@@ -187,7 +243,7 @@ class TestDifferences:
             return contour(*args, **kw)
 
         monkeypatch.setattr(model, "log_contour_transform", counted)
-        for p, n_pieces in ((0, 3), (2, 5)):   # one fast, one slow overlap
+        for p, n_pieces in ((0, 0), (2, 5)):   # one fast, one slow overlap
             calls.clear()
             table = overlap_rate(scn, p, js, "decomposed", model.DIFF_TOL)[0]
             assert len(table.rows) == len(js)
@@ -262,8 +318,9 @@ class TestTheorem:
         assert rep.ok
 
     def test_one_difference_call_per_overlap(self, scn, monkeypatch):
-        """The remainder points of the fast overlap 0 and the slow overlap
-        2 join their cascade's call: 4 calls, not 6."""
+        """Only the slow overlaps call consecutive_difference (the fast
+        ones read the residue sum), and the remainder points of the slow
+        overlap 2 join its cascade's call."""
         sizes = []
         diff = model.consecutive_difference
 
@@ -273,7 +330,7 @@ class TestTheorem:
 
         monkeypatch.setattr(model, "consecutive_difference", counted)
         verify_two_level_theorem(scn, js=range(3, 9), N_range=range(0, 5))
-        assert sizes == [6 + 10, 6, 6 + 10, 6]
+        assert sizes == [6 + 10, 6]
 
     def test_matches_standalone_dichotomy_and_tables(self, scn, monkeypatch):
         """Merged points share refinement, so the report matches the
