@@ -2,11 +2,12 @@
 """Sweep consecutive differences of the sectorial kernel family over a
 geometric ladder |T| = q^{-j} and fit the decay level of each overlap.
 
-The direct route evaluates the two neighbouring kernel integrals and
-subtracts; the decomposed route evaluates the residue/arc pieces that an
-exact contour split predicts.  Their agreement is itself a check, and the
-fitted log-quadratic rate separates the fast overlaps (rate k2) from the
-slow ones (rate k1).
+Each overlap's difference is the residue sum over its wedge poles where
+the two sectors share a logarithm branch, and otherwise the sum of the
+contour pieces of qasym.model.consecutive_difference (outer rays, the arc
+across the wedge, and the mid segment that carries the branch change).
+The fitted log-quadratic rate separates the fast overlaps (rate k2) from
+the slow ones (rate k1).
 """
 
 import argparse
@@ -20,8 +21,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--j-min", type=int, default=3)
     ap.add_argument("--j-max", type=int, default=10)
-    ap.add_argument("--routes", nargs="+", default=["decomposed", "direct"],
-                    choices=["decomposed", "direct"])
     ap.add_argument("--overlaps", nargs="+", type=int, default=None,
                     help="overlap indices (default: all)")
     ap.add_argument("--emit-plot-data", metavar="PATH", default=None,
@@ -35,18 +34,17 @@ def main() -> int:
     rows = []
     ok = True
     for p in overlaps:
-        for route in args.routes:
-            table, fit, target, rel = overlap_rate(scn, p, js, route, tol=1e-11)
-            ok = ok and rel <= 0.15
-            print(f"overlap {p} [{route:10s}] level {table.level}: "
-                  f"rate {fit.rate:.6f} target {target:.1f} rel_err {rel:.2e}")
-            for r in table.rows:
-                rows.append((p, table.level, route, r.j, r.absT, r.norm))
+        table, fit, target, rel = overlap_rate(scn, p, js, tol=1e-11)
+        ok = ok and rel <= 0.15
+        print(f"overlap {p} level {table.level}: "
+              f"rate {fit.rate:.6f} target {target:.1f} rel_err {rel:.2e}")
+        for r in table.rows:
+            rows.append((p, table.level, r.j, r.absT, r.norm))
 
     if args.emit_plot_data:
         with open(args.emit_plot_data, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
-            w.writerow(["overlap", "level", "route", "j", "absT", "norm"])
+            w.writerow(["overlap", "level", "j", "absT", "norm"])
             for row in rows:
                 w.writerow([repr(x) if isinstance(x, float) else x for x in row])
         print(f"wrote {len(rows)} rows to {args.emit_plot_data}")

@@ -220,14 +220,10 @@ def _cmd_diff(args) -> dict:
     scn = (_load_json(args.scenario, ModelScenario.from_dict)
            if args.scenario is not None else default_scenario())
     js = range(args.j_min, args.j_max + 1)
-    if args.overlap is None and args.route == "direct":
-        raise InputError("--route direct needs --overlap: the dichotomy over "
-                         "all overlaps runs the decomposed route")
     if args.overlap is not None:
-        table, fit, target, rel = overlap_rate(scn, args.overlap, js, args.route,
-                                               args.tol)
+        table, fit, target, rel = overlap_rate(scn, args.overlap, js, args.tol)
         return {
-            "overlap": args.overlap, "route": args.route, "level": table.level,
+            "overlap": args.overlap, "level": table.level,
             "rows": [asdict(r) for r in table.rows], "fit": asdict(fit),
             "target_rate": target, "rel_err": rel, "ok": rel <= args.rel_tol,
         }
@@ -406,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", type=str, default=None, help="model scenario JSON file")
     p.add_argument("--overlap", type=int, default=None,
                    help="single overlap index (default: all, as a dichotomy report)")
-    p.add_argument("--route", choices=["direct", "decomposed"], default="decomposed")
     p.add_argument("--j-min", type=int, default=3)
     p.add_argument("--j-max", type=int, default=10)
     p.add_argument("--tol", type=float, default=1e-11)

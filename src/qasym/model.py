@@ -13,23 +13,21 @@ terms u/(u - u*):
                + sum_j s_j u / (u - u*_j),
     L_p(u) = log|u| + i (arg u - center_p  wrapped).
 
-Consecutive differences U_{p+1} - U_p contract the integration rays and
-split into explicit contour pieces:
+Consecutive differences U_{p+1} - U_p contract the integration rays to
+one contour on every overlap, diff = I1 - I2 + I3 [+ I4]: the outer rays
+from radius rho, one arc at rho across the wedge (sector p's kernel up
+to the mid-direction, sector p+1's after it), and, only where the two
+sectors use different logarithm branches, a mid-ray segment I4.
 
-  * both sectors on one branch, a pole u* inside the wedge ("fast"):
-        diff = I1 - I2 + I3,
-    outer rays from radius rho plus the inner arc.  By the residue
-    theorem the total is  -(k2/lq) 2 pi i sum_j s_j / Theta(u*_j/T),
-    which decays in |T| at the fast rate k2, while the pieces stay near
-    1/Theta(rho/T) and cancel: the cascade layer reads the residue sum
-    (residue_closed_form) and keeps the pieces as its oracle;
+  * shared branch: the contour encloses exactly the wedge poles, so the
+    total is the residue sum  -(k2/lq) 2 pi i sum_j s_j / Theta(u*_j/T).
+    With a pole u* in the wedge ("fast") it decays at the fast rate k2,
+    while the pieces stay near 1/Theta(rho/T) and cancel: the cascade
+    layer reads residue_closed_form and keeps the pieces as its oracle;
 
-  * branch change across the wedge ("slow"):
-        diff = I1 - I2 + I4 + I5 + I6,
-    two outer rays, two arcs to the wedge mid-direction, and a mid-ray
-    segment I6 carrying the branch discrepancy.  The discrepancy is flat
-    of order kappa, and the Laplace saddle turns that into decay at the
-    slow rate  k1 = kappa k2 / (kappa + k2):   -k2 + k2^2/(kappa+k2) = -k1.
+  * branch change ("slow"): the discrepancy on I4 is flat of order kappa,
+    and the Laplace saddle turns that into decay at the slow rate
+    k1 = kappa k2 / (kappa + k2):   -k2 + k2^2/(kappa+k2) = -k1.
 
 Both need the theta-zero ray arg u = arg(-T) outside the closed wedge;
 a T whose zero ray lies in it is refused with ValueError.
@@ -44,14 +42,13 @@ misses its tolerance within its panel limit.  The pieces take an array
 of T (one T is a batch of one): each point gets its own window, and all
 of them are the components of that one call.  consecutive_difference
 returns one DiffPieces on either route, each piece the array its call
-returned (3 on a fast overlap, 5 on a slow one, 2 full rays on the
+returned (3 pieces, 4 with a branch change, or 2 full rays on the
 direct route), whatever its number of points.  One per-overlap routine
 turns the probes, plus any extra points, into the cascade table, its
 rate fit and the extra points' norms, for overlap_rate and the
-dichotomy alike.  On the decomposed route it takes a fast overlap's
-difference from the residue sum, one inv_theta_at array call per wedge
-pole and no quadrature, and a slow overlap's from one quadrature per
-piece.
+dichotomy alike.  It takes a shared-branch overlap's difference from
+the residue sum, one inv_theta_at array call per wedge pole and no
+quadrature, and any other overlap's from one quadrature per piece.
 """
 
 from __future__ import annotations
@@ -203,9 +200,10 @@ def branch_log(u, center: float):
         + 1j * wrap_angle(np.angle(u) - center)
 
 
-def gaussian_branch_part(scn: ModelScenario, p: int, u):
+def gaussian_branch_part(scn: ModelScenario, p, u):
+    """Sector p's log-Gaussian factor; p is an index or one per u."""
     fr = scn.frame
-    L = branch_log(u, scn.branch_centers[p % scn.n])
+    L = branch_log(u, np.asarray(scn.branch_centers)[np.mod(p, scn.n)])
     expo = (-(fr.kappa / (2.0 * math.log(fr.q))) * L * L + scn.drift * L)
     expo = np.where(expo.real < LOG_TINY, LOG_TINY + 1j * expo.imag, expo)
     return scn.kernel_amp * np.exp(expo)
@@ -219,16 +217,14 @@ def pole_part(scn: ModelScenario, u):
     return acc
 
 
-def kernel_shape(scn: ModelScenario, p: int, u):
+def kernel_shape(scn: ModelScenario, p, u):
     """shape_p(u): branch-dependent log-Gaussian plus shared pole terms."""
     return gaussian_branch_part(scn, p, u) + pole_part(scn, u)
 
 
 def kernel_jump_shape(scn: ModelScenario, p: int, u):
     """shape_{p+1} - shape_p: the pole terms cancel exactly, leaving the
-    pure branch discrepancy (zero when the branch centers agree)."""
-    if scn.branch_centers[(p + 1) % scn.n] == scn.branch_centers[p % scn.n]:
-        return np.zeros_like(np.asarray(u, dtype=complex))
+    pure branch discrepancy."""
     return gaussian_branch_part(scn, p + 1, u) - gaussian_branch_part(scn, p, u)
 
 
@@ -267,16 +263,18 @@ def outer_ray_piece(scn: ModelScenario, branch: int, direction: float,
                         direction, T, s0, s0 + ds, tol)
 
 
-def arc_piece(scn: ModelScenario, branch: int, theta_lo: float,
-              theta_hi: float, T, tol: float):
-    """(k2/lq) i int_{theta_lo}^{theta_hi} shape(rho e^{i th})
-    invTheta(rho e^{i th}/T) d th on the contraction circle."""
+def arc_piece(scn: ModelScenario, p: int, T, tol: float):
+    """(k2/lq) i int_{d_p}^{d_{p+1}} shape(rho e^{i th})
+    invTheta(rho e^{i th}/T) d th across the wedge, with sector p's kernel
+    before the mid-direction and sector p+1's after it.  The mid-direction
+    is x = 1/2, an edge of every panel, so no panel straddles the switch."""
     fr = scn.frame
-    val, _, _ = log_contour_transform(lambda u: kernel_shape(scn, branch, u),
-                                      fr.q, fr.k2, T, math.log(scn.rho), 1j,
-                                      theta_lo, theta_hi,
-                                      epsabs=tol * 1e-250, epsrel=tol,
-                                      limit=200)
+    lo, hi = scn.wedge(p)
+    mid = scn.mid_direction(p)
+    val, _, _ = log_contour_transform(
+        lambda u: kernel_shape(scn, p + (wrap_angle(np.angle(u) - mid) > 0), u),
+        fr.q, fr.k2, T, math.log(scn.rho), 1j, lo, hi, epsabs=tol * 1e-250,
+        epsrel=tol, limit=200)
     return val
 
 
@@ -301,17 +299,21 @@ def mid_segment_piece(scn: ModelScenario, p: int, T, tol: float):
 
 
 def residue_closed_form(scn: ModelScenario, p: int, T):
-    """Exact value of a fast-overlap difference via residues.
+    """Exact value of a shared-branch overlap's difference via residues.
 
-    The counterclockwise wedge boundary runs up the ray d_p and down the
-    ray d_{p+1}, so the forward difference of the two ray transforms is
-    minus 2 pi i (k2/lq) times the residues of shape/(Theta(./T) u) at
-    the wedge poles: one inv_theta_at array call per wedge pole over all
-    the T, and no quadrature.  T is one point or a 1-d array of them; one
-    T is a batch of one, so bit for bit element 0 of the call on [T].
-    A T whose theta-zero ray lies in the closed wedge is refused with
-    ValueError (the sum would miss the zeros' poles)."""
+    With no mid segment, the counterclockwise wedge boundary runs up the
+    ray d_p and down the ray d_{p+1}, so the forward difference of the two
+    ray transforms is minus 2 pi i (k2/lq) times the residues of
+    shape/(Theta(./T) u) at the wedge poles: one inv_theta_at array call
+    per wedge pole over all the T, and no quadrature.  T is one point or
+    a 1-d array of them; one T is a batch of one, so bit for bit element
+    0 of the call on [T].  ValueError refuses an overlap that changes
+    branch (no residue gives its discrepancy) and a T whose theta-zero
+    ray lies in the closed wedge (the sum would miss the zeros' poles)."""
     fr = scn.frame
+    if not _shares_branch(scn, p):
+        raise ValueError(f"overlap {p} changes logarithm branch: its "
+                         "difference is no residue sum")
     _check_zero_ray(scn, p, T)
     Ts = np.atleast_1d(np.asarray(T, dtype=complex))
     acc = np.zeros(Ts.shape, dtype=complex)
@@ -323,9 +325,9 @@ def residue_closed_form(scn: ModelScenario, p: int, T):
 
 @dataclass
 class DiffPieces:
-    """One consecutive difference on an overlap of the given level, split
-    into its contour pieces: each an array over a batch of T, or a
-    complex for one T."""
+    """One consecutive difference on an overlap of the given level (which
+    sets its target rate), split into its contour pieces: each an array
+    over a batch of T, or a complex for one T."""
 
     level: int
     pieces: dict
@@ -347,15 +349,23 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be > 0, got {tol}")
 
 
+def _shares_branch(scn: ModelScenario, p: int) -> bool:
+    """Sectors p and p+1 use one logarithm branch, so overlap p's contour
+    has no mid segment and its difference is the wedge poles' residues."""
+    return scn.branch_centers[p % scn.n] == scn.branch_centers[(p + 1) % scn.n]
+
+
 def _check_zero_ray(scn: ModelScenario, p: int, T) -> None:
     """Refuse the first T whose theta-zero ray arg u = arg(-T) lies in the
     closed wedge [d_p, d_{p+1}] of overlap p: the zeros of Theta(u/T) are
     poles that the residue sum misses and the contour deformation
-    crosses."""
+    crosses.  The wedge is widened by 1e-12 rad on each side, so a ray on
+    an edge up to rounding counts as on it."""
     Ts = np.atleast_1d(np.asarray(T, dtype=complex))
     lo, hi = scn.wedge(p)
     ray = np.angle(-Ts)
-    inside = np.flatnonzero(np.mod(ray - lo, 2.0 * math.pi) <= hi - lo)
+    inside = np.flatnonzero(np.mod(ray - lo + 1e-12, 2.0 * math.pi)
+                            <= hi - lo + 2e-12)
     if inside.size:
         i = inside[0]
         raise ValueError(
@@ -370,21 +380,20 @@ def consecutive_difference(scn: ModelScenario, p: int, T,
                            tol: float = DIFF_TOL) -> DiffPieces:
     """U_{p+1}(T) - U_p(T) on overlap p, as the DiffPieces of a route.
 
-    route="decomposed": the contour pieces.  On a slow overlap they do
-    not cancel.  On a fast overlap they do: the pieces stay near the size
-    of 1/Theta(rho/T) while the total is the residue sum, about
-    1/Theta(u*/T), so the total loses digits as |T| shrinks.  On the
-    default scenario, overlap 0, at j = 4, 8 and 12 the largest piece is
-    67, 1.0e3 and 1.8e4 times the total, and the total is off
-    residue_closed_form by 1.5e-14, 2.3e-12 and 1.1e-10 relative.  That
-    is why the cascades, the dichotomy and the remainder tables read a
-    fast overlap from residue_closed_form; the pieces stay here as its
-    independent oracle at shallow j.  A T whose theta-zero ray lies in
-    the closed wedge is refused with ValueError, since the deformation
-    would cross the zeros.
-    route="direct": the pieces ray_plus =
-    U_{p+1} and ray_minus = -U_p, two full-ray transforms whose total
-    loses one digit per fast-level Gaussian factor (shallow use only).
+    route="decomposed": the contour pieces outer_plus, outer_minus and
+    arc, plus mid_segment where sectors p and p+1 use different branches.
+    Without a mid segment the pieces cancel where the wedge holds a pole:
+    they stay near 1/Theta(rho/T) while the total is the residue sum,
+    about 1/Theta(u*/T).  On the default scenario, overlap 0, at j = 4, 8
+    and 12 the largest piece is 67, 1.0e3 and 1.8e4 times the total, and
+    the total is off residue_closed_form by 1.5e-14, 2.3e-12 and 1.1e-10
+    relative, so the cascade layer reads a shared-branch overlap from
+    residue_closed_form and keeps the pieces as its oracle at shallow j.
+    A T whose theta-zero ray lies in the closed wedge is refused with
+    ValueError, since the deformation would cross the zeros.
+    route="direct": the pieces ray_plus = U_{p+1} and ray_minus = -U_p,
+    two full-ray transforms whose total loses one digit per fast-level
+    Gaussian factor (shallow use only).
 
     T is one point or a 1-d array of them.  Each piece is one contour
     call on all of the points, kept as that call returned it: an array
@@ -406,13 +415,9 @@ def consecutive_difference(scn: ModelScenario, p: int, T,
     pieces = {
         "outer_plus": outer_ray_piece(scn, p + 1, hi, T, tol),
         "outer_minus": -outer_ray_piece(scn, p, lo, T, tol),
+        "arc": arc_piece(scn, p, T, tol),
     }
-    if level == 2:
-        pieces["inner_arc"] = arc_piece(scn, p, lo, hi, T, tol)
-    else:
-        mid = scn.mid_direction(p)
-        pieces["arc_lo"] = arc_piece(scn, p, lo, mid, T, tol)
-        pieces["arc_hi"] = arc_piece(scn, p + 1, mid, hi, T, tol)
+    if not _shares_branch(scn, p):
         pieces["mid_segment"] = mid_segment_piece(scn, p, T, tol)
     return DiffPieces(level=level, pieces=pieces)
 
@@ -493,28 +498,27 @@ class DichotomyReport:
                             for p, lv, tg, ft, re in self.entries]}
 
 
-def _difference_total(scn: ModelScenario, p: int, T, route: str,
-                      tol: float):
-    """U_{p+1}(T) - U_p(T) for the cascade layer: residue_closed_form on a
-    fast overlap's decomposed route, else the total of
-    consecutive_difference.  The overlap and tol are checked first on
-    either branch."""
+def _difference_total(scn: ModelScenario, p: int, T, tol: float):
+    """U_{p+1}(T) - U_p(T) for the cascade layer: residue_closed_form
+    where sectors p and p+1 share a branch, else the total of the
+    decomposed consecutive_difference.  The overlap and tol are checked
+    first on either branch."""
     _check_overlap(scn, p)
     _check_tol(tol)
-    if route == "decomposed" and scn.levels()[p] == 2:
+    if _shares_branch(scn, p):
         return residue_closed_form(scn, p, T)
-    return consecutive_difference(scn, p, T, route, tol).total
+    return consecutive_difference(scn, p, T, tol=tol).total
 
 
 def _overlap_report(scn: ModelScenario, p: int, js: Sequence[int],
-                    extra_Ts: list, route: str, tol: float) -> tuple:
+                    extra_Ts: list, tol: float) -> tuple:
     """Overlap p's cascade along |T| = 2^-j on the mid-direction, its
     rate fit, the target rate (k2 on a fast overlap, k1 on a slow one),
     the fit's relative error, and the norms at the points extra_Ts, from
     one difference evaluation on the probes followed by extra_Ts."""
     _check_overlap(scn, p)
     probes = [scn.probe_T(p, j) for j in js]
-    total = _difference_total(scn, p, np.array(probes + extra_Ts), route, tol)
+    total = _difference_total(scn, p, np.array(probes + extra_Ts), tol)
     # abs of each Python complex: np.abs can round the last bit otherwise
     norms = list(map(abs, total.tolist()))
     level = scn.levels()[p]
@@ -527,25 +531,24 @@ def _overlap_report(scn: ModelScenario, p: int, js: Sequence[int],
             norms[len(probes):])
 
 
-def overlap_rate(scn: ModelScenario, p: int, js: Sequence[int], route: str,
+def overlap_rate(scn: ModelScenario, p: int, js: Sequence[int],
                  tol: float) -> tuple[DiffTable, RateFit, float, float]:
     """Overlap p's cascade, its rate fit, the target rate (k2 on a fast
     overlap, k1 on a slow one) and the fit's relative error."""
-    return _overlap_report(scn, p, js, [], route, tol)[:4]
+    return _overlap_report(scn, p, js, [], tol)[:4]
 
 
 def _dichotomy(scn: ModelScenario, js: Sequence[int], tol: float,
                rel_tol: float, extra: dict) -> tuple[DichotomyReport, dict]:
-    """The rate dichotomy from one decomposed difference evaluation per
-    overlap: the residue sum on a fast overlap, one
-    consecutive_difference call on a slow one.  extra[p] = (rows, Ts)
-    adds the remainder points Ts to overlap p's evaluation after its
-    probes; their norms come back as the RemainderTable tables[p]."""
+    """The rate dichotomy from one difference evaluation per overlap: the
+    residue sum on a shared-branch overlap, one consecutive_difference
+    call on any other.  extra[p] = (rows, Ts) adds the remainder points Ts
+    to overlap p's evaluation after its probes; their norms come back as
+    the RemainderTable tables[p]."""
     entries, tables = [], {}
     for p in range(scn.n):
         rows, Ts = extra.get(p, ([], []))
-        table, fit, target, rel, norms = _overlap_report(scn, p, js, Ts,
-                                                         "decomposed", tol)
+        table, fit, target, rel, norms = _overlap_report(scn, p, js, Ts, tol)
         entries.append((p, table.level, target, fit.rate, rel))
         if p in extra:
             tables[p] = _remainder_table(rows, norms)
@@ -589,14 +592,14 @@ def difference_remainder_table(scn: ModelScenario, p: int, level_k: float,
     place |t| = t_frac q^{-(N+1)/(2 level_k)} (inside the level's disc
     ladder) and record ||U_{p+1} - U_p|| at T = eps t for |eps| = 0.25
     and 0.35, from one difference evaluation on all the rows' T (the
-    residue sum on a fast overlap).
+    residue sum on a shared-branch overlap).
 
     The difference plays its own remainder: the sectorial expansions
     agree through every order, so the gap must obey the level's
     (N, eps)-ladder bound.
     """
     rows, Ts = _remainder_points(scn, p, level_k, N_range, t_frac)
-    total = _difference_total(scn, p, np.array(Ts), "decomposed", DIFF_TOL)
+    total = _difference_total(scn, p, np.array(Ts), DIFF_TOL)
     return _remainder_table(rows, list(map(abs, total.tolist())))
 
 
@@ -629,12 +632,12 @@ def verify_two_level_theorem(scn: ModelScenario, js: Sequence[int] = range(3, 11
 
     One difference evaluation per overlap, at tol DIFF_TOL: on the first
     fast and the first slow overlap the remainder table's 2 |N_range|
-    points join the cascade's |js| probes.  A fast overlap is its residue
-    sum, point by point with no shared refinement, so its entries and
-    table are those of the standalone verify_rate_dichotomy and
-    difference_remainder_table (bit for bit on the default scenario;
+    points join the cascade's |js| probes.  A shared-branch overlap is
+    its residue sum, point by point with no shared refinement, so its
+    entries and table are those of the standalone verify_rate_dichotomy
+    and difference_remainder_table (bit for bit on the default scenario;
     numpy's vector math can move a last bit with a point's place in the
-    batch).  A slow overlap is one consecutive_difference call, whose
+    batch).  Any other overlap is one consecutive_difference call, whose
     points keep their own windows, so it matches them up to the
     refinement the merged points share."""
     from .geometry import validate_good_covering

@@ -467,8 +467,6 @@ class TestBadArguments:
                      "is subnormal and rounds", id="theta-shift-rounds-subnormal"),
         pytest.param(("theta", "--q", "1.05", "--k", "4", "--z", "1"),
                      "is below double resolution", id="theta-small-pitch"),
-        pytest.param(("diff", "--route", "direct"), "--route direct needs --overlap",
-                     id="diff-route-without-overlap"),
         pytest.param(("fourier", "--z", "nan"), "'nan'", id="fourier-z-nan"),
         pytest.param(("fourier", "--z", "0.3", "--tol", "nan"), "is not finite",
                      id="fourier-tol-nan"),

@@ -121,12 +121,16 @@ class TestDifferences:
             assert abs(d.total - oracle) < 1e-9 * abs(oracle)
 
     def test_slow_difference_has_no_residue_oracle(self, scn):
+        """Overlap 2 changes branch: its pieces carry a mid segment, and
+        the residue sum refuses it, naming the overlap."""
         d = consecutive_difference(scn, 2, scn.probe_T(2, 3), "decomposed",
                                    tol=1e-11)
         assert scn.wedge_poles(2) == ()
-        assert residue_closed_form(scn, 2, scn.probe_T(2, 3)) == 0
-        assert set(d.pieces) == {"outer_plus", "outer_minus", "arc_lo",
-                                 "arc_hi", "mid_segment"}
+        with pytest.raises(ValueError, match="overlap 2 changes logarithm "
+                                             "branch"):
+            residue_closed_form(scn, 2, scn.probe_T(2, 3))
+        assert set(d.pieces) == {"outer_plus", "outer_minus", "arc",
+                                 "mid_segment"}
 
     @pytest.mark.parametrize("p", [0, 1])
     def test_residue_sum_matches_its_oracles(self, scn, p):
@@ -147,15 +151,17 @@ class TestDifferences:
 
     @pytest.mark.parametrize("p", [0, 1, 2])
     def test_residue_sum_of_one_T_is_a_batch_of_one(self, scn, p):
+        """On one branch throughout, so that overlap 2 (no wedge pole) has
+        a residue sum too; overlaps 0 and 1 are the default scenario's."""
+        one_branch = replace(scn, branch_centers=scn.branch_centers[:1] * scn.n)
         T = scn.probe_T(p, 6)
-        one = residue_closed_form(scn, p, T)
+        one = residue_closed_form(one_branch, p, T)
         assert type(one) is complex
-        assert one == residue_closed_form(scn, p, np.array([T]))[0]
+        assert one == residue_closed_form(one_branch, p, np.array([T]))[0]
 
     @pytest.mark.parametrize("p, j_max", [(0, 20), (1, 30)])
     def test_fast_cascade_fits_k2_deep(self, scn, p, j_max):
-        rel = overlap_rate(scn, p, range(3, j_max + 1), "decomposed",
-                           model.DIFF_TOL)[3]
+        rel = overlap_rate(scn, p, range(3, j_max + 1), model.DIFF_TOL)[3]
         assert rel < 1e-12
 
     @pytest.mark.parametrize("deg", [200.0, 225.0])
@@ -173,6 +179,30 @@ class TestDifferences:
                                + re.escape("wedge [0, 90] deg")):
                 call()
 
+    @pytest.mark.parametrize("T", [0.125 * cmath.exp(1j * math.pi),
+                                   0.125 * cmath.exp(-0.5j * math.pi)],
+                             ids=["edge-d0", "edge-d1"])
+    def test_zero_ray_on_a_wedge_edge_is_refused(self, scn, T):
+        """The zero ray arg(-T) lies on d_0 = 0 (as -1.2e-16 rad) and on
+        d_1 = 90 deg (up to 7.7e-18 rad) only up to rounding: both are in
+        the closed wedge, for the residue sum and the contours alike."""
+        for call in (lambda: residue_closed_form(scn, 0, T),
+                     lambda: consecutive_difference(scn, 0, T, "decomposed")):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"T={T!r}") + ".*"
+                               + re.escape("wedge [0, 90] deg")):
+                call()
+
+    def test_probes_and_remainder_points_clear_the_wedge(self, scn):
+        """The edge margin refuses no mid-direction point: every probe
+        down to j = 30 and every remainder point of every overlap."""
+        for p in range(scn.n):
+            Ts = [scn.probe_T(p, j) for j in range(0, 31)]
+            for k in (scn.frame.k1, scn.frame.k2):
+                Ts += model._remainder_points(scn, p, k, range(0, 7),
+                                              model.T_FRAC)[1]
+            model._check_zero_ray(scn, p, np.array(Ts))
+
     @pytest.mark.parametrize("deg", [45.0, 120.0])
     def test_zero_ray_outside_the_wedge_agrees(self, scn, deg):
         T = 0.125 * cmath.exp(1j * math.radians(deg))
@@ -180,6 +210,29 @@ class TestDifferences:
         for route in ("decomposed", "direct"):
             total = consecutive_difference(scn, 0, T, route, tol=1e-11).total
             assert abs(total - res) < 1e-9 * abs(res)
+
+    def test_fast_overlap_that_changes_branch(self, scn):
+        """Overlap 0 is fast (level 2) but its sectors use branches
+        centred at 90 and 180 deg: its difference carries the branch
+        discrepancy on a mid segment, which no residue gives.  The pieces'
+        total and the cascade's norms agree with the direct route at
+        j = 3..6."""
+        two = replace(scn, branch_centers=tuple(
+            math.radians(d) for d in (90.0, 180.0, 90.0, 270.0)))
+        assert two.levels()[0] == 2
+        js = range(3, 7)
+        Ts = np.array([two.probe_T(0, j) for j in js])
+        direct = consecutive_difference(two, 0, Ts, "direct", tol=1e-11).total
+        d = consecutive_difference(two, 0, Ts, "decomposed", tol=1e-11)
+        assert set(d.pieces) == {"outer_plus", "outer_minus", "arc",
+                                 "mid_segment"}
+        assert np.all(np.abs(d.total - direct) <= 1e-9 * np.abs(direct))
+        table = overlap_rate(two, 0, js, model.DIFF_TOL)[0]
+        for row, want in zip(table.rows, direct, strict=True):
+            assert abs(row.norm - abs(want)) <= 1e-9 * abs(want)
+        with pytest.raises(ValueError, match="overlap 0 changes logarithm "
+                                             "branch"):
+            residue_closed_form(two, 0, Ts)
 
     @pytest.mark.parametrize("p", range(4))
     def test_array_of_T_matches_scalar_calls(self, scn, p):
@@ -233,8 +286,9 @@ class TestDifferences:
     @pytest.mark.parametrize("js", [range(3, 9), range(3, 13)])
     def test_cascade_makes_one_contour_call_per_piece(self, scn, monkeypatch,
                                                       js):
-        """A fast overlap's cascade is its residue sum, with no contour
-        call; a slow one makes one contour call per piece."""
+        """A shared-branch overlap's cascade is its residue sum, with no
+        contour call; one that changes branch makes one contour call per
+        piece: two outer rays, the arc and the mid segment."""
         calls = []
         contour = model.log_contour_transform
 
@@ -243,9 +297,9 @@ class TestDifferences:
             return contour(*args, **kw)
 
         monkeypatch.setattr(model, "log_contour_transform", counted)
-        for p, n_pieces in ((0, 0), (2, 5)):   # one fast, one slow overlap
+        for p, n_pieces in ((0, 0), (2, 4)):   # one fast, one slow overlap
             calls.clear()
-            table = overlap_rate(scn, p, js, "decomposed", model.DIFF_TOL)[0]
+            table = overlap_rate(scn, p, js, model.DIFF_TOL)[0]
             assert len(table.rows) == len(js)
             assert calls == [len(js)] * n_pieces
 

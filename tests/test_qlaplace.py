@@ -292,11 +292,14 @@ class TestBatchedRule:
         T = scn.probe_T(p, j)
         model.laplace_transform_shape(scn, p, T, 1e-12)
         model.outer_ray_piece(scn, p + 1, hi, T, 1e-11)
-        model.arc_piece(scn, p, lo, scn.mid_direction(p), T, 1e-11)
+        model.arc_piece(scn, p, T, 1e-11)
         model.mid_segment_piece(scn, p, T, 1e-11)
         assert [c[0][5] for c in calls] == [1, 1, 1j, 1]  # ray, ray, arc, segment
+        assert calls[2][0][6:] == (lo, hi)   # the arc spans the whole wedge
         for args, value in calls:
-            ref = scipy_contour(*args)
+            # the arc's kernel changes branch at the mid-direction
+            points = [scn.mid_direction(p)] if args[5] == 1j else None
+            ref = scipy_contour(*args, points=points)
             assert abs(value - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("q,k", [(2.0, 1.0), (3.0, 0.5), (2.0, 2.0)])
@@ -398,12 +401,14 @@ class TestBatchedRule:
         lo, hi = scn.wedge(p)
         Ts = np.array([scn.probe_T(p, j + i) for i in range(3)])
         model.outer_ray_piece(scn, p + 1, hi, Ts, 1e-11)
-        model.arc_piece(scn, p, lo, scn.mid_direction(p), Ts, 1e-11)
+        model.arc_piece(scn, p, Ts, 1e-11)
         model.mid_segment_piece(scn, p, Ts, 1e-11)
         assert [c[0][5] for c in calls] == [1, 1j, 1]  # ray, arc, segment
         for (f, q, k, T, w0, dw, a, b), values in calls:
             assert values.shape == (3,)
             a, b = np.broadcast_to(a, 3), np.broadcast_to(b, 3)
+            points = [scn.mid_direction(p)] if dw == 1j else None
             for i in range(3):
-                ref = scipy_contour(f, q, k, T[i], w0, dw, a[i], b[i])
+                ref = scipy_contour(f, q, k, T[i], w0, dw, a[i], b[i],
+                                    points=points)
                 assert abs(values[i] - ref) <= 1e-12 * abs(ref)

@@ -13,8 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("script, args", [
     ("fit_remainders.py", ["--n-max", "1"]),
     ("residual_grid.py", ["--n", "1"]),
-    ("sweep_differences.py", ["--j-min", "3", "--j-max", "5", "--overlaps", "0",
-                              "--routes", "decomposed"]),
+    ("sweep_differences.py", ["--j-min", "3", "--j-max", "5", "--overlaps", "0"]),
     ("run_demo.py", ["--fast"]),
 ])
 def test_script_exits_zero(script, args):
