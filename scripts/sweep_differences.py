@@ -3,9 +3,10 @@
 geometric ladder |T| = q^{-j} and fit the decay level of each overlap.
 
 Each overlap's difference is the residue sum over its wedge poles where
-the two sectors share a logarithm branch, and otherwise the sum of the
-contour pieces of qasym.model.consecutive_difference (outer rays, the arc
-across the wedge, and the mid segment that carries the branch change).
+the two sectors share a logarithm branch, and otherwise one whole ray of
+the branch discrepancy along the wedge mid-direction plus that residue
+sum (the contour pieces of qasym.model.consecutive_difference stay its
+oracle in the tests).
 The fitted log-quadratic rate separates the fast overlaps (rate k2) from
 the slow ones (rate k1).
 """

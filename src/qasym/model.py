@@ -28,9 +28,15 @@ sectors use different logarithm branches, a mid-ray segment I4.
   * branch change ("slow"): the discrepancy on I4 is flat of order kappa,
     and the Laplace saddle turns that into decay at the slow rate
     k1 = kappa k2 / (kappa + k2):   -k2 + k2^2/(kappa+k2) = -k1.
+    Rotating the two rays onto the mid-direction instead of contracting
+    them gives the same difference as one whole mid ray of the branch
+    discrepancy plus the wedge poles' residues: the cascade layer reads
+    that, and keeps the four pieces as its oracle.
 
 Both need the theta-zero ray arg u = arg(-T) outside the closed wedge;
-a T whose zero ray lies in it is refused with ValueError.
+a T whose zero ray lies in it is refused with ValueError.  Each sector's
+branch cut must miss the arc between the mid-directions around its ray,
+where its kernel is used; ModelScenario refuses one that does not.
 
 Fitting log ||diff|| = a log^2|T| + b log|T| + c and reading the rate as
 -2 a log q recovers k2 on fast overlaps and k1 on slow ones.
@@ -48,7 +54,8 @@ turns the probes, plus any extra points, into the cascade table, its
 rate fit and the extra points' norms, for overlap_rate and the
 dichotomy alike.  It takes a shared-branch overlap's difference from
 the residue sum, one inv_theta_at array call per wedge pole and no
-quadrature, and any other overlap's from one quadrature per piece.
+quadrature, and any other overlap's from one quadrature, its whole mid
+ray, plus that residue sum.
 """
 
 from __future__ import annotations
@@ -90,10 +97,13 @@ class ModelScenario(Record):
     directions[p] is the Laplace ray of sector p (radians, strictly
     increasing over one turn); branch_centers[p] the center of the
     logarithm branch used by that sector's kernel (sharing a center
-    means sharing a branch); u_half_widths[p] the angular half-width of
-    the kernel's analyticity sector around directions[p], which decides
-    fast/slow overlaps.  rho is the contraction radius of the pieces and
-    must stay below every pole modulus.
+    means sharing a branch), whose cut at center + pi must miss the arc
+    between the mid-directions around directions[p], where the kernel is
+    used (ValueError names a sector that breaks this); u_half_widths[p]
+    the angular half-width of the kernel's analyticity sector around
+    directions[p], which decides fast/slow overlaps.  rho is the
+    contraction radius of the pieces and must stay below every pole
+    modulus.
     """
 
     frame: QFrame
@@ -117,6 +127,8 @@ class ModelScenario(Record):
                                  f"radius rho={self.rho}")
         if not 0 < self.rho:
             raise ValueError("rho must be positive")
+        for p in range(n):
+            _check_branch_cut(self, p)
 
     @property
     def n(self) -> int:
@@ -278,13 +290,15 @@ def arc_piece(scn: ModelScenario, p: int, T, tol: float):
     return val
 
 
-def mid_segment_piece(scn: ModelScenario, p: int, T, tol: float):
-    """(k2/lq) int_0^rho [shape_{p+1} - shape_p](u) invTheta(u/T) du/u
-    along the wedge mid-direction: the slow-rate carrier.
+def mid_segment_piece(scn: ModelScenario, p: int, T, tol: float,
+                      radius: float):
+    """(k2/lq) int_0^radius [shape_{p+1} - shape_p](u) invTheta(u/T) du/u
+    along the wedge mid-direction: the slow-rate carrier.  radius is rho
+    for the decomposed route's segment and inf for the whole mid ray.
 
     The integrand's log-radius exponent is a sum of two Gaussians whose
     saddle realizes  kappa k2/(kappa + k2) = k1;  the window is centred
-    there, per point T.
+    there, per point T, and ends at log radius where that comes first.
     """
     fr = scn.frame
     lq = math.log(fr.q)
@@ -293,7 +307,7 @@ def mid_segment_piece(scn: ModelScenario, p: int, T, tol: float):
     s_star = (k2 * np.log(np.abs(T)) + lq * (scn.drift - 0.5)) / (kap + k2)
     half = math.sqrt(2.0 * lq * _budget(tol) / (kap + k2)) + 2.0
     s_lo = s_star - half
-    s_hi = np.minimum(math.log(scn.rho), s_star + half)
+    s_hi = np.minimum(math.log(radius), s_star + half)
     return _laplace_ray(scn, lambda u: kernel_jump_shape(scn, p, u),
                         scn.mid_direction(p), T, s_lo, s_hi, tol)
 
@@ -310,17 +324,24 @@ def residue_closed_form(scn: ModelScenario, p: int, T):
     0 of the call on [T].  ValueError refuses an overlap that changes
     branch (no residue gives its discrepancy) and a T whose theta-zero
     ray lies in the closed wedge (the sum would miss the zeros' poles)."""
-    fr = scn.frame
     if not _shares_branch(scn, p):
         raise ValueError(f"overlap {p} changes logarithm branch: its "
                          "difference is no residue sum")
     _check_zero_ray(scn, p, T)
-    Ts = np.atleast_1d(np.asarray(T, dtype=complex))
+    out = _wedge_residues(scn, p, np.atleast_1d(np.asarray(T, dtype=complex)))
+    return out if np.ndim(T) else complex(out[0])
+
+
+def _wedge_residues(scn: ModelScenario, p: int, Ts):
+    """-2 pi i (k2/lq) sum_j s_j / Theta(u*_j/T) over overlap p's wedge
+    poles, at each T of the 1-d array Ts: one inv_theta_at array call per
+    pole.  The pole terms are shared by every branch, so the sum is the
+    same whether or not the overlap changes branch."""
+    fr = scn.frame
     acc = np.zeros(Ts.shape, dtype=complex)
     for pole in scn.wedge_poles(p):
         acc += pole.strength * inv_theta_at(fr.q, fr.k2, pole.location / Ts)
-    out = -_prefactor(scn) * 2j * math.pi * acc
-    return out if np.ndim(T) else complex(out[0])
+    return -_prefactor(scn) * 2j * math.pi * acc
 
 
 @dataclass
@@ -353,6 +374,25 @@ def _shares_branch(scn: ModelScenario, p: int) -> bool:
     """Sectors p and p+1 use one logarithm branch, so overlap p's contour
     has no mid segment and its difference is the wedge poles' residues."""
     return scn.branch_centers[p % scn.n] == scn.branch_centers[(p + 1) % scn.n]
+
+
+def _check_branch_cut(scn: ModelScenario, p: int) -> None:
+    """Refuse sector p if its kernel's branch cut, at center + pi, lies in
+    the closed arc [m_{p-1}, m_p] between the mid-directions around d_p:
+    overlaps p - 1 and p use that kernel on the whole arc (its ray, its
+    half of each wedge's arc, and each mid ray), and every contour
+    deformation across it assumes the kernel is analytic there.  The arc
+    is widened by 1e-12 rad on each side, as in _check_zero_ray."""
+    lo_b, hi_b = scn.wedge((p - 1) % scn.n)
+    lo_p, hi_p = scn.wedge(p)
+    lo = 0.5 * (lo_b + hi_b)                       # m_{p-1}
+    width = 0.5 * ((hi_b - lo_b) + (hi_p - lo_p))  # up to m_p
+    cut = math.fmod(scn.branch_centers[p] + math.pi, 2.0 * math.pi)
+    if np.mod(cut - lo + 1e-12, 2.0 * math.pi) <= width + 2e-12:
+        raise ValueError(
+            f"sector {p}: its branch cut at {math.degrees(cut):.6g} deg lies "
+            f"in the arc [{math.degrees(lo):.6g}, "
+            f"{math.degrees(lo + width):.6g}] deg where its kernel is used")
 
 
 def _check_zero_ray(scn: ModelScenario, p: int, T) -> None:
@@ -388,7 +428,9 @@ def consecutive_difference(scn: ModelScenario, p: int, T,
     and 12 the largest piece is 67, 1.0e3 and 1.8e4 times the total, and
     the total is off residue_closed_form by 1.5e-14, 2.3e-12 and 1.1e-10
     relative, so the cascade layer reads a shared-branch overlap from
-    residue_closed_form and keeps the pieces as its oracle at shallow j.
+    residue_closed_form and keeps the pieces as its oracle at shallow j;
+    with a mid segment it reads one whole mid ray plus the wedge residues
+    (_difference_total), one contour call in place of these four.
     A T whose theta-zero ray lies in the closed wedge is refused with
     ValueError, since the deformation would cross the zeros.
     route="direct": the pieces ray_plus = U_{p+1} and ray_minus = -U_p,
@@ -418,7 +460,7 @@ def consecutive_difference(scn: ModelScenario, p: int, T,
         "arc": arc_piece(scn, p, T, tol),
     }
     if not _shares_branch(scn, p):
-        pieces["mid_segment"] = mid_segment_piece(scn, p, T, tol)
+        pieces["mid_segment"] = mid_segment_piece(scn, p, T, tol, scn.rho)
     return DiffPieces(level=level, pieces=pieces)
 
 
@@ -500,14 +542,29 @@ class DichotomyReport:
 
 def _difference_total(scn: ModelScenario, p: int, T, tol: float):
     """U_{p+1}(T) - U_p(T) for the cascade layer: residue_closed_form
-    where sectors p and p+1 share a branch, else the total of the
-    decomposed consecutive_difference.  The overlap and tol are checked
-    first on either branch."""
+    where sectors p and p+1 share a branch, else one whole mid ray plus
+    the wedge residues.  The overlap and tol are checked first either way.
+
+    Rotating ray d_p (kernel p) and ray d_{p+1} (kernel p+1) onto the
+    mid-direction m_p crosses only the wedge poles (each kernel is
+    analytic on its half-wedge, and the theta zeros are refused), so
+
+        U_{p+1} - U_p = (k2/lq) int_0^inf [shape_{p+1} - shape_p]
+                          (r e^{i m_p}) invTheta(r e^{i m_p}/T) dr/r
+                        - 2 pi i (k2/lq) sum_j s_j / Theta(u*_j/T):
+
+    one contour call, mid_segment_piece with radius inf, where the
+    decomposed consecutive_difference makes four.  T is one point (then
+    bit for bit element 0 of the call on [T]) or a 1-d array."""
     _check_overlap(scn, p)
     _check_tol(tol)
     if _shares_branch(scn, p):
         return residue_closed_form(scn, p, T)
-    return consecutive_difference(scn, p, T, tol=tol).total
+    _check_zero_ray(scn, p, T)
+    Ts = np.atleast_1d(np.asarray(T, dtype=complex))
+    out = (mid_segment_piece(scn, p, Ts, tol, math.inf)
+           + _wedge_residues(scn, p, Ts))
+    return out if np.ndim(T) else complex(out[0])
 
 
 def _overlap_report(scn: ModelScenario, p: int, js: Sequence[int],
@@ -541,10 +598,10 @@ def overlap_rate(scn: ModelScenario, p: int, js: Sequence[int],
 def _dichotomy(scn: ModelScenario, js: Sequence[int], tol: float,
                rel_tol: float, extra: dict) -> tuple[DichotomyReport, dict]:
     """The rate dichotomy from one difference evaluation per overlap: the
-    residue sum on a shared-branch overlap, one consecutive_difference
-    call on any other.  extra[p] = (rows, Ts) adds the remainder points Ts
-    to overlap p's evaluation after its probes; their norms come back as
-    the RemainderTable tables[p]."""
+    residue sum on a shared-branch overlap, one mid-ray contour call plus
+    the residue sum on any other.  extra[p] = (rows, Ts) adds the
+    remainder points Ts to overlap p's evaluation after its probes; their
+    norms come back as the RemainderTable tables[p]."""
     entries, tables = [], {}
     for p in range(scn.n):
         rows, Ts = extra.get(p, ([], []))
@@ -637,9 +694,9 @@ def verify_two_level_theorem(scn: ModelScenario, js: Sequence[int] = range(3, 11
     entries and table are those of the standalone verify_rate_dichotomy
     and difference_remainder_table (bit for bit on the default scenario;
     numpy's vector math can move a last bit with a point's place in the
-    batch).  Any other overlap is one consecutive_difference call, whose
-    points keep their own windows, so it matches them up to the
-    refinement the merged points share."""
+    batch).  Any other overlap is one mid-ray contour call, whose points
+    keep their own windows, plus the residue sum, so it matches them up
+    to the refinement the merged points share."""
     from .geometry import validate_good_covering
     cov_rep = validate_good_covering(scn.covering)
 

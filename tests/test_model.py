@@ -17,6 +17,12 @@ from qasym.model import (DiffRow, DiffTable, ModelScenario, PoleSpec,
 from qasym.schemas import validate_payload
 
 
+# overlap 0 fast with a wedge pole and a branch change
+TWO_BRANCH_CHANGES = tuple(math.radians(d) for d in (90.0, 180.0, 90.0, 270.0))
+# overlap 2 shares a branch (no one branch clears every sector's arc)
+SHARED_OVERLAP_2 = tuple(math.radians(d) for d in (90.0, 90.0, 225.0, 225.0))
+
+
 @pytest.fixture(scope="module")
 def scn():
     return default_scenario()
@@ -63,6 +69,24 @@ class TestScenario:
         assert back.frame == scn.frame
         assert back.poles == scn.poles
         assert back.directions == scn.directions
+
+    def test_branch_cut_in_a_sector_arc_is_refused(self, scn):
+        """With every center at 20 deg the cut sits at 200 deg, inside
+        sector 2's arc [135, 225] deg between the mid-directions, where
+        overlap 2 was silently read as 0 against the direct route's 65.9
+        at j = 3."""
+        with pytest.raises(ValueError, match=re.escape(
+                "sector 2: its branch cut at 200 deg lies in the arc "
+                "[135, 225] deg")):
+            replace(scn, branch_centers=(math.radians(20.0),) * scn.n)
+
+    def test_scenarios_in_use_clear_their_branch_cuts(self, scn):
+        from test_acceptance import _seeded_family
+        for centers in (scn.branch_centers, TWO_BRANCH_CHANGES,
+                        SHARED_OVERLAP_2):
+            shifted = replace(scn, branch_centers=centers)
+            assert shifted.branch_centers == centers
+        assert len(_seeded_family()) == 40
 
     def test_validation_rejects_bad_data(self, scn):
         with pytest.raises(ValueError):
@@ -151,13 +175,15 @@ class TestDifferences:
 
     @pytest.mark.parametrize("p", [0, 1, 2])
     def test_residue_sum_of_one_T_is_a_batch_of_one(self, scn, p):
-        """On one branch throughout, so that overlap 2 (no wedge pole) has
-        a residue sum too; overlaps 0 and 1 are the default scenario's."""
-        one_branch = replace(scn, branch_centers=scn.branch_centers[:1] * scn.n)
+        """Overlaps 0 and 1 are the default scenario's; overlap 2 (no
+        wedge pole) shares a branch with centers (90, 90, 225, 225) deg,
+        since one branch throughout would put its cut on some sector."""
+        shared = (replace(scn, branch_centers=SHARED_OVERLAP_2) if p == 2
+                  else scn)
         T = scn.probe_T(p, 6)
-        one = residue_closed_form(one_branch, p, T)
+        one = residue_closed_form(shared, p, T)
         assert type(one) is complex
-        assert one == residue_closed_form(one_branch, p, np.array([T]))[0]
+        assert one == residue_closed_form(shared, p, np.array([T]))[0]
 
     @pytest.mark.parametrize("p, j_max", [(0, 20), (1, 30)])
     def test_fast_cascade_fits_k2_deep(self, scn, p, j_max):
@@ -217,8 +243,7 @@ class TestDifferences:
         discrepancy on a mid segment, which no residue gives.  The pieces'
         total and the cascade's norms agree with the direct route at
         j = 3..6."""
-        two = replace(scn, branch_centers=tuple(
-            math.radians(d) for d in (90.0, 180.0, 90.0, 270.0)))
+        two = replace(scn, branch_centers=TWO_BRANCH_CHANGES)
         assert two.levels()[0] == 2
         js = range(3, 7)
         Ts = np.array([two.probe_T(0, j) for j in js])
@@ -233,6 +258,58 @@ class TestDifferences:
         with pytest.raises(ValueError, match="overlap 0 changes logarithm "
                                              "branch"):
             residue_closed_form(two, 0, Ts)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_mid_ray_matches_the_decomposed_total(self, scn, p):
+        """A slow overlap's cascade difference, one whole mid ray plus
+        the (here empty) wedge residues, is the four contour pieces' total
+        to 1e-12 relative at j = 3..8 (at most 1.3e-13 on this box)."""
+        Ts = np.array([scn.probe_T(p, j) for j in range(3, 9)])
+        got = model._difference_total(scn, p, Ts, model.DIFF_TOL)
+        want = consecutive_difference(scn, p, Ts, tol=model.DIFF_TOL).total
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_mid_ray_adds_the_wedge_residues(self, scn):
+        """Overlap 0 with centers (90, 180, 90, 270) deg is fast, changes
+        branch and holds a wedge pole: the mid ray plus that pole's
+        residue is the decomposed total to 1e-12 relative at j = 3..8.
+        The residue decays at the fast rate, so it is 1.2e-3 of the total
+        at j = 3 and 2.4e-12 at j = 8."""
+        two = replace(scn, branch_centers=TWO_BRANCH_CHANGES)
+        assert len(two.wedge_poles(0)) == 1
+        Ts = np.array([two.probe_T(0, j) for j in range(3, 9)])
+        got = model._difference_total(two, 0, Ts, model.DIFF_TOL)
+        want = consecutive_difference(two, 0, Ts, tol=model.DIFF_TOL).total
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        ray = model.mid_segment_piece(two, 0, Ts, model.DIFF_TOL, math.inf)
+        assert abs(got[0] - ray[0]) > 1e-4 * abs(want[0])
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_mid_ray_matches_the_direct_route(self, scn, p):
+        """At j = 3, 4 the direct route subtracts two full rays, so it is
+        held to its own budget tol (|U_p| + |U_{p+1}|)."""
+        tol = model.DIFF_TOL
+        Ts = np.array([scn.probe_T(p, j) for j in (3, 4)])
+        got = model._difference_total(scn, p, Ts, tol)
+        direct = consecutive_difference(scn, p, Ts, "direct", tol).total
+        size = sum(np.abs(model.laplace_transform_shape(scn, b, Ts, tol))
+                   for b in (p, p + 1))
+        assert np.all(np.abs(got - direct) <= tol * size)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_mid_ray_of_one_T_is_a_batch_of_one(self, scn, p):
+        T = scn.probe_T(p, 6)
+        one = model._difference_total(scn, p, T, model.DIFF_TOL)
+        assert type(one) is complex
+        assert one == model._difference_total(scn, p, np.array([T]),
+                                              model.DIFF_TOL)[0]
+
+    def test_mid_ray_refuses_a_zero_ray_in_the_wedge(self, scn):
+        T = 0.125 * cmath.exp(1j * math.radians(45.0))   # zero ray at 225 deg
+        with pytest.raises(ValueError, match=re.escape(f"T={T!r}") + ".*"
+                           + re.escape("wedge [180, 270] deg")):
+            model._difference_total(scn, 2, np.array([scn.probe_T(2, 3), T]),
+                                    model.DIFF_TOL)
 
     @pytest.mark.parametrize("p", range(4))
     def test_array_of_T_matches_scalar_calls(self, scn, p):
@@ -287,8 +364,8 @@ class TestDifferences:
     def test_cascade_makes_one_contour_call_per_piece(self, scn, monkeypatch,
                                                       js):
         """A shared-branch overlap's cascade is its residue sum, with no
-        contour call; one that changes branch makes one contour call per
-        piece: two outer rays, the arc and the mid segment."""
+        contour call; one that changes branch makes one contour call, its
+        whole mid ray (the wedge residues need none)."""
         calls = []
         contour = model.log_contour_transform
 
@@ -297,7 +374,7 @@ class TestDifferences:
             return contour(*args, **kw)
 
         monkeypatch.setattr(model, "log_contour_transform", counted)
-        for p, n_pieces in ((0, 0), (2, 4)):   # one fast, one slow overlap
+        for p, n_pieces in ((0, 0), (2, 1)):   # one fast, one slow overlap
             calls.clear()
             table = overlap_rate(scn, p, js, model.DIFF_TOL)[0]
             assert len(table.rows) == len(js)
@@ -372,18 +449,21 @@ class TestTheorem:
         assert rep.ok
 
     def test_one_difference_call_per_overlap(self, scn, monkeypatch):
-        """Only the slow overlaps call consecutive_difference (the fast
-        ones read the residue sum), and the remainder points of the slow
-        overlap 2 join its cascade's call."""
-        sizes = []
-        diff = model.consecutive_difference
+        """No overlap calls consecutive_difference: the fast ones read the
+        residue sum, and each slow one makes one contour call, its mid
+        ray, which the remainder points of the slow overlap 2 join."""
+        sizes, diffs = [], []
+        contour = model.log_contour_transform
 
         def counted(*args, **kw):
-            sizes.append(np.size(args[2]))
-            return diff(*args, **kw)
+            sizes.append(np.size(args[3]))
+            return contour(*args, **kw)
 
-        monkeypatch.setattr(model, "consecutive_difference", counted)
+        monkeypatch.setattr(model, "log_contour_transform", counted)
+        monkeypatch.setattr(model, "consecutive_difference",
+                            lambda *args, **kw: diffs.append(args))
         verify_two_level_theorem(scn, js=range(3, 9), N_range=range(0, 5))
+        assert diffs == []
         assert sizes == [6 + 10, 6]
 
     def test_matches_standalone_dichotomy_and_tables(self, scn, monkeypatch):

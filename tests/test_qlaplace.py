@@ -293,7 +293,7 @@ class TestBatchedRule:
         model.laplace_transform_shape(scn, p, T, 1e-12)
         model.outer_ray_piece(scn, p + 1, hi, T, 1e-11)
         model.arc_piece(scn, p, T, 1e-11)
-        model.mid_segment_piece(scn, p, T, 1e-11)
+        model.mid_segment_piece(scn, p, T, 1e-11, scn.rho)
         assert [c[0][5] for c in calls] == [1, 1, 1j, 1]  # ray, ray, arc, segment
         assert calls[2][0][6:] == (lo, hi)   # the arc spans the whole wedge
         for args, value in calls:
@@ -402,7 +402,7 @@ class TestBatchedRule:
         Ts = np.array([scn.probe_T(p, j + i) for i in range(3)])
         model.outer_ray_piece(scn, p + 1, hi, Ts, 1e-11)
         model.arc_piece(scn, p, Ts, 1e-11)
-        model.mid_segment_piece(scn, p, Ts, 1e-11)
+        model.mid_segment_piece(scn, p, Ts, 1e-11, scn.rho)
         assert [c[0][5] for c in calls] == [1, 1j, 1]  # ray, arc, segment
         for (f, q, k, T, w0, dw, a, b), values in calls:
             assert values.shape == (3,)
