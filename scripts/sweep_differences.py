@@ -2,11 +2,11 @@
 """Sweep consecutive differences of the sectorial kernel family over a
 geometric ladder |T| = q^{-j} and fit the decay level of each overlap.
 
-Each overlap's difference is the residue sum over its wedge poles where
-the two sectors share a logarithm branch, and otherwise one whole ray of
-the branch discrepancy along the wedge mid-direction plus that residue
-sum (the contour pieces of qasym.model.consecutive_difference stay its
-oracle in the tests).
+Each overlap's difference is the "rotated" route of
+qasym.model.consecutive_difference: the residue sum over its wedge poles,
+plus, where the two sectors use different logarithm branches, one whole
+ray of the branch discrepancy along the wedge mid-direction (the
+"decomposed" contour pieces stay its oracle in the tests).
 The fitted log-quadratic rate separates the fast overlaps (rate k2) from
 the slow ones (rate k1).
 """

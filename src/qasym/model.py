@@ -22,16 +22,18 @@ sectors use different logarithm branches, a mid-ray segment I4.
   * shared branch: the contour encloses exactly the wedge poles, so the
     total is the residue sum  -(k2/lq) 2 pi i sum_j s_j / Theta(u*_j/T).
     With a pole u* in the wedge ("fast") it decays at the fast rate k2,
-    while the pieces stay near 1/Theta(rho/T) and cancel: the cascade
-    layer reads residue_closed_form and keeps the pieces as its oracle;
+    while the pieces stay near 1/Theta(rho/T) and cancel;
 
   * branch change ("slow"): the discrepancy on I4 is flat of order kappa,
     and the Laplace saddle turns that into decay at the slow rate
     k1 = kappa k2 / (kappa + k2):   -k2 + k2^2/(kappa+k2) = -k1.
     Rotating the two rays onto the mid-direction instead of contracting
     them gives the same difference as one whole mid ray of the branch
-    discrepancy plus the wedge poles' residues: the cascade layer reads
-    that, and keeps the four pieces as its oracle.
+    discrepancy plus the wedge poles' residues.
+
+The cascade layer reads every overlap from that rotated route: the
+residue sum, plus the whole mid ray where the branch changes.  The
+contour pieces stay as its oracle.
 
 Both need the theta-zero ray arg u = arg(-T) outside the closed wedge;
 a T whose zero ray lies in it is refused with ValueError.  Each sector's
@@ -47,15 +49,15 @@ here are vectorised over u) and raises QuadratureError when a piece
 misses its tolerance within its panel limit.  The pieces take an array
 of T (one T is a batch of one): each point gets its own window, and all
 of them are the components of that one call.  consecutive_difference
-returns one DiffPieces on either route, each piece the array its call
-returned (3 pieces, 4 with a branch change, or 2 full rays on the
-direct route), whatever its number of points.  One per-overlap routine
-turns the probes, plus any extra points, into the cascade table, its
-rate fit and the extra points' norms, for overlap_rate and the
-dichotomy alike.  It takes a shared-branch overlap's difference from
-the residue sum, one inv_theta_at array call per wedge pole and no
-quadrature, and any other overlap's from one quadrature, its whole mid
-ray, plus that residue sum.
+returns one DiffPieces on any route, each piece the array its call
+returned (decomposed: 3 pieces, 4 with a branch change; rotated: the
+residue sum, plus the mid ray with a branch change; direct: 2 full
+rays), whatever its number of points.  One per-overlap routine turns
+the probes, plus any extra points, into the cascade table, its rate fit
+and the extra points' norms, for overlap_rate and the dichotomy alike,
+from one rotated consecutive_difference call: one inv_theta_at array
+call per wedge pole and no quadrature on a shared-branch overlap, plus
+one quadrature, the whole mid ray, on any other.
 """
 
 from __future__ import annotations
@@ -294,7 +296,8 @@ def mid_segment_piece(scn: ModelScenario, p: int, T, tol: float,
                       radius: float):
     """(k2/lq) int_0^radius [shape_{p+1} - shape_p](u) invTheta(u/T) du/u
     along the wedge mid-direction: the slow-rate carrier.  radius is rho
-    for the decomposed route's segment and inf for the whole mid ray.
+    for the decomposed route's segment and inf for the rotated route's
+    whole mid ray.
 
     The integrand's log-radius exponent is a sum of two Gaussians whose
     saddle realizes  kappa k2/(kappa + k2) = k1;  the window is centred
@@ -328,27 +331,29 @@ def residue_closed_form(scn: ModelScenario, p: int, T):
         raise ValueError(f"overlap {p} changes logarithm branch: its "
                          "difference is no residue sum")
     _check_zero_ray(scn, p, T)
-    out = _wedge_residues(scn, p, np.atleast_1d(np.asarray(T, dtype=complex)))
-    return out if np.ndim(T) else complex(out[0])
+    return _wedge_residues(scn, p, T)
 
 
-def _wedge_residues(scn: ModelScenario, p: int, Ts):
+def _wedge_residues(scn: ModelScenario, p: int, T):
     """-2 pi i (k2/lq) sum_j s_j / Theta(u*_j/T) over overlap p's wedge
-    poles, at each T of the 1-d array Ts: one inv_theta_at array call per
-    pole.  The pole terms are shared by every branch, so the sum is the
-    same whether or not the overlap changes branch."""
+    poles: one inv_theta_at array call per pole.  The pole terms are
+    shared by every branch, so the sum is the same whether or not the
+    overlap changes branch.  T is one point (then a complex, element 0 of
+    the call on [T]) or a 1-d array."""
     fr = scn.frame
+    Ts = np.atleast_1d(np.asarray(T, dtype=complex))
     acc = np.zeros(Ts.shape, dtype=complex)
     for pole in scn.wedge_poles(p):
         acc += pole.strength * inv_theta_at(fr.q, fr.k2, pole.location / Ts)
-    return -_prefactor(scn) * 2j * math.pi * acc
+    out = -_prefactor(scn) * 2j * math.pi * acc
+    return out if np.ndim(T) else complex(out[0])
 
 
 @dataclass
 class DiffPieces:
     """One consecutive difference on an overlap of the given level (which
-    sets its target rate), split into its contour pieces: each an array
-    over a batch of T, or a complex for one T."""
+    sets its target rate), split into the pieces of its route: each an
+    array over a batch of T, or a complex for one T."""
 
     level: int
     pieces: dict
@@ -376,19 +381,25 @@ def _shares_branch(scn: ModelScenario, p: int) -> bool:
     return scn.branch_centers[p % scn.n] == scn.branch_centers[(p + 1) % scn.n]
 
 
+def _in_closed_arc(angle, lo: float, width: float):
+    """Whether angle (radians, a float or an array) lies in the closed arc
+    from lo counterclockwise through width, widened by 1e-12 rad on each
+    side, so an angle on an end up to rounding counts as on it."""
+    return np.mod(angle - lo + 1e-12, 2.0 * math.pi) <= width + 2e-12
+
+
 def _check_branch_cut(scn: ModelScenario, p: int) -> None:
     """Refuse sector p if its kernel's branch cut, at center + pi, lies in
     the closed arc [m_{p-1}, m_p] between the mid-directions around d_p:
     overlaps p - 1 and p use that kernel on the whole arc (its ray, its
     half of each wedge's arc, and each mid ray), and every contour
-    deformation across it assumes the kernel is analytic there.  The arc
-    is widened by 1e-12 rad on each side, as in _check_zero_ray."""
+    deformation across it assumes the kernel is analytic there."""
     lo_b, hi_b = scn.wedge((p - 1) % scn.n)
     lo_p, hi_p = scn.wedge(p)
     lo = 0.5 * (lo_b + hi_b)                       # m_{p-1}
     width = 0.5 * ((hi_b - lo_b) + (hi_p - lo_p))  # up to m_p
     cut = math.fmod(scn.branch_centers[p] + math.pi, 2.0 * math.pi)
-    if np.mod(cut - lo + 1e-12, 2.0 * math.pi) <= width + 2e-12:
+    if _in_closed_arc(cut, lo, width):
         raise ValueError(
             f"sector {p}: its branch cut at {math.degrees(cut):.6g} deg lies "
             f"in the arc [{math.degrees(lo):.6g}, "
@@ -397,15 +408,13 @@ def _check_branch_cut(scn: ModelScenario, p: int) -> None:
 
 def _check_zero_ray(scn: ModelScenario, p: int, T) -> None:
     """Refuse the first T whose theta-zero ray arg u = arg(-T) lies in the
-    closed wedge [d_p, d_{p+1}] of overlap p: the zeros of Theta(u/T) are
-    poles that the residue sum misses and the contour deformation
-    crosses.  The wedge is widened by 1e-12 rad on each side, so a ray on
-    an edge up to rounding counts as on it."""
+    closed wedge [d_p, d_{p+1}] of overlap p (widened as _in_closed_arc
+    does): the zeros of Theta(u/T) are poles that the residue sum misses
+    and the contour deformation crosses."""
     Ts = np.atleast_1d(np.asarray(T, dtype=complex))
     lo, hi = scn.wedge(p)
     ray = np.angle(-Ts)
-    inside = np.flatnonzero(np.mod(ray - lo + 1e-12, 2.0 * math.pi)
-                            <= hi - lo + 2e-12)
+    inside = np.flatnonzero(_in_closed_arc(ray, lo, hi - lo))
     if inside.size:
         i = inside[0]
         raise ValueError(
@@ -420,6 +429,19 @@ def consecutive_difference(scn: ModelScenario, p: int, T,
                            tol: float = DIFF_TOL) -> DiffPieces:
     """U_{p+1}(T) - U_p(T) on overlap p, as the DiffPieces of a route.
 
+    route="rotated" (the cascade layer's): the piece residues, which is
+    the wedge poles' residue sum (one inv_theta_at array call per pole
+    and no quadrature), plus mid_ray where sectors p and p+1 use
+    different branches.  Rotating ray d_p (kernel p) and ray d_{p+1} (kernel p+1)
+    onto the mid-direction m_p crosses only the wedge poles, since each
+    kernel is analytic on its half-wedge and the theta zeros are refused:
+
+        U_{p+1} - U_p = (k2/lq) int_0^inf [shape_{p+1} - shape_p]
+                          (r e^{i m_p}) invTheta(r e^{i m_p}/T) dr/r
+                        - 2 pi i (k2/lq) sum_j s_j / Theta(u*_j/T),
+
+    and the bracket vanishes where the branch is shared.  mid_ray is one
+    contour call, mid_segment_piece with radius inf.
     route="decomposed": the contour pieces outer_plus, outer_minus and
     arc, plus mid_segment where sectors p and p+1 use different branches.
     Without a mid segment the pieces cancel where the wedge holds a pole:
@@ -427,21 +449,19 @@ def consecutive_difference(scn: ModelScenario, p: int, T,
     about 1/Theta(u*/T).  On the default scenario, overlap 0, at j = 4, 8
     and 12 the largest piece is 67, 1.0e3 and 1.8e4 times the total, and
     the total is off residue_closed_form by 1.5e-14, 2.3e-12 and 1.1e-10
-    relative, so the cascade layer reads a shared-branch overlap from
-    residue_closed_form and keeps the pieces as its oracle at shallow j;
-    with a mid segment it reads one whole mid ray plus the wedge residues
-    (_difference_total), one contour call in place of these four.
-    A T whose theta-zero ray lies in the closed wedge is refused with
-    ValueError, since the deformation would cross the zeros.
+    relative, so these four contour calls are the rotated route's oracle
+    at shallow j.
+    Both routes refuse with ValueError a T whose theta-zero ray lies in
+    the closed wedge, since the deformation would cross the zeros.
     route="direct": the pieces ray_plus = U_{p+1} and ray_minus = -U_p,
     two full-ray transforms whose total loses one digit per fast-level
     Gaussian factor (shallow use only).
 
-    T is one point or a 1-d array of them.  Each piece is one contour
-    call on all of the points, kept as that call returned it: an array
-    over the points, or a complex for one T (a batch of one, so bit for
-    bit element 0 of the call on [T]).  A tol that is not finite or not
-    > 0 is refused with ValueError.
+    T is one point or a 1-d array of them.  Each piece is one call on all
+    of the points, kept as that call returned it: an array over the
+    points, or a complex for one T (a batch of one, so bit for bit
+    element 0 of the call on [T]).  A tol that is not finite or not > 0
+    is refused with ValueError.
     """
     _check_overlap(scn, p)
     _check_tol(tol)
@@ -450,9 +470,14 @@ def consecutive_difference(scn: ModelScenario, p: int, T,
         return DiffPieces(level=level, pieces={
             "ray_plus": laplace_transform_shape(scn, p + 1, T, tol),
             "ray_minus": -laplace_transform_shape(scn, p, T, tol)})
-    if route != "decomposed":
-        raise ValueError("route must be decomposed|direct")
+    if route not in ("decomposed", "rotated"):
+        raise ValueError("route must be decomposed|direct|rotated")
     _check_zero_ray(scn, p, T)
+    if route == "rotated":
+        pieces = {"residues": _wedge_residues(scn, p, T)}
+        if not _shares_branch(scn, p):
+            pieces["mid_ray"] = mid_segment_piece(scn, p, T, tol, math.inf)
+        return DiffPieces(level=level, pieces=pieces)
     lo, hi = scn.wedge(p)
     pieces = {
         "outer_plus": outer_ray_piece(scn, p + 1, hi, T, tol),
@@ -540,33 +565,6 @@ class DichotomyReport:
                             for p, lv, tg, ft, re in self.entries]}
 
 
-def _difference_total(scn: ModelScenario, p: int, T, tol: float):
-    """U_{p+1}(T) - U_p(T) for the cascade layer: residue_closed_form
-    where sectors p and p+1 share a branch, else one whole mid ray plus
-    the wedge residues.  The overlap and tol are checked first either way.
-
-    Rotating ray d_p (kernel p) and ray d_{p+1} (kernel p+1) onto the
-    mid-direction m_p crosses only the wedge poles (each kernel is
-    analytic on its half-wedge, and the theta zeros are refused), so
-
-        U_{p+1} - U_p = (k2/lq) int_0^inf [shape_{p+1} - shape_p]
-                          (r e^{i m_p}) invTheta(r e^{i m_p}/T) dr/r
-                        - 2 pi i (k2/lq) sum_j s_j / Theta(u*_j/T):
-
-    one contour call, mid_segment_piece with radius inf, where the
-    decomposed consecutive_difference makes four.  T is one point (then
-    bit for bit element 0 of the call on [T]) or a 1-d array."""
-    _check_overlap(scn, p)
-    _check_tol(tol)
-    if _shares_branch(scn, p):
-        return residue_closed_form(scn, p, T)
-    _check_zero_ray(scn, p, T)
-    Ts = np.atleast_1d(np.asarray(T, dtype=complex))
-    out = (mid_segment_piece(scn, p, Ts, tol, math.inf)
-           + _wedge_residues(scn, p, Ts))
-    return out if np.ndim(T) else complex(out[0])
-
-
 def _overlap_report(scn: ModelScenario, p: int, js: Sequence[int],
                     extra_Ts: list, tol: float) -> tuple:
     """Overlap p's cascade along |T| = 2^-j on the mid-direction, its
@@ -575,10 +573,11 @@ def _overlap_report(scn: ModelScenario, p: int, js: Sequence[int],
     one difference evaluation on the probes followed by extra_Ts."""
     _check_overlap(scn, p)
     probes = [scn.probe_T(p, j) for j in js]
-    total = _difference_total(scn, p, np.array(probes + extra_Ts), tol)
+    d = consecutive_difference(scn, p, np.array(probes + extra_Ts),
+                               "rotated", tol)
     # abs of each Python complex: np.abs can round the last bit otherwise
-    norms = list(map(abs, total.tolist()))
-    level = scn.levels()[p]
+    norms = list(map(abs, d.total.tolist()))
+    level = d.level
     table = DiffTable(p=p, level=level,
                       rows=[DiffRow(j=j, absT=abs(T), norm=norm)
                             for j, T, norm in zip(js, probes, norms)])
@@ -597,9 +596,9 @@ def overlap_rate(scn: ModelScenario, p: int, js: Sequence[int],
 
 def _dichotomy(scn: ModelScenario, js: Sequence[int], tol: float,
                rel_tol: float, extra: dict) -> tuple[DichotomyReport, dict]:
-    """The rate dichotomy from one difference evaluation per overlap: the
-    residue sum on a shared-branch overlap, one mid-ray contour call plus
-    the residue sum on any other.  extra[p] = (rows, Ts) adds the
+    """The rate dichotomy from one rotated difference per overlap: the
+    residue sum on a shared-branch overlap, plus one mid-ray contour call
+    on any other.  extra[p] = (rows, Ts) adds the
     remainder points Ts to overlap p's evaluation after its probes; their
     norms come back as the RemainderTable tables[p]."""
     entries, tables = [], {}
@@ -649,14 +648,14 @@ def difference_remainder_table(scn: ModelScenario, p: int, level_k: float,
     place |t| = t_frac q^{-(N+1)/(2 level_k)} (inside the level's disc
     ladder) and record ||U_{p+1} - U_p|| at T = eps t for |eps| = 0.25
     and 0.35, from one difference evaluation on all the rows' T (the
-    residue sum on a shared-branch overlap).
+    rotated consecutive_difference).
 
     The difference plays its own remainder: the sectorial expansions
     agree through every order, so the gap must obey the level's
     (N, eps)-ladder bound.
     """
     rows, Ts = _remainder_points(scn, p, level_k, N_range, t_frac)
-    total = _difference_total(scn, p, np.array(Ts), DIFF_TOL)
+    total = consecutive_difference(scn, p, np.array(Ts), "rotated").total
     return _remainder_table(rows, list(map(abs, total.tolist())))
 
 
@@ -687,16 +686,16 @@ def verify_two_level_theorem(scn: ModelScenario, js: Sequence[int] = range(3, 11
     levels, and the restriction corollary (a fast-level certificate,
     restricted to the slow level's smaller discs, re-certifies there).
 
-    One difference evaluation per overlap, at tol DIFF_TOL: on the first
-    fast and the first slow overlap the remainder table's 2 |N_range|
-    points join the cascade's |js| probes.  A shared-branch overlap is
-    its residue sum, point by point with no shared refinement, so its
-    entries and table are those of the standalone verify_rate_dichotomy
-    and difference_remainder_table (bit for bit on the default scenario;
-    numpy's vector math can move a last bit with a point's place in the
-    batch).  Any other overlap is one mid-ray contour call, whose points
-    keep their own windows, plus the residue sum, so it matches them up
-    to the refinement the merged points share."""
+    One rotated consecutive_difference call per overlap, at tol
+    DIFF_TOL: on the first fast and the first slow overlap the remainder
+    table's 2 |N_range| points join the cascade's |js| probes.  A
+    shared-branch overlap is its residue sum, point by point with no
+    shared refinement, so its entries and table are those of the
+    standalone verify_rate_dichotomy and difference_remainder_table (bit
+    for bit on the default scenario; numpy's vector math can move a last
+    bit with a point's place in the batch).  Any other overlap adds one
+    mid-ray contour call, whose points keep their own windows, so it
+    matches them up to the refinement the merged points share."""
     from .geometry import validate_good_covering
     cov_rep = validate_good_covering(scn.covering)
 

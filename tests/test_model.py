@@ -23,6 +23,10 @@ TWO_BRANCH_CHANGES = tuple(math.radians(d) for d in (90.0, 180.0, 90.0, 270.0))
 SHARED_OVERLAP_2 = tuple(math.radians(d) for d in (90.0, 90.0, 225.0, 225.0))
 
 
+def _rotated(scn, p, T, tol):
+    return consecutive_difference(scn, p, T, "rotated", tol).total
+
+
 @pytest.fixture(scope="module")
 def scn():
     return default_scenario()
@@ -199,7 +203,8 @@ class TestDifferences:
         T = 0.125 * cmath.exp(1j * math.radians(deg))
         Ts = np.array([scn.probe_T(0, 3), T, -T])
         for call in (lambda: residue_closed_form(scn, 0, Ts),
-                     lambda: consecutive_difference(scn, 0, Ts, "decomposed")):
+                     lambda: consecutive_difference(scn, 0, Ts, "decomposed"),
+                     lambda: consecutive_difference(scn, 0, Ts, "rotated")):
             with pytest.raises(ValueError,
                                match=re.escape(f"T={T!r}") + ".*"
                                + re.escape("wedge [0, 90] deg")):
@@ -213,11 +218,25 @@ class TestDifferences:
         d_1 = 90 deg (up to 7.7e-18 rad) only up to rounding: both are in
         the closed wedge, for the residue sum and the contours alike."""
         for call in (lambda: residue_closed_form(scn, 0, T),
-                     lambda: consecutive_difference(scn, 0, T, "decomposed")):
+                     lambda: consecutive_difference(scn, 0, T, "decomposed"),
+                     lambda: consecutive_difference(scn, 0, T, "rotated")):
             with pytest.raises(ValueError,
                                match=re.escape(f"T={T!r}") + ".*"
                                + re.escape("wedge [0, 90] deg")):
                 call()
+
+    def test_rotated_route_refuses_a_zero_ray_in_a_slow_wedge(self, scn):
+        """The refusal comes before the mid ray too: arg T = 45 deg puts
+        the zero ray at 225 deg, inside wedge 2."""
+        T = 0.125 * cmath.exp(1j * math.radians(45.0))
+        with pytest.raises(ValueError, match=re.escape(f"T={T!r}") + ".*"
+                           + re.escape("wedge [180, 270] deg")):
+            consecutive_difference(scn, 2, np.array([scn.probe_T(2, 3), T]),
+                                   "rotated")
+
+    def test_unknown_route_is_refused(self, scn):
+        with pytest.raises(ValueError, match="route must be"):
+            consecutive_difference(scn, 0, scn.probe_T(0, 3), "contour")
 
     def test_probes_and_remainder_points_clear_the_wedge(self, scn):
         """The edge margin refuses no mid-direction point: every probe
@@ -261,11 +280,11 @@ class TestDifferences:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_mid_ray_matches_the_decomposed_total(self, scn, p):
-        """A slow overlap's cascade difference, one whole mid ray plus
-        the (here empty) wedge residues, is the four contour pieces' total
-        to 1e-12 relative at j = 3..8 (at most 1.3e-13 on this box)."""
+        """A slow overlap's rotated difference, one whole mid ray plus the
+        (here empty) wedge residues, is the four contour pieces' total to
+        1e-12 relative at j = 3..8 (at most 1.3e-13 on this box)."""
         Ts = np.array([scn.probe_T(p, j) for j in range(3, 9)])
-        got = model._difference_total(scn, p, Ts, model.DIFF_TOL)
+        got = _rotated(scn, p, Ts, model.DIFF_TOL)
         want = consecutive_difference(scn, p, Ts, tol=model.DIFF_TOL).total
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -278,11 +297,11 @@ class TestDifferences:
         two = replace(scn, branch_centers=TWO_BRANCH_CHANGES)
         assert len(two.wedge_poles(0)) == 1
         Ts = np.array([two.probe_T(0, j) for j in range(3, 9)])
-        got = model._difference_total(two, 0, Ts, model.DIFF_TOL)
+        d = consecutive_difference(two, 0, Ts, "rotated", model.DIFF_TOL)
+        assert list(d.pieces) == ["residues", "mid_ray"]
         want = consecutive_difference(two, 0, Ts, tol=model.DIFF_TOL).total
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-        ray = model.mid_segment_piece(two, 0, Ts, model.DIFF_TOL, math.inf)
-        assert abs(got[0] - ray[0]) > 1e-4 * abs(want[0])
+        assert np.all(np.abs(d.total - want) <= 1e-12 * np.abs(want))
+        assert abs(d.pieces["residues"][0]) > 1e-4 * abs(want[0])
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_mid_ray_matches_the_direct_route(self, scn, p):
@@ -290,26 +309,28 @@ class TestDifferences:
         held to its own budget tol (|U_p| + |U_{p+1}|)."""
         tol = model.DIFF_TOL
         Ts = np.array([scn.probe_T(p, j) for j in (3, 4)])
-        got = model._difference_total(scn, p, Ts, tol)
+        got = _rotated(scn, p, Ts, tol)
         direct = consecutive_difference(scn, p, Ts, "direct", tol).total
         size = sum(np.abs(model.laplace_transform_shape(scn, b, Ts, tol))
                    for b in (p, p + 1))
         assert np.all(np.abs(got - direct) <= tol * size)
 
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_mid_ray_of_one_T_is_a_batch_of_one(self, scn, p):
-        T = scn.probe_T(p, 6)
-        one = model._difference_total(scn, p, T, model.DIFF_TOL)
-        assert type(one) is complex
-        assert one == model._difference_total(scn, p, np.array([T]),
-                                              model.DIFF_TOL)[0]
-
-    def test_mid_ray_refuses_a_zero_ray_in_the_wedge(self, scn):
-        T = 0.125 * cmath.exp(1j * math.radians(45.0))   # zero ray at 225 deg
-        with pytest.raises(ValueError, match=re.escape(f"T={T!r}") + ".*"
-                           + re.escape("wedge [180, 270] deg")):
-            model._difference_total(scn, 2, np.array([scn.probe_T(2, 3), T]),
-                                    model.DIFF_TOL)
+    @pytest.mark.parametrize("p", range(4))
+    def test_rotated_pieces(self, scn, p):
+        """The rotated route is the residue sum on a shared-branch overlap
+        (bit for bit residue_closed_form, with no contour call) and adds
+        the mid ray where the branch changes."""
+        Ts = np.array([scn.probe_T(p, j) for j in range(3, 6)])
+        d = consecutive_difference(scn, p, Ts, "rotated")
+        assert d.level == scn.levels()[p]
+        if p < 2:
+            assert list(d.pieces) == ["residues"]
+            assert np.array_equal(d.total, residue_closed_form(scn, p, Ts))
+        else:
+            assert list(d.pieces) == ["residues", "mid_ray"]
+            assert np.all(d.pieces["residues"] == 0)
+            assert np.array_equal(d.pieces["mid_ray"], model.mid_segment_piece(
+                scn, p, Ts, model.DIFF_TOL, math.inf))
 
     @pytest.mark.parametrize("p", range(4))
     def test_array_of_T_matches_scalar_calls(self, scn, p):
@@ -326,8 +347,10 @@ class TestDifferences:
                 assert abs(total - oracle) < 1e-9 * abs(oracle)
 
     @pytest.mark.parametrize("p, route", [(0, "decomposed"), (2, "decomposed"),
-                                          (2, "direct")],
-                             ids=["fast", "slow", "slow-direct"])
+                                          (2, "direct"), (0, "rotated"),
+                                          (2, "rotated"), (3, "rotated")],
+                             ids=["fast", "slow", "slow-direct", "fast-rotated",
+                                  "slow-rotated", "slow-rotated-3"])
     def test_one_T_is_a_batch_of_one(self, scn, p, route):
         """A scalar T gives, bit for bit, element 0 of the call on [T]."""
         T = scn.probe_T(p, 6)
@@ -363,9 +386,9 @@ class TestDifferences:
     @pytest.mark.parametrize("js", [range(3, 9), range(3, 13)])
     def test_cascade_makes_one_contour_call_per_piece(self, scn, monkeypatch,
                                                       js):
-        """A shared-branch overlap's cascade is its residue sum, with no
-        contour call; one that changes branch makes one contour call, its
-        whole mid ray (the wedge residues need none)."""
+        """The cascade reads the rotated route: a shared-branch overlap's
+        residue sum makes no contour call; one that changes branch makes
+        one, its whole mid ray (the wedge residues need none)."""
         calls = []
         contour = model.log_contour_transform
 
@@ -449,21 +472,26 @@ class TestTheorem:
         assert rep.ok
 
     def test_one_difference_call_per_overlap(self, scn, monkeypatch):
-        """No overlap calls consecutive_difference: the fast ones read the
-        residue sum, and each slow one makes one contour call, its mid
-        ray, which the remainder points of the slow overlap 2 join."""
-        sizes, diffs = [], []
-        contour = model.log_contour_transform
+        """Each overlap makes one rotated consecutive_difference call, and
+        the remainder points of the fast overlap 0 and the slow overlap 2
+        join their cascade's call.  Only the slow ones make a contour
+        call, their mid ray: the fast ones are their residue sum."""
+        diffs, sizes = [], []
+        diff, contour = model.consecutive_difference, model.log_contour_transform
+
+        def counted_diff(scn, p, T, route, tol):
+            diffs.append((p, np.size(T), route))
+            return diff(scn, p, T, route, tol)
 
         def counted(*args, **kw):
             sizes.append(np.size(args[3]))
             return contour(*args, **kw)
 
+        monkeypatch.setattr(model, "consecutive_difference", counted_diff)
         monkeypatch.setattr(model, "log_contour_transform", counted)
-        monkeypatch.setattr(model, "consecutive_difference",
-                            lambda *args, **kw: diffs.append(args))
         verify_two_level_theorem(scn, js=range(3, 9), N_range=range(0, 5))
-        assert diffs == []
+        assert diffs == [(0, 6 + 10, "rotated"), (1, 6, "rotated"),
+                         (2, 6 + 10, "rotated"), (3, 6, "rotated")]
         assert sizes == [6 + 10, 6]
 
     def test_matches_standalone_dichotomy_and_tables(self, scn, monkeypatch):
