@@ -183,9 +183,11 @@ def complex_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     errors must sum to at most max(epsabs, epsrel ||integral||_2).  The
     call returns as soon as both hold.  Otherwise a panel is bisected
     while it misses its share of a target (in proportion to width) and
-    one of its parts is above its round-off floor, 50 eps times the
-    integral of |part| over the panel; when only such floors stand in
-    the way, the call returns with their error.  Raises QuadratureError
+    one of its parts is above its component's round-off floor, 50 eps
+    times the integral of |real part| + |imaginary part| over the panel
+    (so a part that is zero by symmetry, all rounding noise, converges);
+    when only such floors stand in the way, the call returns with their
+    error.  Raises QuadratureError
     if a bisection would take the number of panels past `limit` or a
     panel integrates to a non-finite value; its `component` is the one
     furthest from its target or not finite (None for a scalar
@@ -233,6 +235,9 @@ def complex_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
             lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
             panels = np.concatenate([panels, new], axis=1)
         val, err, floor = panels
+        # a part's round-off floor is its component's, so a part that is
+        # zero by symmetry, all rounding noise, stops refining too
+        floor = np.repeat(floor[:, 0::2] + floor[:, 1::2], 2, axis=1)
         total, total_err = val.sum(axis=0), err.sum(axis=0)
         target = np.maximum(epsabs, epsrel * np.abs(total))
         # past 1e154 the squares overflow: an infinite target makes the

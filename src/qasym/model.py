@@ -174,10 +174,14 @@ class ModelScenario(Record):
         return tuple(found)
 
     def probe_T(self, p: int, j: int) -> complex:
-        """Probe point |T| = 2^-j along the overlap mid-direction (its
-        theta-zero spiral then points opposite the wedge)."""
-        return 2.0 ** (-j) * complex(math.cos(self.mid_direction(p)),
-                                     math.sin(self.mid_direction(p)))
+        """Probe point |T| = (1/8) q^{-(j-3)/k1} along the overlap
+        mid-direction (its theta-zero spiral then points opposite the
+        wedge).  A slow difference carries a factor of period log q / k1
+        in log|T|, so this ladder samples one phase of it at every j; at
+        q = 2, k1 = 1 it is |T| = 2^-j."""
+        fr = self.frame
+        return 0.125 * fr.q ** (-(j - 3) / fr.k1) * complex(
+            math.cos(self.mid_direction(p)), math.sin(self.mid_direction(p)))
 
 
 def default_scenario() -> ModelScenario:
@@ -567,10 +571,10 @@ class DichotomyReport:
 
 def _overlap_report(scn: ModelScenario, p: int, js: Sequence[int],
                     extra_Ts: list, tol: float) -> tuple:
-    """Overlap p's cascade along |T| = 2^-j on the mid-direction, its
-    rate fit, the target rate (k2 on a fast overlap, k1 on a slow one),
-    the fit's relative error, and the norms at the points extra_Ts, from
-    one difference evaluation on the probes followed by extra_Ts."""
+    """Overlap p's cascade at the probes probe_T(p, j), its rate fit, the
+    target rate (k2 on a fast overlap, k1 on a slow one), the fit's
+    relative error, and the norms at the points extra_Ts, from one
+    difference evaluation on the probes followed by extra_Ts."""
     _check_overlap(scn, p)
     probes = [scn.probe_T(p, j) for j in js]
     d = consecutive_difference(scn, p, np.array(probes + extra_Ts),

@@ -30,13 +30,18 @@ e^{-40} times the p = 0 term, whatever |z| is, and
 
 theta_eval_scaled folds that exact factor, phase included, into a
 shifted-exponent result that never overflows.  A 0-d z is summed in
-Python complex numbers, calling numpy only where its bits differ from
-Python's, so a scalar gives the bits it always gave.  The calibration of
-C and the lower bound read only the modulus, so they form
-log|Theta| = log|S| + m(m+1)/2 log Q + m log|w| without the phase.
+Python floats, through math and cmath with no numpy call, since numpy's
+dispatch on one number costs more than the sum; an array is summed in
+numpy.  The two round differently in the last bits (numpy's abs, log
+and complex reciprocal are not Python's), so a 0-d value agrees with its
+array element to a few ulp of the sum's cancellation, not bit for bit.
+The calibration of C and the lower bound read only the modulus, so they
+form log|Theta| = log|S| + m(m+1)/2 log Q + m log|w| without the phase.
 The spiral clearance is a minimum over the few scales q^{m/k} that can
 bring |z q^{m/k}| into [1/8, 8], in a window of scales of each point's
-own, and a point is admissible where its clearance exceeds dlt.
+own, and a point is admissible where its clearance exceeds dlt; a 0-d z
+finds its window in math but forms the minimum with the array path's
+ufuncs, so its clearance is its array element's, bit for bit.
 
 By the Jacobi triple product every factor of |Theta(r e^{ia})| is
 |1 + c e^{+-ia}| with c > 0, and each term |1 + rho_m e^{ia}| of the
@@ -109,6 +114,18 @@ def _coefficients(q: float, k: float) -> tuple[tuple[float, ...], tuple[float, .
             tuple(math.exp(-j * (j + 1) * lQ / 2.0) for j in p))
 
 
+_AT_ZERO = "theta has an essential singularity at z = 0"
+_PAST_RANGE = ("theta needs a z whose modulus is a finite double "
+               "(|z| <= 1.8e308)")
+_NOT_CLEARABLE = "z must be nonzero with a finite modulus"
+
+
+# Python numbers that take the 0-d path with no numpy call; np.float64 and
+# np.complex128 subclass float and complex, and a 0-d array joins them
+# after an np.ndim test
+_SCALARS = (complex, float, int)
+
+
 def _annulus_sum(spec: ThetaSpec, z):
     """(S, w, m, x) with Theta(z) = Q^{m(m+1)/2} w^m S, Q = q^{1/k}:
     z reduced to w = z Q^{-m} on the fundamental annulus, x = log|w|, and
@@ -116,33 +133,48 @@ def _annulus_sum(spec: ThetaSpec, z):
 
     The two halves of S run by Horner's rule, in w and in 1/w, in one
     loop over p and in place, so memory stays O(size of z).  0-d z runs
-    on Python numbers (S and w complex, m and x float): Python's complex
-    add and multiply give the bits of numpy's scalars.  numpy stays for
-    abs, log, rint and the reciprocal, whose bits differ from Python's,
-    and for the half power shared with arrays.  A z that is 0, or whose
-    modulus is not a finite double, is refused."""
+    on Python numbers (S and w complex, m and x float) through math,
+    with no numpy call.  A z that is 0, or whose modulus is not a finite
+    double, is refused."""
+    if isinstance(z, _SCALARS) or not np.ndim(z):
+        return _annulus_sum_0d(spec, complex(z))
     z = np.asarray(z, dtype=complex)
-    if not (z.all() if z.ndim else complex(z) != 0):
-        raise ValueError("theta has an essential singularity at z = 0")
+    if not z.all():
+        raise ValueError(_AT_ZERO)
     lQ = math.log(spec.q) / spec.k
     m = np.rint(np.log(np.abs(z)) / lQ)
     # |z| is inf where it overflows a double or a part is inf, and nan
     # where a part is nan; m, already at hand, shows either
-    if not (np.isfinite(m).all() if z.ndim else math.isfinite(m)):
-        raise ValueError("theta needs a z whose modulus is a finite double "
-                         "(|z| <= 1.8e308)")
+    if not np.isfinite(m).all():
+        raise ValueError(_PAST_RANGE)
     # w = (z Q^{-m/2}) Q^{-m/2}: the half power stays in double range for
     # every nonzero double z, also where Q^{-m} overflows (subnormal z);
     # for q = 2, k = 1 and even m every factor is exact
     half = spec.q ** (m * (-0.5 / spec.k))
-    if z.ndim:
-        w = z * half * half
-        x = np.log(np.abs(w))
-        u = 1.0 / w
-    else:
-        w = complex(z) * half * half
-        m, x = float(m), float(np.log(np.abs(w)))
-        u = complex(1.0 / np.complex128(w))
+    w = z * half * half
+    return _horner(spec, w, 1.0 / w), w, m, np.log(np.abs(w))
+
+
+def _annulus_sum_0d(spec: ThetaSpec, z: complex):
+    """_annulus_sum of one Python complex, in math: the modulus by
+    math.hypot, which is inf, not an OverflowError, past double range,
+    and m by round, with rint's ties to even and sign of zero."""
+    if z == 0:
+        raise ValueError(_AT_ZERO)
+    lQ = math.log(spec.q) / spec.k
+    v = math.log(math.hypot(z.real, z.imag)) / lQ
+    if not math.isfinite(v):
+        raise ValueError(_PAST_RANGE)
+    m = math.copysign(round(v), v)
+    half = spec.q ** (m * (-0.5 / spec.k))
+    w = z * half * half
+    return (_horner(spec, w, 1.0 / w), w, m,
+            math.log(math.hypot(w.real, w.imag)))
+
+
+def _horner(spec: ThetaSpec, w, u):
+    """1 + sum_{p=1..P} (c_p w^p + c_{-p} u^p) by Horner's rule, in place
+    for arrays, given u = 1/w."""
     pos, neg = _coefficients(spec.q, spec.k)
     hp = pos[-1] * w
     hn = neg[-1] * u
@@ -151,7 +183,7 @@ def _annulus_sum(spec: ThetaSpec, z):
         hp *= w
         hn += cn
         hn *= u
-    return hp + hn + 1.0, w, m, x
+    return hp + hn + 1.0
 
 
 def theta_eval_scaled(spec: ThetaSpec, z) -> tuple[np.ndarray, np.ndarray]:
@@ -171,13 +203,12 @@ def theta_eval_scaled(spec: ThetaSpec, z) -> tuple[np.ndarray, np.ndarray]:
     # at w.  The phase is exp(i m arg w): cmath.exp for 0-d z, and for an
     # array cos y + i sin y, y = m arg w, the bits of numpy's complex exp
     # at real part 0 without its complex temporaries
-    arg = np.arctan2(w.imag, w.real)
     if isinstance(S, complex):
         top = max(x, 0.0)
-        S = S * cmath.exp(1j * m * arg) * np.exp(-top)
+        S = S * cmath.exp(1j * m * math.atan2(w.imag, w.real)) * math.exp(-top)
         return S, top + m * (m + 1) * (lQ / 2.0) + m * x
     top = np.maximum(x, 0.0)
-    y = m * arg
+    y = m * np.arctan2(w.imag, w.real)
     phase = np.empty(S.shape, complex)
     phase.real = np.cos(y)
     phase.imag = np.sin(y)
@@ -240,7 +271,7 @@ def theta_qdiff_residual(spec: ThetaSpec, z: complex, m: int) -> float:
         shifted = scale * z
     except OverflowError:
         shifted = math.inf
-    if not (np.isfinite(shifted) and shifted != 0):
+    if not (cmath.isfinite(shifted) and shifted != 0):
         raise ValueError("the shifted point q^(m/k) z leaves double range; "
                          "need a smaller |m| or |log|z||")
     if abs(shifted) < sys.float_info.min:
@@ -248,12 +279,12 @@ def theta_qdiff_residual(spec: ThetaSpec, z: complex, m: int) -> float:
     lm, sm = theta_eval_scaled(spec, shifted)
     rm, sr = theta_eval_scaled(spec, z)
     # fold the prefactor q^{m(m+1)/(2k)} z^m into the right mantissa/scale
-    lzm = m * np.log(complex(z))
+    lzm = m * cmath.log(z)
     sr = sr + m * (m + 1) * lq / (2.0 * spec.k) + lzm.real
-    rm = rm * np.exp(1j * lzm.imag)
-    base = max(float(sm), float(sr))
-    lhs = complex(lm) * math.exp(float(sm) - base)
-    rhs = complex(rm) * math.exp(float(sr) - base)
+    rm = rm * cmath.exp(1j * lzm.imag)
+    base = max(sm, sr)
+    lhs = lm * math.exp(sm - base)
+    rhs = rm * math.exp(sr - base)
     denom = max(abs(lhs), abs(rhs))
     if denom == 0.0:
         return 0.0
@@ -280,18 +311,32 @@ def spiral_clearance(q: float, k: float, z):
     a scale far outside [1/8, 8] and is inf, or nan and skipped.  A z
     that is 0, or whose modulus is not a finite double, is refused.
     """
-    z = np.asarray(z, dtype=complex)
     lq = math.log(q)
     count = math.ceil(k * math.log(64.0) / lq) + 3
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        m_lo = np.floor(k * (math.log(0.125) - np.log(np.abs(z))) / lq) - 1.0
-        if not np.isfinite(m_lo).all():
-            raise ValueError("z must be nonzero with a finite modulus")
-        # the scales run along a new first axis, so each product and the
-        # minimum over them run along z's contiguous axes
-        j = np.arange(count).reshape((count,) + (1,) * z.ndim)
-        lm = (m_lo + j) * lq / k
-        if lm.max() > 700.0:
+        if isinstance(z, _SCALARS) or not np.ndim(z):
+            # m_lo in math may sit one scale off the array path's; both
+            # windows cover [1/8, 8] with a scale to spare, and the ufuncs
+            # below form the minimum as for an array, so the value is the
+            # array element's
+            z = complex(z)
+            r = math.hypot(z.real, z.imag)
+            v = k * (math.log(0.125) - math.log(r)) / lq if 0.0 < r < math.inf else math.nan
+            if not math.isfinite(v):
+                raise ValueError(_NOT_CLEARABLE)
+            lm = (math.floor(v) - 1.0 + np.arange(count)) * lq / k
+            far = lm[-1] > 700.0    # the exponents rise along the window
+        else:
+            z = np.asarray(z, dtype=complex)
+            m_lo = np.floor(k * (math.log(0.125) - np.log(np.abs(z))) / lq) - 1.0
+            if not np.isfinite(m_lo).all():
+                raise ValueError(_NOT_CLEARABLE)
+            # the scales run along a new first axis, so each product and
+            # the minimum over them run along z's contiguous axes
+            j = np.arange(count).reshape((count,) + (1,) * z.ndim)
+            lm = (m_lo + j) * lq / k
+            far = lm.max() > 700.0
+        if far:
             e = np.maximum(0.0, np.ceil((lm - 700.0) / math.log(2.0)))
             z = z * 2.0 ** e
             lm -= e * math.log(2.0)
@@ -319,7 +364,11 @@ def _check_dlt(dlt: float) -> None:
 def log_lower_envelope(q: float, k: float, z) -> np.ndarray:
     """(k/2) log^2|z| / log q + log|z| / 2, the log of the lower bound's
     shape; finite for every nonzero double z."""
-    L = np.log(np.abs(np.asarray(z, dtype=complex)))
+    return _envelope_of_log(q, k, np.log(np.abs(np.asarray(z, dtype=complex))))
+
+
+def _envelope_of_log(q: float, k: float, L):
+    """log_lower_envelope at log|z| = L, for a float or an array."""
     return 0.5 * k * L * L / math.log(q) + 0.5 * L
 
 
@@ -330,10 +379,16 @@ def _log_abs_theta(spec: ThetaSpec, z) -> tuple[np.ndarray, np.ndarray]:
     |S| / max(1, |w|).  Neither needs the phase fold exp(i m arg w) nor
     exp(-max(log|w|, 0))."""
     S, _, m, x = _annulus_sum(spec, z)
-    with np.errstate(divide="ignore"):
-        log_s = np.log(np.abs(S))
+    if isinstance(S, complex):
+        h = abs(S)
+        log_s = math.log(h) if h else -math.inf
+        top = max(x, 0.0)
+    else:
+        with np.errstate(divide="ignore"):
+            log_s = np.log(np.abs(S))
+        top = np.maximum(x, 0.0)
     return (log_s + m * (m + 1) * (math.log(spec.q) / spec.k / 2.0) + m * x,
-            log_s - np.maximum(x, 0.0))
+            log_s - top)
 
 
 def _crossing_angles(q: float, k: float, radii: np.ndarray,
@@ -431,10 +486,12 @@ def theta_lower_bound(spec: ThetaSpec, z: complex, dlt: float) -> ThetaBoundChec
     _check_dlt(dlt)
     if spec.Cqk is None:
         raise ValueError("ThetaSpec has no calibrated Cqk; run calibrate_theta_constant")
+    z = complex(z)
     clearance = spiral_clearance(spec.q, spec.k, z)
     admissible = clearance > dlt
-    log_lhs = float(_log_abs_theta(spec, z)[0])
-    log_rhs = math.log(spec.Cqk * dlt) + float(log_lower_envelope(spec.q, spec.k, z))
+    log_lhs = _log_abs_theta(spec, z)[0]
+    log_rhs = math.log(spec.Cqk * dlt) + _envelope_of_log(
+        spec.q, spec.k, math.log(math.hypot(z.real, z.imag)))
     margin = log_lhs - log_rhs
     lhs = math.exp(log_lhs) if log_lhs < 700 else math.inf
     rhs = math.exp(log_rhs) if log_rhs < 700 else math.inf

@@ -1,5 +1,6 @@
 """End-to-end acceptance gate: ten independent certifications (the rate
-dichotomy on the default scenario and on a seeded family of 40).
+dichotomy on the default scenario, and it and the two-level theorem
+report on a seeded family of 40).
 
 Each test exercises one headline capability at its stated tolerance and
 prints a single PASS/FAIL line with the measured margin (visible with
@@ -29,7 +30,7 @@ from qasym.frames import QFrame, log_gaussian_power, seq_bound_from_log_bound
 from qasym.geometry import make_cyclic_covering
 from qasym.model import (PoleSpec, consecutive_difference, default_scenario,
                          difference_remainder_table, laplace_transform_shape,
-                         verify_rate_dichotomy)
+                         verify_rate_dichotomy, verify_two_level_theorem)
 from qasym.qlaplace import (GrowthCertificate, QLaplaceSpec,
                             monomial_ratio_law, qlaplace)
 from qasym.theta import (calibrate_theta_constant, spec_for_annulus,
@@ -267,6 +268,18 @@ def test_06_rate_dichotomy_on_a_seeded_family():
     failed = [i for i, scn in enumerate(_seeded_family())
               if not verify_rate_dichotomy(scn, js=range(3, 11)).ok]
     assert _gate(not failed, "criterion 6 (rate dichotomy, seeded family)",
+                 f"{40 - len(failed)} of 40 scenarios pass, failing: {failed}")
+
+
+def test_06_two_level_theorem_on_a_seeded_family():
+    """The `demo --fast` report (js 3..8, N 0..4) on every scenario of the
+    seeded family.  The probes step by q^{-1/k1}, one period of the slow
+    difference's log-periodic factor, so at q = 5 too each slow fit sees
+    one phase of it."""
+    failed = [i for i, scn in enumerate(_seeded_family())
+              if not verify_two_level_theorem(scn, js=range(3, 9),
+                                              N_range=range(0, 5)).ok]
+    assert _gate(not failed, "criterion 6 (two-level theorem, seeded family)",
                  f"{40 - len(failed)} of 40 scenarios pass, failing: {failed}")
 
 

@@ -115,6 +115,23 @@ class TestComplexQuad:
         assert n == 9 * 21
         assert val == pytest.approx(1.0 / 3.0 + 4.0j / 3.0, rel=1e-14)
 
+    def test_a_part_that_is_rounding_noise_converges(self):
+        """A real part of rounding noise beside an imaginary part of size 1
+        is held to its component's round-off floor, not its own, so the
+        call returns from its first round (it used to bisect past the
+        panel limit), for a scalar and a vector integrand."""
+        def f(x):
+            return 1e-17 * np.sin(1e7 * x) + 1j * np.exp(-x)
+
+        val, err, n = complex_quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-12)
+        assert n == 8 * 21
+        assert val.imag == pytest.approx(1.0 - math.exp(-1.0), rel=1e-15)
+        assert abs(val.real) < 1e-17 and err < 1e-14
+        vals, _, n = complex_quad(lambda x: f(x)[..., None] * np.array([1.0, 2.0]),
+                                  0.0, 1.0, epsabs=0.0, epsrel=1e-12)
+        assert n == 8 * 21
+        assert vals.tolist() == pytest.approx([val, 2.0 * val], rel=1e-15)
+
 
 class TestPointsMerge:
     """Cuts are filtered and merged with array operations; the edges, and

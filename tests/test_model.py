@@ -303,6 +303,22 @@ class TestDifferences:
         assert np.all(np.abs(d.total - want) <= 1e-12 * np.abs(want))
         assert abs(d.pieces["residues"][0]) > 1e-4 * abs(want[0])
 
+    def test_branch_change_at_a_real_kernel(self, scn):
+        """Overlap 1 with centers (90, 180, 90, 270) deg is fast and
+        changes branch; on its mid-direction the branch jump is purely
+        imaginary and 1/Theta(u/T) real, so the real part of the mid
+        ray's integrand is rounding noise.  Held to its component's
+        round-off floor it converges (it raised QuadratureError before),
+        and the rotated and decomposed routes agree to 1e-13 relative at
+        j = 3..6."""
+        two = replace(scn, branch_centers=TWO_BRANCH_CHANGES)
+        assert two.levels()[1] == 2
+        Ts = np.array([two.probe_T(1, j) for j in range(3, 7)])
+        got = consecutive_difference(two, 1, Ts, "rotated", model.DIFF_TOL)
+        assert list(got.pieces) == ["residues", "mid_ray"]
+        want = consecutive_difference(two, 1, Ts, tol=model.DIFF_TOL).total
+        assert np.all(np.abs(got.total - want) <= 1e-13 * np.abs(want))
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_mid_ray_matches_the_direct_route(self, scn, p):
         """At j = 3, 4 the direct route subtracts two full rays, so it is

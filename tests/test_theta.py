@@ -84,8 +84,9 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("q,k", IN_USE)
     def test_matches_out_of_place_horner(self, q, k, rng):
-        """Bit for bit against the out-of-place Horner loop written here,
-        on arrays and on 0-d input, for |z| from e^-700 to e^700."""
+        """Bit for bit against the out-of-place Horner loops written here,
+        in numpy on arrays and in Python floats on 0-d input, for |z| from
+        e^-700 to e^700."""
         def longhand(z):
             z = np.asarray(z, dtype=complex)
             lQ = math.log(q) / k
@@ -104,6 +105,23 @@ class TestEvaluation:
             return ((hp + hn + 1.0) * np.exp(1j * m * np.angle(w)) * np.exp(-top),
                     top + m * (m + 1) * (lQ / 2.0) + m * x)
 
+        def longhand_0d(z):
+            lQ = math.log(q) / k
+            m = round(math.log(math.hypot(z.real, z.imag)) / lQ)
+            half = q ** (m * (-0.5 / k))
+            w = z * half * half
+            p = range(truncation_order(q, k), 0, -1)
+            hp = hn = 0.0
+            for cp, cn in zip((math.exp(-j * (j - 1) * lQ / 2.0) for j in p),
+                              (math.exp(-j * (j + 1) * lQ / 2.0) for j in p)):
+                hp = (hp + cp) * w
+                hn = (hn + cn) * (1.0 / w)
+            x = math.log(math.hypot(w.real, w.imag))
+            top = max(x, 0.0)
+            return ((hp + hn + 1.0) * cmath.exp(1j * m * cmath.phase(w))
+                    * math.exp(-top),
+                    top + m * (m + 1) * (lQ / 2.0) + m * x)
+
         spec = ThetaSpec(q, k)
         # 20,000 points: past numpy's 256 KB temporary-elision threshold
         zs = np.exp(rng.uniform(-700.0, 700.0, 20000)
@@ -111,10 +129,9 @@ class TestEvaluation:
         for got, want in zip(theta_eval_scaled(spec, zs), longhand(zs)):
             assert np.array_equal(got, want)
         for z in zs[:100]:
-            for got, want in zip(theta_eval_scaled(spec, complex(z)),
-                                 longhand(complex(z))):
-                assert np.array_equal(got, want)
-                assert np.ndim(got) == 0
+            got = theta_eval_scaled(spec, complex(z))
+            assert type(got[0]) is complex and type(got[1]) is float
+            assert got == longhand_0d(complex(z))
 
     @pytest.mark.parametrize("q,k", IN_USE)
     def test_scalar_types_give_the_same_bits(self, q, k, rng):
@@ -129,6 +146,27 @@ class TestEvaluation:
                 got = theta_eval_scaled(spec, form)
                 for g, w in zip(got, want):
                     assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+    @pytest.mark.parametrize("q,k", IN_USE)
+    def test_scalar_and_array_agree_on_log_modulus(self, q, k, rng):
+        """A 0-d call, summed in Python floats, and its array element,
+        summed in numpy, round differently (numpy's complex reciprocal is
+        not Python's).  log|mantissa| + log_scale agree to 4 ulp of
+        log_scale plus 1e-15 plus 4 eps times the cancellation of the
+        sum, kappa = Theta(|z|) / |Theta(z)| (the terms' moduli summed
+        over the modulus of their sum), for |z| from e^-700 to e^700."""
+        spec = ThetaSpec(q, k)
+        zs = np.exp(rng.uniform(-700.0, 700.0, 1000)
+                    + 1j * rng.uniform(-math.pi, math.pi, 1000))
+        mant, shift = theta_eval_scaled(spec, zs)
+        log_abs = np.log(np.abs(mant)) + shift
+        kappa = np.exp(_log_abs_theta(spec, np.abs(zs))[0] - log_abs)
+        for z, want, scale, cancel in zip(zs, log_abs, shift, kappa):
+            one, one_scale = theta_eval_scaled(spec, complex(z))
+            got = math.log(abs(one)) + one_scale
+            bound = (4.0 * math.ulp(scale) + 1e-15
+                     + 4.0 * sys.float_info.epsilon * cancel)
+            assert abs(got - want) <= bound, (z, got, want, cancel)
 
     @pytest.mark.parametrize("q,k", IN_USE)
     def test_log_modulus_without_the_phase(self, q, k, rng):
@@ -220,14 +258,28 @@ class TestExtremeModuli:
         assert lg == pytest.approx(ref, rel=1e-13)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_clearance_of_an_array_is_per_point(self):
-        """Subnormal to 1e300 moduli in one array: each value equals the
-        point's own scalar call bit for bit, and no overflow warns."""
+    def test_clearance_of_an_array_is_per_point(self, rng):
+        """Subnormal to 1e300 moduli in one array, random z with |z| from
+        e^-700 to e^700, and points within 1e-6 of a zero -q^{m/k}, for
+        every (q, k) in use and q = 1e300: each value equals the point's
+        own scalar call, which finds its window in math, bit for bit,
+        and no overflow warns."""
         z = np.array([1e-310 + 1e-310j, 1e300, -1e-5, -1.0, 0.5j,
                       -1e300 * 2 ** 0.5])
         got = spiral_clearance(2.0, 1.0, z)
         assert got.tolist() == [spiral_clearance(2.0, 1.0, v) for v in z]
         assert got[3] == 0.0
+        n = 1000
+        for q, k in IN_USE + [(1e300, 1.0)]:
+            top = math.floor(700.0 * k / math.log(q))
+            zeros = -np.exp(rng.integers(-top, top + 1, n) * (math.log(q) / k))
+            z = np.concatenate([
+                np.exp(rng.uniform(-700.0, 700.0, n)
+                       + 1j * rng.uniform(-math.pi, math.pi, n)),
+                zeros * (1.0 + 1e-6 * np.exp(1j * rng.uniform(-math.pi, math.pi, n)))])
+            got = spiral_clearance(q, k, z)
+            assert got.tolist() == [spiral_clearance(q, k, v) for v in z], (q, k)
+            assert np.all(got[n:] < 1e-5)
 
     def test_clearance_near_a_subnormal_zero(self):
         # z 2^1063 = -(1 + i/128), at distance 1/128 from the zero at -1;
