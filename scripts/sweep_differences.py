@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Sweep consecutive differences of the sectorial kernel family over a
-geometric ladder |T| = q^{-j} and fit the decay level of each overlap.
+geometric ladder |T| = (1/8) q^{-(j-3)/k1} (ModelScenario.probe_T) and
+fit the decay level of each overlap.
 
 Each overlap's difference is the "rotated" route of
 qasym.model.consecutive_difference: the residue sum over its wedge poles,

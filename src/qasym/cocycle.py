@@ -106,23 +106,6 @@ class Cocycle:
         return self.deltas[p % self.covering.n] is not None
 
 
-def classify_levels(covering: GoodCovering, inner_sectors: Sequence) -> tuple:
-    """Level per overlap from the deformation-domain geometry.
-
-    When the inner sectors attached to two neighbouring outer sectors
-    still intersect, the consecutive difference collapses at the fast
-    level (2); when they are disjoint, only the slow level (1) survives.
-    """
-    if len(inner_sectors) != covering.n:
-        raise ValueError("need one inner sector per covering sector")
-    out = []
-    for p in range(covering.n):
-        a = inner_sectors[p]
-        b = inner_sectors[(p + 1) % covering.n]
-        out.append(2 if a.intersects(b) else 1)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class CHOptions:
     tol: float = 1e-10

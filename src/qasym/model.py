@@ -64,16 +64,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .asymptotics import (GevreyFit, RemainderTable, fit_zero_gevrey_relative,
                           restrict_and_refit)
-from .cocycle import classify_levels
 from .frames import QFrame, ladder_radius
-from .geometry import GoodCovering, Sector, make_cyclic_covering, wrap_angle
+from .geometry import GoodCovering, make_cyclic_covering, wrap_angle
 from .qlaplace import log_contour_transform
 from .schemas import Record
 from .theta import inv_theta_at
@@ -101,9 +99,9 @@ class ModelScenario(Record):
     logarithm branch used by that sector's kernel (sharing a center
     means sharing a branch), whose cut at center + pi must miss the arc
     between the mid-directions around directions[p], where the kernel is
-    used (ValueError names a sector that breaks this); u_half_widths[p]
-    the angular half-width of the kernel's analyticity sector around
-    directions[p], which decides fast/slow overlaps.  rho is the
+    used (ValueError names a sector that breaks this).  The branches
+    alone decide an overlap's level: 2 (fast) where its two sectors
+    share a branch, 1 (slow) where the branch changes.  rho is the
     contraction radius of the pieces and must stay below every pole
     modulus.
     """
@@ -112,7 +110,6 @@ class ModelScenario(Record):
     covering: GoodCovering
     directions: tuple
     branch_centers: tuple
-    u_half_widths: tuple
     rho: float
     kernel_amp: complex
     drift: float
@@ -120,8 +117,7 @@ class ModelScenario(Record):
 
     def __post_init__(self) -> None:
         n = self.covering.n
-        if not (len(self.directions) == len(self.branch_centers)
-                == len(self.u_half_widths) == n):
+        if not len(self.directions) == len(self.branch_centers) == n:
             raise ValueError("per-sector data must match the covering size")
         for pole in self.poles:
             if abs(pole.location) <= self.rho:
@@ -136,19 +132,11 @@ class ModelScenario(Record):
     def n(self) -> int:
         return self.covering.n
 
-    def u_sectors(self) -> tuple:
-        return tuple(Sector(bisector=self.directions[p],
-                            half_opening=self.u_half_widths[p])
-                     for p in range(self.n))
-
-    @cached_property
-    def _levels(self) -> tuple:
-        return classify_levels(self.covering, self.u_sectors())
-
     def levels(self) -> tuple:
-        """2 (fast) where neighbouring kernel sectors intersect, else 1;
-        classified once per scenario, not at every difference."""
-        return self._levels
+        """2 (fast) on an overlap whose sectors share a branch, where the
+        difference is the wedge poles' residue sum; 1 (slow) where the
+        branch changes and the mid-ray discrepancy decays at k1."""
+        return tuple(2 if _shares_branch(self, p) else 1 for p in range(self.n))
 
     def wedge(self, p: int) -> tuple:
         """Forward wedge (d_p, d_{p+1}) of overlap p, unwrapped."""
@@ -202,8 +190,6 @@ def default_scenario() -> ModelScenario:
     return ModelScenario(frame=frame, covering=cov, directions=d,
                          branch_centers=(center_a, center_a, center_a,
                                          center_b),
-                         u_half_widths=(math.radians(50.0),) * 3
-                                       + (math.radians(30.0),),
                          rho=0.8, kernel_amp=1.0 + 0.0j, drift=1.0,
                          poles=poles)
 
@@ -355,11 +341,9 @@ def _wedge_residues(scn: ModelScenario, p: int, T):
 
 @dataclass
 class DiffPieces:
-    """One consecutive difference on an overlap of the given level (which
-    sets its target rate), split into the pieces of its route: each an
-    array over a batch of T, or a complex for one T."""
+    """One consecutive difference as its route's pieces, each an array over
+    a batch of T or a complex for one T (the level is scn.levels()[p])."""
 
-    level: int
     pieces: dict
 
     @property
@@ -469,9 +453,8 @@ def consecutive_difference(scn: ModelScenario, p: int, T,
     """
     _check_overlap(scn, p)
     _check_tol(tol)
-    level = scn.levels()[p]
     if route == "direct":
-        return DiffPieces(level=level, pieces={
+        return DiffPieces(pieces={
             "ray_plus": laplace_transform_shape(scn, p + 1, T, tol),
             "ray_minus": -laplace_transform_shape(scn, p, T, tol)})
     if route not in ("decomposed", "rotated"):
@@ -481,7 +464,7 @@ def consecutive_difference(scn: ModelScenario, p: int, T,
         pieces = {"residues": _wedge_residues(scn, p, T)}
         if not _shares_branch(scn, p):
             pieces["mid_ray"] = mid_segment_piece(scn, p, T, tol, math.inf)
-        return DiffPieces(level=level, pieces=pieces)
+        return DiffPieces(pieces=pieces)
     lo, hi = scn.wedge(p)
     pieces = {
         "outer_plus": outer_ray_piece(scn, p + 1, hi, T, tol),
@@ -490,7 +473,7 @@ def consecutive_difference(scn: ModelScenario, p: int, T,
     }
     if not _shares_branch(scn, p):
         pieces["mid_segment"] = mid_segment_piece(scn, p, T, tol, scn.rho)
-    return DiffPieces(level=level, pieces=pieces)
+    return DiffPieces(pieces=pieces)
 
 
 def laplace_transform_shape(scn: ModelScenario, p: int, T, tol: float):
@@ -581,12 +564,11 @@ def _overlap_report(scn: ModelScenario, p: int, js: Sequence[int],
                                "rotated", tol)
     # abs of each Python complex: np.abs can round the last bit otherwise
     norms = list(map(abs, d.total.tolist()))
-    level = d.level
-    table = DiffTable(p=p, level=level,
+    table = DiffTable(p=p, level=scn.levels()[p],
                       rows=[DiffRow(j=j, absT=abs(T), norm=norm)
                             for j, T, norm in zip(js, probes, norms)])
     fit = fit_rate(table, scn.frame.q)
-    target = float(scn.frame.k2 if level == 2 else scn.frame.k1)
+    target = float(scn.frame.k2 if table.level == 2 else scn.frame.k1)
     return (table, fit, target, abs(fit.rate - target) / target,
             norms[len(probes):])
 
@@ -699,12 +681,16 @@ def verify_two_level_theorem(scn: ModelScenario, js: Sequence[int] = range(3, 11
     for bit on the default scenario; numpy's vector math can move a last
     bit with a point's place in the batch).  Any other overlap adds one
     mid-ray contour call, whose points keep their own windows, so it
-    matches them up to the refinement the merged points share."""
+    matches them up to the refinement the merged points share.  ValueError
+    refuses a scenario without one overlap of each level."""
     from .geometry import validate_good_covering
     cov_rep = validate_good_covering(scn.covering)
 
     fr = scn.frame
     levels = scn.levels()
+    if not {1, 2} <= set(levels):
+        raise ValueError(f"levels {levels}: the theorem report needs one fast "
+                         "(2) and one slow (1) overlap")
     p_fast = levels.index(2)
     p_slow = levels.index(1)
 

@@ -414,6 +414,11 @@ class TestBadInputFiles:
         pytest.param(("diff", "--scenario"),
                      {**_SCENARIO, "kernel_ampp": [2.0, 0.0]}, "kernel_ampp",
                      id="diff-misspelled-key"),
+        # the branch centers alone set the levels; a field that once
+        # also set them is refused by name, not ignored
+        pytest.param(("diff", "--scenario"),
+                     {**_SCENARIO, "u_half_widths": [0.9, 0.9, 0.9, 0.5]},
+                     "'u_half_widths'", id="diff-removed-key"),
         pytest.param(("diff", "--scenario"),
                      {**_SCENARIO, "covering": {**_SCENARIO["covering"],
                                                 "radius": 0.9}},

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from helpers import cauchy_ray_direct, closed_jump
 from qasym import cocycle
 from qasym.cocycle import (CHOptions, Cocycle, asymptotic_coefficients,
-                           cauchy_heine_many, classify_levels, ladder_jump,
+                           cauchy_heine_many, ladder_jump,
                            multilevel_split, overlap_rays)
 from qasym.fourier import QuadratureError, complex_quad
-from qasym.geometry import Sector, make_cyclic_covering
+from qasym.geometry import make_cyclic_covering
 
 Q, K1, K2, A = 2.0, 1.0, 2.0, 1.3
 TIGHT = CHOptions(tol=1e-12)
@@ -462,15 +462,6 @@ class TestGeometryHelpers:
         for p, ray in enumerate(rays):
             assert ray.direction == pytest.approx(cov.overlap_bisector(p))
             assert ray.length == pytest.approx(0.9 * cov.overlap_radius(p))
-
-    def test_classify_levels_from_inner_sector_geometry(self):
-        cov = four_sector_covering()
-        openings = [50.0, 50.0, 30.0, 30.0]
-        inner = [Sector(cov.sector(p).bisector, math.radians(openings[p]),
-                        radius=0.2) for p in range(4)]
-        assert classify_levels(cov, inner) == (2, 1, 1, 1)
-        with pytest.raises(ValueError):
-            classify_levels(cov, inner[:3])
 
     def test_cocycle_shape_validation(self):
         cov = four_sector_covering()

@@ -17,9 +17,10 @@ from qasym.model import (DiffRow, DiffTable, ModelScenario, PoleSpec,
 from qasym.schemas import validate_payload
 
 
-# overlap 0 fast with a wedge pole and a branch change
+# every overlap changes branch (all slow); overlap 0 holds a wedge pole
 TWO_BRANCH_CHANGES = tuple(math.radians(d) for d in (90.0, 180.0, 90.0, 270.0))
-# overlap 2 shares a branch (no one branch clears every sector's arc)
+# overlap 2 shares a branch (no one branch clears every sector's arc):
+# levels (2, 1, 2, 1)
 SHARED_OVERLAP_2 = tuple(math.radians(d) for d in (90.0, 90.0, 225.0, 225.0))
 
 
@@ -38,14 +39,13 @@ def theorem_report(scn):
 
 
 class TestScenario:
-    def test_levels_follow_kernel_sector_geometry(self, scn):
+    def test_levels_follow_branch_sharing(self, scn):
+        """An overlap is fast (2) where its two sectors share a branch
+        and slow (1) where the branch changes."""
         assert scn.levels() == (2, 2, 1, 1)
-
-    def test_levels_are_classified_once_per_scenario(self, scn):
-        assert scn.levels() is scn.levels()
-        wide = replace(scn, u_half_widths=(math.radians(50.0),) * 4)
-        assert wide.levels() == (2, 2, 2, 2)
-        assert scn.levels() == (2, 2, 1, 1)
+        for centers, levels in ((TWO_BRANCH_CHANGES, (1, 1, 1, 1)),
+                                (SHARED_OVERLAP_2, (2, 1, 2, 1))):
+            assert replace(scn, branch_centers=centers).levels() == levels
 
     def test_wedges_and_poles(self, scn):
         assert scn.wedge(0) == pytest.approx((0.0, math.pi / 2))
@@ -97,21 +97,21 @@ class TestScenario:
             ModelScenario(frame=scn.frame, covering=scn.covering,
                           directions=scn.directions[:3],
                           branch_centers=scn.branch_centers,
-                          u_half_widths=scn.u_half_widths, rho=scn.rho,
+                          rho=scn.rho,
                           kernel_amp=scn.kernel_amp, drift=scn.drift,
                           poles=scn.poles)
         with pytest.raises(ValueError):
             ModelScenario(frame=scn.frame, covering=scn.covering,
                           directions=scn.directions,
                           branch_centers=scn.branch_centers,
-                          u_half_widths=scn.u_half_widths, rho=scn.rho,
+                          rho=scn.rho,
                           kernel_amp=scn.kernel_amp, drift=scn.drift,
                           poles=(PoleSpec(0.5 + 0.0j, 1.0 + 0.0j),))
         with pytest.raises(ValueError):
             ModelScenario(frame=scn.frame, covering=scn.covering,
                           directions=scn.directions,
                           branch_centers=scn.branch_centers,
-                          u_half_widths=scn.u_half_widths, rho=-1.0,
+                          rho=-1.0,
                           kernel_amp=scn.kernel_amp, drift=scn.drift,
                           poles=scn.poles)
 
@@ -257,13 +257,13 @@ class TestDifferences:
             assert abs(total - res) < 1e-9 * abs(res)
 
     def test_fast_overlap_that_changes_branch(self, scn):
-        """Overlap 0 is fast (level 2) but its sectors use branches
-        centred at 90 and 180 deg: its difference carries the branch
-        discrepancy on a mid segment, which no residue gives.  The pieces'
-        total and the cascade's norms agree with the direct route at
-        j = 3..6."""
+        """Overlap 0 holds a wedge pole but its sectors use branches
+        centred at 90 and 180 deg, so it is slow (level 1): its difference
+        carries the branch discrepancy on a mid segment, which no residue
+        gives.  The pieces' total and the cascade's norms agree with the
+        direct route at j = 3..6."""
         two = replace(scn, branch_centers=TWO_BRANCH_CHANGES)
-        assert two.levels()[0] == 2
+        assert two.levels()[0] == 1
         js = range(3, 7)
         Ts = np.array([two.probe_T(0, j) for j in js])
         direct = consecutive_difference(two, 0, Ts, "direct", tol=1e-11).total
@@ -289,9 +289,9 @@ class TestDifferences:
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     def test_mid_ray_adds_the_wedge_residues(self, scn):
-        """Overlap 0 with centers (90, 180, 90, 270) deg is fast, changes
-        branch and holds a wedge pole: the mid ray plus that pole's
-        residue is the decomposed total to 1e-12 relative at j = 3..8.
+        """Overlap 0 with centers (90, 180, 90, 270) deg changes branch and
+        holds a wedge pole: the mid ray plus that pole's residue is the
+        decomposed total to 1e-12 relative at j = 3..8.
         The residue decays at the fast rate, so it is 1.2e-3 of the total
         at j = 3 and 2.4e-12 at j = 8."""
         two = replace(scn, branch_centers=TWO_BRANCH_CHANGES)
@@ -304,20 +304,31 @@ class TestDifferences:
         assert abs(d.pieces["residues"][0]) > 1e-4 * abs(want[0])
 
     def test_branch_change_at_a_real_kernel(self, scn):
-        """Overlap 1 with centers (90, 180, 90, 270) deg is fast and
-        changes branch; on its mid-direction the branch jump is purely
+        """Overlap 1 with centers (90, 180, 90, 270) deg changes branch, so
+        it is slow; on its mid-direction the branch jump is purely
         imaginary and 1/Theta(u/T) real, so the real part of the mid
         ray's integrand is rounding noise.  Held to its component's
         round-off floor it converges (it raised QuadratureError before),
         and the rotated and decomposed routes agree to 1e-13 relative at
         j = 3..6."""
         two = replace(scn, branch_centers=TWO_BRANCH_CHANGES)
-        assert two.levels()[1] == 2
+        assert two.levels()[1] == 1
         Ts = np.array([two.probe_T(1, j) for j in range(3, 7)])
         got = consecutive_difference(two, 1, Ts, "rotated", model.DIFF_TOL)
         assert list(got.pieces) == ["residues", "mid_ray"]
         want = consecutive_difference(two, 1, Ts, tol=model.DIFF_TOL).total
         assert np.all(np.abs(got.total - want) <= 1e-13 * np.abs(want))
+
+    def test_dichotomy_with_every_overlap_slow(self, scn):
+        """Every overlap of TWO_BRANCH_CHANGES changes branch, so every
+        target is k1 and every fit meets it (rel_err 5e-4, 1.6e-2, 0 and
+        0).  The js run to 20 because overlap 1's norms alternate with j
+        (fit rms 0.6): its rel_err is at most 0.0924 for every j_max from
+        12 to 30, but 0.164 at j_max 11 and 0.43 at j_max 8."""
+        two = replace(scn, branch_centers=TWO_BRANCH_CHANGES)
+        rep = verify_rate_dichotomy(two, js=range(3, 21))
+        assert [e[1] for e in rep.entries] == [1, 1, 1, 1]
+        assert rep.ok
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_mid_ray_matches_the_direct_route(self, scn, p):
@@ -338,7 +349,6 @@ class TestDifferences:
         the mid ray where the branch changes."""
         Ts = np.array([scn.probe_T(p, j) for j in range(3, 6)])
         d = consecutive_difference(scn, p, Ts, "rotated")
-        assert d.level == scn.levels()[p]
         if p < 2:
             assert list(d.pieces) == ["residues"]
             assert np.array_equal(d.total, residue_closed_form(scn, p, Ts))
@@ -355,10 +365,9 @@ class TestDifferences:
         assert batch.total.shape == Ts.shape
         for T, total in zip(Ts, batch.total):
             one = consecutive_difference(scn, p, T, "decomposed", tol=1e-11)
-            assert batch.level == one.level
             assert set(batch.pieces) == set(one.pieces)
             assert abs(total - one.total) <= 1e-10 * abs(one.total)
-            if one.level == 2:
+            if scn.levels()[p] == 2:
                 oracle = residue_closed_form(scn, p, T)
                 assert abs(total - oracle) < 1e-9 * abs(oracle)
 
@@ -374,7 +383,6 @@ class TestDifferences:
         batch = consecutive_difference(scn, p, np.array([T]), route,
                                        tol=1e-11)
         assert isinstance(one, model.DiffPieces)
-        assert one.level == batch.level
         assert one.pieces == {name: v[0] for name, v in batch.pieces.items()}
         assert all(type(v) is complex for v in one.pieces.values())
         assert one.total == batch.total[0]
@@ -389,7 +397,6 @@ class TestDifferences:
             d = consecutive_difference(scn, p, T, "direct", tol=tol)
             assert isinstance(d, model.DiffPieces)
             assert set(d.pieces) == {"ray_plus", "ray_minus"}
-            assert d.level == scn.levels()[p]
             want = (model.laplace_transform_shape(scn, p + 1, T, tol)
                     - model.laplace_transform_shape(scn, p, T, tol))
             assert np.all(d.total == want)
@@ -486,6 +493,15 @@ class TestTheorem:
         assert rep.corollary_fit.certified
         assert rep.corollary_rows_kept >= 1
         assert rep.ok
+
+    def test_report_needs_a_fast_and_a_slow_overlap(self, scn):
+        """With every overlap slow there is no fast overlap for the fast
+        ladder fit, and the report says so instead of failing a lookup."""
+        two = replace(scn, branch_centers=TWO_BRANCH_CHANGES)
+        with pytest.raises(ValueError, match=re.escape(
+                "levels (1, 1, 1, 1): the theorem report needs one fast (2) "
+                "and one slow (1) overlap")):
+            verify_two_level_theorem(two)
 
     def test_one_difference_call_per_overlap(self, scn, monkeypatch):
         """Each overlap makes one rotated consecutive_difference call, and
