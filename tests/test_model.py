@@ -39,13 +39,23 @@ def theorem_report(scn):
 
 
 class TestScenario:
-    def test_levels_follow_branch_sharing(self, scn):
-        """An overlap is fast (2) where its two sectors share a branch
-        and slow (1) where the branch changes."""
+    def test_levels_follow_kernel_sector_geometry(self, scn):
+        """An overlap is fast (2) where its two sectors' kernels share a
+        branch and slow (1) where the branch changes."""
         assert scn.levels() == (2, 2, 1, 1)
         for centers, levels in ((TWO_BRANCH_CHANGES, (1, 1, 1, 1)),
                                 (SHARED_OVERLAP_2, (2, 1, 2, 1))):
             assert replace(scn, branch_centers=centers).levels() == levels
+
+    def test_levels_are_classified_once_per_scenario(self, scn):
+        """Each scenario's levels come from its own branch centers: a
+        replaced scenario is classified afresh, the original keeps its
+        levels, and a JSON round trip keeps them."""
+        two = replace(scn, branch_centers=TWO_BRANCH_CHANGES)
+        assert two.levels() == (1, 1, 1, 1)
+        assert scn.levels() == (2, 2, 1, 1)
+        back = ModelScenario.from_dict(json.loads(json.dumps(two.to_dict())))
+        assert back.levels() == two.levels()
 
     def test_wedges_and_poles(self, scn):
         assert scn.wedge(0) == pytest.approx((0.0, math.pi / 2))
