@@ -34,12 +34,16 @@ on the contour); probe angles must avoid the cut directions.
 Jumps and sectorial branches are vectorized in the sectorial variable:
 a jump Delta_p(t, xi) and a branch G_p(t, eps) take an ndarray and
 return an array of its shape.  The split evaluates each branch once, on
-every probe its sector owns together with its realization probes, and
-each Cauchy-Heine sum is one quadrature over all of its rays.
+every probe its sector owns together with its realization probes.
+Each Cauchy-Heine sum is one quadrature over all of its rays, with one
+component per distinct point (the integrand sums the rays, and a point
+listed from several sectors is integrated once), followed by one
+Plemelj pass over (overlap, point) for the cut corrections.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -105,6 +109,11 @@ class Cocycle:
     def has_jump(self, p: int) -> bool:
         return self.deltas[p % self.covering.n] is not None
 
+    @cached_property
+    def jump_overlaps(self) -> tuple:
+        """The overlaps p with a jump, ascending."""
+        return tuple(p for p in range(self.covering.n) if self.has_jump(p))
+
 
 @dataclass(frozen=True)
 class CHOptions:
@@ -116,22 +125,24 @@ def _ray_integral(cocycle: Cocycle, t, weight: Callable, points: np.ndarray,
     """sum_p (1/2 pi i) int_{gamma_p} Delta_p(t, xi) w(xi, x_j) dxi over
     the overlaps p with a jump, at each point x_j of `points`.
 
-    weight maps xi (with a trailing axis of length 1) and `points` to
-    one value per point along that axis: the Cauchy kernel at eps
-    points, or a power of xi per coefficient.  All rays are the
-    components of one fourier.complex_quad call on x in [0, 1]: ray p
-    runs along xi = s^2 e^{ic_p} with s = x sqrt(L_p), so its nodes are
-    those of the substitution in s, and the components over (ray, point)
-    keep their own epsabs and epsrel test; they are summed over rays on
-    return.  Each refinement round evaluates every jump and the weight
+    weight(num, xi, points) takes a numerator num and xi, both with a
+    trailing axis of length 1, and returns num w(xi, x_j) along that
+    axis, one value per point: num / (xi - eps_j) for the Cauchy kernel,
+    num xi^(-n-1) per coefficient.  All rays run in one
+    fourier.complex_quad call on x in [0, 1]: ray p runs along
+    xi = s^2 e^{ic_p} with s = x sqrt(L_p), so its nodes are those of
+    the substitution in s.  The integrand sums its rays, so there is one
+    component per point, and each point keeps its own epsabs and epsrel
+    test.  Each refinement round evaluates every jump and the weight
     once, on the nodes of all panels it refines, which the rays share.
     The quadratic substitution clusters nodes at the origin where the
     jump is flat but the weights are singular; the Gauss-Kronrod nodes
     are interior, so s = 0 itself is never evaluated.  A call that would
-    pass its panel limit raises QuadratureError naming the overlap and
-    the point of the component furthest from its target.
+    pass its panel limit raises QuadratureError naming the call's
+    overlaps and the point furthest from its target, whose index in
+    `points` is the error's component.
     """
-    ps = [p for p in range(cocycle.covering.n) if cocycle.has_jump(p)]
+    ps = cocycle.jump_overlaps
     points = np.asarray(points)
     if not ps:
         return np.zeros(points.shape, dtype=complex)
@@ -140,22 +151,25 @@ def _ray_integral(cocycle: Cocycle, t, weight: Callable, points: np.ndarray,
     root = np.sqrt([r.length for r in rays])
 
     def g(x):
-        s = x[..., None] * root                  # panel x node x ray
-        xi = (s * s) * eic
-        base = np.stack([np.asarray(cocycle.deltas[p](t, xi[..., i]), dtype=complex)
-                         for i, p in enumerate(ps)], axis=-1)
-        vals = (base * (2.0 * s * eic * root))[..., None] * weight(xi[..., None], points)
-        return vals.reshape(x.shape + (-1,))
+        total = 0.0
+        for p, e, r in zip(ps, eic, root):
+            s = x[..., None] * r                 # panel x node x 1
+            xi = (s * s) * e
+            num = np.asarray(cocycle.deltas[p](t, xi), dtype=complex) * (2.0 * s * e * r)
+            total = total + weight(num, xi, points)
+        return total
 
     try:
         val, _, _ = complex_quad(g, 0.0, 1.0, epsabs=opts.tol, epsrel=opts.tol,
                                  limit=200)
     except QuadratureError as exc:
-        r, i = divmod(exc.component, points.size)
+        i = exc.component
+        many = "s" * (len(ps) > 1)
         raise QuadratureError(
-            f"{len(ps)} Cauchy-Heine ray{'s' * (len(ps) > 1)}, worst on overlap "
-            f"{ps[r]} at {name}={points[i].item()!r}, {exc}", i) from exc
-    return val.reshape(len(ps), points.size).sum(axis=0) / TWO_PI_I
+            f"{len(ps)} Cauchy-Heine ray{many} on overlap{many} "
+            f"{', '.join(map(str, ps))}, worst at {name}={points[i].item()!r}, "
+            f"{exc}", i) from exc
+    return val / TWO_PI_I
 
 
 def cauchy_heine_many(cocycle: Cocycle, t, eps: np.ndarray,
@@ -167,10 +181,14 @@ def cauchy_heine_many(cocycle: Cocycle, t, eps: np.ndarray,
     rays.  Only the sectors that occur in the batch are checked, in
     ascending order, and the ValueError names the first point found
     outside its sector.  The raw transform is one quadrature for the
-    whole batch, over every ray with a jump (_ray_integral); the Plemelj
-    corrections take one jump call per overlap, on the points of its two
-    sectors that lie within the ray and past (sector p) or before
-    (sector p + 1) the cut.
+    whole batch, over every ray with a jump (_ray_integral), with one
+    component per distinct point: a point listed several times, from one
+    sector or from several, is integrated once.  The Plemelj corrections
+    come from one pass over (overlap, point): the points of each
+    overlap's two sectors that lie within its ray and past (sector p) or
+    before (sector p + 1) its cut, then one jump call per overlap with
+    such points.  A QuadratureError's component is the index in eps of
+    the first listing of the point it names.
     """
     opts = opts or CHOptions()
     cov = cocycle.covering
@@ -178,7 +196,6 @@ def cauchy_heine_many(cocycle: Cocycle, t, eps: np.ndarray,
     sectors = np.asarray(sectors, dtype=int).ravel()
     if eps.shape != sectors.shape:
         raise ValueError("eps and sectors must have matching shapes")
-    rays = cocycle.rays
     own = sectors % cov.n
     for p in np.unique(own).tolist():
         pts = eps[own == p]
@@ -187,21 +204,28 @@ def cauchy_heine_many(cocycle: Cocycle, t, eps: np.ndarray,
             raise ValueError(f"point {complex(outside[0])!r} not in "
                              f"covering sector {p}")
 
-    out = _ray_integral(cocycle, t, lambda xi, e: 1.0 / (xi - e), eps, "eps", opts)
-    args, radii = np.angle(eps), np.abs(eps)
-    for p in range(cov.n):
-        if not cocycle.has_jump(p):
-            continue
-        near = radii < rays[p].length
-        side = wrap_angle(args - rays[p].direction)
-        # past the forward cut gamma_p of sector p: subtract Delta_p;
-        # before the backward cut gamma_p of sector p + 1: add it
-        past = (own == p) & near & (side > 0.0)
-        before = (own == (p + 1) % cov.n) & near & (side < 0.0)
-        sel = past | before
+    distinct, first, inverse = np.unique(eps, return_index=True,
+                                         return_inverse=True)
+    try:
+        out = _ray_integral(cocycle, t, lambda num, xi, e: num / (xi - e),
+                           distinct, "eps", opts)
+    except QuadratureError as exc:
+        exc.component = int(first[exc.component])
+        raise
+    out = out[inverse]
+    ps = cocycle.jump_overlaps
+    rays = [cocycle.rays[p] for p in ps]
+    overlap = np.array(ps)[:, None]            # overlap x point below
+    near = np.abs(eps) < np.array([r.length for r in rays])[:, None]
+    side = wrap_angle(np.angle(eps) - np.array([r.direction for r in rays])[:, None])
+    # past the forward cut gamma_p of sector p: subtract Delta_p;
+    # before the backward cut gamma_p of sector p + 1: add it
+    past = (own == overlap) & near & (side > 0.0)
+    before = (own == (overlap + 1) % cov.n) & near & (side < 0.0)
+    for p, sel, add in zip(ps, past | before, before):
         if sel.any():
             d = np.asarray(cocycle.jump(p, t, eps[sel]), dtype=complex)
-            out[sel] += np.where(before[sel], d, -d)
+            out[sel] += np.where(add[sel], d, -d)
     return out
 
 
@@ -215,7 +239,7 @@ def asymptotic_coefficients(cocycle: Cocycle, t, n_max: int,
     the jumps to vanish faster than |xi|^{n_max} at the origin; for
     ladder-type jumps this caps n_max by the t-radius.
     """
-    return _ray_integral(cocycle, t, lambda xi, n: xi ** (-n - 1),
+    return _ray_integral(cocycle, t, lambda num, xi, n: num * xi ** (-n - 1),
                          np.arange(n_max + 1), "n", opts or CHOptions())
 
 
@@ -317,7 +341,9 @@ def multilevel_split(G: Sequence[Callable], slow: Cocycle, fast: Cocycle,
     called once, on every probe sector p owns together with the
     realization probes of overlaps p and p - 1, and each cocycle's
     Cauchy-Heine sum once, on every (probe, owning sector) pair: one
-    quadrature over all of that cocycle's rays.
+    quadrature over all of that cocycle's rays with one component per
+    distinct probe (a probe in an overlap is listed from both its
+    sectors, and integrated once), and one Plemelj pass.
 
     The realization rows check G_{p+1} - G_p = sum of the cocycle jumps
     at half each ray's length, two angles on either side of each cut.
@@ -387,20 +413,24 @@ def ladder_jump(q: float, k: float, A: float, cut_direction: float,
     """Jump with an exact shrinking-disc ladder bound.
 
     Delta(t, xi) = amplitude * exp( -(2k/log q) * Log t * (log A + l(xi)) )
-    with l the logarithm branch centred on the cut direction.  On
+    with l(xi) = Log(xi e^{-i cut}), the logarithm branch centred on the
+    cut direction, taken as one complex log; Delta(t, 0) = 0.  On
     |t| <= q^{-N/(2k)} (and A|xi| <= 1) its modulus is bounded by
     const * (A |xi|)^N for every N simultaneously -- the level-k ladder
     shape the relative fits certify.
     """
     lq = math.log(q)
+    log_a = math.log(A)
+    turn = cmath.exp(-1j * cut_direction)
 
     def delta(t, xi):
         xi = np.asarray(xi, dtype=complex)
-        ax = np.abs(xi)
-        ang = wrap_angle(np.angle(xi) - cut_direction)
-        ell = np.log(np.maximum(ax, 1e-300)) + 1j * ang
-        expo = -(2.0 * k / lq) * np.log(complex(t)) * (math.log(A) + ell)
-        out = amplitude * np.exp(expo)
-        return np.where(ax == 0.0, 0.0, out)
+        # log 0 is -inf, and its product with Log t can be nan: the
+        # where below puts 0 there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ell = np.log(xi * turn)
+            out = amplitude * np.exp(-(2.0 * k / lq) * np.log(complex(t))
+                                     * (log_a + ell))
+        return np.where(xi == 0.0, 0.0, out)
 
     return delta

@@ -135,22 +135,24 @@ class QuadratureError(ArithmeticError):
 def _gk21(fv: np.ndarray, half: np.ndarray) -> np.ndarray:
     """QUADPACK qk21 on real values fv over (panel, node, part), the 21
     nodes of each panel on the middle axis, for panels of half-width
-    `half` (panel x 1): one (2, 21) Kronrod/Gauss contraction and two
-    weighted |.| sums give the (value, error estimate, round-off floor)
-    over (panel, part), written into one (3, panel, part) array.  The
-    three sums that scale with the panel, |Kronrod - Gauss| and the two
-    |.| sums, are multiplied by |half| together, in that array.  Run it
+    `half` (panel x 1): one (2, 21) Kronrod/Gauss contraction, read as
+    its two (panel, part) rows, and two weighted |.| sums, each one
+    matmul written in place, give the (value, error estimate, round-off
+    floor) over (panel, part) in one (3, panel, part) array.  The three
+    sums that scale with the panel, |Kronrod - Gauss| and the two |.|
+    sums, are multiplied by |half| together, in that array.  Run it
     with divide, invalid and overflow warnings off: 0/0 in the error
     scaling is masked here, and a non-finite result is the caller's to
     refuse."""
-    resk, resg = np.moveaxis(_KG21 @ fv, 1, 0)
+    kg = _KG21 @ fv
+    resk, resg = kg[:, 0], kg[:, 1]
     out = np.empty((3,) + resk.shape)
     resasc, err, resabs = out
     np.abs(np.subtract(resk, resg, out=err), out=err)
     dev = np.abs(fv)      # one scratch array of fv's size for both sums
-    resabs[...] = _W21 @ dev
+    np.matmul(_W21, dev, out=resabs)
     np.abs(np.subtract(fv, 0.5 * resk[:, None], out=dev), out=dev)
-    resasc[...] = _W21 @ dev
+    np.matmul(_W21, dev, out=resasc)
     out *= np.abs(half)
     scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     np.copyto(err, scaled, where=(resasc != 0) & (err != 0))
@@ -175,7 +177,11 @@ def complex_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     values are read as reals, through a float view of the complex array,
     so a round is one _gk21 call over (panel, node, part), a part being
     the real or the imaginary part of one component, and the panels'
-    state is kept per (panel, part).
+    state is kept per (panel, part) in one (value, error, floor) array.
+    Outside the f call, a round's arithmetic runs under one np.errstate;
+    the integral and its error are one sum of that array over panels,
+    and a component's round-off floor is read through a (panel,
+    component, 2) view of the parts.
 
     As scipy's quad does for each part, the real and the imaginary part
     of every component must each meet max(epsabs, epsrel |that part of
@@ -222,33 +228,34 @@ def complex_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         scalar = fv.ndim == 2
         # panel x node x part: part 2c is Re and 2c + 1 is Im of component c
         fv = (fv[..., None] if scalar else fv).view(float)
+        # one errstate for the round: 0/0 in _gk21's error scaling, and
+        # past 1e154 the squares overflow (an infinite target makes the
+        # norm test vacuous, an infinite panel norm refines or raises)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             new = _gk21(fv, half)
-        if not np.isfinite(new).all():
-            i, c = np.argwhere(~np.isfinite(new).all(axis=0))[0]   # panel, part
-            raise QuadratureError(f"x in [{a}, {b}]: the panel on [{new_lo[i]:.6g}, "
-                                  f"{new_hi[i]:.6g}] integrates to a non-finite value",
-                                  component=None if scalar else int(c) // 2)
-        if panels is None:
-            panels = new
-        else:
-            lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
-            panels = np.concatenate([panels, new], axis=1)
-        val, err, floor = panels
-        # a part's round-off floor is its component's, so a part that is
-        # zero by symmetry, all rounding noise, stops refining too
-        floor = np.repeat(floor[:, 0::2] + floor[:, 1::2], 2, axis=1)
-        total, total_err = val.sum(axis=0), err.sum(axis=0)
-        target = np.maximum(epsabs, epsrel * np.abs(total))
-        # past 1e154 the squares overflow: an infinite target makes the
-        # norm test vacuous, an infinite panel norm refines or raises
-        with np.errstate(over="ignore"):
+            if not np.isfinite(new).all():
+                i, c = np.argwhere(~np.isfinite(new).all(axis=0))[0]   # panel, part
+                raise QuadratureError(
+                    f"x in [{a}, {b}]: the panel on [{new_lo[i]:.6g}, "
+                    f"{new_hi[i]:.6g}] integrates to a non-finite value",
+                    component=None if scalar else int(c) // 2)
+            if panels is None:
+                panels = new
+            else:
+                lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
+                panels = np.concatenate([panels, new], axis=1)
+            err = panels[1]
+            # a part's round-off floor is its component's, so a part that
+            # is zero by symmetry, all rounding noise, stops refining too
+            floor = panels[2].reshape(len(lo), -1, 2).sum(axis=2, keepdims=True)
+            total, total_err = panels[:2].sum(axis=1)
+            target = np.maximum(epsabs, epsrel * np.abs(total))
             norms = np.sqrt((err ** 2).sum(axis=1))
             norm_target = max(epsabs, epsrel * math.sqrt((total ** 2).sum()))
         if np.all(total_err <= target) and norms.sum() <= norm_target:
             break
         width = ((hi - lo) / (b - a))[:, None]
-        above = err > floor
+        above = (err.reshape(len(lo), -1, 2) > floor).reshape(err.shape)
         split = ((err > width * target) & above).any(axis=1)
         split |= (norms > width.ravel() * norm_target) & above.any(axis=1)
         if not split.any():

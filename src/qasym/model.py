@@ -557,8 +557,14 @@ def _overlap_report(scn: ModelScenario, p: int, js: Sequence[int],
     """Overlap p's cascade at the probes probe_T(p, j), its rate fit, the
     target rate (k2 on a fast overlap, k1 on a slow one), the fit's
     relative error, and the norms at the points extra_Ts, from one
-    difference evaluation on the probes followed by extra_Ts."""
+    difference evaluation on the probes followed by extra_Ts.
+    ValueError refuses an overlap that shares its branch and holds no
+    wedge pole: its difference is identically 0, with no rate to fit."""
     _check_overlap(scn, p)
+    if _shares_branch(scn, p) and not scn.wedge_poles(p):
+        raise ValueError(f"overlap {p} shares its logarithm branch and holds "
+                         "no wedge pole: its difference is identically 0, "
+                         "so it has no decay rate to fit")
     probes = [scn.probe_T(p, j) for j in js]
     d = consecutive_difference(scn, p, np.array(probes + extra_Ts),
                                "rotated", tol)
@@ -576,7 +582,8 @@ def _overlap_report(scn: ModelScenario, p: int, js: Sequence[int],
 def overlap_rate(scn: ModelScenario, p: int, js: Sequence[int],
                  tol: float) -> tuple[DiffTable, RateFit, float, float]:
     """Overlap p's cascade, its rate fit, the target rate (k2 on a fast
-    overlap, k1 on a slow one) and the fit's relative error."""
+    overlap, k1 on a slow one) and the fit's relative error; ValueError
+    for a shared-branch overlap with no wedge pole, as _overlap_report."""
     return _overlap_report(scn, p, js, [], tol)[:4]
 
 
@@ -600,7 +607,10 @@ def _dichotomy(scn: ModelScenario, js: Sequence[int], tol: float,
 def verify_rate_dichotomy(scn: ModelScenario, js: Sequence[int] = range(3, 13),
                           tol: float = DIFF_TOL, rel_tol: float = RATE_REL_TOL
                           ) -> DichotomyReport:
-    """Fit every overlap's cascade and compare with k2 (fast) / k1 (slow)."""
+    """Fit every overlap's cascade and compare with k2 (fast) / k1 (slow).
+
+    ValueError refuses a scenario with an overlap that shares its branch
+    and holds no wedge pole (its difference is identically 0)."""
     return _dichotomy(scn, js, tol, rel_tol, {})[0]
 
 
@@ -682,7 +692,8 @@ def verify_two_level_theorem(scn: ModelScenario, js: Sequence[int] = range(3, 11
     bit with a point's place in the batch).  Any other overlap adds one
     mid-ray contour call, whose points keep their own windows, so it
     matches them up to the refinement the merged points share.  ValueError
-    refuses a scenario without one overlap of each level."""
+    refuses a scenario without one overlap of each level, and one with a
+    shared-branch overlap that holds no wedge pole."""
     from .geometry import validate_good_covering
     cov_rep = validate_good_covering(scn.covering)
 

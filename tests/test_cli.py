@@ -419,6 +419,13 @@ class TestBadInputFiles:
         pytest.param(("diff", "--scenario"),
                      {**_SCENARIO, "u_half_widths": [0.9, 0.9, 0.9, 0.5]},
                      "'u_half_widths'", id="diff-removed-key"),
+        # overlap 2 shares a branch and holds no wedge pole: its
+        # difference is exactly 0, with no decay rate to fit
+        pytest.param(("diff", "--scenario"),
+                     {**_SCENARIO, "branch_centers": [
+                         math.radians(d) for d in (90.0, 90.0, 225.0, 225.0)]},
+                     "overlap 2 shares its logarithm branch",
+                     id="diff-shared-overlap-without-pole"),
         pytest.param(("diff", "--scenario"),
                      {**_SCENARIO, "covering": {**_SCENARIO["covering"],
                                                 "radius": 0.9}},
@@ -561,7 +568,7 @@ class TestQuadratureFailure:
     @pytest.mark.parametrize("module, argv, named", [
         pytest.param(fourier, ("fourier", "--z", "0.2"), "times its target",
                      id="fourier-inverse-transform"),
-        pytest.param(cocycle, ("split", "--j-max", "2"), "worst on overlap",
+        pytest.param(cocycle, ("split", "--j-max", "2"), "Cauchy-Heine rays on overlaps",
                      id="split-cauchy-heine-ray"),
     ])
     def test_library_quadrature_is_one(self, capsys, monkeypatch, module, argv,

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,40 @@ class TestLadderJump:
     def test_zero_at_origin(self):
         delta = ladder_jump(Q, K1, A, 0.0, 1.0)
         assert complex(delta(0.05, 0.0)) == 0.0
+
+    def test_no_warning_at_zero_or_subnormal_xi(self):
+        """log 0 = -inf never surfaces: the jump is 0 at xi = 0, and at
+        subnormal xi it underflows to 0 with no RuntimeWarning (the
+        warnings filter turns any into an error)."""
+        zero_and_tiny = np.array([0.0, -0.0j, 5e-324, 1e-310j, -2e-320 + 3e-321j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cut in (0.0, math.pi / 2, 2.3):
+                delta = ladder_jump(Q, K2, A, cut, 0.8 - 0.1j)
+                for t in (0.05, 0.11 * cmath.exp(0.2j)):
+                    vals = delta(t, zero_and_tiny)
+                    assert vals.tolist() == [0j] * zero_and_tiny.size
+                # |t| > 1: the log's -inf would overflow; the origin is 0
+                assert complex(delta(2.0 * cmath.exp(0.1j), 0j)) == 0j
+                assert complex(delta(2.0, 0.0)) == 0j
+
+    @pytest.mark.parametrize("cut", [0.0, math.pi / 2, math.pi, -math.pi / 2, 2.3])
+    def test_branch_edge_matches_longhand(self, cut):
+        """Within 1e-12 rad of the direction opposite the cut, the branch
+        is arg xi - cut reduced to (-pi, pi], written out here with
+        math.remainder rather than a complex log."""
+        amp = 0.7 + 0.2j
+        delta = ladder_jump(Q, K1, A, cut, amp)
+        for off in (math.pi - 1e-12, -math.pi + 1e-12,
+                    math.pi - 3e-13, -math.pi + 3e-13):
+            xi = 0.3 * cmath.exp(1j * (cut + off))
+            ang = math.remainder(math.atan2(xi.imag, xi.real) - cut, 2.0 * math.pi)
+            assert abs(abs(ang) - math.pi) < 2e-12
+            ell = math.log(abs(xi)) + 1j * ang
+            for t in (0.05, 0.11 * cmath.exp(0.2j)):
+                want = amp * cmath.exp(-(2.0 * K1 / math.log(Q)) * cmath.log(t)
+                                       * (math.log(A) + ell))
+                assert complex(delta(t, xi)) == pytest.approx(want, rel=1e-12)
 
 
 class TestCauchyHeine:
@@ -197,6 +232,39 @@ class TestMergedRays:
                                          slow.rays[r].length, eps[i]) for r in (1, 3))
             assert _rel(merged[i], want) <= 1e-9
 
+    def test_repeated_points_are_one_component(self, monkeypatch):
+        """A point listed several times, from one sector or from both
+        sectors of its overlap, is one component of the quadrature, and
+        each listing reads the bits of a batch that lists it once."""
+        cov = four_sector_covering()
+        slow, fast = two_level_pair(cov)
+        mid = 0.2 * cmath.exp(1j * cov.sector(0).bisector)
+        flank = 0.5 * slow.rays[1].length * cmath.exp(
+            1j * (cov.overlap_bisector(1) + 0.4 * cov.overlap_half_width(1)))
+        eps = [mid, flank, mid, flank, flank, mid]
+        sectors = [0, 1, 0, 2, 1, 4]          # sector 4 is sector 0
+        widths = []
+
+        def recording(f, *args, **kwargs):
+            def g(x):
+                vals = f(x)
+                widths.append(vals.shape[x.ndim:])
+                return vals
+            return complex_quad(g, *args, **kwargs)
+
+        once = [cauchy_heine_many(coc, self.T, [mid, flank, flank], [0, 1, 2],
+                                  TIGHT) for coc in (slow, fast)]
+        monkeypatch.setattr(cocycle, "complex_quad", recording)
+        for coc, want in zip((slow, fast), once):
+            widths.clear()
+            got = cauchy_heine_many(coc, self.T, eps, sectors, TIGHT)
+            assert widths and set(widths) == {(2,)}
+            assert got.tobytes() == want[[0, 1, 0, 2, 1, 0]].tobytes()
+        # slow has a jump on overlap 1: the two sectors differ by it there
+        jump = complex(np.asarray(slow.jump(1, self.T, flank)).reshape(()))
+        got = cauchy_heine_many(slow, self.T, eps, sectors, TIGHT)
+        assert got[3] - got[1] == pytest.approx(jump, rel=1e-12)
+
     def test_coefficients_over_two_jumps_are_one_quadrature(self, monkeypatch):
         cov = four_sector_covering()
         slow, _ = two_level_pair(cov)
@@ -223,11 +291,23 @@ class TestMergedRays:
         rough = Cocycle(cov, deltas=(None, slow.deltas[1], None,
                                      lambda t, xi: np.exp(1e5j * xi)))
         eps = [0.2 * cmath.exp(1j * cov.sector(p).bisector) for p in range(4)]
-        with pytest.raises(QuadratureError,
-                           match="worst on overlap 3 at eps=") as info:
+        with pytest.raises(QuadratureError, match="2 Cauchy-Heine rays on "
+                                                  "overlaps 1, 3, worst at eps=") as info:
             cauchy_heine_many(rough, self.T, eps, [0, 1, 2, 3], TIGHT)
         assert f"eps={eps[info.value.component]!r}" in str(info.value)
         assert "limit=200" in str(info.value)
+        # listed twice, a point is one component: the error's component
+        # is the index of its first listing
+        worst = info.value.component
+        with pytest.raises(QuadratureError) as again:
+            cauchy_heine_many(rough, self.T, eps[::-1] + eps[::-1],
+                              [3, 2, 1, 0] * 2, TIGHT)
+        assert again.value.component == 3 - worst
+        assert f"eps={eps[worst]!r}" in str(again.value)
+        one = Cocycle(cov, deltas=(None, None, None, rough.deltas[3]))
+        with pytest.raises(QuadratureError, match="1 Cauchy-Heine ray on "
+                                                  "overlap 3, worst at eps="):
+            cauchy_heine_many(one, self.T, eps, [0, 1, 2, 3], TIGHT)
 
 
 class TestAsymptoticCoefficients:

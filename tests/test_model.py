@@ -199,6 +199,22 @@ class TestDifferences:
         assert type(one) is complex
         assert one == residue_closed_form(shared, p, np.array([T]))[0]
 
+    def test_shared_overlap_without_wedge_pole_is_refused(self, scn):
+        """Overlap 2 of SHARED_OVERLAP_2 shares a branch and holds no
+        wedge pole, so its difference is exactly 0 and has no rate: the
+        dichotomy and the one-overlap fit refuse it by name (they fitted
+        rate -3e-14 against k2 = 2 there).  Its residue sum stays 0, and
+        overlap 0, which shares a branch and holds a pole, still fits."""
+        shared = replace(scn, branch_centers=SHARED_OVERLAP_2)
+        assert shared.levels()[2] == 2 and shared.wedge_poles(2) == ()
+        refused = "overlap 2 shares its logarithm branch and holds no wedge pole"
+        with pytest.raises(ValueError, match=refused):
+            verify_rate_dichotomy(shared, js=range(3, 9))
+        with pytest.raises(ValueError, match=refused):
+            overlap_rate(shared, 2, range(3, 9), model.DIFF_TOL)
+        assert residue_closed_form(shared, 2, scn.probe_T(2, 6)) == 0
+        assert overlap_rate(shared, 0, range(3, 9), model.DIFF_TOL)[3] < 1e-12
+
     @pytest.mark.parametrize("p, j_max", [(0, 20), (1, 30)])
     def test_fast_cascade_fits_k2_deep(self, scn, p, j_max):
         rel = overlap_rate(scn, p, range(3, j_max + 1), model.DIFF_TOL)[3]
